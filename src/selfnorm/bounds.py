@@ -60,6 +60,8 @@ LOWER_Q1 = "LowerQ1"
 DEFAULT_KR = 0.6379
 DEFAULT_B_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, math.e, 3.0, 5.0, 10.0, 20.0, 50.0)
 
+_THETA_RTOL = 1e-6
+
 
 class DomainError(ValueError):
     """A bound was requested outside its range of validity."""
@@ -112,6 +114,19 @@ def sum_cgf(dist: DistributionModel, n: int, B: float, theta: float) -> float:
     return n * v if v != math.inf else math.inf
 
 
+def _theta_guess(dist: DistributionModel, n: int, B: float) -> float:
+    """The maximizer n*B*sigma^2/V of the Gaussian-regime objective.
+
+    V is the variance of the linearized summand; when its quadratic
+    moments diverge or it is not positive, the finite start B is used.
+    """
+    try:
+        var = dist.summand_variance(n, B, "variance-exact")
+    except ArithmeticError:
+        var = 0.0
+    return n * B * dist.sigma2 / var if var > 0.0 else B
+
+
 def _exp_tail_point(dist: DistributionModel, n: int, B: float,
                     tol: float = 1e-9) -> BoundPoint:
     if B <= 0.0:
@@ -124,7 +139,11 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float,
             return -math.inf
         return theta * target - c
 
-    theta_star, exponent = maximize_concave(obj, 0.0, tol)
+    # a theta bracket of relative width 1e-6 leaves an exponent error of
+    # order 1e-12 relative: the objective is flat at its maximum
+    theta_star, exponent = maximize_concave(obj, 0.0, tol,
+                                            x0=_theta_guess(dist, n, B),
+                                            rtol=_THETA_RTOL)
     exponent = max(exponent, 0.0)
     value = 0.0 if exponent == math.inf else min(1.0, math.exp(-exponent))
     return BoundPoint(B, value, {"theta_star": theta_star, "objective": exponent})

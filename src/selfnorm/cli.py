@@ -162,6 +162,13 @@ def build_config(command: str, flags: dict) -> RunConfig:
         raise ConfigError("trials/seed/chunk-size/kr/confidence", str(exc)) from None
     if trials < 1 and command in ("mc", "verify", "sweep"):
         raise ConfigError("trials", "must be >= 1 for simulation commands")
+    if chunk < 1:
+        raise ConfigError("chunk-size", f"must be >= 1, got {chunk}")
+    if not (kr > 0.0 and math.isfinite(kr)):
+        raise ConfigError("kr", f"must be positive and finite, got {kr}")
+    if not 0.0 < conf < 1.0:
+        raise ConfigError("confidence", f"must lie strictly between 0 and 1, "
+                                        f"got {conf}")
     fmt = get("format")
     if fmt not in ("csv", "pretty"):
         raise ConfigError("format", f"unknown format {fmt!r}")
@@ -174,7 +181,7 @@ def build_config(command: str, flags: dict) -> RunConfig:
         trials=trials,
         seed=seed,
         kr_constant=kr,
-        chunk_size=max(1, chunk),
+        chunk_size=chunk,
         confidence=conf,
         output_path=get("output"),
         format=fmt,
@@ -351,7 +358,11 @@ def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
     curves = _verification_curves(config, dist)
     cfg = mcmod.MCConfig(max(config.n_grid), config.trials, config.seed,
                          config.chunk_size, config.confidence)
-    report = mcmod.verify_bounds(dist, config.n_grid, config.B_grid, cfg, curves)
+    try:
+        report = mcmod.verify_bounds(dist, config.n_grid, config.B_grid, cfg,
+                                     curves)
+    except mcmod.GridMismatchError as exc:
+        raise ConfigError("n/n-sup", str(exc)) from None
     rows = []
     for r in report.rows:
         rows.append(_point_row(r.dist, r.n_label, r.family, r.point, est=r.estimate,

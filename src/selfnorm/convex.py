@@ -22,8 +22,10 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = 1.0 - _GOLDEN
 _FIRST_STEP = 1e-8
 _MAX_DOUBLINGS = 64
+_MAX_BRENT_STEPS = 200
 _EPS = sys.float_info.epsilon
 
 
@@ -68,31 +70,116 @@ def golden_section_max(fn: Callable[[float], float], a: float, c: float,
     return best_x, best_v
 
 
+def _brent_max(obj: Callable[[float], float], a: float, b: float, c: float,
+               fa: float, fb: float, fc: float, tol: float,
+               rtol: float) -> tuple[float, float]:
+    """Brent's parabolic-plus-golden search for a maximum on [a, c].
+
+    ``b`` is an interior point whose value ``fb`` is at least ``fa`` and
+    ``fc``.  Each step fits a parabola through the three best points and
+    falls back to a golden-section step when the fit is not usable
+    (a ``-inf`` among the points, a step outside the bracket, or one not
+    shrinking fast enough).  Stops once the bracket is narrower than
+    ``tol + rtol*|x|``.  Returns the best (x, obj(x)) seen.
+    """
+    x, fx = b, fb
+    # the bracket ends are the first two runners-up, so the very first
+    # step can already be parabolic
+    (w, fw), (v, fv) = sorted(((a, fa), (c, fc)), key=lambda p: p[1],
+                              reverse=True)
+    d = e = c - a
+    for _ in range(_MAX_BRENT_STEPS):
+        m = 0.5 * (a + c)
+        tol1 = 0.25 * (tol + rtol * abs(x)) + _EPS * abs(x)
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (c - a):
+            break
+        golden = True
+        if abs(e) > tol1 and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (c - x):
+                e, d = d, p / q
+                u = x + d
+                if u - a < tol2 or c - u < tol2:
+                    d = tol1 if x < m else -tol1
+                golden = False
+        if golden:
+            e = (a - x) if x >= m else (c - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = obj(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                c = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                c = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
+
+
 def maximize_concave(obj: Callable[[float], float], x_lo: float,
-                     tol: float = 1e-9) -> tuple[float, float]:
+                     tol: float = 1e-9, x0: float | None = None,
+                     rtol: float = 0.0) -> tuple[float, float]:
     """Maximize a concave objective on the ray [x_lo, inf).
 
-    Brackets the maximum by doubling steps away from ``x_lo`` until the
-    objective stops increasing (or hits ``-inf``), then refines by
-    golden section to absolute x-tolerance ``tol``.  If the objective
-    keeps growing through 64 doublings it is declared unbounded above
-    and ``(inf, inf)`` is returned.
+    The search starts from ``x0`` (default ``x_lo + 1e-8``).  When
+    ``obj(x0)`` beats ``obj(x_lo)`` the maximum is bracketed by doubling
+    the step from ``x_lo`` outward until the objective stops increasing;
+    otherwise by halving it towards ``x_lo``.  Brent's parabolic-plus-golden
+    search then refines the bracket until it is narrower than
+    ``tol + rtol*|x|``.
+
+    An evaluation returning ``-inf`` is an ordinary point that loses every
+    comparison: it closes a bracket like any decrease, and it blocks the
+    parabolic step.  A ``-inf`` between ``x_lo`` and a finite value
+    therefore never ends the search.  If the objective still increases at
+    the cap ``x_lo + 1e-8 * 2**63`` it is declared unbounded above and
+    ``(inf, inf)`` is returned; if no probe down to ``x_lo + 1e-8`` beats
+    ``obj(x_lo)``, the origin ``(x_lo, obj(x_lo))`` is returned.
 
     ``obj(x_lo)`` must be finite.
     """
     v_lo = obj(x_lo)
     if not math.isfinite(v_lo):
         raise ValueError("objective must be finite at the ray origin")
-    prev2_x = x_lo
-    prev_x, prev_v = x_lo, v_lo
-    for k in range(_MAX_DOUBLINGS):
-        x = x_lo + _FIRST_STEP * 2.0 ** k
-        v = obj(x)
-        if v <= prev_v or v == -math.inf:
-            return golden_section_max(obj, prev2_x, x, tol)
-        prev2_x = prev_x
-        prev_x, prev_v = x, v
-    return math.inf, math.inf
+    cap = x_lo + _FIRST_STEP * 2.0 ** (_MAX_DOUBLINGS - 1)
+    step = _FIRST_STEP
+    if x0 is not None and math.isfinite(x0) and x0 > x_lo:
+        step = min(x0 - x_lo, 0.5 * (cap - x_lo))
+    x, v = x_lo + step, obj(x_lo + step)
+    if v > v_lo:
+        a, fa = x_lo, v_lo
+        while x < cap:
+            step *= 2.0
+            c = min(x_lo + step, cap)
+            fc = obj(c)
+            if fc <= v:
+                return _brent_max(obj, a, x, c, fa, v, fc, tol, rtol)
+            a, fa, x, v = x, v, c, fc
+        return math.inf, math.inf
+    c, fc = x, v
+    while step > _FIRST_STEP:
+        step *= 0.5
+        x, v = x_lo + step, obj(x_lo + step)
+        if v > v_lo:
+            return _brent_max(obj, x_lo, x, c, v_lo, v, fc, tol, rtol)
+        c, fc = x, v
+    return x_lo, v_lo
 
 
 def fenchel(f: Callable[[float], float], u: float, tol: float = 1e-9) -> float:

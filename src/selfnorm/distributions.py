@@ -404,11 +404,14 @@ class UniformSymmetric(_QuadratureLaw):
             raise ValueError(f"half width must be positive, got {half_width}")
         self.half_width = float(half_width)
         self.support = (-self.half_width, self.half_width)
+        self._log_height = -math.log(2.0 * self.half_width)
         super().__init__(half_width * half_width / 3.0, f"uniform:a={half_width:g}")
 
     def _log_density(self, x):
-        return np.where(np.abs(x) <= self.half_width,
-                        -math.log(2.0 * self.half_width), -math.inf)
+        # quadrature calls this once per node with a float: skip NumPy there
+        if isinstance(x, float):
+            return self._log_height if abs(x) <= self.half_width else -math.inf
+        return np.where(np.abs(x) <= self.half_width, self._log_height, -math.inf)
 
     def sample(self, rng, size):
         return rng.uniform(-self.half_width, self.half_width, size)

@@ -208,6 +208,11 @@ def _check_grids(curves: Sequence[BoundCurve], n_grid: Sequence[int],
         elif isinstance(curve.n, int) and curve.n not in n_grid:
             raise GridMismatchError(
                 f"{curve.family} curve at n = {curve.n} not in the grid")
+        elif isinstance(curve.n, tuple) and not any(
+                curve.n[0] <= n <= curve.n[1] for n in n_grid):
+            raise GridMismatchError(
+                f"{curve.family} curve over n = {curve.n[0]}..{curve.n[1]} "
+                "has no grid n in its range to verify against")
 
 
 def verify_bounds(dist: DistributionModel, n_grid: Sequence[int],
@@ -216,7 +221,8 @@ def verify_bounds(dist: DistributionModel, n_grid: Sequence[int],
     """Check every bound cell against simulation.
 
     Upper bounds must sit at or above the lower confidence limit of the
-    matching estimate (for sup-over-n curves: of every n in the grid);
+    matching estimate (for sup-over-n curves: the largest such limit over
+    the grid n inside the curve's range, of which there must be one);
     the single-observation lower bound must sit at or below the upper
     limit at n = 1.  The limiting normal tail is attached as REPORT rows
     and asserts nothing.  Raises :class:`GridMismatchError` when curves
@@ -234,7 +240,9 @@ def verify_bounds(dist: DistributionModel, n_grid: Sequence[int],
         for pt in curve.points:
             if curve.family in (EXP_LEVEL, POWER_LEVEL):
                 if isinstance(curve.n, tuple):
-                    cands = [report.estimates[(n, pt.B)] for n in sorted(set(n_grid))]
+                    lo, hi = curve.n
+                    cands = [report.estimates[(n, pt.B)]
+                             for n in sorted(set(n_grid)) if lo <= n <= hi]
                     est = max(cands, key=lambda e: e.ci_lo)
                 else:
                     est = report.estimates[(curve.n, pt.B)]

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.stats import norm as scipy_norm
 
@@ -14,8 +15,8 @@ from selfnorm.bounds import (DEFAULT_B_GRID, DomainError, exp_curve,
                              power_curve, power_tail_bound,
                              power_tail_bound_sup, rosenthal_psi, sum_cgf)
 from selfnorm.bounds import _exp_tail_point, _power_tail_point
-from selfnorm.distributions import (DiscreteLaw, Rademacher, StandardGaussian,
-                                    UniformSymmetric)
+from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
+                                    StandardGaussian, UniformSymmetric)
 
 E = math.e
 SQRT3 = math.sqrt(3.0)
@@ -143,6 +144,74 @@ class TestExpTailBound:
     def test_rejects_nonpositive_threshold(self, gauss):
         with pytest.raises(ValueError):
             exp_tail_bound(gauss, 4, 0.0)
+
+
+class TestExpTailOptimizer:
+    """The ExpLevel optimizer: oracle agreement, cost, and its fallbacks."""
+
+    @pytest.mark.parametrize("name", ["rad", "gauss", "uni"])
+    def test_matches_oracle_within_call_budget(self, name, request,
+                                               monkeypatch):
+        law = request.getfixturevalue(name)
+        calls = [0]
+        log_mgf2 = law.log_mgf2
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return log_mgf2(*args, **kwargs)
+
+        monkeypatch.setattr(law, "log_mgf2", counted)
+        for n in (1, 16, 64):
+            finite_calls = []
+            for B in DEFAULT_B_GRID:
+                calls[0] = 0
+                pt = _exp_tail_point(law, n, B)
+                if pt.value == 0.0:
+                    continue
+                finite_calls.append(calls[0])
+                target = B * law.sigma2
+
+                def neg(th):
+                    c = sum_cgf(law, n, B, th)
+                    return math.inf if c == math.inf else c - th * target
+
+                r = minimize_scalar(
+                    neg, bounds=(0.0, 2.0 * pt.optimizer["theta_star"] + 1.0),
+                    method="bounded", options={"xatol": 1e-12})
+                oracle = min(1.0, math.exp(min(r.fun, 0.0)))
+                assert pt.value == pytest.approx(oracle, rel=1e-9), (n, B)
+            assert sum(finite_calls) / len(finite_calls) <= 20.0, n
+
+    def test_zero_variance_summand_stays_impossible(self):
+        # sqrt(n)*xi + B*(sigma^2 - xi^2) vanishes on both atoms at n = B = 1
+        law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
+        assert law.summand_variance(1, 1.0, "variance-exact") == pytest.approx(
+            0.0, abs=1e-12)
+        assert exp_tail_bound(law, 1, 1.0) == 0.0
+
+    def test_heavy_tail_reaches_interior_maximum(self):
+        # fourth moment infinite: the start falls back to theta = B, and a
+        # spurious quadrature failure near theta = 0 must not end the search
+        def density(x):
+            return 2.0 / (math.pi * (1.0 + x * x) ** 2)
+
+        law = DensityLaw(density)
+        n, B = 16, 1.0
+        pt = _exp_tail_point(law, n, B)
+        assert pt.value < 0.7
+        theta = pt.optimizer["theta_star"]
+        l1, l2 = theta / math.sqrt(n), B * theta / n
+
+        def integrand(x):
+            return density(x) * math.exp(l1 * x + l2 * (law.sigma2 - x * x))
+
+        peak = l1 / (2.0 * l2)
+        mgf = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                  for a, b in ((-math.inf, 0.0), (0.0, peak), (peak, math.inf)))
+        assert sum_cgf(law, n, B, theta) == pytest.approx(n * math.log(mgf),
+                                                          rel=1e-8)
+        assert pt.optimizer["objective"] == pytest.approx(
+            theta * B * law.sigma2 - n * math.log(mgf), rel=1e-8)
 
 
 class TestExpTailBoundSup:

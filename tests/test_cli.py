@@ -204,6 +204,28 @@ class TestMain:
         assert exc.value.code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--confidence", "2", "confidence"),
+        ("--kr", "-1", "kr"),
+        ("--chunk-size", "-5", "chunk-size"),
+    ])
+    def test_bad_numeric_flag_exit_two(self, flag, value, key, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound-power", "--dist", "rademacher", "--n", "4",
+                  "--B", "3", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"selfnorm: configuration error: {key}:")
+
+    def test_sup_range_outside_grid_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--dist", "rademacher", "--n", "1,4",
+                  "--n-sup", "16:64", "--B", "0.5", "--trials", "100"])
+        assert exc.value.code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -50,6 +50,73 @@ class TestMaximizeConcave:
         assert v == pytest.approx(0.0, abs=1e-8)
 
 
+class TestMaximizeConcaveStart:
+    """The start point x0: bracketing outward, inward, and past barriers."""
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        def obj(x):
+            calls.append(x)
+            return fn(x)
+
+        return obj, calls
+
+    def test_start_far_above_maximum(self):
+        obj, calls = self.counted(lambda x: -((x - 1.0) ** 2))
+        x, v = maximize_concave(obj, 0.0, 1e-9, x0=1e6)
+        assert abs(x - 1.0) <= 1e-8
+        assert abs(v) <= 1e-15
+        assert len(calls) <= 40
+
+    def test_start_far_below_maximum(self):
+        obj, calls = self.counted(lambda x: -((x - 1.0) ** 2))
+        x, v = maximize_concave(obj, 0.0, 1e-9, x0=1e-6)
+        assert abs(x - 1.0) <= 1e-8
+        assert len(calls) <= 40
+
+    def test_start_past_barrier(self):
+        # domain ends at x = 1; the maximum of 3x - x^2/(1-x) is 1 at x = 1/2
+        def obj(x):
+            if x >= 1.0:
+                return -math.inf
+            return 3.0 * x - x * x / (1.0 - x)
+
+        x, v = maximize_concave(obj, 0.0, 1e-9, x0=50.0)
+        assert x == pytest.approx(0.5, abs=1e-8)
+        assert v == pytest.approx(1.0, abs=1e-12)
+
+    def test_minus_inf_below_a_finite_value_does_not_end_the_search(self):
+        # a spurious -inf near the origin must not truncate the domain
+        def obj(x):
+            if 0.0 < x < 1e-3:
+                return -math.inf
+            return -((x - 2.0) ** 2) + 4.0
+
+        x, v = maximize_concave(obj, 0.0, 1e-9, x0=1.0)
+        assert x == pytest.approx(2.0, abs=1e-8)
+        assert v == pytest.approx(4.0, abs=1e-12)
+
+    def test_linear_objective_from_start_is_unbounded(self):
+        assert maximize_concave(lambda x: 0.5 * x, 0.0, 1e-9, x0=3.0) == (
+            math.inf, math.inf)
+        assert maximize_concave(lambda x: 0.5 * x, 0.0, 1e-9, x0=1e300) == (
+            math.inf, math.inf)
+
+    def test_relative_tolerance(self):
+        # stops on a bracket of relative width rtol, long before tol = 0
+        obj, calls = self.counted(lambda x: 1e4 * math.log(x) - x)
+        x, v = maximize_concave(obj, 1e-300, 0.0, x0=3e3, rtol=1e-6)
+        assert x == pytest.approx(1e4, rel=1e-6)
+        assert v == pytest.approx(1e4 * math.log(1e4) - 1e4, rel=1e-14)
+        assert len(calls) <= 20
+
+    def test_start_at_origin_falls_back_to_default(self):
+        x, v = maximize_concave(lambda x: -((x - 1.0) ** 2), 0.0, 1e-9, x0=0.0)
+        assert abs(x - 1.0) <= 1e-8
+
+
 class TestFenchel:
     def test_half_quadratic_self_conjugate(self):
         for u in (0.0, 0.3, 1.0, 2.5, 7.0):

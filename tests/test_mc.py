@@ -195,6 +195,23 @@ class TestVerifyBounds:
                                curves)
         assert report.all_pass
 
+    def test_sup_curve_uses_only_grid_n_in_its_range(self):
+        # the n = 1 estimate (about 0.5 at B = 0.25) lies outside 16..64
+        law = Rademacher()
+        n_grid, B_grid = [1, 16], [0.25, 0.5, 1.0]
+        report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 20000, 5),
+                               [exp_sup_curve(law, (16, 64), B_grid)])
+        assert len(report.rows) == 3
+        for row in report.rows:
+            assert row.n_label == "sup(16..64)"
+            assert row.estimate is report.estimates[(16, row.point.B)]
+
+    def test_sup_curve_without_grid_n_in_range(self):
+        law = Rademacher()
+        with pytest.raises(GridMismatchError, match="16..64"):
+            verify_bounds(law, [1, 4], [0.5], MCConfig(1, 100, 1),
+                          [exp_sup_curve(law, (16, 64), [0.5])])
+
     def test_corrupted_bound_flags_fail(self):
         law = Rademacher()
         n_grid, B_grid = [4], [0.5, 1.0]
