@@ -131,6 +131,12 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float,
                     tol: float = 1e-9) -> BoundPoint:
     if B <= 0.0:
         raise ValueError(f"B must be positive, got {B}")
+    # by Cauchy-Schwarz over the k nonzero terms, |sum xi| <= sqrt(k*sum xi^2)
+    # and sum xi^2 >= k*m^2, so T(n) <= sqrt(n)/m: beyond that the event is
+    # impossible (the factor keeps float rounding of T on the safe side)
+    if B * dist.min_abs_atom > math.sqrt(n) * (1.0 + 1e-12):
+        return BoundPoint(B, 0.0, {"theta_star": math.inf, "objective": math.inf,
+                                   "reason": "support"})
     target = B * dist.sigma2
 
     def obj(theta: float) -> float:
@@ -144,9 +150,13 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float,
     theta_star, exponent = maximize_concave(obj, 0.0, tol,
                                             x0=_theta_guess(dist, n, B),
                                             rtol=_THETA_RTOL)
+    if exponent == math.inf:
+        # the objective still grew at the doubling cap
+        return BoundPoint(B, 0.0, {"theta_star": theta_star, "objective": exponent,
+                                   "reason": "cap"})
     exponent = max(exponent, 0.0)
-    value = 0.0 if exponent == math.inf else min(1.0, math.exp(-exponent))
-    return BoundPoint(B, value, {"theta_star": theta_star, "objective": exponent})
+    return BoundPoint(B, min(1.0, math.exp(-exponent)),
+                      {"theta_star": theta_star, "objective": exponent})
 
 
 def exp_tail_bound(dist: DistributionModel, n: int, B: float,
@@ -155,8 +165,9 @@ def exp_tail_bound(dist: DistributionModel, n: int, B: float,
 
     ``exp(-sup_{theta>=0} [theta*B*sigma^2 - cgf(theta)])``; the
     conjugate is evaluated at B*sigma^2, the exact threshold of the
-    linearized event.  Returns 0 when the supremum diverges (the event
-    is impossible at this exponential level).
+    linearized event.  Returns 0 when the event is impossible: for an
+    atomic law whose nonzero atoms all have |xi| >= m once B > sqrt(n)/m,
+    and otherwise when the supremum still grows at the search cap.
     """
     return _exp_tail_point(dist, n, B, tol).value
 

@@ -160,8 +160,13 @@ def build_config(command: str, flags: dict) -> RunConfig:
         conf = float(get("confidence"))
     except ValueError as exc:
         raise ConfigError("trials/seed/chunk-size/kr/confidence", str(exc)) from None
-    if trials < 1 and command in ("mc", "verify", "sweep"):
-        raise ConfigError("trials", "must be >= 1 for simulation commands")
+    if command in ("mc", "verify", "sweep"):
+        if trials < 1:
+            raise ConfigError("trials", "must be >= 1 for simulation commands")
+        try:  # checks SELFNORM_THREADS before any bound or simulation
+            mcmod.worker_count(1)
+        except ValueError as exc:
+            raise ConfigError("env", str(exc)) from None
     if chunk < 1:
         raise ConfigError("chunk-size", f"must be >= 1, got {chunk}")
     if not (kr > 0.0 and math.isfinite(kr)):

@@ -152,11 +152,13 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
     ``(inf, inf)`` is returned; if no probe down to ``x_lo + 1e-8`` beats
     ``obj(x_lo)``, the origin ``(x_lo, obj(x_lo))`` is returned.
 
-    ``obj(x_lo)`` must be finite.
+    ``obj(x_lo)`` must not be ``+inf`` or NaN.  A ``-inf`` there is a
+    barrier like any other; when no probe is finite, ``(x_lo, -inf)`` is
+    returned.
     """
     v_lo = obj(x_lo)
-    if not math.isfinite(v_lo):
-        raise ValueError("objective must be finite at the ray origin")
+    if v_lo == math.inf or math.isnan(v_lo):
+        raise ValueError("objective must be below +inf at the ray origin")
     cap = x_lo + _FIRST_STEP * 2.0 ** (_MAX_DOUBLINGS - 1)
     step = _FIRST_STEP
     if x0 is not None and math.isfinite(x0) and x0 > x_lo:

@@ -73,6 +73,8 @@ class DistributionModel:
 
     sigma2: float
     name: str
+    # a lower bound on |xi| over xi != 0; positive only for atomic laws
+    min_abs_atom: float = 0.0
 
     def __init__(self, sigma2: float, name: str):
         if not (sigma2 > 0.0 and math.isfinite(sigma2)):
@@ -236,6 +238,8 @@ class DiscreteLaw(DistributionModel):
         if name is None:
             name = "discrete:" + ",".join(f"{v:g}:{q:g}" for v, q in pairs)
         super().__init__(sigma2, name)
+        self.min_abs_atom = float(np.abs(
+            self._values[(self._values != 0.0) & (self._probs > 0.0)]).min())
 
     def _apply(self, g):
         try:
@@ -485,6 +489,7 @@ class EmpiricalLaw(DistributionModel):
             raise ValueError("sample is constant; variance is zero")
         super().__init__(sigma2, name)
         self._samples = arr
+        self.min_abs_atom = float(np.abs(arr[arr != 0.0]).min())
 
     def _apply(self, g):
         try:

@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .convex import NotBracketedError, fenchel, golden_section_max, invert_monotone
+from .convex import (NotBracketedError, fenchel, golden_section_max,
+                     invert_monotone, maximize_concave)
 from .distributions import DivergentError
 
 __all__ = [
@@ -45,6 +46,10 @@ __all__ = [
     "power_psi",
     "psi_from_phi",
 ]
+
+
+_P_START = 2.0
+_P_RTOL = 1e-6
 
 
 class UnboundedError(RuntimeError):
@@ -144,15 +149,20 @@ def _try_positive(fn: Callable[[float], float], x: float) -> float | None:
     return v
 
 
-def _support_grid(psi: PsiFunction, cap: float, points: int) -> np.ndarray:
+def _support(psi: PsiFunction, cap: float) -> tuple[float, float]:
     lo = psi.p_lo
     if psi.lo_open:
         lo = lo * (1.0 + 1e-6) if lo > 0 else 1e-6
     hi = min(psi.b, cap)
-    if hi == lo:
-        return np.array([lo])
     if hi < lo:
         raise ValueError(f"empty generator support [{lo}, {hi}]")
+    return lo, hi
+
+
+def _support_grid(psi: PsiFunction, cap: float, points: int) -> np.ndarray:
+    lo, hi = _support(psi, cap)
+    if hi == lo:
+        return np.array([lo])
     grid = np.geomspace(lo, hi, points)
     grid[0], grid[-1] = lo, hi
     return grid
@@ -208,13 +218,22 @@ def gls_norm(moment_curve: Callable[[float], float], psi: PsiFunction,
 
 
 def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
-                  grid_points: int = 128, p_cap: float = 1000.0,
+                  p_cap: float = 1000.0,
                   tol: float = 1e-9) -> tuple[float, float | None, float]:
     """Optimized Markov bound min_p (psi(p)*norm/y)^p.
 
     Returns (value, attaining p or None, -ln(value)).  Clamps to 1
     whenever y <= e*norm: below that the moment method carries no
     information.
+
+    The exponent p*ln(psi(p)*norm/y) must be convex in p on the support
+    (capped at ``p_cap``).  It is for the Rosenthal generator (ln E|X|^p
+    is convex by Lyapunov, and so is p*ln(p/ln p)), for p^(1/m) and for
+    the degenerate generator, whose exponent is linear.  The search
+    starts at p = 2 and stops on a p bracket of ``tol + 1e-6*p``; a p
+    where psi diverges, and any p above the support, is a ``-inf``
+    barrier.  The top of the support is evaluated exactly as well, since
+    a linear exponent has its minimum there.
     """
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
@@ -223,38 +242,31 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
     if y <= math.e * norm:
         return 1.0, None, 0.0
 
+    lo, hi = _support(psi, p_cap)
     log_scale = math.log(norm) - math.log(y)
 
-    def exponent(p: float) -> float | None:
-        den = _try_positive(psi.fn, p)
+    def neg_exponent(p: float) -> float:
+        den = _try_positive(psi.fn, p) if p <= hi else None
         if den is None:
-            return None
-        return p * (math.log(den) + log_scale)
+            return -math.inf
+        return -p * (math.log(den) + log_scale)
 
-    grid = _support_grid(psi, p_cap, grid_points)
-    vals = [exponent(p) for p in grid]
-    valid = [(i, v) for i, v in enumerate(vals) if v is not None]
-    if not valid:
+    p_best, neg = maximize_concave(neg_exponent, lo, tol,
+                                   x0=min(max(_P_START, lo), hi), rtol=_P_RTOL)
+    neg_hi = neg_exponent(hi)
+    if neg_hi > neg:
+        p_best, neg = hi, neg_hi
+    if neg == -math.inf:
         return 1.0, None, 0.0
-    i_best, best = min(valid, key=lambda iv: iv[1])
-    p_best = float(grid[i_best])
-
-    a = grid[max(i_best - 1, 0)]
-    c = grid[min(i_best + 1, len(grid) - 1)]
-    p_ref, neg = golden_section_max(
-        lambda p: -e if (e := exponent(p)) is not None else -math.inf, a, c, tol)
-    if -neg < best:
-        best, p_best = -neg, p_ref
-    if best >= 0.0:
+    if neg <= 0.0:
         return 1.0, p_best, 0.0
-    return math.exp(best), p_best, -best
+    return math.exp(-neg), p_best, neg
 
 
 def gls_tail_bound(psi: PsiFunction, norm: float, y: float,
-                   grid_points: int = 128, p_cap: float = 1000.0,
-                   tol: float = 1e-9) -> float:
+                   p_cap: float = 1000.0, tol: float = 1e-9) -> float:
     """Tail bound P(|zeta| > y) <= min_p (psi(p)*norm/y)^p, clamped to [0, 1]."""
-    value, _, _ = _gls_tail_opt(psi, norm, y, grid_points, p_cap, tol)
+    value, _, _ = _gls_tail_opt(psi, norm, y, p_cap, tol)
     return value
 
 

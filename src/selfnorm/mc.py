@@ -109,14 +109,21 @@ def clopper_pearson(hits: int, trials: int, confidence: float) -> tuple[float, f
 
 
 def worker_count(num_chunks: int) -> int:
-    """Worker threads for a run, capped by the SELFNORM_THREADS env var."""
+    """Worker threads for a run, capped by the SELFNORM_THREADS env var.
+
+    Raises ValueError when the variable is set to anything but an
+    integer >= 1.
+    """
     workers = min(8, os.cpu_count() or 1, num_chunks)
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
-            workers = min(workers, max(1, int(env)))
+            cap = int(env)
         except ValueError:
-            pass
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
+        workers = min(workers, cap)
     return max(1, workers)
 
 

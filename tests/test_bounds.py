@@ -214,6 +214,64 @@ class TestExpTailOptimizer:
             theta * B * law.sigma2 - n * math.log(mgf), rel=1e-8)
 
 
+class TestExpTailSupport:
+    """Cells settled by T(n) <= sqrt(n)/m for atomic laws, with no search."""
+
+    def test_beyond_support_costs_no_log_mgf(self, monkeypatch):
+        law = Rademacher()
+        calls = [0]
+        log_mgf2 = law.log_mgf2
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return log_mgf2(*args, **kwargs)
+
+        monkeypatch.setattr(law, "log_mgf2", counted)
+        for n in (1, 4, 16, 64):
+            for B in DEFAULT_B_GRID:
+                if B <= math.sqrt(n):
+                    continue
+                calls[0] = 0
+                pt = _exp_tail_point(law, n, B)
+                assert calls[0] == 0, (n, B)
+                assert pt.value == 0.0
+                assert pt.optimizer == {"theta_star": math.inf,
+                                        "objective": math.inf,
+                                        "reason": "support"}
+                if n <= 16:
+                    assert rademacher_exact_tail(n, B) == 0.0
+
+    def test_boundary_goes_through_the_search(self, rad):
+        # B = sqrt(n) exactly: T(n) > B is still impossible, but only the
+        # strict inequality is settled by support; Chernoff stays positive
+        pt = _exp_tail_point(rad, 4, 2.0)
+        assert pt.value > 0.0
+        assert "reason" not in pt.optimizer
+
+    def test_zero_atom_law(self):
+        # a zero atom keeps the Chernoff objective bounded (by P(0)^n), so
+        # only the support argument shows the event is impossible
+        law = DiscreteLaw([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
+        n, B = 4, 3.0
+        draws = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+        weights = np.prod(np.where(draws == 0.0, 0.5, 0.25), axis=1)
+        ss = (draws ** 2).sum(axis=1)
+        t = np.where(ss > 0, math.sqrt(n) * draws.sum(axis=1) / np.maximum(ss, 1),
+                     0.0)
+        assert float(weights[t > B].sum()) == 0.0
+        assert exp_tail_bound(law, n, B) == 0.0
+
+    def test_cap_reason_without_support_argument(self):
+        law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
+        pt = _exp_tail_point(law, 1, 1.0)
+        assert pt.value == 0.0
+        assert pt.optimizer["reason"] == "cap"
+
+    def test_density_laws_never_settled_by_support(self, gauss):
+        assert gauss.min_abs_atom == 0.0
+        assert exp_tail_bound(gauss, 1, 50.0) > 0.0
+
+
 class TestExpTailBoundSup:
     def test_degenerate_range_matches_point(self, gauss):
         v, n_star = exp_tail_bound_sup(gauss, 5.0, 16, 16)
@@ -317,6 +375,71 @@ class TestPowerTailBoundSup:
         v, n_star = power_tail_bound_sup(gauss, 5.0, 8, 8)
         assert n_star == 8
         assert v == power_tail_bound(gauss, 8, 5.0)
+
+
+def t5_density(x):
+    # Student t with 5 degrees of freedom: summand moments finite for p < 2.5
+    return 8.0 / (3.0 * math.sqrt(5.0) * math.pi) * (1.0 + x * x / 5.0) ** -3
+
+
+class TestPowerTailOptimizer:
+    """The convex p search: convexity, oracle agreement, cost, barriers."""
+
+    @pytest.mark.parametrize("name", ["rad", "gauss", "uni"])
+    @pytest.mark.parametrize("n, B", [(1, 3.0), (16, 20.0), (256, 50.0)])
+    def test_exponent_midpoint_convex(self, name, n, B, request):
+        psi = rosenthal_psi(request.getfixturevalue(name), n, B)
+        rng = np.random.default_rng(1)
+
+        def f(p):
+            return p * math.log(psi(p))
+
+        for a, c in rng.uniform(1.0 + 1e-3, 50.0, size=(12, 2)):
+            fa, fm, fc = f(a), f(0.5 * (a + c)), f(c)
+            slack = 1e-9 * max(abs(fa), abs(fm), abs(fc))
+            assert fm <= 0.5 * (fa + fc) + slack, (a, c)
+
+    @pytest.mark.parametrize("name", ["rad", "gauss", "uni"])
+    def test_matches_oracle_within_call_budget(self, name, request,
+                                               monkeypatch):
+        law = request.getfixturevalue(name)
+        calls = [0]
+        lp_norm = law.summand_lp_norm
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return lp_norm(*args, **kwargs)
+
+        monkeypatch.setattr(law, "summand_lp_norm", counted)
+        cell_calls = []
+        for n in (1, 4, 16, 64, 256):
+            for B in DEFAULT_B_GRID:
+                if B <= E:
+                    continue
+                calls[0] = 0
+                pt = _power_tail_point(law, n, B)
+                cell_calls.append(calls[0])
+                if n not in (1, 16, 256):
+                    continue
+                psi = rosenthal_psi(law, n, B)
+
+                def exponent(p):
+                    return p * (math.log(psi(p)) - math.log(B))
+
+                r = minimize_scalar(
+                    exponent, bounds=(1.0 + 1e-6, 2.0 * pt.optimizer["p_star"] + 1.0),
+                    method="bounded", options={"xatol": 1e-12})
+                assert pt.optimizer["objective"] == pytest.approx(
+                    max(-r.fun, 0.0), rel=1e-9), (n, B)
+        assert sum(cell_calls) / len(cell_calls) <= 25.0
+
+    def test_heavy_tail_works_around_divergence(self):
+        # the 128-point p grid of earlier versions gave 0.6407565901612499
+        law = DensityLaw(t5_density)
+        pt = _power_tail_point(law, 16, 5.0)
+        reference = 0.6407565901612499
+        assert reference * (1.0 - 1e-9) <= pt.value <= reference * (1.0 + 1e-6)
+        assert 1.0 < pt.optimizer["p_star"] < 2.5
 
 
 class TestLowerBounds:

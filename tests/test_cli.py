@@ -219,6 +219,25 @@ class TestMain:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"selfnorm: configuration error: {key}:")
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_count_exit_two(self, value, capsys, monkeypatch):
+        import selfnorm.mc as mcmod
+
+        def no_simulation(*args):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(mcmod, "empirical_tail", no_simulation)
+        monkeypatch.setenv("SELFNORM_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--dist", "rademacher", "--n", "4", "--B", "1",
+                  "--trials", "100"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("selfnorm: configuration error: env:")
+        assert "SELFNORM_THREADS" in line
+
     def test_sup_range_outside_grid_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dist", "rademacher", "--n", "1,4",

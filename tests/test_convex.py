@@ -50,6 +50,20 @@ class TestMaximizeConcave:
         assert v == pytest.approx(0.0, abs=1e-8)
 
 
+    def test_minus_inf_at_origin(self):
+        # the ray origin lies outside the domain (x <= 1)
+        def obj(x):
+            return -math.inf if x <= 1.0 else -((x - 3.0) ** 2)
+
+        x, v = maximize_concave(obj, 1.0, 1e-9, x0=2.0)
+        assert abs(x - 3.0) <= 1e-6
+        assert v == pytest.approx(0.0, abs=1e-10)
+
+    def test_nowhere_finite_returns_origin(self):
+        assert maximize_concave(lambda x: -math.inf, 0.0, 1e-9, x0=1.0) == (
+            0.0, -math.inf)
+
+
 class TestMaximizeConcaveStart:
     """The start point x0: bracketing outward, inward, and past barriers."""
 

@@ -7,8 +7,9 @@ import pytest
 from scipy.stats import norm as scipy_norm
 
 from selfnorm.distributions import Rademacher, StandardGaussian, UniformSymmetric
-from selfnorm.gls import (PhiFunction, UnboundedError, bphi_norm,
-                          bphi_tail_bound, degenerate_psi, gls_norm,
+from selfnorm.gls import (PhiFunction, PsiFunction, UnboundedError,
+                          _gls_tail_opt, bphi_norm, bphi_tail_bound,
+                          degenerate_psi, gls_norm,
                           gls_tail_bound, natural_phi, normalized_sum_tail,
                           phi_bar, phi_bar_argmax, power_phi, power_psi,
                           psi_from_phi)
@@ -69,6 +70,19 @@ class TestGlsTailBound:
         ys = np.geomspace(3.0, 300.0, 40)
         vals = [gls_tail_bound(power_psi(2.0), 1.0, y) for y in ys]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_divergence_barrier_inside_support(self):
+        # psi = sqrt(p) diverges from p = 3 on: the unconstrained minimum
+        # p = y^2/e lies beyond, so the bound sits at the barrier's edge
+        psi = PsiFunction(lambda p: math.sqrt(p) if p < 3.0 else math.inf)
+        value, p_star, _ = _gls_tail_opt(psi, 1.0, 10.0)
+        assert 2.99 < p_star < 3.0
+        assert value == pytest.approx((math.sqrt(3.0) / 10.0) ** 3, rel=1e-4)
+        assert value >= (math.sqrt(3.0) / 10.0) ** 3
+
+    def test_nowhere_finite_generator_gives_one(self):
+        psi = PsiFunction(lambda p: math.inf)
+        assert _gls_tail_opt(psi, 1.0, 10.0) == (1.0, None, 0.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
