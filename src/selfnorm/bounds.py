@@ -209,7 +209,7 @@ def rosenthal_psi(dist: DistributionModel, n: int, B: float,
     """
     for probe in (2.0, 1.5, 1.25, 1.0625):
         try:
-            dist.summand_lp_norm(n, B, probe)
+            probe_norm = dist.summand_lp_norm(n, B, probe)
             break
         except ArithmeticError:
             continue
@@ -217,7 +217,9 @@ def rosenthal_psi(dist: DistributionModel, n: int, B: float,
         raise DomainError("no finite summand moment beyond p = 1")
 
     def fn(p: float) -> float:
-        return kr * (p / math.log(p)) * dist.summand_lp_norm(n, B, p)
+        # the p search starts at 2.0, so the probe is usually asked again
+        norm = probe_norm if p == probe else dist.summand_lp_norm(n, B, p)
+        return kr * (p / math.log(p)) * norm
 
     return PsiFunction(fn, p_lo=1.0, b=math.inf, kind="rosenthal", lo_open=True)
 

@@ -287,18 +287,19 @@ def _write_pretty(rows: list[dict]) -> str:
 
 
 def _sorted_B(config: RunConfig) -> list[float]:
-    return sorted(config.B_grid)
+    return sorted(set(config.B_grid))
 
 
 def _bound_rows(config: RunConfig, dist, families: tuple[str, ...],
                 with_skip: bool = True) -> list[dict]:
     rows = []
+    B_grid = _sorted_B(config)
     for n in sorted(set(config.n_grid)):
         if bd.EXP_LEVEL in families:
-            for pt in bd.exp_curve(dist, n, config.B_grid).points:
+            for pt in bd.exp_curve(dist, n, B_grid).points:
                 rows.append(_point_row(dist.name, str(n), bd.EXP_LEVEL, pt))
         if bd.POWER_LEVEL in families:
-            for B in _sorted_B(config):
+            for B in B_grid:
                 if B < math.e:
                     if with_skip:
                         rows.append(_skip_row(dist.name, str(n), bd.POWER_LEVEL, B))
@@ -308,11 +309,10 @@ def _bound_rows(config: RunConfig, dist, families: tuple[str, ...],
     if config.n_sup_range is not None:
         label = _sup_label(config.n_sup_range)
         if bd.EXP_LEVEL in families:
-            for pt in bd.exp_sup_curve(dist, config.n_sup_range,
-                                       config.B_grid).points:
+            for pt in bd.exp_sup_curve(dist, config.n_sup_range, B_grid).points:
                 rows.append(_point_row(dist.name, label, bd.EXP_LEVEL, pt))
         if bd.POWER_LEVEL in families:
-            for pt in bd.power_sup_curve(dist, config.n_sup_range, config.B_grid,
+            for pt in bd.power_sup_curve(dist, config.n_sup_range, B_grid,
                                          config.kr_constant).points:
                 rows.append(_point_row(dist.name, label, bd.POWER_LEVEL, pt))
     return rows
@@ -324,9 +324,10 @@ def _sup_label(n_range: tuple[int, int]) -> str:
 
 def _lower_rows(config: RunConfig, dist) -> list[dict]:
     rows = []
-    for pt in bd.lower_q1_curve(dist, config.B_grid).points:
+    B_grid = _sorted_B(config)
+    for pt in bd.lower_q1_curve(dist, B_grid).points:
         rows.append(_point_row(dist.name, "1", bd.LOWER_Q1, pt))
-    for pt in bd.lower_clt_curve(config.B_grid).points:
+    for pt in bd.lower_clt_curve(B_grid).points:
         rows.append(_point_row(dist.name, "1", bd.LOWER_CLT, pt))
     return rows
 
@@ -345,17 +346,17 @@ def _mc_rows(config: RunConfig, dist) -> list[dict]:
 
 
 def _verification_curves(config: RunConfig, dist) -> list[bd.BoundCurve]:
-    curves = [bd.exp_curve(dist, n, config.B_grid)
-              for n in sorted(set(config.n_grid))]
-    curves += [bd.power_curve(dist, n, config.B_grid, config.kr_constant)
+    B_grid = _sorted_B(config)
+    curves = [bd.exp_curve(dist, n, B_grid) for n in sorted(set(config.n_grid))]
+    curves += [bd.power_curve(dist, n, B_grid, config.kr_constant)
                for n in sorted(set(config.n_grid))]
     if config.n_sup_range is not None:
-        curves.append(bd.exp_sup_curve(dist, config.n_sup_range, config.B_grid))
-        curves.append(bd.power_sup_curve(dist, config.n_sup_range, config.B_grid,
+        curves.append(bd.exp_sup_curve(dist, config.n_sup_range, B_grid))
+        curves.append(bd.power_sup_curve(dist, config.n_sup_range, B_grid,
                                          config.kr_constant))
     if 1 in config.n_grid:
-        curves.append(bd.lower_q1_curve(dist, config.B_grid))
-        curves.append(bd.lower_clt_curve(config.B_grid))
+        curves.append(bd.lower_q1_curve(dist, B_grid))
+        curves.append(bd.lower_clt_curve(B_grid))
     return curves
 
 
@@ -364,7 +365,7 @@ def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
     cfg = mcmod.MCConfig(max(config.n_grid), config.trials, config.seed,
                          config.chunk_size, config.confidence)
     try:
-        report = mcmod.verify_bounds(dist, config.n_grid, config.B_grid, cfg,
+        report = mcmod.verify_bounds(dist, config.n_grid, _sorted_B(config), cfg,
                                      curves)
     except mcmod.GridMismatchError as exc:
         raise ConfigError("n/n-sup", str(exc)) from None

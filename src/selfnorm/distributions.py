@@ -102,7 +102,16 @@ class DistributionModel:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draws of the law; must read ``rng`` in order, so that one
+        ``(m, n)`` draw equals consecutive ``(m_i, n)`` draws."""
         raise NotImplementedError
+
+    def _sample_sums(self, rng: np.random.Generator, rows: int, n: int):
+        """Row sums and row sums of squares of ``sample(rng, (rows, n))``."""
+        x = np.asarray(self.sample(rng, (rows, n)), dtype=float)
+        s = x.sum(axis=-1)
+        np.multiply(x, x, out=x)
+        return s, x.sum(axis=-1)
 
     def prob_between(self, lo: float, hi: float) -> float:
         """P(lo < xi < hi), open at both ends (only atoms can tell)."""
@@ -275,6 +284,12 @@ class Rademacher(DiscreteLaw):
 
     def sample(self, rng, size):
         return 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0
+
+    def _sample_sums(self, rng, rows, n):
+        # the int32 draw reads the same stream as sample's int64 one, and
+        # sums of signs are exact in float64: the statistic is unchanged
+        bits = rng.integers(0, 2, size=(rows, n), dtype=np.int32)
+        return 2 * bits.sum(axis=-1, dtype=np.int64) - n, n
 
 
 # -- density laws ----------------------------------------------------------

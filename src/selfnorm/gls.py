@@ -233,7 +233,8 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
     starts at p = 2 and stops on a p bracket of ``tol + 1e-6*p``; a p
     where psi diverges, and any p above the support, is a ``-inf``
     barrier.  The top of the support is evaluated exactly as well, since
-    a linear exponent has its minimum there.
+    a linear exponent has its minimum there, unless a finite probe above
+    the search's best p already rules it out.
     """
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
@@ -244,18 +245,23 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
 
     lo, hi = _support(psi, p_cap)
     log_scale = math.log(norm) - math.log(y)
+    finite_ps = []
 
     def neg_exponent(p: float) -> float:
         den = _try_positive(psi.fn, p) if p <= hi else None
         if den is None:
             return -math.inf
+        finite_ps.append(p)
         return -p * (math.log(den) + log_scale)
 
     p_best, neg = maximize_concave(neg_exponent, lo, tol,
                                    x0=min(max(_P_START, lo), hi), rtol=_P_RTOL)
-    neg_hi = neg_exponent(hi)
-    if neg_hi > neg:
-        p_best, neg = hi, neg_hi
+    # every probe's exponent is at least p_best's, so by convexity a finite
+    # probe in (p_best, hi] shows that the exponent at hi is no lower
+    if not any(p > p_best for p in finite_ps):
+        neg_hi = neg_exponent(hi)
+        if neg_hi > neg:
+            p_best, neg = hi, neg_hi
     if neg == -math.inf:
         return 1.0, None, 0.0
     if neg <= 0.0:

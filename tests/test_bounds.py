@@ -433,6 +433,26 @@ class TestPowerTailOptimizer:
                     max(-r.fun, 0.0), rel=1e-9), (n, B)
         assert sum(cell_calls) / len(cell_calls) <= 25.0
 
+    @pytest.mark.parametrize("name", ["rad", "gauss"])
+    def test_no_repeated_or_ruled_out_moment_calls(self, name, request,
+                                                   monkeypatch):
+        # the p = 2 probe of rosenthal_psi serves the search's start, and
+        # the top of the support (p_cap = 1000) is ruled out by a finite
+        # probe above p* (p* is far below it on this cell)
+        law = request.getfixturevalue(name)
+        ps = []
+        lp_norm = law.summand_lp_norm
+
+        def recorded(n, B, p, *args, **kwargs):
+            ps.append(p)
+            return lp_norm(n, B, p, *args, **kwargs)
+
+        monkeypatch.setattr(law, "summand_lp_norm", recorded)
+        pt = _power_tail_point(law, 16, 20.0)
+        assert pt.optimizer["p_star"] < 500.0
+        assert len(ps) == len(set(ps))
+        assert 2.0 in ps and 1000.0 not in ps
+
     def test_heavy_tail_works_around_divergence(self):
         # the 128-point p grid of earlier versions gave 0.6407565901612499
         law = DensityLaw(t5_density)

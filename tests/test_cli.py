@@ -1,8 +1,13 @@
 """Command-line surface: parsing, CSV contract, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import selfnorm
 
 from selfnorm.cli import (CSV_COLUMNS, ConfigError, RunConfig, build_config,
                           main, run)
@@ -244,6 +249,28 @@ class TestMain:
                   "--n-sup", "16:64", "--B", "0.5", "--trials", "100"])
         assert exc.value.code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound-exp", "--n", "1,4"],
+        ["bound-power", "--n", "4"],
+        ["verify", "--n", "1,4", "--n-sup", "1:4", "--trials", "3000"],
+    ])
+    def test_repeated_B_prints_each_row_once(self, argv, capsys):
+        outputs = []
+        for B in ("3,0.5,e,1,0.5,3,3", "0.5,1,e,3"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--dist", "rademacher", "--B", B])
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
+        code = "import sys, selfnorm.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as exc:

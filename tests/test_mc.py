@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from selfnorm import mc
 from selfnorm.bounds import (BoundCurve, BoundPoint, exp_curve, exp_sup_curve,
                              lower_clt_curve, lower_q1_curve)
-from selfnorm.distributions import DiscreteLaw, Rademacher, StandardGaussian
+from selfnorm.distributions import (DensityLaw, DiscreteLaw, EmpiricalLaw,
+                                    Rademacher, StandardGaussian,
+                                    UniformSymmetric)
 from selfnorm.mc import (GridMismatchError, MCConfig, clopper_pearson,
                          empirical_tail, self_normalized_stat,
                          simulate_statistic, verify_bounds)
@@ -167,6 +170,52 @@ class TestEmpiricalTail:
         q1 = lower_bound_q1(law, 2.0)  # exact: integral of 1-x on (0, 1/2)
         assert q1 == pytest.approx(3.0 / 8.0, rel=1e-9)
         assert est1.ci_lo <= q1 <= est1.ci_hi
+
+
+def one_shot_hits(dist, cfg, B_grid):
+    """The unblocked chunk kernel: one (m, n) draw per chunk, the statistic
+    of every row, and a broadcast compare against every B."""
+    B_arr = np.asarray(B_grid, dtype=float)
+    hits = np.zeros(B_arr.size, dtype=np.int64)
+    for k in range(-(-cfg.trials // cfg.chunk_size)):
+        m = min(cfg.chunk_size, cfg.trials - k * cfg.chunk_size)
+        t = self_normalized_stat(dist.sample(mc._chunk_rng(cfg.seed, k),
+                                             (m, cfg.n)))
+        hits += (t[:, None] > B_arr[None, :]).sum(axis=0)
+    return hits.tolist()
+
+
+STREAM_LAWS = {
+    "rademacher": Rademacher(),
+    "gaussian": StandardGaussian(),
+    "uniform": UniformSymmetric(math.sqrt(3.0)),
+    "three-atom": DiscreteLaw([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]),
+    "empirical": EmpiricalLaw(np.random.default_rng(4).standard_normal(50)),
+    "density": DensityLaw(lambda x: np.maximum(1.0 - np.abs(x), 0.0),
+                          support=(-1.0, 1.0), name="triangular"),
+}
+
+
+class TestBlockedKernel:
+    """Blocking and the integer sign path leave every hit count unchanged."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("block_draws", [mc._BLOCK_DRAWS, 50])
+    @pytest.mark.parametrize("n", [1, 3, 16, 257])
+    @pytest.mark.parametrize("law", sorted(STREAM_LAWS))
+    def test_hits_match_one_shot_kernel(self, law, n, block_draws, threads,
+                                        monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_DRAWS", block_draws)
+        monkeypatch.setenv("SELFNORM_THREADS", threads)
+        dist = STREAM_LAWS[law]
+        # unsorted, with repeats, and with values the statistic attains:
+        # sqrt(n)*s/n is the rademacher T(n) of a sign sum s
+        root_n = math.sqrt(n)
+        B_grid = [1.0, root_n * 1.0 / n, 0.25, 2.0, 1.0, root_n * 3.0 / n, 0.5]
+        cfg = MCConfig(n=n, trials=3001, seed=9, chunk_size=700)
+        ests = empirical_tail(dist, cfg, B_grid)
+        assert [e.B for e in ests] == B_grid
+        assert [e.hits for e in ests] == one_shot_hits(dist, cfg, B_grid)
 
 
 class TestVerifyBounds:
