@@ -9,7 +9,7 @@ next to their closed forms.
 
 import math
 
-from selfnorm import Rademacher, StandardGaussian, UniformSymmetric
+from selfnorm import DiscreteLaw, Rademacher, StandardGaussian, UniformSymmetric
 
 laws = {
     "rademacher": Rademacher(),
@@ -22,7 +22,15 @@ for name, law in laws.items():
     qm = law.quadratic_moments()
     print(f"{name:>16}: sigma^2 = {qm.sigma2:.6f}   "
           f"w = E(s2 - xi^2)^2 = {qm.w:.6f}   z = {qm.z:+.2e}")
-print("(w = 0 for the sign law: xi^2 is constant; z = 0 for every symmetric law)")
+print("(w = 0 for the sign law: xi^2 is constant; z = E(s2*xi - xi^3) = -E xi^3,")
+print(" which is 0 for every symmetric law)")
+
+print("\n=== an empirical sample is a discrete law ===")
+sample = [2.0, -1.0, 0.5, 2.0, -3.5, 0.5, 0.5]
+emp = DiscreteLaw.from_sample(sample)
+print(f"{sample}: recentered, repeats merged into weighted atoms")
+print(f"  sigma^2 = {emp.sigma2:.6f}   z = {emp.quadratic_moments().z:+.6f}   "
+      f"P(0 < xi < 1) = {emp.prob_between(0.0, 1.0):.4f}")
 
 print("\n=== Lp moment curves (nondecreasing in p) ===")
 grid = [1.0, 2.0, 4.0, 8.0, 16.0, 64.0]

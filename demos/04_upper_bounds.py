@@ -8,14 +8,15 @@ T(n) = sqrt(n) * sum(xi_i) / sum(xi_i^2).  The event T(n) > B equals
   valid for B >= e.
 
 The exponential bound needs the MGF; the moment bound only needs
-polynomial moments, at the price of a worse constant.
+polynomial moments, at the price of a worse constant.  Each family has
+one builder, ``exp_curve`` or ``power_curve``, which evaluates it over a B
+grid at a fixed n or, given an ``(lo, hi)`` range, as the sup over n.
 """
 
 import math
 
 from selfnorm import (Rademacher, StandardGaussian, UniformSymmetric,
-                      exp_tail_bound, exp_tail_bound_sup, power_tail_bound,
-                      power_tail_bound_sup)
+                      exp_curve, power_curve)
 
 E = math.e
 laws = {
@@ -30,38 +31,38 @@ for name, law in laws.items():
     print(f"\n{name}:")
     print("      " + "".join(f"   B={B:<8g}" for B in B_grid))
     for n in (1, 16, 256):
-        row = "".join(f"   {exp_tail_bound(law, n, B):<10.3e}" for B in B_grid)
+        row = "".join(f"   {pt.value:<10.3e}"
+                      for pt in exp_curve(law, n, B_grid).points)
         print(f"  n={n:<4}{row}")
 print("\n(the sign law at B=2, n=1 reads 0: |T(1)| = 1 < 2, impossible event)")
 
 print("\n=== sup over n: the uniform-in-n tail ===")
-for B in (1.0, 5.0, 20.0):
-    v_exp, n_exp = exp_tail_bound_sup(laws["gaussian"], B, 1, 4096)
-    print(f"  gaussian, B = {B:>4}: sup bound {v_exp:.4e} attained at n = {n_exp}")
+for pt in exp_curve(laws["gaussian"], (1, 4096), [1.0, 5.0, 20.0]).points:
+    print(f"  gaussian, B = {pt.B:>4}: sup bound {pt.value:.4e} attained at "
+          f"n = {pt.optimizer['n_star']:.0f}")
 print("  small B favors large n (the CLT regime); large B favors n = 1,")
 print("  where the gaussian bound scales like e^(1/2)/(2B):")
-for B in (10.0, 50.0):
-    v, _ = exp_tail_bound_sup(laws["gaussian"], B, 1, 4096)
-    print(f"    B = {B:>4}: B * bound = {B * v:.4f}   e^0.5/2 = "
+for pt in exp_curve(laws["gaussian"], (1, 4096), [10.0, 50.0]).points:
+    print(f"    B = {pt.B:>4}: B * bound = {pt.B * pt.value:.4f}   e^0.5/2 = "
           f"{math.exp(0.5) / 2:.4f}")
 
 print("\n=== moment-level bound (valid for B >= e) ===")
 for name, law in laws.items():
-    vals = []
-    for B in (3.0, 10.0, 50.0):
-        vals.append(f"B={B:g}: {power_tail_bound(law, 16, B):.3e}")
+    vals = [f"B={pt.B:g}: {pt.value:.3e}"
+            for pt in power_curve(law, 16, [3.0, 10.0, 50.0]).points]
     print(f"  {name:>16}, n=16:  " + "   ".join(vals))
 
 print("\nthe sign law's summand is the sign itself, so its moment bound")
 print("is n-free; the sup over n collapses to any single n:")
-v, n_star = power_tail_bound_sup(laws["rademacher"], 10.0, 1, 256)
-print(f"  sup over n in [1, 256] at B = 10: {v:.4e} (n* = {n_star})")
+(pt,) = power_curve(laws["rademacher"], (1, 256), [10.0]).points
+print(f"  sup over n in [1, 256] at B = 10: {pt.value:.4e} "
+      f"(n* = {pt.optimizer['n_star']:.0f})")
 
 print("\n=== the two families side by side (gaussian, n = 16) ===")
 print("   B      exponential     moment-level")
-for B in (E, 5.0, 10.0, 50.0):
-    e_v = exp_tail_bound(laws["gaussian"], 16, B)
-    p_v = power_tail_bound(laws["gaussian"], 16, B)
-    print(f"  {B:>5.2f}   {e_v:.4e}      {p_v:.4e}")
+side_B = [E, 5.0, 10.0, 50.0]
+for e_pt, p_pt in zip(exp_curve(laws["gaussian"], 16, side_B).points,
+                      power_curve(laws["gaussian"], 16, side_B).points):
+    print(f"  {e_pt.B:>5.2f}   {e_pt.value:.4e}      {p_pt.value:.4e}")
 print("(the exponential route wins whenever the MGF exists; the moment")
 print("route is the fallback when only polynomial moments are finite)")

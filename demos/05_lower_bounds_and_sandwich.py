@@ -7,24 +7,26 @@ Two reference points from below:
   density at 0 it decays like density(0)/B: the sup tail is NOT
   exponentially small in B, unlike the classical normalized-sum tail.
 * The limiting normal tail 1 - Phi(B) (reported next to the heuristic
-  exp(-B^2/2); they disagree noticeably, so both are printed and
-  neither is asserted as a finite-n bound).
+  exp(-B^2/2), which its curve carries as the optimizer's objective;
+  they disagree noticeably, so both are printed and neither is asserted
+  as a finite-n bound).
 """
 
 import math
 
 from selfnorm import (MCConfig, StandardGaussian, UniformSymmetric,
-                      empirical_tail, exp_tail_bound, lower_bound_clt,
-                      lower_bound_q1)
+                      empirical_tail, exp_curve, lower_clt_curve,
+                      lower_q1_curve)
 
 gauss = StandardGaussian()
 uni = UniformSymmetric(math.sqrt(3.0))
 
 print("=== the 1/B decay of the single-observation tail ===")
 print("   B      gaussian Q1    B*Q1        uniform Q1     B*Q1")
-for B in (2.0, 10.0, 100.0, 1000.0):
-    q_g = lower_bound_q1(gauss, B)
-    q_u = lower_bound_q1(uni, B)
+q1_B = [2.0, 10.0, 100.0, 1000.0]
+for g_pt, u_pt in zip(lower_q1_curve(gauss, q1_B).points,
+                      lower_q1_curve(uni, q1_B).points):
+    B, q_g, q_u = g_pt.B, g_pt.value, u_pt.value
     print(f"  {B:>6g}   {q_g:.4e}   {B * q_g:.5f}     {q_u:.4e}   {B * q_u:.5f}")
 print(f"limits: gaussian density at 0 = 1/sqrt(2*pi) = "
       f"{1 / math.sqrt(2 * math.pi):.5f}; uniform = 1/(2*sqrt(3)) = "
@@ -32,9 +34,8 @@ print(f"limits: gaussian density at 0 = 1/sqrt(2*pi) = "
 
 print("\n=== two limiting-tail reference values (report-only) ===")
 print("   B     exp(-B^2/2)    1 - Phi(B)")
-for B in (1.0, 2.0, 3.0):
-    ref = lower_bound_clt(B)
-    print(f"  {B:>4}   {ref.exp_quadratic:.6f}     {ref.normal_tail:.6f}")
+for ref in lower_clt_curve([1.0, 2.0, 3.0]).points:
+    print(f"  {ref.B:>4}   {ref.optimizer['objective']:.6f}     {ref.value:.6f}")
 print("(the quadratic heuristic overshoots the actual normal tail)")
 
 print("\n=== sandwiching the exact n = 1 tail by simulation ===")
@@ -43,10 +44,10 @@ B_grid = [0.5, 1.0, 2.0, 5.0]
 ests = empirical_tail(gauss, cfg, B_grid)
 print("gaussian, 200k trials, 99.9% intervals:")
 print("   B     lower Q1      MC interval              upper exp-bound")
-for est in ests:
-    lo_b = lower_bound_q1(gauss, est.B)
-    up_b = exp_tail_bound(gauss, 1, est.B)
-    print(f"  {est.B:>4}   {lo_b:.5f}   [{est.ci_lo:.5f}, {est.ci_hi:.5f}]"
-          f"   {up_b:.5f}")
+lower = lower_q1_curve(gauss, B_grid).points
+upper = exp_curve(gauss, 1, B_grid).points
+for est, lo_pt, up_pt in zip(ests, lower, upper):
+    print(f"  {est.B:>4}   {lo_pt.value:.5f}   [{est.ci_lo:.5f}, {est.ci_hi:.5f}]"
+          f"   {up_pt.value:.5f}")
 print("every row: lower bound <= interval <= upper bound (the n = 1")
 print("lower bound is exact, so it sits inside the interval itself)")

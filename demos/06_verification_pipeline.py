@@ -26,17 +26,19 @@ print(f"  exact P(T(4) > 1) = 1/16 = 0.0625; estimate {a.point:.5f} "
       f"in [{a.ci_lo:.5f}, {a.ci_hi:.5f}]")
 
 curves = [exp_curve(law, n, B_grid) for n in n_grid]
+# the sup over n = 1..64 is checked against the worst grid n in that range
+curves.append(exp_curve(law, (1, 64), B_grid))
 curves.append(lower_q1_curve(law, B_grid))
 curves.append(lower_clt_curve(B_grid))
 
 print("\n=== full verification sweep (sign law) ===")
 report = verify_bounds(law, n_grid, B_grid, cfg, curves)
 print(f"  {len(report.rows)} cells checked, all pass: {report.all_pass}")
-print("   family      n    B      bound        MC point     margin")
+print("   family           n  B      bound        MC point     margin")
 for row in report.rows:
     if row.family == "LowerCLT":
         continue
-    print(f"  {row.family:>9}  {row.n_label:>4}  {row.point.B:<4g} "
+    print(f"  {row.family:>9}  {row.n_label:>10}  {row.point.B:<4g} "
           f"{row.point.value:<12.4e} {row.estimate.point:<12.4e} "
           f"{row.margin:+.3e}  {row.status}")
 
@@ -52,6 +54,6 @@ for row in bad_report.failures:
           f"{row.point.value:.2e} < interval floor {row.estimate.ci_lo:.2e}")
 
 print("\nthe same pipeline runs from the command line:")
-print("  selfnorm verify --dist rademacher --n 1,4,16 --B 0.5,1,2 \\")
-print("      --trials 1000000 --seed 7 --output report.csv")
+print("  selfnorm verify --dist rademacher --n 1,4,16 --n-sup 1:64 \\")
+print("      --B 0.5,1,2 --trials 1000000 --seed 7 --output report.csv")
 print("(exit status 1 whenever a FAIL cell appears)")

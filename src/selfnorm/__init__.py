@@ -11,7 +11,6 @@ Carlo simulation with exact confidence intervals.
 from .bounds import (
     BoundCurve,
     BoundPoint,
-    CltLowerBound,
     DEFAULT_B_GRID,
     DEFAULT_KR,
     DomainError,
@@ -20,17 +19,9 @@ from .bounds import (
     LOWER_Q1,
     POWER_LEVEL,
     exp_curve,
-    exp_sup_curve,
-    exp_tail_bound,
-    exp_tail_bound_sup,
-    lower_bound_clt,
-    lower_bound_q1,
     lower_clt_curve,
     lower_q1_curve,
     power_curve,
-    power_sup_curve,
-    power_tail_bound,
-    power_tail_bound_sup,
     rosenthal_psi,
     sum_cgf,
 )
@@ -40,7 +31,6 @@ from .distributions import (
     DiscreteLaw,
     DistributionModel,
     DivergentError,
-    EmpiricalLaw,
     QuadraticMoments,
     Rademacher,
     StandardGaussian,
@@ -57,7 +47,6 @@ from .gls import (
     gls_norm,
     gls_tail_bound,
     natural_phi,
-    natural_psi,
     normalized_sum_tail,
     phi_bar,
     phi_bar_argmax,
@@ -74,7 +63,6 @@ from .mc import (
     clopper_pearson,
     empirical_tail,
     self_normalized_stat,
-    simulate_statistic,
     verify_bounds,
 )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .convex import maximize_concave
 from .distributions import DistributionModel
@@ -27,7 +27,6 @@ from .gls import PsiFunction, _gls_tail_opt
 __all__ = [
     "BoundCurve",
     "BoundPoint",
-    "CltLowerBound",
     "DEFAULT_B_GRID",
     "DEFAULT_KR",
     "DomainError",
@@ -36,18 +35,10 @@ __all__ = [
     "LOWER_Q1",
     "POWER_LEVEL",
     "exp_curve",
-    "exp_sup_curve",
-    "exp_tail_bound",
-    "exp_tail_bound_sup",
     "integer_scan",
-    "lower_bound_clt",
-    "lower_bound_q1",
     "lower_clt_curve",
     "lower_q1_curve",
     "power_curve",
-    "power_sup_curve",
-    "power_tail_bound",
-    "power_tail_bound_sup",
     "rosenthal_psi",
     "sum_cgf",
 ]
@@ -121,7 +112,7 @@ def _theta_guess(dist: DistributionModel, n: int, B: float) -> float:
     moments diverge or it is not positive, the finite start B is used.
     """
     try:
-        var = dist.summand_variance(n, B, "variance-exact")
+        var = dist.summand_variance(n, B)
     except ArithmeticError:
         var = 0.0
     return n * B * dist.sigma2 / var if var > 0.0 else B
@@ -129,6 +120,15 @@ def _theta_guess(dist: DistributionModel, n: int, B: float) -> float:
 
 def _exp_tail_point(dist: DistributionModel, n: int, B: float,
                     tol: float = 1e-9) -> BoundPoint:
+    """Optimized-exponent upper bound on Q_n(B).
+
+    ``exp(-sup_{theta>=0} [theta*B*sigma^2 - cgf(theta)])``; the
+    conjugate is evaluated at B*sigma^2, the exact threshold of the
+    linearized event.  The value is 0 when the event is impossible: for
+    an atomic law whose nonzero atoms all have |xi| >= m once
+    B > sqrt(n)/m, and otherwise when the supremum still grows at the
+    search cap.
+    """
     if B <= 0.0:
         raise ValueError(f"B must be positive, got {B}")
     # by Cauchy-Schwarz over the k nonzero terms, |sum xi| <= sqrt(k*sum xi^2)
@@ -159,21 +159,10 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float,
                       {"theta_star": theta_star, "objective": exponent})
 
 
-def exp_tail_bound(dist: DistributionModel, n: int, B: float,
-                   tol: float = 1e-9) -> float:
-    """Optimized-exponent upper bound on Q_n(B).
-
-    ``exp(-sup_{theta>=0} [theta*B*sigma^2 - cgf(theta)])``; the
-    conjugate is evaluated at B*sigma^2, the exact threshold of the
-    linearized event.  Returns 0 when the event is impossible: for an
-    atomic law whose nonzero atoms all have |xi| >= m once B > sqrt(n)/m,
-    and otherwise when the supremum still grows at the search cap.
-    """
-    return _exp_tail_point(dist, n, B, tol).value
-
-
 def _sup_scan(point_fn: Callable[[int], BoundPoint], B: float, n_lo: int,
               n_hi: int) -> BoundPoint:
+    """Max of point_fn over the scanned n range (a truncation of the all-n
+    supremum; widen n_hi to see whether the sup is interior)."""
     best: BoundPoint | None = None
     best_n = n_lo
     table = []
@@ -185,14 +174,6 @@ def _sup_scan(point_fn: Callable[[int], BoundPoint], B: float, n_lo: int,
     opt = dict(best.optimizer)
     opt["n_star"] = float(best_n)
     return BoundPoint(B, best.value, opt, per_n=tuple(table))
-
-
-def exp_tail_bound_sup(dist: DistributionModel, B: float, n_lo: int,
-                       n_hi: int, tol: float = 1e-9) -> tuple[float, int]:
-    """Max of exp_tail_bound over the scanned n range (a truncation of the
-    all-n supremum; widen n_hi to see whether the sup is interior)."""
-    pt = _sup_scan(lambda n: _exp_tail_point(dist, n, B, tol), B, n_lo, n_hi)
-    return pt.value, int(pt.optimizer["n_star"])
 
 
 # -- power level --------------------------------------------------------------
@@ -227,6 +208,11 @@ def rosenthal_psi(dist: DistributionModel, n: int, B: float,
 def _power_tail_point(dist: DistributionModel, n: int, B: float,
                       kr: float = DEFAULT_KR, p_cap: float = 1000.0,
                       tol: float = 1e-9) -> BoundPoint:
+    """Rosenthal-moment upper bound on Q_n(B), valid for B >= e.
+
+    ``min_p (kr * p/ln(p) * |summand|_p / B)^p`` with the normalized-sum
+    norm pinned at 1 by Rosenthal's inequality.
+    """
     if B < math.e:
         raise DomainError(
             f"power-level bound requires B >= e, got {B}; "
@@ -239,31 +225,42 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
     return BoundPoint(B, value, opt)
 
 
-def power_tail_bound(dist: DistributionModel, n: int, B: float,
-                     kr: float = DEFAULT_KR, p_cap: float = 1000.0,
-                     tol: float = 1e-9) -> float:
-    """Rosenthal-moment upper bound on Q_n(B), valid for B >= e.
+# -- curves --------------------------------------------------------------------
 
-    ``min_p (kr * p/ln(p) * |summand|_p / B)^p`` with the normalized-sum
-    norm pinned at 1 by Rosenthal's inequality.
+
+def _curve(family: str, n: int | tuple[int, int], B_grid: Sequence[float],
+           point_fn: Callable[[int, float], BoundPoint]) -> BoundCurve:
+    if isinstance(n, tuple):
+        n_lo, n_hi = n
+        pts = tuple(_sup_scan(lambda m, B=B: point_fn(m, B), B, n_lo, n_hi)
+                    for B in B_grid)
+    else:
+        pts = tuple(point_fn(n, B) for B in B_grid)
+    return BoundCurve(family, n, pts)
+
+
+def exp_curve(dist: DistributionModel, n: int | tuple[int, int],
+              B_grid: Sequence[float], tol: float = 1e-9) -> BoundCurve:
+    """ExpLevel bound at every B of the grid, sorted.
+
+    ``n`` is a sample size or an ``(lo, hi)`` range; a range gives, for
+    each B, the max over the scanned n in it, with the attaining n as
+    ``optimizer["n_star"]``.
     """
-    return _power_tail_point(dist, n, B, kr, p_cap, tol).value
+    return _curve(EXP_LEVEL, n, sorted(B_grid),
+                  lambda m, B: _exp_tail_point(dist, m, B, tol))
 
 
-def power_tail_bound_sup(dist: DistributionModel, B: float, n_lo: int,
-                         n_hi: int, kr: float = DEFAULT_KR,
-                         p_cap: float = 1000.0,
-                         tol: float = 1e-9) -> tuple[float, int]:
-    """Max of power_tail_bound over the scanned n range."""
-    pt = _sup_scan(lambda n: _power_tail_point(dist, n, B, kr, p_cap, tol),
-                   B, n_lo, n_hi)
-    return pt.value, int(pt.optimizer["n_star"])
+def power_curve(dist: DistributionModel, n: int | tuple[int, int],
+                B_grid: Sequence[float], kr: float = DEFAULT_KR,
+                tol: float = 1e-9) -> BoundCurve:
+    """PowerLevel bound at every B >= e of the grid, sorted; ``n`` as in
+    :func:`exp_curve`."""
+    return _curve(POWER_LEVEL, n, [B for B in sorted(B_grid) if B >= math.e],
+                  lambda m, B: _power_tail_point(dist, m, B, kr, tol=tol))
 
 
-# -- lower bounds -------------------------------------------------------------
-
-
-def lower_bound_q1(dist: DistributionModel, B: float) -> float:
+def lower_q1_curve(dist: DistributionModel, B_grid: Sequence[float]) -> BoundCurve:
     """Exact single-observation tail Q_1(B) = P(0 < xi < 1/B).
 
     For n = 1 the statistic is 1/xi (and 0 when xi = 0), so this is the
@@ -271,72 +268,25 @@ def lower_bound_q1(dist: DistributionModel, B: float) -> float:
     interval is open at 1/B: an atom exactly there gives T = B, which
     does not exceed B.
     """
-    if B <= 0.0:
-        raise ValueError(f"B must be positive, got {B}")
-    return dist.prob_between(0.0, 1.0 / B)
-
-
-class CltLowerBound(NamedTuple):
-    exp_quadratic: float
-    normal_tail: float
-
-
-def lower_bound_clt(B: float) -> CltLowerBound:
-    """Limiting-tail reference values at unit variance.
-
-    ``exp_quadratic`` is the heuristic exp(-B^2/2); ``normal_tail`` is
-    the exact standard normal tail 1 - Phi(B), which is what Q_n(B)
-    actually converges to.  The two disagree substantially at moderate B
-    (0.607 vs 0.159 at B = 1), so reports carry both and only the normal
-    tail participates in comparisons, and even that merely as a
-    reference: it is a limit, not a finite-n bound.
-    """
-    return CltLowerBound(math.exp(-B * B / 2.0), 0.5 * math.erfc(B / math.sqrt(2.0)))
-
-
-# -- curve assembly ------------------------------------------------------------
-
-
-def exp_curve(dist: DistributionModel, n: int, B_grid: Sequence[float],
-              tol: float = 1e-9) -> BoundCurve:
-    pts = tuple(_exp_tail_point(dist, n, B, tol) for B in sorted(B_grid))
-    return BoundCurve(EXP_LEVEL, n, pts)
-
-
-def exp_sup_curve(dist: DistributionModel, n_range: tuple[int, int],
-                  B_grid: Sequence[float], tol: float = 1e-9) -> BoundCurve:
-    n_lo, n_hi = n_range
-    pts = tuple(_sup_scan(lambda n, B=B: _exp_tail_point(dist, n, B, tol),
-                          B, n_lo, n_hi) for B in sorted(B_grid))
-    return BoundCurve(EXP_LEVEL, (n_lo, n_hi), pts)
-
-
-def power_curve(dist: DistributionModel, n: int, B_grid: Sequence[float],
-                kr: float = DEFAULT_KR, tol: float = 1e-9) -> BoundCurve:
-    pts = tuple(_power_tail_point(dist, n, B, kr, tol=tol)
-                for B in sorted(B_grid) if B >= math.e)
-    return BoundCurve(POWER_LEVEL, n, pts)
-
-
-def power_sup_curve(dist: DistributionModel, n_range: tuple[int, int],
-                    B_grid: Sequence[float], kr: float = DEFAULT_KR,
-                    tol: float = 1e-9) -> BoundCurve:
-    n_lo, n_hi = n_range
-    pts = tuple(_sup_scan(lambda n, B=B: _power_tail_point(dist, n, B, kr, tol=tol),
-                          B, n_lo, n_hi)
-                for B in sorted(B_grid) if B >= math.e)
-    return BoundCurve(POWER_LEVEL, (n_lo, n_hi), pts)
-
-
-def lower_q1_curve(dist: DistributionModel, B_grid: Sequence[float]) -> BoundCurve:
-    pts = tuple(BoundPoint(B, lower_bound_q1(dist, B)) for B in sorted(B_grid))
-    return BoundCurve(LOWER_Q1, 1, pts)
+    pts = []
+    for B in sorted(B_grid):
+        if B <= 0.0:
+            raise ValueError(f"B must be positive, got {B}")
+        pts.append(BoundPoint(B, dist.prob_between(0.0, 1.0 / B)))
+    return BoundCurve(LOWER_Q1, 1, tuple(pts))
 
 
 def lower_clt_curve(B_grid: Sequence[float]) -> BoundCurve:
-    pts = []
-    for B in sorted(B_grid):
-        ref = lower_bound_clt(B)
-        pts.append(BoundPoint(B, ref.normal_tail,
-                              {"objective": ref.exp_quadratic}))
-    return BoundCurve(LOWER_CLT, 1, tuple(pts))
+    """Limiting-tail reference values at unit variance.
+
+    The value is the exact standard normal tail 1 - Phi(B), which is
+    what Q_n(B) actually converges to; ``optimizer["objective"]`` holds
+    the heuristic exp(-B^2/2).  The two disagree substantially at
+    moderate B (0.159 vs 0.607 at B = 1), so reports carry both and only
+    the normal tail participates in comparisons, and even that merely as
+    a reference: it is a limit, not a finite-n bound.
+    """
+    pts = tuple(BoundPoint(B, 0.5 * math.erfc(B / math.sqrt(2.0)),
+                           {"objective": math.exp(-B * B / 2.0)})
+                for B in sorted(B_grid))
+    return BoundCurve(LOWER_CLT, 1, pts)

@@ -6,8 +6,8 @@ bound-exp     exponential-level upper bounds over the (n, B) grid
 bound-power   moment-level upper bounds (rows with B < e are SKIP markers)
 bound-lower   single-observation and limiting-tail lower bounds
 mc            Monte Carlo tail estimates only
-verify        bounds + simulation + PASS/FAIL per cell (exit 1 on any FAIL)
-sweep         one unified table: all families plus simulation columns
+verify        all bound families + simulation + PASS/FAIL per cell (exit 1
+              on any FAIL); ``--n-sup lo:hi`` adds the sup-over-n rows
 gls           norm and tail of a chosen generator family against the law
 
 Output is CSV (columns fixed, floats at 15 significant digits, ``inf``
@@ -35,8 +35,11 @@ CSV_COLUMNS = ("dist", "n", "B", "family", "value", "optimizer",
                "theta_or_p_star", "n_star", "mc_point", "mc_ci_lo",
                "mc_ci_hi", "status")
 
-COMMANDS = ("bound-exp", "bound-power", "bound-lower", "sweep", "mc",
-            "verify", "gls")
+COMMANDS = ("bound-exp", "bound-power", "bound-lower", "mc", "verify", "gls")
+
+_BOUND_FAMILIES = {"bound-exp": (bd.EXP_LEVEL,),
+                   "bound-power": (bd.POWER_LEVEL,),
+                   "bound-lower": (bd.LOWER_Q1, bd.LOWER_CLT)}
 
 _DEFAULTS = {
     "n": "1,4,16,64",
@@ -160,7 +163,7 @@ def build_config(command: str, flags: dict) -> RunConfig:
         conf = float(get("confidence"))
     except ValueError as exc:
         raise ConfigError("trials/seed/chunk-size/kr/confidence", str(exc)) from None
-    if command in ("mc", "verify", "sweep"):
+    if command in ("mc", "verify"):
         if trials < 1:
             raise ConfigError("trials", "must be >= 1 for simulation commands")
         try:  # checks SELFNORM_THREADS before any bound or simulation
@@ -174,6 +177,11 @@ def build_config(command: str, flags: dict) -> RunConfig:
     if not 0.0 < conf < 1.0:
         raise ConfigError("confidence", f"must lie strictly between 0 and 1, "
                                         f"got {conf}")
+    B_grid = _parse_grid("B", str(get("B")))
+    bad = [b for b in B_grid if not (b > 0.0 and math.isfinite(b))]
+    if bad:
+        raise ConfigError("B", f"thresholds must be positive and finite, "
+                               f"got {bad[0]}")
     fmt = get("format")
     if fmt not in ("csv", "pretty"):
         raise ConfigError("format", f"unknown format {fmt!r}")
@@ -181,7 +189,7 @@ def build_config(command: str, flags: dict) -> RunConfig:
         command=command,
         distribution=str(dist),
         n_grid=_parse_grid("n", str(get("n")), integer=True),
-        B_grid=_parse_grid("B", str(get("B"))),
+        B_grid=B_grid,
         n_sup_range=n_sup,
         trials=trials,
         seed=seed,
@@ -290,45 +298,47 @@ def _sorted_B(config: RunConfig) -> list[float]:
     return sorted(set(config.B_grid))
 
 
-def _bound_rows(config: RunConfig, dist, families: tuple[str, ...],
-                with_skip: bool = True) -> list[dict]:
-    rows = []
+def _curves(config: RunConfig, dist,
+            families: tuple[str, ...]) -> list[bd.BoundCurve]:
+    """Every curve of the families, upper bounds at each grid n and then
+    over the sup range."""
     B_grid = _sorted_B(config)
-    for n in sorted(set(config.n_grid)):
-        if bd.EXP_LEVEL in families:
-            for pt in bd.exp_curve(dist, n, B_grid).points:
-                rows.append(_point_row(dist.name, str(n), bd.EXP_LEVEL, pt))
-        if bd.POWER_LEVEL in families:
-            for B in B_grid:
-                if B < math.e:
-                    if with_skip:
-                        rows.append(_skip_row(dist.name, str(n), bd.POWER_LEVEL, B))
-                    continue
-                pt = bd._power_tail_point(dist, n, B, config.kr_constant)
-                rows.append(_point_row(dist.name, str(n), bd.POWER_LEVEL, pt))
+    ns: list[int | tuple[int, int]] = sorted(set(config.n_grid))
     if config.n_sup_range is not None:
-        label = _sup_label(config.n_sup_range)
-        if bd.EXP_LEVEL in families:
-            for pt in bd.exp_sup_curve(dist, config.n_sup_range, B_grid).points:
-                rows.append(_point_row(dist.name, label, bd.EXP_LEVEL, pt))
-        if bd.POWER_LEVEL in families:
-            for pt in bd.power_sup_curve(dist, config.n_sup_range, B_grid,
-                                         config.kr_constant).points:
-                rows.append(_point_row(dist.name, label, bd.POWER_LEVEL, pt))
-    return rows
+        ns.append(config.n_sup_range)
+    curves = []
+    for family in families:
+        if family == bd.EXP_LEVEL:
+            curves += [bd.exp_curve(dist, n, B_grid) for n in ns]
+        elif family == bd.POWER_LEVEL:
+            curves += [bd.power_curve(dist, n, B_grid, config.kr_constant)
+                       for n in ns]
+        elif family == bd.LOWER_Q1:
+            curves.append(bd.lower_q1_curve(dist, B_grid))
+        else:
+            curves.append(bd.lower_clt_curve(B_grid))
+    return curves
 
 
-def _sup_label(n_range: tuple[int, int]) -> str:
-    return f"sup({n_range[0]}..{n_range[1]})"
-
-
-def _lower_rows(config: RunConfig, dist) -> list[dict]:
+def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
+                report: mcmod.VerificationReport | None = None) -> list[dict]:
+    """One row per curve point, with its verdict when a report is given,
+    and a SKIP row for each B < e of every PowerLevel curve."""
+    checked = iter(report.rows) if report else None
     rows = []
-    B_grid = _sorted_B(config)
-    for pt in bd.lower_q1_curve(dist, B_grid).points:
-        rows.append(_point_row(dist.name, "1", bd.LOWER_Q1, pt))
-    for pt in bd.lower_clt_curve(B_grid).points:
-        rows.append(_point_row(dist.name, "1", bd.LOWER_CLT, pt))
+    for curve in curves:
+        label = mcmod._n_label(curve.n)
+        if curve.family == bd.POWER_LEVEL:
+            rows += [_skip_row(dist.name, label, curve.family, B)
+                     for B in _sorted_B(config) if B < math.e]
+        for pt in curve.points:
+            if checked is None:
+                rows.append(_point_row(dist.name, label, curve.family, pt))
+                continue
+            r = next(checked)
+            rows.append(_point_row(dist.name, label, curve.family, pt,
+                                   est=r.estimate, status=r.status,
+                                   margin=r.margin, tightness=r.tightness))
     return rows
 
 
@@ -345,23 +355,11 @@ def _mc_rows(config: RunConfig, dist) -> list[dict]:
     return rows
 
 
-def _verification_curves(config: RunConfig, dist) -> list[bd.BoundCurve]:
-    B_grid = _sorted_B(config)
-    curves = [bd.exp_curve(dist, n, B_grid) for n in sorted(set(config.n_grid))]
-    curves += [bd.power_curve(dist, n, B_grid, config.kr_constant)
-               for n in sorted(set(config.n_grid))]
-    if config.n_sup_range is not None:
-        curves.append(bd.exp_sup_curve(dist, config.n_sup_range, B_grid))
-        curves.append(bd.power_sup_curve(dist, config.n_sup_range, B_grid,
-                                         config.kr_constant))
-    if 1 in config.n_grid:
-        curves.append(bd.lower_q1_curve(dist, B_grid))
-        curves.append(bd.lower_clt_curve(B_grid))
-    return curves
-
-
 def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
-    curves = _verification_curves(config, dist)
+    families = (bd.EXP_LEVEL, bd.POWER_LEVEL)
+    if 1 in config.n_grid:
+        families += (bd.LOWER_Q1, bd.LOWER_CLT)
+    curves = _curves(config, dist, families)
     cfg = mcmod.MCConfig(max(config.n_grid), config.trials, config.seed,
                          config.chunk_size, config.confidence)
     try:
@@ -369,16 +367,7 @@ def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
                                      curves)
     except mcmod.GridMismatchError as exc:
         raise ConfigError("n/n-sup", str(exc)) from None
-    rows = []
-    for r in report.rows:
-        rows.append(_point_row(r.dist, r.n_label, r.family, r.point, est=r.estimate,
-                               status=r.status, margin=r.margin,
-                               tightness=r.tightness))
-    for n in sorted(set(config.n_grid)):
-        for B in _sorted_B(config):
-            if B < math.e:
-                rows.append(_skip_row(dist.name, str(n), bd.POWER_LEVEL, B))
-    return rows, report.all_pass
+    return _curve_rows(config, dist, curves, report), report.all_pass
 
 
 def _parse_family_param(family: str, tag: str) -> float:
@@ -436,19 +425,13 @@ def run(config: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError("dist", str(exc)) from None
 
-    if config.command == "sweep" and config.n_sup_range is None:
-        config.n_sup_range = (1, 4096)
-
     all_pass = True
-    if config.command == "bound-exp":
-        rows = _bound_rows(config, dist, (bd.EXP_LEVEL,))
-    elif config.command == "bound-power":
-        rows = _bound_rows(config, dist, (bd.POWER_LEVEL,))
-    elif config.command == "bound-lower":
-        rows = _lower_rows(config, dist)
+    if config.command in _BOUND_FAMILIES:
+        curves = _curves(config, dist, _BOUND_FAMILIES[config.command])
+        rows = _curve_rows(config, dist, curves)
     elif config.command == "mc":
         rows = _mc_rows(config, dist)
-    elif config.command in ("verify", "sweep"):
+    elif config.command == "verify":
         rows, all_pass = _verify_rows(config, dist)
     elif config.command == "gls":
         rows = _gls_rows(config, dist)

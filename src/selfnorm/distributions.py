@@ -9,10 +9,10 @@ self-normalized tail event is linearized.
 
 Expectations are computed by adaptive quadrature for density laws (with
 exponent-level evaluation so that huge-but-finite integrands never
-overflow pointwise), exact summation for discrete laws, and plain
-averaging for empirical samples.  Any evaluation or partial result with
-magnitude above ``exp(700)`` marks the expectation as divergent; callers
-that need an extended-real answer (the log-MGF) map that onto ``+inf``.
+overflow pointwise) and exact summation for discrete laws, empirical
+samples included.  Any evaluation or partial result with magnitude
+above ``exp(700)`` marks the expectation as divergent; callers that
+need an extended-real answer (the log-MGF) map that onto ``+inf``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import logsumexp
 
 from .convex import golden_section_max
@@ -32,7 +31,6 @@ __all__ = [
     "DiscreteLaw",
     "DistributionModel",
     "DivergentError",
-    "EmpiricalLaw",
     "OVERFLOW_LIMIT",
     "QuadraticMoments",
     "Rademacher",
@@ -93,9 +91,9 @@ class DistributionModel:
                              breakpoints: Sequence[float]) -> float:
         """ln E exp(t(xi)), computed entirely at exponent level.
 
-        Exact log-sum-exp for atomic and empirical laws; for density laws
-        the integrand exponent is shifted by its maximum before
-        quadrature, so values like ``E |xi|^900`` or an MGF of size
+        Exact log-sum-exp for atomic laws; for density laws the
+        integrand exponent is shifted by its maximum before quadrature,
+        so values like ``E |xi|^900`` or an MGF of size
         ``exp(5000)`` come out as ordinary floats on the log scale.
         Genuine divergence still raises :class:`DivergentError`.
         """
@@ -172,31 +170,22 @@ class DistributionModel:
             return math.inf
         return v
 
-    def quadratic_moments(self, z_convention: str = "sigma-linear") -> QuadraticMoments:
-        """(sigma^2, w, z) with w = E(sigma^2 - xi^2)^2.
-
-        ``z_convention`` selects the odd cross term: ``"sigma-linear"``
-        gives z = E(sigma*xi - xi^3); ``"variance-exact"`` gives
-        z = E(sigma^2*xi - xi^3), the choice that makes
-        :meth:`summand_variance` an exact variance for asymmetric laws.
-        Both vanish for laws symmetric about 0.
-        """
-        if z_convention not in ("sigma-linear", "variance-exact"):
-            raise ValueError(f"unknown z convention: {z_convention!r}")
-        key = ("qm", z_convention)
-        if key not in self._moment_cache:
+    def quadratic_moments(self) -> QuadraticMoments:
+        """(sigma^2, w, z) with w = E(sigma^2 - xi^2)^2 and
+        z = E(sigma^2*xi - xi^3), which is -E xi^3 for a centered law and
+        makes :meth:`summand_variance` an exact variance; z vanishes for
+        laws symmetric about 0."""
+        if "qm" not in self._moment_cache:
             s2 = self.sigma2
             w = self._expect(lambda x: (s2 - x * x) ** 2, _DEFAULT_TOL, ())
-            c = math.sqrt(s2) if z_convention == "sigma-linear" else s2
-            z = self._expect(lambda x: c * x - x ** 3, _DEFAULT_TOL, ())
-            self._moment_cache[key] = QuadraticMoments(s2, max(w, 0.0), z)
-        return self._moment_cache[key]
+            z = self._expect(lambda x: s2 * x - x ** 3, _DEFAULT_TOL, ())
+            self._moment_cache["qm"] = QuadraticMoments(s2, max(w, 0.0), z)
+        return self._moment_cache["qm"]
 
-    def summand_variance(self, n: int, B: float,
-                         z_convention: str = "sigma-linear") -> float:
-        """n*sigma^2 + 2*B*sqrt(n)*z + B^2*w, the variance scale of the
+    def summand_variance(self, n: int, B: float) -> float:
+        """n*sigma^2 + 2*B*sqrt(n)*z + B^2*w, the variance of the
         linearized summand sqrt(n)*xi + B*(sigma^2 - xi^2)."""
-        qm = self.quadratic_moments(z_convention)
+        qm = self.quadratic_moments()
         return n * qm.sigma2 + 2.0 * B * math.sqrt(n) * qm.z + B * B * qm.w
 
     def summand_lp_norm(self, n: int, B: float, p: float,
@@ -228,12 +217,14 @@ class DistributionModel:
 class DiscreteLaw(DistributionModel):
     """Finite atomic law; expectations are exact finite sums."""
 
-    def __init__(self, atoms: Iterable[tuple[float, float]], name: str | None = None):
-        pairs = sorted((float(v), float(q)) for v, q in atoms)
-        if not pairs:
-            raise ValueError("discrete law needs at least one atom")
-        self._values = np.array([v for v, _ in pairs])
-        self._probs = np.array([q for _, q in pairs])
+    def __init__(self, atoms: Iterable[tuple[float, float]] | np.ndarray,
+                 name: str | None = None):
+        pairs = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms),
+                           dtype=float)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
+            raise ValueError("discrete law needs at least one (value, prob) atom")
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        self._values, self._probs = pairs.T.copy()
         if np.any(self._probs < 0.0):
             raise ValueError("atom probabilities must be nonnegative")
         if abs(self._probs.sum() - 1.0) > _PROB_SUM_TOL:
@@ -249,6 +240,27 @@ class DiscreteLaw(DistributionModel):
         super().__init__(sigma2, name)
         self.min_abs_atom = float(np.abs(
             self._values[(self._values != 0.0) & (self._probs > 0.0)]).min())
+
+    @classmethod
+    def from_sample(cls, samples: Iterable[float],
+                    name: str = "empirical") -> DiscreteLaw:
+        """Law of a recentered sample: its distinct values, each weighted
+        by its share of the sample.
+
+        The sample is shifted to mean zero.  The implied MGF is the
+        empirical one (always finite up to the overflow guard), so
+        exponential bounds built on this law are optimistic in the
+        extreme tail: no resampled value can exceed the observed maximum.
+        """
+        arr = np.asarray(list(samples), dtype=float)
+        if arr.size < 2:
+            raise ValueError("empirical law needs at least two samples")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite")
+        if np.all(arr == arr[0]):
+            raise ValueError("sample is constant; variance is zero")
+        values, counts = np.unique(arr - arr.mean(), return_counts=True)
+        return cls(np.column_stack((values, counts / arr.size)), name=name)
 
     def _apply(self, g):
         try:
@@ -315,6 +327,10 @@ class _QuadratureLaw(DistributionModel):
 
     @staticmethod
     def _quad_piece(fn, a, b, tol):
+        # imported here: scipy.integrate pulls in scipy.optimize, which
+        # laws without a density never need
+        from scipy import integrate
+
         out = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_FLOOR, epsrel=tol,
                              limit=300, full_output=1)
         val, abserr = out[0], out[1]
@@ -480,56 +496,6 @@ class DensityLaw(_QuadratureLaw):
         return self._sampler.ppf(rng.random(size))
 
 
-# -- empirical law ---------------------------------------------------------
-
-
-class EmpiricalLaw(DistributionModel):
-    """Law of a recentered sample; expectations are sample means.
-
-    The sample is shifted to mean zero at construction.  The implied MGF
-    is the empirical one (always finite up to the overflow guard), so
-    exponential bounds built on this law are optimistic in the extreme
-    tail: no resampled value can exceed the observed maximum.
-    """
-
-    def __init__(self, samples: Iterable[float], name: str = "empirical"):
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.size < 2:
-            raise ValueError("empirical law needs at least two samples")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        arr = arr - arr.mean()
-        sigma2 = float(np.mean(arr ** 2))
-        if sigma2 <= 0.0:
-            raise ValueError("sample is constant; variance is zero")
-        super().__init__(sigma2, name)
-        self._samples = arr
-        self.min_abs_atom = float(np.abs(arr[arr != 0.0]).min())
-
-    def _apply(self, g):
-        try:
-            vals = np.asarray(g(self._samples), dtype=float)
-            if vals.shape != self._samples.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.fromiter((float(g(x)) for x in self._samples), dtype=float,
-                               count=self._samples.size)
-        return vals
-
-    def _expect(self, g, tol, breakpoints):
-        return _guard_finite(float(self._apply(g).mean()), "empirical expectation")
-
-    def _log_expect_exponent(self, t, tol, breakpoints):
-        exps = self._apply(t)
-        return float(logsumexp(exps) - math.log(exps.size))
-
-    def sample(self, rng, size):
-        return rng.choice(self._samples, size=size)
-
-    def prob_between(self, lo, hi):
-        return float(np.mean((self._samples > lo) & (self._samples < hi)))
-
-
 # -- CLI grammar -----------------------------------------------------------
 
 
@@ -573,5 +539,5 @@ def parse_distribution(spec: str) -> DistributionModel:
                 samples = [float(line) for line in fh if line.strip()]
         except OSError as exc:
             raise ValueError(f"cannot read sample file {path!r}: {exc}") from None
-        return EmpiricalLaw(samples, name=spec)
+        return DiscreteLaw.from_sample(samples, name=spec)
     raise ValueError(f"unknown distribution spec {spec!r}")

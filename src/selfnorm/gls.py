@@ -38,7 +38,6 @@ __all__ = [
     "gls_norm",
     "gls_tail_bound",
     "natural_phi",
-    "natural_psi",
     "normalized_sum_tail",
     "phi_bar",
     "phi_bar_argmax",
@@ -106,12 +105,6 @@ def power_psi(m: float) -> PsiFunction:
     if m <= 0.0:
         raise ValueError(f"power generator needs m > 0, got {m}")
     return PsiFunction(lambda p: p ** (1.0 / m), kind="power")
-
-
-def natural_psi(moment_curve: Callable[[float], float],
-                b: float = math.inf) -> PsiFunction:
-    """The moment curve of a variable used as its own generator."""
-    return PsiFunction(moment_curve, p_lo=1.0, b=b, kind="natural")
 
 
 def power_phi(m: float) -> PhiFunction:

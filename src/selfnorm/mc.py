@@ -36,7 +36,6 @@ __all__ = [
     "clopper_pearson",
     "empirical_tail",
     "self_normalized_stat",
-    "simulate_statistic",
     "verify_bounds",
     "worker_count",
 ]
@@ -97,14 +96,6 @@ def _stat_from_sums(root_n: float, num, den) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = root_n * num / den
     return np.where(den == 0, 0.0, t)
-
-
-def simulate_statistic(dist: DistributionModel, n: int,
-                       rng: np.random.Generator, size: int | None = None):
-    """Draw T(n) once (size=None) or as a vector of independent replicas."""
-    shape = (n,) if size is None else (size, n)
-    t = self_normalized_stat(dist.sample(rng, shape))
-    return float(t) if size is None else t
 
 
 def clopper_pearson(hits: int, trials: int, confidence: float) -> tuple[float, float]:

@@ -12,9 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from selfnorm.bounds import (DEFAULT_B_GRID, exp_tail_bound,
-                             exp_tail_bound_sup, lower_bound_q1,
-                             power_tail_bound, _power_tail_point)
+from selfnorm.bounds import (DEFAULT_B_GRID, exp_curve, lower_q1_curve,
+                             _exp_tail_point, _power_tail_point)
 from selfnorm.cli import RunConfig, run
 from selfnorm.convex import fenchel
 from selfnorm.distributions import Rademacher, StandardGaussian, UniformSymmetric
@@ -76,7 +75,7 @@ def test_criterion_01_exponential_domination(laws, referee):
     for name, law in laws.items():
         for n in N_GRID:
             for B in DEFAULT_B_GRID:
-                bound = exp_tail_bound(law, n, B)
+                bound = _exp_tail_point(law, n, B).value
                 if name == "rademacher" and n <= 16:
                     floor = rademacher_exact_tail(n, B)
                     kind = "exact"
@@ -123,7 +122,7 @@ def test_criterion_03_sign_law_quadratic_exponent(laws):
     ratios = {}
     ok = True
     for B in (0.5, 1.0, 1.5):
-        value, n_star = exp_tail_bound_sup(laws["rademacher"], B, 1, 10 ** 4)
+        value = exp_curve(laws["rademacher"], (1, 10 ** 4), [B]).points[0].value
         ratio = -math.log(value) * 2.0 / (B * B)
         ratios[B] = round(ratio, 6)
         ok = ok and 1.0 <= ratio <= 1.1
@@ -136,10 +135,10 @@ def test_criterion_04_gaussian_inverse_threshold_scaling(laws):
     products = {}
     ok = True
     for B in (5.0, 10.0, 20.0, 50.0):
-        value, n_star = exp_tail_bound_sup(gauss, B, 1, 4096)
+        value = exp_curve(gauss, (1, 4096), [B]).points[0].value
         products[B] = round(B * value, 4)
         ok = ok and 0.3 <= B * value <= 3.0
-    single = 50.0 * exp_tail_bound(gauss, 1, 50.0)
+    single = 50.0 * _exp_tail_point(gauss, 1, 50.0).value
     target = math.exp(0.5) / 2.0
     ok_single = abs(single - target) <= 0.05 * target
     report(4, ok and ok_single,
@@ -148,14 +147,15 @@ def test_criterion_04_gaussian_inverse_threshold_scaling(laws):
 
 
 def test_criterion_05_lower_bound_asymptotics(laws):
-    got = 100.0 * lower_bound_q1(laws["gaussian"], 100.0)
+    got = 100.0 * lower_q1_curve(laws["gaussian"], [100.0]).points[0].value
     target = 1.0 / math.sqrt(2.0 * math.pi)
     ok_gauss = abs(got - target) <= 0.01 * target
     ok_uni = True
     uni = laws["uniform"]
     for B in (1.0, 2.0, E, 5.0, 20.0, 100.0):
         exact = 1.0 / (2.0 * SQRT3 * B)
-        ok_uni = ok_uni and abs(lower_bound_q1(uni, B) - exact) <= 1e-10 * exact
+        q1 = lower_q1_curve(uni, [B]).points[0].value
+        ok_uni = ok_uni and abs(q1 - exact) <= 1e-10 * exact
     report(5, ok_gauss and ok_uni,
            f"B*Q1 for the normal law at B=100: {got:.6f} vs {target:.6f} "
            f"(1%); flat law exact 1/(2*sqrt(3)*B) to 1e-10 relative")
@@ -172,9 +172,9 @@ def test_criterion_06_sandwich_at_n1(laws, referee):
             ests = referee[(name, 1)]
         for B in DEFAULT_B_GRID:
             est = ests[B]
-            if lower_bound_q1(law, B) > est.ci_hi:
+            if lower_q1_curve(law, [B]).points[0].value > est.ci_hi:
                 failures.append(("lower", name, B))
-            if exp_tail_bound(law, 1, B) < est.ci_lo:
+            if _exp_tail_point(law, 1, B).value < est.ci_lo:
                 failures.append(("upper", name, B))
     report(6, not failures,
            f"n=1 sandwich: exact lower <= MC upper CI and exponent bound >= "

@@ -10,10 +10,8 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import norm as scipy_norm
 
 from selfnorm.bounds import (DEFAULT_B_GRID, DomainError, exp_curve,
-                             exp_sup_curve, exp_tail_bound, exp_tail_bound_sup,
-                             integer_scan, lower_bound_clt, lower_bound_q1,
-                             power_curve, power_tail_bound,
-                             power_tail_bound_sup, rosenthal_psi, sum_cgf)
+                             integer_scan, lower_clt_curve, lower_q1_curve,
+                             power_curve, rosenthal_psi, sum_cgf)
 from selfnorm.bounds import _exp_tail_point, _power_tail_point
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
                                     StandardGaussian, UniformSymmetric)
@@ -36,6 +34,16 @@ def rademacher_exact_tail(n, B):
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     t = math.sqrt(n) * signs.sum(axis=1) / (signs ** 2).sum(axis=1)
     return float((t > B).mean())
+
+
+def sup_point(curve_fn, law, B, n_lo, n_hi):
+    """Value and attaining n of a one-B curve over the range n_lo..n_hi."""
+    pt = curve_fn(law, (n_lo, n_hi), [B]).points[0]
+    return pt.value, int(pt.optimizer["n_star"])
+
+
+def q1(law, B):
+    return lower_q1_curve(law, [B]).points[0].value
 
 
 def gauss_exp_exponent_oracle(n, B):
@@ -103,25 +111,26 @@ class TestSumCgf:
 class TestExpTailBound:
     def test_rademacher_closed_form(self, rad):
         expected = math.exp(-4.0 * lncosh_conjugate(0.5))
-        assert exp_tail_bound(rad, 4, 1.0) == pytest.approx(expected, rel=1e-9)
+        assert _exp_tail_point(rad, 4, 1.0).value == pytest.approx(expected, rel=1e-9)
 
     def test_dominates_enumerated_tail(self, rad):
         for n in (1, 4, 16):
             for B in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
-                assert exp_tail_bound(rad, n, B) >= rademacher_exact_tail(n, B)
+                assert _exp_tail_point(rad, n, B).value >= rademacher_exact_tail(n, B)
 
     def test_impossible_event_gives_zero(self, rad):
-        assert exp_tail_bound(rad, 4, 3.0) == 0.0
+        assert _exp_tail_point(rad, 4, 3.0).value == 0.0
         assert rademacher_exact_tail(4, 3.0) == 0.0
 
     def test_limit_at_zero_threshold(self, rad, gauss, uni):
         for law in (rad, gauss, uni):
-            assert exp_tail_bound(law, 4, 1e-6) >= 0.999
+            assert _exp_tail_point(law, 4, 1e-6).value >= 0.999
 
     def test_gaussian_against_closed_form_oracle(self, gauss):
         for n, B in [(1, 1.0), (1, 5.0), (1, 50.0), (4, 2.0), (64, 5.0)]:
             expected = math.exp(-gauss_exp_exponent_oracle(n, B))
-            assert exp_tail_bound(gauss, n, B) == pytest.approx(expected, rel=1e-6)
+            assert _exp_tail_point(gauss, n, B).value == pytest.approx(
+                expected, rel=1e-6)
 
     def test_conjugate_threshold_uses_variance_scale(self):
         # sigma^2 = 4/3 here: the exponent must be the conjugate at B*sigma^2
@@ -139,11 +148,11 @@ class TestExpTailBound:
 
     def test_value_in_unit_interval(self, gauss):
         for B in DEFAULT_B_GRID:
-            assert 0.0 <= exp_tail_bound(gauss, 4, B) <= 1.0
+            assert 0.0 <= _exp_tail_point(gauss, 4, B).value <= 1.0
 
     def test_rejects_nonpositive_threshold(self, gauss):
         with pytest.raises(ValueError):
-            exp_tail_bound(gauss, 4, 0.0)
+            _exp_tail_point(gauss, 4, 0.0)
 
 
 class TestExpTailOptimizer:
@@ -185,9 +194,9 @@ class TestExpTailOptimizer:
     def test_zero_variance_summand_stays_impossible(self):
         # sqrt(n)*xi + B*(sigma^2 - xi^2) vanishes on both atoms at n = B = 1
         law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
-        assert law.summand_variance(1, 1.0, "variance-exact") == pytest.approx(
+        assert law.summand_variance(1, 1.0) == pytest.approx(
             0.0, abs=1e-12)
-        assert exp_tail_bound(law, 1, 1.0) == 0.0
+        assert _exp_tail_point(law, 1, 1.0).value == 0.0
 
     def test_heavy_tail_reaches_interior_maximum(self):
         # fourth moment infinite: the start falls back to theta = B, and a
@@ -259,7 +268,7 @@ class TestExpTailSupport:
         t = np.where(ss > 0, math.sqrt(n) * draws.sum(axis=1) / np.maximum(ss, 1),
                      0.0)
         assert float(weights[t > B].sum()) == 0.0
-        assert exp_tail_bound(law, n, B) == 0.0
+        assert _exp_tail_point(law, n, B).value == 0.0
 
     def test_cap_reason_without_support_argument(self):
         law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
@@ -269,37 +278,37 @@ class TestExpTailSupport:
 
     def test_density_laws_never_settled_by_support(self, gauss):
         assert gauss.min_abs_atom == 0.0
-        assert exp_tail_bound(gauss, 1, 50.0) > 0.0
+        assert _exp_tail_point(gauss, 1, 50.0).value > 0.0
 
 
 class TestExpTailBoundSup:
     def test_degenerate_range_matches_point(self, gauss):
-        v, n_star = exp_tail_bound_sup(gauss, 5.0, 16, 16)
+        v, n_star = sup_point(exp_curve, gauss, 5.0, 16, 16)
         assert n_star == 16
-        assert v == exp_tail_bound(gauss, 16, 5.0)
+        assert v == _exp_tail_point(gauss, 16, 5.0).value
 
     def test_rademacher_khinchine_scaling(self, rad):
         # n*conj(B/sqrt(n)) decreases toward B^2/2, so the scan tops out
         # at n_hi and the exponent ratio sits just above 1
         for B in (0.5, 1.0, 1.5):
-            v, n_star = exp_tail_bound_sup(rad, B, 1, 10 ** 4)
+            v, n_star = sup_point(exp_curve, rad, B, 1, 10 ** 4)
             assert n_star == 10 ** 4
             ratio = -math.log(v) * 2.0 / (B * B)
             assert 1.0 <= ratio <= 1.1
 
     def test_gaussian_large_B_single_term(self, gauss):
         # at large B the n = 1 term dominates and B*value -> e^0.5/2
-        v, n_star = exp_tail_bound_sup(gauss, 20.0, 1, 4096)
+        v, n_star = sup_point(exp_curve, gauss, 20.0, 1, 4096)
         assert n_star == 1
         assert 20.0 * v == pytest.approx(math.exp(0.5) / 2.0, rel=0.05)
 
     def test_sup_dominates_members(self, rad):
-        v, _ = exp_tail_bound_sup(rad, 1.0, 1, 64)
+        v, _ = sup_point(exp_curve, rad, 1.0, 1, 64)
         for n in (1, 2, 7, 64):
-            assert v >= exp_tail_bound(rad, n, 1.0) - 1e-15
+            assert v >= _exp_tail_point(rad, n, 1.0).value - 1e-15
 
     def test_per_n_table_consistency(self, rad):
-        curve = exp_sup_curve(rad, (1, 32), [1.0, 2.0])
+        curve = exp_curve(rad, (1, 32), [1.0, 2.0])
         for pt in curve.points:
             assert pt.per_n is not None
             assert pt.value == max(v for _, v in pt.per_n)
@@ -329,19 +338,19 @@ class TestRosenthalPsi:
 class TestPowerTailBound:
     def test_rejects_below_e(self, rad):
         with pytest.raises(DomainError):
-            power_tail_bound(rad, 4, 2.0)
+            _power_tail_point(rad, 4, 2.0)
 
     def test_clamps_at_e(self, rad):
         # at B = e the threshold equals e times the unit norm: no
         # information from the moment route, so the bound saturates at 1
-        assert power_tail_bound(rad, 4, E) == 1.0
+        assert _power_tail_point(rad, 4, E).value == 1.0
 
     def test_rademacher_golden_values(self, rad):
         # oracle: dense-grid minimization with the constant moment curve
         for B in (3.0, 10.0):
             oracle = math.exp(rosenthal_exponent_oracle(B, lambda p: 1.0))
-            assert power_tail_bound(rad, 4, B) == pytest.approx(oracle, rel=1e-6)
-        assert power_tail_bound(rad, 4, 10.0) == pytest.approx(
+            assert _power_tail_point(rad, 4, B).value == pytest.approx(oracle, rel=1e-6)
+        assert _power_tail_point(rad, 4, 10.0).value == pytest.approx(
             2.3634107375e-08, rel=1e-6)
 
     def test_attaining_p_recorded(self, rad, gauss):
@@ -356,25 +365,26 @@ class TestPowerTailBound:
         oracle = math.exp(rosenthal_exponent_oracle(
             5.0, lambda p: gauss.summand_lp_norm(16, 5.0, p), hi=150.0,
             points=401))
-        assert power_tail_bound(gauss, 16, 5.0) == pytest.approx(oracle, rel=5e-3)
+        assert _power_tail_point(gauss, 16, 5.0).value == pytest.approx(
+            oracle, rel=5e-3)
 
     def test_value_in_unit_interval(self, gauss, rad):
         for law in (gauss, rad):
             for B in (E, 3.0, 10.0, 50.0):
-                assert 0.0 <= power_tail_bound(law, 4, B) <= 1.0
+                assert 0.0 <= _power_tail_point(law, 4, B).value <= 1.0
 
 
 class TestPowerTailBoundSup:
     def test_rademacher_constant_in_n(self, rad):
         # the summand reduces to the sign variable itself for every (n, B)
-        v, n_star = power_tail_bound_sup(rad, 10.0, 2, 64)
+        v, n_star = sup_point(power_curve, rad, 10.0, 2, 64)
         assert n_star == 2
-        assert v == pytest.approx(power_tail_bound(rad, 2, 10.0), rel=1e-9)
+        assert v == pytest.approx(_power_tail_point(rad, 2, 10.0).value, rel=1e-9)
 
     def test_degenerate_range(self, gauss):
-        v, n_star = power_tail_bound_sup(gauss, 5.0, 8, 8)
+        v, n_star = sup_point(power_curve, gauss, 5.0, 8, 8)
         assert n_star == 8
-        assert v == power_tail_bound(gauss, 8, 5.0)
+        assert v == _power_tail_point(gauss, 8, 5.0).value
 
 
 def t5_density(x):
@@ -466,39 +476,38 @@ class TestLowerBounds:
     def test_gaussian_erf_oracle(self, gauss):
         for B in (1.0, 2.0, 100.0):
             expected = scipy_norm.cdf(1.0 / B) - 0.5
-            assert lower_bound_q1(gauss, B) == pytest.approx(expected, rel=1e-8)
+            assert q1(gauss, B) == pytest.approx(expected, rel=1e-8)
 
     def test_gaussian_inverse_scaling(self, gauss):
-        assert 100.0 * lower_bound_q1(gauss, 100.0) == pytest.approx(
+        assert 100.0 * q1(gauss, 100.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), rel=0.01)
 
     def test_uniform_closed_form(self, uni):
         for B in (1.0, 2.0, 7.0, 50.0):
-            assert lower_bound_q1(uni, B) == pytest.approx(
+            assert q1(uni, B) == pytest.approx(
                 1.0 / (2.0 * SQRT3 * B), rel=1e-10)
 
     def test_rademacher_atoms(self, rad):
-        assert lower_bound_q1(rad, 2.0) == 0.0
+        assert q1(rad, 2.0) == 0.0
         # at B = 1 the atom sits exactly at 1/B and T = B is not > B
-        assert lower_bound_q1(rad, 1.0) == 0.0
-        assert lower_bound_q1(rad, 0.5) == 0.5
+        assert q1(rad, 1.0) == 0.0
+        assert q1(rad, 0.5) == 0.5
 
     def test_exactness_at_n1(self, rad, gauss):
         # Q_1(B) = P(0 < xi < 1/B) exactly, cross-checked by enumeration
-        assert lower_bound_q1(rad, 0.5) == rademacher_exact_tail(1, 0.5)
-        assert lower_bound_q1(rad, 1.0) == rademacher_exact_tail(1, 1.0)
+        assert q1(rad, 0.5) == rademacher_exact_tail(1, 0.5)
+        assert q1(rad, 1.0) == rademacher_exact_tail(1, 1.0)
 
     def test_clt_reference_values(self):
-        ref = lower_bound_clt(1.0)
-        assert ref.exp_quadratic == pytest.approx(0.6065306597, rel=1e-8)
-        assert ref.normal_tail == pytest.approx(0.15865525393, rel=1e-8)
-        ref3 = lower_bound_clt(3.0)
-        assert ref3.normal_tail == pytest.approx(0.0013498980, rel=1e-6)
+        ref, ref3 = lower_clt_curve([1.0, 3.0]).points
+        assert ref.optimizer["objective"] == pytest.approx(0.6065306597, rel=1e-8)
+        assert ref.value == pytest.approx(0.15865525393, rel=1e-8)
+        assert ref3.value == pytest.approx(0.0013498980, rel=1e-6)
 
     def test_clt_vanishes_at_infinity(self):
-        ref = lower_bound_clt(40.0)
-        assert ref.exp_quadratic < 1e-300
-        assert ref.normal_tail < 1e-300
+        (ref,) = lower_clt_curve([40.0]).points
+        assert ref.optimizer["objective"] < 1e-300
+        assert ref.value < 1e-300
 
 
 class TestScanAndCurves:

@@ -1,5 +1,7 @@
 """Command-line surface: parsing, CSV contract, exit codes, determinism."""
 
+import csv
+import io
 import math
 import os
 import subprocess
@@ -55,10 +57,10 @@ class TestBuildConfig:
             build_config("mc", {"dist": "gaussian", "B": "1,zap"})
 
     def test_n_sup_range(self):
-        cfg = build_config("sweep", {"dist": "gaussian", "n_sup": "1:4096"})
+        cfg = build_config("verify", {"dist": "gaussian", "n_sup": "1:4096"})
         assert cfg.n_sup_range == (1, 4096)
         with pytest.raises(ConfigError):
-            build_config("sweep", {"dist": "gaussian", "n_sup": "9:2"})
+            build_config("verify", {"dist": "gaussian", "n_sup": "9:2"})
 
     def test_config_file_merge_flags_win(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -134,9 +136,9 @@ class TestCommands:
             assert rows[0]["family"] == norm_fam
             assert {r["family"] for r in rows[1:]} == {tail_fam}
 
-    def test_sweep_unified_table(self, tmp_path):
+    def test_verify_n_sup_unified_table(self, tmp_path):
         out = tmp_path / "s.csv"
-        cfg = make_config("sweep", B_grid=[0.5, 1.0, 3.0], trials=5000,
+        cfg = make_config("verify", B_grid=[0.5, 1.0, 3.0], trials=5000,
                           n_sup_range=(1, 16), output_path=str(out))
         assert run(cfg) == 0
         rows = read_rows(out)
@@ -164,12 +166,12 @@ class TestCsvContract:
         cfg = make_config("bound-exp", distribution="gaussian",
                           B_grid=[0.5, math.e, 7.3], output_path=str(out))
         run(cfg)
-        from selfnorm.bounds import exp_tail_bound
+        from selfnorm.bounds import _exp_tail_point
         from selfnorm.distributions import StandardGaussian
         law = StandardGaussian()
         for row in read_rows(out):
             got = float(row["value"])
-            exact = exp_tail_bound(law, int(row["n"]), float(row["B"]))
+            exact = _exp_tail_point(law, int(row["n"]), float(row["B"])).value
             assert got == pytest.approx(exact, rel=1e-14)
 
     def test_infinity_encoding(self, tmp_path):
@@ -191,6 +193,41 @@ class TestCsvContract:
         monkeypatch.setenv("SELFNORM_THREADS", "5")
         run(cfg_b)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestSharedCurvePath:
+    """bound-exp, bound-power and verify print the curves of one builder."""
+
+    ARGS = ["--dist", "rademacher", "--n", "1,4", "--n-sup", "1:4",
+            "--B", "0.5,1,2,e,3,10", "--trials", "2000"]
+    LABELS = ("1", "4", "sup(1..4)")
+    BOUND_COLS = ("value", "optimizer", "theta_or_p_star", "n_star")
+
+    def rows(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.ARGS])
+        assert exc.value.code == 0
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    def test_verify_rows_match_bound_commands(self, capsys):
+        def keyed(rows):
+            return {(r["n"], r["B"], r["family"]):
+                    tuple(r[c] for c in self.BOUND_COLS)
+                    for r in rows if r["family"] in ("ExpLevel", "PowerLevel")}
+
+        bound = keyed(self.rows(capsys, "bound-exp")
+                      + self.rows(capsys, "bound-power"))
+        verify = keyed(self.rows(capsys, "verify"))
+        assert {k[0] for k in bound} == set(self.LABELS)
+        assert verify == bound
+
+    @pytest.mark.parametrize("command", ["bound-power", "verify"])
+    def test_one_skip_row_per_small_B_on_every_power_curve(self, command,
+                                                           capsys):
+        skips = [(r["n"], r["B"]) for r in self.rows(capsys, command)
+                 if r["family"] == "PowerLevel" and r["status"] == "SKIP"]
+        assert sorted(skips) == sorted(
+            (label, B) for label in self.LABELS for B in ("0.5", "1", "2"))
 
 
 class TestMain:
@@ -271,6 +308,39 @@ class TestMain:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+    def test_atomic_law_leaves_quadrature_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
+        code = ("import sys, selfnorm.cli\n"
+                "from selfnorm.distributions import parse_distribution\n"
+                "parse_distribution('rademacher')\n"
+                "print([m for m in ('scipy.integrate', 'scipy.optimize')\n"
+                "       if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["bound-exp", "--dist", "rademacher", "--B", "-1"],
+        ["bound-lower", "--dist", "gaussian", "--B", "0"],
+        ["bound-exp", "--dist", "gaussian", "--B", "1,nan"],
+        ["bound-power", "--dist", "gaussian", "--n", "4", "--B", "inf"],
+    ])
+    def test_bad_threshold_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("selfnorm: configuration error: B:")
+
+    def test_sweep_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dist", "rademacher"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as exc:

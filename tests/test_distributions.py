@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DistributionModel,
-                                    DivergentError, EmpiricalLaw, Rademacher,
+                                    DivergentError, Rademacher,
                                     StandardGaussian, UniformSymmetric,
                                     parse_distribution)
 
@@ -145,18 +145,11 @@ class TestQuadraticMoments:
         assert qm.w == pytest.approx(0.8, rel=1e-9)
         assert qm.z == pytest.approx(0.0, abs=1e-9)
 
-    def test_z_conventions_coincide_for_centered_laws(self):
-        # with E xi = 0 both odd cross terms collapse to -E xi^3, so the
-        # convention switch changes nothing numerically for valid laws
+    def test_z_is_minus_third_moment(self):
+        # with E xi = 0 the odd cross term E(sigma^2*xi - xi^3) is -E xi^3
         law = DiscreteLaw([(-1.0, 0.8), (4.0, 0.2)])
-        z_lin = law.quadratic_moments("sigma-linear").z
-        z_var = law.quadratic_moments("variance-exact").z
-        assert z_lin == pytest.approx(-law.expect(lambda x: x ** 3))
-        assert z_lin == pytest.approx(z_var)
-
-    def test_unknown_convention(self, laws):
-        with pytest.raises(ValueError):
-            laws["gaussian"].quadratic_moments("bogus")
+        z = law.quadratic_moments().z
+        assert z == pytest.approx(-law.expect(lambda x: x ** 3))
 
     def test_divergent_fourth_moment(self):
         heavy = DensityLaw(lambda x: 2.0 / (math.pi * (1.0 + x * x) ** 2))
@@ -179,7 +172,7 @@ class TestSummandMoments:
             assert law.summand_variance(7, 0.0) == pytest.approx(7 * law.sigma2)
 
     def test_variance_exact_convention_matches_direct_variance(self):
-        # asymmetric law with sigma != 1: only the variance-exact z
+        # asymmetric law with sigma != 1: z = E(sigma^2*xi - xi^3)
         # reproduces Var(sqrt(n)*xi + B*(sigma^2 - xi^2))
         law = DiscreteLaw([(-1.0, 0.8), (4.0, 0.2)])
         n, B = 3, 0.7
@@ -189,7 +182,7 @@ class TestSummandMoments:
             lambda x: (math.sqrt(n) * x + B * (s2 - x * x)) ** 2) - mean_eta
         ex_eta = law.expect(lambda x: math.sqrt(n) * x + B * (s2 - x * x))
         var_direct -= ex_eta ** 2
-        assert law.summand_variance(n, B, "variance-exact") == pytest.approx(
+        assert law.summand_variance(n, B) == pytest.approx(
             var_direct, rel=1e-9)
 
     def test_lp_rademacher_constant(self, laws):
@@ -254,13 +247,26 @@ class TestConstruction:
                        support=(0.0, math.inf))
 
     def test_empirical_recenters(self):
-        law = EmpiricalLaw([1.0, 2.0, 3.0, 6.0])
+        law = DiscreteLaw.from_sample([1.0, 2.0, 3.0, 6.0])
         assert law.expect(lambda x: x) == pytest.approx(0.0, abs=1e-12)
         assert law.sigma2 == pytest.approx(np.var([1.0, 2.0, 3.0, 6.0]))
 
     def test_empirical_rejects_constant(self):
         with pytest.raises(ValueError):
-            EmpiricalLaw([2.0, 2.0, 2.0])
+            DiscreteLaw.from_sample([2.0, 2.0, 2.0])
+
+    def test_empirical_merges_repeats_into_weighted_atoms(self):
+        law = DiscreteLaw.from_sample([3.0, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 2.0])
+        # mean 0.75: atoms -1.75, -0.75 (x3), 0.25 (x2), 1.25, 2.25
+        assert law.name == "empirical"
+        assert law.prob_between(-1.0, 0.0) == pytest.approx(3.0 / 8.0)
+        assert law.prob_between(0.0, 1.0) == pytest.approx(2.0 / 8.0)
+        assert law.min_abs_atom == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("bad", [[1.0], [1.0, math.nan], [0.0, math.inf]])
+    def test_empirical_rejects_bad_samples(self, bad):
+        with pytest.raises(ValueError):
+            DiscreteLaw.from_sample(bad)
 
     def test_immutable_semantics(self, laws):
         law = laws["gaussian"]
@@ -306,7 +312,7 @@ class TestProbBetween:
         assert law.prob_between(0.0, 1.0 + 1e-12) == 0.5
 
     def test_empirical_fraction(self):
-        law = EmpiricalLaw([-3.0, -1.0, 1.0, 3.0])
+        law = DiscreteLaw.from_sample([-3.0, -1.0, 1.0, 3.0])
         assert law.prob_between(0.0, 2.0) == 0.25
 
 
@@ -327,7 +333,8 @@ class TestParseGrammar:
         path = tmp_path / "samples.txt"
         path.write_text("1.0\n-1.0\n2.0\n-2.0\n")
         law = parse_distribution(f"empirical:{path}")
-        assert isinstance(law, EmpiricalLaw)
+        assert isinstance(law, DiscreteLaw)
+        assert law.name == f"empirical:{path}"
         assert law.sigma2 == pytest.approx(2.5)
 
     @pytest.mark.parametrize("bad", [

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from selfnorm import mc
-from selfnorm.bounds import (BoundCurve, BoundPoint, exp_curve, exp_sup_curve,
+from selfnorm.bounds import (BoundCurve, BoundPoint, exp_curve,
                              lower_clt_curve, lower_q1_curve)
-from selfnorm.distributions import (DensityLaw, DiscreteLaw, EmpiricalLaw,
-                                    Rademacher, StandardGaussian,
-                                    UniformSymmetric)
+from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
+                                    StandardGaussian, UniformSymmetric)
 from selfnorm.mc import (GridMismatchError, MCConfig, clopper_pearson,
-                         empirical_tail, self_normalized_stat,
-                         simulate_statistic, verify_bounds)
+                         empirical_tail, self_normalized_stat, verify_bounds)
 
 
 def rademacher_exact_tail(n, B):
@@ -40,13 +38,6 @@ class TestStatistic:
     def test_batch_shape(self):
         x = np.ones((5, 4))
         assert self_normalized_stat(x).shape == (5,)
-
-    def test_simulate_scalar_and_vector(self):
-        law = Rademacher()
-        rng = np.random.default_rng(0)
-        assert isinstance(simulate_statistic(law, 4, rng), float)
-        v = simulate_statistic(law, 4, rng, size=10)
-        assert v.shape == (10,)
 
 
 class TestClopperPearson:
@@ -157,7 +148,7 @@ class TestEmpiricalTail:
         import math
 
         import numpy as np
-        from selfnorm.bounds import exp_tail_bound, lower_bound_q1
+        from selfnorm.bounds import _exp_tail_point
         from selfnorm.distributions import DensityLaw
 
         law = DensityLaw(lambda x: np.maximum(1.0 - np.abs(x), 0.0),
@@ -165,9 +156,10 @@ class TestEmpiricalTail:
         assert law.sigma2 == pytest.approx(1.0 / 6.0, rel=1e-9)
         cfg = MCConfig(n=4, trials=100000, seed=19)
         for est in empirical_tail(law, cfg, [0.5, 1.0, 2.0]):
-            assert exp_tail_bound(law, 4, est.B) >= est.ci_lo
+            assert _exp_tail_point(law, 4, est.B).value >= est.ci_lo
         (est1,) = empirical_tail(law, MCConfig(1, 100000, 21), [2.0])
-        q1 = lower_bound_q1(law, 2.0)  # exact: integral of 1-x on (0, 1/2)
+        # exact: integral of 1-x on (0, 1/2)
+        q1 = lower_q1_curve(law, [2.0]).points[0].value
         assert q1 == pytest.approx(3.0 / 8.0, rel=1e-9)
         assert est1.ci_lo <= q1 <= est1.ci_hi
 
@@ -190,7 +182,8 @@ STREAM_LAWS = {
     "gaussian": StandardGaussian(),
     "uniform": UniformSymmetric(math.sqrt(3.0)),
     "three-atom": DiscreteLaw([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]),
-    "empirical": EmpiricalLaw(np.random.default_rng(4).standard_normal(50)),
+    "empirical": DiscreteLaw.from_sample(
+        np.random.default_rng(4).standard_normal(50)),
     "density": DensityLaw(lambda x: np.maximum(1.0 - np.abs(x), 0.0),
                           support=(-1.0, 1.0), name="triangular"),
 }
@@ -239,7 +232,7 @@ class TestVerifyBounds:
     def test_sup_curve_checked_against_worst_n(self):
         law = Rademacher()
         n_grid, B_grid = [1, 4], [0.5, 1.0]
-        curves = [exp_sup_curve(law, (1, 64), B_grid)]
+        curves = [exp_curve(law, (1, 64), B_grid)]
         report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 10 ** 4, 23),
                                curves)
         assert report.all_pass
@@ -249,7 +242,7 @@ class TestVerifyBounds:
         law = Rademacher()
         n_grid, B_grid = [1, 16], [0.25, 0.5, 1.0]
         report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 20000, 5),
-                               [exp_sup_curve(law, (16, 64), B_grid)])
+                               [exp_curve(law, (16, 64), B_grid)])
         assert len(report.rows) == 3
         for row in report.rows:
             assert row.n_label == "sup(16..64)"
@@ -259,7 +252,7 @@ class TestVerifyBounds:
         law = Rademacher()
         with pytest.raises(GridMismatchError, match="16..64"):
             verify_bounds(law, [1, 4], [0.5], MCConfig(1, 100, 1),
-                          [exp_sup_curve(law, (16, 64), [0.5])])
+                          [exp_curve(law, (16, 64), [0.5])])
 
     def test_corrupted_bound_flags_fail(self):
         law = Rademacher()
