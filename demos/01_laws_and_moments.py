@@ -19,9 +19,9 @@ laws = {
 
 print("=== variances and fourth-order summaries ===")
 for name, law in laws.items():
-    qm = law.quadratic_moments()
-    print(f"{name:>16}: sigma^2 = {qm.sigma2:.6f}   "
-          f"w = E(s2 - xi^2)^2 = {qm.w:.6f}   z = {qm.z:+.2e}")
+    sigma2, w, z = law.quadratic_moments()
+    print(f"{name:>16}: sigma^2 = {sigma2:.6f}   "
+          f"w = E(s2 - xi^2)^2 = {w:.6f}   z = {z:+.2e}")
 print("(w = 0 for the sign law: xi^2 is constant; z = E(s2*xi - xi^3) = -E xi^3,")
 print(" which is 0 for every symmetric law)")
 
@@ -29,7 +29,7 @@ print("\n=== an empirical sample is a discrete law ===")
 sample = [2.0, -1.0, 0.5, 2.0, -3.5, 0.5, 0.5]
 emp = DiscreteLaw.from_sample(sample)
 print(f"{sample}: recentered, repeats merged into weighted atoms")
-print(f"  sigma^2 = {emp.sigma2:.6f}   z = {emp.quadratic_moments().z:+.6f}   "
+print(f"  sigma^2 = {emp.sigma2:.6f}   z = {emp.quadratic_moments()[2]:+.6f}   "
       f"P(0 < xi < 1) = {emp.prob_between(0.0, 1.0):.4f}")
 
 print("\n=== Lp moment curves (nondecreasing in p) ===")

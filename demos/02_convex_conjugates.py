@@ -2,8 +2,8 @@
 
 A Chernoff bound is exp(-f*(u)) where f* is the one-sided
 Young-Fenchel conjugate of a log-MGF: f*(u) = sup_{x>=0} (x*u - f(x)).
-The package computes these suprema by bracketing + golden section on
-the extended real line.  Here we compare against the classical closed
+The package computes these suprema by bracketing + Brent's
+parabolic-plus-golden search on the extended real line.  Here we compare against the classical closed
 forms and show the barrier behavior at MGF domain edges.
 """
 

@@ -9,16 +9,14 @@ bound:
   tail = exp(-phi*(u/norm)) (a Chernoff bound).
 
 The degenerate generator (identically 1 up to r) recovers the plain Lr
-norm and the plain moment bound; the subgaussian majorant lam^2 maps to
-the sqrt(p) generator.
+norm and the plain moment bound.
 """
 
 import math
 
 from selfnorm import (PhiFunction, Rademacher, StandardGaussian, bphi_norm,
                       bphi_tail_bound, degenerate_psi, gls_norm,
-                      gls_tail_bound, normalized_sum_tail, phi_bar_argmax,
-                      power_psi, psi_from_phi)
+                      gls_tail_bound, power_psi)
 
 gauss = StandardGaussian()
 rad = Rademacher()
@@ -50,22 +48,3 @@ for u in (2.0, 4.0):
     print(f"  sign-law Chernoff tail at u = {u}: "
           f"{bphi_tail_bound(phi2, tau_r, u):.3e}"
           f"   (subgaussian exp(-u^2/2) = {math.exp(-u * u / 2):.3e})")
-
-print("\n=== majorant -> generator conversion ===")
-psi_sub = psi_from_phi(PhiFunction(lambda lam: lam * lam))
-print("  lam^2 converts to psi(p) = p / inverse(p) = sqrt(p):")
-for p in (1.0, 4.0, 25.0):
-    print(f"    psi({p:>4}) = {psi_sub(p):.6f}   sqrt(p) = {math.sqrt(p):.6f}")
-
-print("\n=== the uniform-in-n envelope for normalized sums ===")
-print("sup_n n*phi(lam/sqrt(n)) upgrades a one-variable majorant to all")
-print("CLT-normalized partial sums; for ln cosh it climbs to lam^2/2:")
-lncosh_phi = PhiFunction(lambda lam: abs(lam)
-                         + math.log1p(math.exp(-2 * abs(lam))) - math.log(2))
-for n_max in (1, 10, 10 ** 4):
-    v, n_at = phi_bar_argmax(lncosh_phi, 1.0, n_max)
-    print(f"  n_max = {n_max:>6}: envelope(1.0) = {v:.6f} attained at n = {n_at}")
-u = 2.5
-print(f"uniform-in-n sign-sum tail at u = {u} (n up to 4096): "
-      f"{normalized_sum_tail(lncosh_phi, 1.0, 4096, u):.3e}"
-      f"   vs exp(-u^2/2) = {math.exp(-u * u / 2):.3e}")

@@ -32,9 +32,9 @@ print(f"limits: gaussian density at 0 = 1/sqrt(2*pi) = "
       f"{1 / math.sqrt(2 * math.pi):.5f}; uniform = 1/(2*sqrt(3)) = "
       f"{1 / (2 * math.sqrt(3)):.5f}")
 
-print("\n=== two limiting-tail reference values (report-only) ===")
+print("\n=== two limiting-tail reference values of the gaussian (report-only) ===")
 print("   B     exp(-B^2/2)    1 - Phi(B)")
-for ref in lower_clt_curve([1.0, 2.0, 3.0]).points:
+for ref in lower_clt_curve(gauss, [1.0, 2.0, 3.0]).points:
     print(f"  {ref.B:>4}   {ref.optimizer['objective']:.6f}     {ref.value:.6f}")
 print("(the quadratic heuristic overshoots the actual normal tail)")
 

@@ -29,7 +29,7 @@ curves = [exp_curve(law, n, B_grid) for n in n_grid]
 # the sup over n = 1..64 is checked against the worst grid n in that range
 curves.append(exp_curve(law, (1, 64), B_grid))
 curves.append(lower_q1_curve(law, B_grid))
-curves.append(lower_clt_curve(B_grid))
+curves.append(lower_clt_curve(law, B_grid))
 
 print("\n=== full verification sweep (sign law) ===")
 report = verify_bounds(law, n_grid, B_grid, cfg, curves)

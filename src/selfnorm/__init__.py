@@ -31,7 +31,6 @@ from .distributions import (
     DiscreteLaw,
     DistributionModel,
     DivergentError,
-    QuadraticMoments,
     Rademacher,
     StandardGaussian,
     UniformSymmetric,
@@ -40,26 +39,19 @@ from .distributions import (
 from .gls import (
     PhiFunction,
     PsiFunction,
-    UnboundedError,
     bphi_norm,
     bphi_tail_bound,
     degenerate_psi,
     gls_norm,
     gls_tail_bound,
     natural_phi,
-    normalized_sum_tail,
-    phi_bar,
-    phi_bar_argmax,
     power_phi,
     power_psi,
-    psi_from_phi,
 )
 from .mc import (
     GridMismatchError,
     MCConfig,
-    TailEstimate,
     VerificationReport,
-    VerificationRow,
     clopper_pearson,
     empirical_tail,
     self_normalized_stat,

@@ -65,7 +65,6 @@ class BoundPoint:
     B: float
     value: float
     optimizer: dict = field(default_factory=dict)
-    per_n: tuple[tuple[int, float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -165,15 +164,13 @@ def _sup_scan(point_fn: Callable[[int], BoundPoint], B: float, n_lo: int,
     supremum; widen n_hi to see whether the sup is interior)."""
     best: BoundPoint | None = None
     best_n = n_lo
-    table = []
     for n in integer_scan(n_lo, n_hi):
         pt = point_fn(n)
-        table.append((n, pt.value))
         if best is None or pt.value > best.value:
             best, best_n = pt, n
     opt = dict(best.optimizer)
     opt["n_star"] = float(best_n)
-    return BoundPoint(B, best.value, opt, per_n=tuple(table))
+    return BoundPoint(B, best.value, opt)
 
 
 # -- power level --------------------------------------------------------------
@@ -210,15 +207,17 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
                       tol: float = 1e-9) -> BoundPoint:
     """Rosenthal-moment upper bound on Q_n(B), valid for B >= e.
 
-    ``min_p (kr * p/ln(p) * |summand|_p / B)^p`` with the normalized-sum
-    norm pinned at 1 by Rosenthal's inequality.
+    ``min_p (kr * p/ln(p) * |summand|_p / (B*sigma^2))^p`` with the
+    normalized-sum norm pinned at 1 by Rosenthal's inequality; B*sigma^2
+    is the exact threshold of the linearized event.
     """
     if B < math.e:
         raise DomainError(
             f"power-level bound requires B >= e, got {B}; "
             "use the exponential-level bound below that")
     psi = rosenthal_psi(dist, n, B, kr)
-    value, p_star, exponent = _gls_tail_opt(psi, 1.0, B, p_cap=p_cap, tol=tol)
+    value, p_star, exponent = _gls_tail_opt(psi, 1.0, B * dist.sigma2,
+                                            p_cap=p_cap, tol=tol)
     opt = {"objective": exponent}
     if p_star is not None:
         opt["p_star"] = p_star
@@ -276,17 +275,19 @@ def lower_q1_curve(dist: DistributionModel, B_grid: Sequence[float]) -> BoundCur
     return BoundCurve(LOWER_Q1, 1, tuple(pts))
 
 
-def lower_clt_curve(B_grid: Sequence[float]) -> BoundCurve:
-    """Limiting-tail reference values at unit variance.
+def lower_clt_curve(dist: DistributionModel,
+                    B_grid: Sequence[float]) -> BoundCurve:
+    """Limiting-tail reference values of the law.
 
-    The value is the exact standard normal tail 1 - Phi(B), which is
-    what Q_n(B) actually converges to; ``optimizer["objective"]`` holds
-    the heuristic exp(-B^2/2).  The two disagree substantially at
-    moderate B (0.159 vs 0.607 at B = 1), so reports carry both and only
-    the normal tail participates in comparisons, and even that merely as
-    a reference: it is a limit, not a finite-n bound.
+    The value is the normal tail 1 - Phi(B*sigma), which is what Q_n(B)
+    actually converges to; ``optimizer["objective"]`` holds the
+    heuristic exp(-B^2*sigma^2/2).  The two disagree substantially at
+    moderate B (0.159 vs 0.607 at B*sigma = 1), so reports carry both
+    and only the normal tail participates in comparisons, and even that
+    merely as a reference: it is a limit, not a finite-n bound.
     """
-    pts = tuple(BoundPoint(B, 0.5 * math.erfc(B / math.sqrt(2.0)),
-                           {"objective": math.exp(-B * B / 2.0)})
+    sigma = math.sqrt(dist.sigma2)
+    pts = tuple(BoundPoint(B, 0.5 * math.erfc(B * sigma / math.sqrt(2.0)),
+                           {"objective": math.exp(-B * B * dist.sigma2 / 2.0)})
                 for B in sorted(B_grid))
     return BoundCurve(LOWER_CLT, 1, pts)

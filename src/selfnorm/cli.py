@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from . import bounds as bd
 from . import gls as gl
 from . import mc as mcmod
-from .distributions import parse_distribution
+from .distributions import DivergentError, parse_distribution
 
 __all__ = ["ConfigError", "RunConfig", "build_config", "main", "run"]
 
@@ -316,7 +316,7 @@ def _curves(config: RunConfig, dist,
         elif family == bd.LOWER_Q1:
             curves.append(bd.lower_q1_curve(dist, B_grid))
         else:
-            curves.append(bd.lower_clt_curve(B_grid))
+            curves.append(bd.lower_clt_curve(dist, B_grid))
     return curves
 
 
@@ -375,47 +375,57 @@ def _parse_family_param(family: str, tag: str) -> float:
     if not prefix.endswith(tag):
         raise ConfigError("family", f"expected '{tag}=<real>' in {family!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError("family", f"bad value {raw!r} in {family!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError("family", f"bad value {raw!r} in {family!r}")
+    return value
+
+
+def _gls_generator(family: str, dist) -> gl.PsiFunction | gl.PhiFunction:
+    """The moment generator or MGF majorant that a ``--family`` spec names."""
+    if family.startswith("psi:degenerate:"):
+        make, tag = gl.degenerate_psi, "r"
+    elif family.startswith("psi:power:"):
+        make, tag = gl.power_psi, "m"
+    elif family.startswith("phi:power:"):
+        make, tag = gl.power_phi, "m"
+    elif family == "phi:natural":
+        return gl.natural_phi(dist)
+    elif family.startswith("psi:"):
+        raise ConfigError("family", f"unknown generator {family!r}")
+    elif family.startswith("phi:"):
+        raise ConfigError("family", f"unknown majorant {family!r}")
+    else:
+        raise ConfigError("family", f"unknown family {family!r}")
+    value = _parse_family_param(family, tag)
+    try:
+        return make(value)
+    except ValueError as exc:
+        raise ConfigError("family", str(exc)) from None
 
 
 def _gls_rows(config: RunConfig, dist) -> list[dict]:
     family = config.family
     if not family:
         raise ConfigError("family", "the gls command needs --family")
-    rows = []
-    if family.startswith("psi:"):
-        if family.startswith("psi:degenerate:"):
-            psi = gl.degenerate_psi(_parse_family_param(family, "r"))
-        elif family.startswith("psi:power:"):
-            psi = gl.power_psi(_parse_family_param(family, "m"))
+    gen = _gls_generator(family, dist)
+    try:
+        if isinstance(gen, gl.PsiFunction):
+            names, tail_fn = ("GlsNorm", "GlsTail"), gl.gls_tail_bound
+            norm = gl.gls_norm(dist.lp_norm, gen)
         else:
-            raise ConfigError("family", f"unknown generator {family!r}")
-        norm = gl.gls_norm(dist.lp_norm, psi)
-        rows.append({"dist": dist.name, "family": "GlsNorm", "value": norm,
-                     "status": ""})
-        for B in _sorted_B(config):
-            value = gl.gls_tail_bound(psi, norm, B)
-            rows.append({"dist": dist.name, "B": B, "family": "GlsTail",
-                         "value": value, "status": ""})
-        return rows
-    if family.startswith("phi:"):
-        if family.startswith("phi:power:"):
-            phi = gl.power_phi(_parse_family_param(family, "m"))
-        elif family == "phi:natural":
-            phi = gl.natural_phi(dist)
-        else:
-            raise ConfigError("family", f"unknown majorant {family!r}")
-        norm = gl.bphi_norm(lambda lam: dist.log_mgf2(lam, 0.0), phi)
-        rows.append({"dist": dist.name, "family": "BphiNorm", "value": norm,
-                     "status": ""})
-        for B in _sorted_B(config):
-            value = gl.bphi_tail_bound(phi, norm, B)
-            rows.append({"dist": dist.name, "B": B, "family": "BphiTail",
-                         "value": value, "status": ""})
-        return rows
-    raise ConfigError("family", f"unknown family {family!r}")
+            names, tail_fn = ("BphiNorm", "BphiTail"), gl.bphi_tail_bound
+            norm = gl.bphi_norm(lambda lam: dist.log_mgf2(lam, 0.0), gen)
+    except DivergentError as exc:
+        raise ConfigError("family", f"no finite norm of {dist.name} against "
+                                    f"{family!r}: {exc}") from None
+    rows = [{"dist": dist.name, "family": names[0], "value": norm, "status": ""}]
+    for B in _sorted_B(config):
+        rows.append({"dist": dist.name, "B": B, "family": names[1],
+                     "value": tail_fn(gen, norm, B), "status": ""})
+    return rows
 
 
 def run(config: RunConfig) -> int:

@@ -16,13 +16,11 @@ from typing import Callable
 __all__ = [
     "NotBracketedError",
     "fenchel",
-    "golden_section_max",
     "invert_monotone",
     "maximize_concave",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_CGOLD = 1.0 - _GOLDEN
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _FIRST_STEP = 1e-8
 _MAX_DOUBLINGS = 64
 _MAX_BRENT_STEPS = 200
@@ -33,54 +31,18 @@ class NotBracketedError(ValueError):
     """A root or target value could not be bracketed on the search ray."""
 
 
-def golden_section_max(fn: Callable[[float], float], a: float, c: float,
-                       tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section search for a maximum of ``fn`` on [a, c].
-
-    Assumes ``fn`` is unimodal on the bracket; evaluations returning
-    ``-inf`` act as barriers and simply lose every comparison.  Returns
-    the best (x, fn(x)) pair seen, so the value is never worse than the
-    endpoints' values even on a misjudged bracket.
-    """
-    best_x, best_v = a, fn(a)
-    v_c = fn(c)
-    if v_c > best_v:
-        best_x, best_v = c, v_c
-    x1 = c - _GOLDEN * (c - a)
-    x2 = a + _GOLDEN * (c - a)
-    f1, f2 = fn(x1), fn(x2)
-    # stop at tol, at the floating-point resolution of the bracket, or
-    # after a hard iteration cap; all three guard against stalling when
-    # tol is below one ulp at the bracket's magnitude
-    for _ in range(256):
-        if c - a <= tol + 8.0 * _EPS * max(abs(a), abs(c)):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (c - a)
-            f2 = fn(x2)
-            if f2 > best_v:
-                best_x, best_v = x2, f2
-        else:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - _GOLDEN * (c - a)
-            f1 = fn(x1)
-            if f1 > best_v:
-                best_x, best_v = x1, f1
-    return best_x, best_v
-
-
 def _brent_max(obj: Callable[[float], float], a: float, b: float, c: float,
                fa: float, fb: float, fc: float, tol: float,
                rtol: float) -> tuple[float, float]:
     """Brent's parabolic-plus-golden search for a maximum on [a, c].
 
-    ``b`` is an interior point whose value ``fb`` is at least ``fa`` and
-    ``fc``.  Each step fits a parabola through the three best points and
-    falls back to a golden-section step when the fit is not usable
-    (a ``-inf`` among the points, a step outside the bracket, or one not
-    shrinking fast enough).  Stops once the bracket is narrower than
-    ``tol + rtol*|x|``.  Returns the best (x, obj(x)) seen.
+    ``b`` is a point of [a, c] whose value ``fb`` is at least ``fa`` and
+    ``fc``; it may be an end point, as for a scanned argmax at the edge
+    of its grid.  Each step fits a parabola through the three best
+    points and falls back to a golden-section step when the fit is not
+    usable (a ``-inf`` among the points, a step outside the bracket, or
+    one not shrinking fast enough).  Stops once the bracket is narrower
+    than ``tol + rtol*|x|``.  Returns the best (x, obj(x)) seen.
     """
     x, fx = b, fb
     # the bracket ends are the first two runners-up, so the very first

@@ -18,13 +18,12 @@ need an extended-real answer (the log-MGF) map that onto ``+inf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .convex import golden_section_max
+from .convex import _brent_max
 
 __all__ = [
     "DensityLaw",
@@ -32,7 +31,6 @@ __all__ = [
     "DistributionModel",
     "DivergentError",
     "OVERFLOW_LIMIT",
-    "QuadraticMoments",
     "Rademacher",
     "StandardGaussian",
     "UniformSymmetric",
@@ -49,15 +47,6 @@ _PROB_SUM_TOL = 1e-12
 
 class DivergentError(ArithmeticError):
     """An expectation failed to converge or exceeded the overflow guard."""
-
-
-@dataclass(frozen=True)
-class QuadraticMoments:
-    """Second and fourth-order summaries: variance, w = E(s2 - xi^2)^2, and z."""
-
-    sigma2: float
-    w: float
-    z: float
 
 
 def _guard_finite(value: float, what: str) -> float:
@@ -170,7 +159,7 @@ class DistributionModel:
             return math.inf
         return v
 
-    def quadratic_moments(self) -> QuadraticMoments:
+    def quadratic_moments(self) -> tuple[float, float, float]:
         """(sigma^2, w, z) with w = E(sigma^2 - xi^2)^2 and
         z = E(sigma^2*xi - xi^3), which is -E xi^3 for a centered law and
         makes :meth:`summand_variance` an exact variance; z vanishes for
@@ -179,14 +168,14 @@ class DistributionModel:
             s2 = self.sigma2
             w = self._expect(lambda x: (s2 - x * x) ** 2, _DEFAULT_TOL, ())
             z = self._expect(lambda x: s2 * x - x ** 3, _DEFAULT_TOL, ())
-            self._moment_cache["qm"] = QuadraticMoments(s2, max(w, 0.0), z)
+            self._moment_cache["qm"] = (s2, max(w, 0.0), z)
         return self._moment_cache["qm"]
 
     def summand_variance(self, n: int, B: float) -> float:
         """n*sigma^2 + 2*B*sqrt(n)*z + B^2*w, the variance of the
         linearized summand sqrt(n)*xi + B*(sigma^2 - xi^2)."""
-        qm = self.quadratic_moments()
-        return n * qm.sigma2 + 2.0 * B * math.sqrt(n) * qm.z + B * B * qm.w
+        s2, w, z = self.quadratic_moments()
+        return n * s2 + 2.0 * B * math.sqrt(n) * z + B * B * w
 
     def summand_lp_norm(self, n: int, B: float, p: float,
                         tol: float = _DEFAULT_TOL) -> float:
@@ -368,16 +357,17 @@ class _QuadratureLaw(DistributionModel):
             return self._log_density(x) + t(x)
 
         # locate the integrand's peak: vectorized probe ladder, then a
-        # golden refinement between the best probe's neighbors
+        # Brent refinement between the best probe's neighbors
         probes = self._probe_points(breakpoints)
         with np.errstate(invalid="ignore", over="ignore"):
             h_vals = np.asarray(h(probes), dtype=float)
         h_vals = np.where(np.isnan(h_vals), -math.inf, h_vals)
         i0 = int(np.argmax(h_vals))
-        a = probes[max(i0 - 1, 0)]
-        b = probes[min(i0 + 1, len(probes) - 1)]
+        triple = [max(i0 - 1, 0), i0, min(i0 + 1, len(probes) - 1)]
+        a, b, c = probes[triple].tolist()
         with np.errstate(invalid="ignore", over="ignore"):
-            x_peak, shift = golden_section_max(lambda x: float(h(x)), a, b, 1e-10)
+            x_peak, shift = _brent_max(lambda x: float(h(x)), a, b, c,
+                                       *h_vals[triple].tolist(), 1e-10, 0.0)
         if not math.isfinite(shift):
             if shift == -math.inf:
                 return -math.inf
@@ -395,7 +385,7 @@ class _QuadratureLaw(DistributionModel):
         lo_i, hi_i = (min(rel[0], i0), max(rel[-1], i0)) if rel.size else (i0, i0)
         w_lo = probes[max(lo_i - 1, 0)]
         w_hi = probes[min(hi_i + 1, len(probes) - 1)]
-        inner = {w_lo, w_hi, *(p for p in (*breakpoints, a, x_peak, b)
+        inner = {w_lo, w_hi, *(p for p in (*breakpoints, a, x_peak, c)
                                if w_lo <= p <= w_hi)}
         edges = self._edges(inner)
         total = 0.0

@@ -9,10 +9,9 @@ Two norms drive the tail machinery:
   ``E exp(lam*zeta) <= exp(phi(lam*tau))``, which turns a convex MGF
   majorant ``phi`` into a Chernoff tail via the convex conjugate.
 
-Also provided: the degenerate generator that recovers a plain Lp norm,
-the conversion ``psi(p) = p / phi^{-1}(p)`` from an MGF majorant to a
-moment generator, and the uniform-in-n envelope
-``sup_n n*phi(lam/sqrt(n))`` that bounds MGFs of CLT-normalized sums.
+Also provided: the degenerate generator that recovers a plain Lp norm.
+A norm that is infinite, or still growing at the edge of its search
+grid, raises :class:`~selfnorm.distributions.DivergentError`.
 """
 
 from __future__ import annotations
@@ -24,35 +23,26 @@ from typing import Callable
 
 import numpy as np
 
-from .convex import (NotBracketedError, fenchel, golden_section_max,
-                     invert_monotone, maximize_concave)
+from .convex import (NotBracketedError, _brent_max, fenchel, invert_monotone,
+                     maximize_concave)
 from .distributions import DivergentError
 
 __all__ = [
     "PhiFunction",
     "PsiFunction",
-    "UnboundedError",
     "bphi_norm",
     "bphi_tail_bound",
     "degenerate_psi",
     "gls_norm",
     "gls_tail_bound",
     "natural_phi",
-    "normalized_sum_tail",
-    "phi_bar",
-    "phi_bar_argmax",
     "power_phi",
     "power_psi",
-    "psi_from_phi",
 ]
 
 
 _P_START = 2.0
 _P_RTOL = 1e-6
-
-
-class UnboundedError(RuntimeError):
-    """A norm supremum keeps growing at the edge of the search grid."""
 
 
 @dataclass(frozen=True)
@@ -163,12 +153,17 @@ def _support_grid(psi: PsiFunction, cap: float, points: int) -> np.ndarray:
 
 def _rising_through_last_decade(grid: np.ndarray, vals: list) -> bool:
     hi = grid[-1]
-    idx = [i for i, (p, v) in enumerate(zip(grid, vals))
-           if v is not None and p >= hi / 10.0]
-    if len(idx) < 2:
-        return False
-    seq = [vals[i] for i in idx]
-    return all(a < b for a, b in zip(seq, seq[1:])) and vals[-1] is not None
+    seq = [v for p, v in zip(grid, vals) if v > -math.inf and p >= hi / 10.0]
+    return len(seq) >= 2 and all(a < b for a, b in zip(seq, seq[1:]))
+
+
+def _refine(fn: Callable[[float], float], xs, vals: list, i: int,
+            tol: float) -> float:
+    """Brent's search for the max of ``fn`` between the neighbours of the
+    scanned argmax ``xs[i]``; never below the scanned ``vals[i]``."""
+    lo, hi = max(i - 1, 0), min(i + 1, len(xs) - 1)
+    return _brent_max(fn, xs[lo], xs[i], xs[hi], vals[lo], vals[i], vals[hi],
+                      tol, 0.0)[1]
 
 
 # -- moment-growth norm and tail ---------------------------------------------
@@ -180,34 +175,29 @@ def gls_norm(moment_curve: Callable[[float], float], psi: PsiFunction,
     """sup over the generator support of moment_curve(p) / psi(p).
 
     Scans a geometric p-grid (capped at ``p_cap`` when the support is
-    unbounded) and refines by golden section around the grid argmax.
-    Raises :class:`UnboundedError` when the ratio is still strictly
-    rising through the last decade of an unbounded support; p-points
-    where the moment diverges are skipped.
+    unbounded) and refines by Brent's search around the grid argmax.
+    Raises :class:`DivergentError` when the moment diverges on the whole
+    support, or when the ratio is still strictly rising through the last
+    decade of an unbounded support; p-points where the moment diverges
+    are skipped.
     """
     grid = _support_grid(psi, p_cap, grid_points)
 
-    def ratio(p: float) -> float | None:
+    def ratio(p: float) -> float:
         num = _try_positive(moment_curve, p)
         den = _try_positive(psi.fn, p)
         if num is None or den is None:
-            return None
+            return -math.inf
         return num / den
 
     vals = [ratio(p) for p in grid]
-    valid = [(i, v) for i, v in enumerate(vals) if v is not None]
-    if not valid:
+    i_best = int(np.argmax(vals))
+    if vals[i_best] == -math.inf:
         raise DivergentError("moment curve diverges on the whole generator support")
-    i_best, best = max(valid, key=lambda iv: iv[1])
     if psi.b == math.inf and i_best == len(grid) - 1 \
             and _rising_through_last_decade(grid, vals):
-        raise UnboundedError("ratio still rising at the top of the p-grid")
-
-    a = grid[max(i_best - 1, 0)]
-    c = grid[min(i_best + 1, len(grid) - 1)]
-    _, refined = golden_section_max(
-        lambda p: r if (r := ratio(p)) is not None else -math.inf, a, c, tol)
-    return max(best, refined)
+        raise DivergentError("ratio still rising at the top of the p-grid")
+    return _refine(ratio, grid, vals, i_best, tol)
 
 
 def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
@@ -280,7 +270,7 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: PhiFunction,
     ``law_mgf`` is the log-MGF of the variable.  Scans a geometric
     lambda grid (6 decades centered on 1 by default, clipped into the
     majorant's domain) of phi^{-1}(law_mgf(±lam))/lam and refines around
-    the argmax.  Raises :class:`UnboundedError` when the MGF escapes the
+    the argmax.  Raises :class:`DivergentError` when the MGF escapes the
     majorant's range or the ratio is still rising at the grid edge of an
     unbounded domain.
     """
@@ -295,12 +285,12 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: PhiFunction,
     def ratio(lam: float, sign: float) -> float:
         y = law_mgf(sign * lam)
         if y == math.inf:
-            raise UnboundedError(f"log-MGF diverges at lambda = {sign * lam}")
+            raise DivergentError(f"log-MGF diverges at lambda = {sign * lam}")
         y = max(y, 0.0)
         try:
             x = invert_monotone(phi.fn, y, 0.0, lam)
         except NotBracketedError:
-            raise UnboundedError(
+            raise DivergentError(
                 f"majorant range exceeded at lambda = {sign * lam}") from None
         return x / lam
 
@@ -310,12 +300,9 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: PhiFunction,
         i_best = int(np.argmax(vals))
         if phi.lambda0 == math.inf and i_best == len(grid) - 1 \
                 and _rising_through_last_decade(grid, vals):
-            raise UnboundedError("norm ratio still rising at the lambda-grid edge")
-        a = math.log(grid[max(i_best - 1, 0)])
-        c = math.log(grid[min(i_best + 1, len(grid) - 1)])
-        _, refined = golden_section_max(
-            lambda t: ratio(math.exp(t), sign), a, c, tol)
-        best = max(best, vals[i_best], refined)
+            raise DivergentError("norm ratio still rising at the lambda-grid edge")
+        best = max(best, _refine(lambda t: ratio(math.exp(t), sign),
+                                 np.log(grid), vals, i_best, tol))
     # grid suprema err low; round up so tails built on this norm stay
     # valid even when the Chernoff exponent is exactly tight
     return best * (1.0 + 1e-9)
@@ -339,65 +326,3 @@ def bphi_tail_bound(phi: PhiFunction, norm: float, u: float,
     if exponent == math.inf:
         return 0.0
     return min(1.0, math.exp(-exponent))
-
-
-# -- conversions and the sum envelope ------------------------------------------
-
-
-def psi_from_phi(phi: PhiFunction) -> PsiFunction:
-    """Moment generator psi(p) = p / phi^{-1}(p) implied by an MGF majorant.
-
-    The subgaussian majorant lam^2 maps to psi(p) = sqrt(p).
-    """
-
-    def fn(p: float) -> float:
-        x = invert_monotone(phi.fn, p, 0.0, 1.0)
-        return p / x
-
-    return PsiFunction(fn, p_lo=1.0, b=math.inf, kind=phi.kind)
-
-
-def phi_bar_argmax(phi: PhiFunction, lam: float, n_max: int) -> tuple[float, int]:
-    """max over n in {1..n_max} of n*phi(lam/sqrt(n)) and the attaining n.
-
-    Scans every integer up to 1024 and then a geometric ladder (ratio
-    1.25, rounded, deduplicated) up to and including n_max.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    best_v, best_n = -math.inf, 1
-    seen = 0
-    n = 1
-    while n <= n_max:
-        v = n * phi.fn(lam / math.sqrt(n))
-        if v == math.inf:
-            return math.inf, n
-        if v > best_v:
-            best_v, best_n = v, n
-        seen = n
-        n = n + 1 if n < 1024 else max(n + 1, round(n * 1.25))
-    if seen != n_max:
-        v = n_max * phi.fn(lam / math.sqrt(n_max))
-        if v == math.inf:
-            return math.inf, n_max
-        if v > best_v:
-            best_v, best_n = v, n_max
-    return best_v, best_n
-
-
-def phi_bar(phi: PhiFunction, lam: float, n_max: int) -> float:
-    """The uniform-in-n MGF envelope sup_{n <= n_max} n*phi(lam/sqrt(n))."""
-    return phi_bar_argmax(phi, lam, n_max)[0]
-
-
-def normalized_sum_tail(phi: PhiFunction, norm: float, n: int, u: float,
-                        tol: float = 1e-9) -> float:
-    """Tail bound for a sqrt(n)-normalized i.i.d. sum, uniform over 1..n.
-
-    Valid whenever each summand's MGF is dominated by ``phi`` at scale
-    ``norm``; the envelope from :func:`phi_bar` then dominates the MGF
-    of every S(k)/sqrt(k) with k <= n at the same scale.
-    """
-    bar = PhiFunction(lambda lam: phi_bar(phi, lam, n),
-                      lambda0=phi.lambda0, kind="custom")
-    return bphi_tail_bound(bar, norm, u, tol)

@@ -30,9 +30,7 @@ from .distributions import DistributionModel
 __all__ = [
     "GridMismatchError",
     "MCConfig",
-    "TailEstimate",
     "VerificationReport",
-    "VerificationRow",
     "clopper_pearson",
     "empirical_tail",
     "self_normalized_stat",

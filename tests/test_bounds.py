@@ -308,10 +308,13 @@ class TestExpTailBoundSup:
             assert v >= _exp_tail_point(rad, n, 1.0).value - 1e-15
 
     def test_per_n_table_consistency(self, rad):
+        # oracle: the table of single-n cells over the scanned range
         curve = exp_curve(rad, (1, 32), [1.0, 2.0])
         for pt in curve.points:
-            assert pt.per_n is not None
-            assert pt.value == max(v for _, v in pt.per_n)
+            table = {n: _exp_tail_point(rad, n, pt.B).value
+                     for n in integer_scan(1, 32)}
+            assert pt.value == max(table.values())
+            assert table[int(pt.optimizer["n_star"])] == pt.value
 
 
 class TestRosenthalPsi:
@@ -372,6 +375,18 @@ class TestPowerTailBound:
         for law in (gauss, rad):
             for B in (E, 3.0, 10.0, 50.0):
                 assert 0.0 <= _power_tail_point(law, 4, B).value <= 1.0
+
+    def test_threshold_scales_with_variance(self, rad):
+        # signs of size 1/2 have T(n) = 2*T_rad(n), so Q_n(B) is the sign
+        # law's tail at B/2: exactly P(S_n > sqrt(n)*B/2) for the sign sum
+        half = DiscreteLaw([(-0.5, 0.5), (0.5, 0.5)])
+        for n in (1, 4, 16):
+            for B in (3.0, 5.0):
+                exact = sum(math.comb(n, k) for k in range(n + 1)
+                            if 2 * k - n > math.sqrt(n) * B / 2.0) / 2.0 ** n
+                assert _power_tail_point(half, n, B).value >= exact, (n, B)
+            assert _power_tail_point(half, n, 20.0).value == pytest.approx(
+                _power_tail_point(rad, n, 10.0).value, rel=1e-12)
 
 
 class TestPowerTailBoundSup:
@@ -464,10 +479,11 @@ class TestPowerTailOptimizer:
         assert 2.0 in ps and 1000.0 not in ps
 
     def test_heavy_tail_works_around_divergence(self):
-        # the 128-point p grid of earlier versions gave 0.6407565901612499
+        # the threshold is B*sigma^2 with sigma^2 = 5/3; a 1e6-trial
+        # simulation puts Q_16(5) far below this value
         law = DensityLaw(t5_density)
         pt = _power_tail_point(law, 16, 5.0)
-        reference = 0.6407565901612499
+        reference = 0.27429682231511837
         assert reference * (1.0 - 1e-9) <= pt.value <= reference * (1.0 + 1e-6)
         assert 1.0 < pt.optimizer["p_star"] < 2.5
 
@@ -498,16 +514,26 @@ class TestLowerBounds:
         assert q1(rad, 0.5) == rademacher_exact_tail(1, 0.5)
         assert q1(rad, 1.0) == rademacher_exact_tail(1, 1.0)
 
-    def test_clt_reference_values(self):
-        ref, ref3 = lower_clt_curve([1.0, 3.0]).points
+    def test_clt_reference_values(self, rad):
+        ref, ref3 = lower_clt_curve(rad, [1.0, 3.0]).points
         assert ref.optimizer["objective"] == pytest.approx(0.6065306597, rel=1e-8)
         assert ref.value == pytest.approx(0.15865525393, rel=1e-8)
         assert ref3.value == pytest.approx(0.0013498980, rel=1e-6)
 
-    def test_clt_vanishes_at_infinity(self):
-        (ref,) = lower_clt_curve([40.0]).points
+    def test_clt_vanishes_at_infinity(self, rad):
+        (ref,) = lower_clt_curve(rad, [40.0]).points
         assert ref.optimizer["objective"] < 1e-300
         assert ref.value < 1e-300
+
+    def test_clt_limit_uses_the_law_scale(self, rad):
+        # T(n) of a*xi is T(n)/a, so the limit 1 - Phi(B*sigma) of the
+        # law with sigma = 1/2 at B = 2 is the sign law's at B = 1
+        half = DiscreteLaw([(-0.5, 0.5), (0.5, 0.5)])
+        (ref,) = lower_clt_curve(half, [2.0]).points
+        (ref1,) = lower_clt_curve(rad, [1.0]).points
+        assert ref.value == ref1.value
+        assert ref.optimizer["objective"] == ref1.optimizer["objective"]
+        assert ref.value == pytest.approx(scipy_norm.sf(1.0), rel=1e-12)
 
 
 class TestScanAndCurves:

@@ -346,3 +346,21 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("family", [
+        "psi:power:m=-1",
+        "psi:degenerate:r=0.5",
+        "psi:power:m=4",
+        "phi:power:m=1",
+        "psi:degenerate:r=inf",
+        "psi:power:m=nan",
+    ])
+    def test_bad_gls_family_exit_two(self, family, capsys):
+        # bad parameters and families whose norm is unbounded on the law
+        with pytest.raises(SystemExit) as exc:
+            main(["gls", "--dist", "gaussian", "--B", "3", "--family", family])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("selfnorm: configuration error: family:")

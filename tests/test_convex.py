@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from selfnorm.convex import (NotBracketedError, fenchel, invert_monotone,
-                             maximize_concave)
+from selfnorm.convex import (NotBracketedError, _brent_max, fenchel,
+                             invert_monotone, maximize_concave)
 
 
 def lncosh(x):
@@ -129,6 +129,32 @@ class TestMaximizeConcaveStart:
     def test_start_at_origin_falls_back_to_default(self):
         x, v = maximize_concave(lambda x: -((x - 1.0) ** 2), 0.0, 1e-9, x0=0.0)
         assert abs(x - 1.0) <= 1e-8
+
+
+class TestBrentBracketEdge:
+    """A scanned argmax at the edge of its grid: b equals an end point."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_returns_the_end_point(self, sign):
+        # increasing (sign 1) peaks at c, decreasing (sign -1) at a
+        def obj(x):
+            return sign * x ** 3
+
+        a, c = 0.5, 2.0
+        b = c if sign > 0 else a
+        x, v = _brent_max(obj, a, b, c, obj(a), obj(b), obj(c), 1e-10, 0.0)
+        assert x == b
+        assert v == obj(b)
+
+    def test_interior_peak_next_to_the_end_point(self):
+        # the scanned best is c, but the maximum lies inside [a, c]
+        def obj(x):
+            return -((x - 1.9) ** 2)
+
+        x, v = _brent_max(obj, 1.0, 2.0, 2.0, obj(1.0), obj(2.0), obj(2.0),
+                          1e-10, 0.0)
+        assert x == pytest.approx(1.9, abs=1e-8)
+        assert v >= obj(2.0)
 
 
 class TestFenchel:

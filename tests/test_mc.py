@@ -215,7 +215,7 @@ class TestVerifyBounds:
     def make_curves(self, law, n_grid, B_grid):
         curves = [exp_curve(law, n, B_grid) for n in n_grid]
         curves.append(lower_q1_curve(law, B_grid))
-        curves.append(lower_clt_curve(B_grid))
+        curves.append(lower_clt_curve(law, B_grid))
         return curves
 
     def test_full_pass(self):
