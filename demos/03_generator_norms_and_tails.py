@@ -39,7 +39,7 @@ for y in (5.0, 10.0):
           f"   true normal tail {0.5 * math.erfc(y / math.sqrt(2)):.3e}")
 
 print("\n=== MGF route: norms against the subgaussian majorant lam^2/2 ===")
-phi2 = PhiFunction(lambda lam: lam * lam / 2.0, kind="power")
+phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
 tau_g = bphi_norm(lambda lam: gauss.log_mgf2(lam, 0.0), phi2)
 tau_r = bphi_norm(lambda lam: rad.log_mgf2(lam, 0.0), phi2)
 print(f"  gaussian: tau = {tau_g:.8f} (its own majorant, so exactly 1)")

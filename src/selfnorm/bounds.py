@@ -52,6 +52,7 @@ DEFAULT_KR = 0.6379
 DEFAULT_B_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, math.e, 3.0, 5.0, 10.0, 20.0, 50.0)
 
 _THETA_RTOL = 1e-6
+_THETA_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -117,8 +118,7 @@ def _theta_guess(dist: DistributionModel, n: int, B: float) -> float:
     return n * B * dist.sigma2 / var if var > 0.0 else B
 
 
-def _exp_tail_point(dist: DistributionModel, n: int, B: float,
-                    tol: float = 1e-9) -> BoundPoint:
+def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
     """Optimized-exponent upper bound on Q_n(B).
 
     ``exp(-sup_{theta>=0} [theta*B*sigma^2 - cgf(theta)])``; the
@@ -146,7 +146,7 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float,
 
     # a theta bracket of relative width 1e-6 leaves an exponent error of
     # order 1e-12 relative: the objective is flat at its maximum
-    theta_star, exponent = maximize_concave(obj, 0.0, tol,
+    theta_star, exponent = maximize_concave(obj, 0.0, _THETA_TOL,
                                             x0=_theta_guess(dist, n, B),
                                             rtol=_THETA_RTOL)
     if exponent == math.inf:
@@ -199,12 +199,11 @@ def rosenthal_psi(dist: DistributionModel, n: int, B: float,
         norm = probe_norm if p == probe else dist.summand_lp_norm(n, B, p)
         return kr * (p / math.log(p)) * norm
 
-    return PsiFunction(fn, p_lo=1.0, b=math.inf, kind="rosenthal", lo_open=True)
+    return PsiFunction(fn, p_lo=1.0, b=math.inf, lo_open=True)
 
 
 def _power_tail_point(dist: DistributionModel, n: int, B: float,
-                      kr: float = DEFAULT_KR, p_cap: float = 1000.0,
-                      tol: float = 1e-9) -> BoundPoint:
+                      kr: float = DEFAULT_KR) -> BoundPoint:
     """Rosenthal-moment upper bound on Q_n(B), valid for B >= e.
 
     ``min_p (kr * p/ln(p) * |summand|_p / (B*sigma^2))^p`` with the
@@ -216,8 +215,7 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
             f"power-level bound requires B >= e, got {B}; "
             "use the exponential-level bound below that")
     psi = rosenthal_psi(dist, n, B, kr)
-    value, p_star, exponent = _gls_tail_opt(psi, 1.0, B * dist.sigma2,
-                                            p_cap=p_cap, tol=tol)
+    value, p_star, exponent = _gls_tail_opt(psi, 1.0, B * dist.sigma2)
     opt = {"objective": exponent}
     if p_star is not None:
         opt["p_star"] = p_star
@@ -239,7 +237,7 @@ def _curve(family: str, n: int | tuple[int, int], B_grid: Sequence[float],
 
 
 def exp_curve(dist: DistributionModel, n: int | tuple[int, int],
-              B_grid: Sequence[float], tol: float = 1e-9) -> BoundCurve:
+              B_grid: Sequence[float]) -> BoundCurve:
     """ExpLevel bound at every B of the grid, sorted.
 
     ``n`` is a sample size or an ``(lo, hi)`` range; a range gives, for
@@ -247,16 +245,15 @@ def exp_curve(dist: DistributionModel, n: int | tuple[int, int],
     ``optimizer["n_star"]``.
     """
     return _curve(EXP_LEVEL, n, sorted(B_grid),
-                  lambda m, B: _exp_tail_point(dist, m, B, tol))
+                  lambda m, B: _exp_tail_point(dist, m, B))
 
 
 def power_curve(dist: DistributionModel, n: int | tuple[int, int],
-                B_grid: Sequence[float], kr: float = DEFAULT_KR,
-                tol: float = 1e-9) -> BoundCurve:
+                B_grid: Sequence[float], kr: float = DEFAULT_KR) -> BoundCurve:
     """PowerLevel bound at every B >= e of the grid, sorted; ``n`` as in
     :func:`exp_curve`."""
     return _curve(POWER_LEVEL, n, [B for B in sorted(B_grid) if B >= math.e],
-                  lambda m, B: _power_tail_point(dist, m, B, kr, tol=tol))
+                  lambda m, B: _power_tail_point(dist, m, B, kr))
 
 
 def lower_q1_curve(dist: DistributionModel, B_grid: Sequence[float]) -> BoundCurve:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from . import bounds as bd
 from . import gls as gl
@@ -41,21 +42,6 @@ _BOUND_FAMILIES = {"bound-exp": (bd.EXP_LEVEL,),
                    "bound-power": (bd.POWER_LEVEL,),
                    "bound-lower": (bd.LOWER_Q1, bd.LOWER_CLT)}
 
-_DEFAULTS = {
-    "n": "1,4,16,64",
-    "B": "0.25,0.5,1,1.5,2,e,3,5,10,20,50",
-    "n-sup": None,
-    "trials": "100000",
-    "seed": "1",
-    "kr": str(bd.DEFAULT_KR),
-    "chunk-size": "8192",
-    "confidence": "0.999",
-    "output": None,
-    "format": "csv",
-    "family": None,
-    "dist": None,
-}
-
 
 class ConfigError(ValueError):
     """Bad configuration; reported with the offending key."""
@@ -67,6 +53,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """One command's settings; ``n_grid`` and ``B_grid`` are sorted and
+    free of repeats, as :func:`build_config` returns them."""
+
     command: str
     distribution: str
     n_grid: list[int]
@@ -85,29 +74,79 @@ class RunConfig:
 # -- parsing -------------------------------------------------------------------
 
 
-def _parse_float(key: str, token: str) -> float:
-    token = token.strip()
-    if token == "e":
-        return math.e
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(key, f"cannot parse {token!r} as a real") from None
+def _checked(kind: type, ok: Callable = lambda v: True, need: str = ""):
+    """Parser of one ``kind`` value that must satisfy ``ok``."""
 
-
-def _parse_grid(key: str, text: str, integer: bool = False) -> list:
-    items = [t for t in text.split(",") if t.strip()]
-    if not items:
-        raise ConfigError(key, "grid is empty")
-    if integer:
+    def parse(text: str):
         try:
-            vals = [int(t) for t in items]
+            value = kind(text)
         except ValueError:
-            raise ConfigError(key, f"cannot parse {text!r} as integers") from None
-        if any(v < 1 for v in vals):
-            raise ConfigError(key, "entries must be positive")
-        return vals
-    return [_parse_float(key, t) for t in items]
+            raise ValueError(f"cannot parse {text.strip()!r} as {kind.__name__}") \
+                from None
+        if not ok(value):
+            raise ValueError(f"must be {need}, got {text.strip()!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_real = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_finite_real = _checked(float, math.isfinite, "finite")
+
+
+def _grid(item: Callable):
+    """Parser of a comma-separated list into a sorted list without repeats."""
+
+    def parse(text: str) -> list:
+        items = [t for t in text.split(",") if t.strip()]
+        if not items:
+            raise ValueError("grid is empty")
+        return sorted(set(map(item, items)))
+
+    return parse
+
+
+def _threshold(text: str) -> float:
+    return math.e if text.strip() == "e" else _positive_real(text)
+
+
+def _n_range(text: str) -> tuple[int, int] | None:
+    if not text:
+        return None
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected lo:hi, got {text!r}")
+    lo, hi = map(_positive_int, parts)
+    if lo > hi:
+        raise ValueError(f"lo > hi in {text!r}")
+    return lo, hi
+
+
+# key -> (default text, parser, help), in RunConfig field order; every
+# value goes through its parser, whether it is a flag, a file line or the
+# default.  --family exists on gls only.
+_OPTIONS = {
+    "dist": ("", _checked(str, bool, "a distribution spec"),
+             "rademacher | gaussian | uniform:a=<real> | discrete:v1:p1,... | "
+             "empirical:<path>"),
+    "n": ("1,4,16,64", _grid(_positive_int), "comma-separated sample sizes"),
+    "B": (",".join(map(str, bd.DEFAULT_B_GRID)), _grid(_threshold),
+          "comma-separated thresholds ('e' allowed)"),
+    "n-sup": ("", _n_range, "lo:hi range for sup-over-n rows"),
+    "trials": ("100000", _positive_int, "simulation trials per sample size"),
+    "seed": ("1", _checked(int), "simulation seed"),
+    "kr": (str(bd.DEFAULT_KR), _positive_real, "Rosenthal constant"),
+    "chunk-size": ("8192", _positive_int, "trials per simulation chunk"),
+    "confidence": ("0.999", _checked(float, lambda v: 0.0 < v < 1.0,
+                                     "strictly between 0 and 1"),
+                   "Clopper-Pearson confidence level"),
+    "output": ("", lambda t: t or None, "output path (default: stdout)"),
+    "format": ("csv", _checked(str, ("csv", "pretty").__contains__, "csv or pretty"),
+               "csv | pretty"),
+    "family": ("", lambda t: t or None, "psi:degenerate:r=<r> | psi:power:m=<m> | "
+                                        "phi:power:m=<m> | phi:natural"),
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -125,7 +164,7 @@ def _read_config_file(path: str) -> dict:
                 out[key.strip()] = value.strip()
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from None
-    unknown = set(out) - set(_DEFAULTS)
+    unknown = set(out) - set(_OPTIONS)
     if unknown:
         raise ConfigError("config", f"unknown keys {sorted(unknown)}")
     return out
@@ -134,72 +173,21 @@ def _read_config_file(path: str) -> dict:
 def build_config(command: str, flags: dict) -> RunConfig:
     """Merge flags over config-file values over built-in defaults."""
     file_vals = _read_config_file(flags["config"]) if flags.get("config") else {}
-
-    def get(key: str):
-        if flags.get(key.replace("-", "_")) is not None:
-            return flags[key.replace("-", "_")]
-        if key in file_vals:
-            return file_vals[key]
-        return _DEFAULTS[key]
-
-    dist = get("dist")
-    if not dist:
-        raise ConfigError("dist", "a distribution spec is required")
-    n_sup = None
-    raw_sup = get("n-sup")
-    if raw_sup:
-        parts = str(raw_sup).split(":")
-        if len(parts) != 2:
-            raise ConfigError("n-sup", f"expected lo:hi, got {raw_sup!r}")
-        lo, hi = (_parse_grid("n-sup", p, integer=True)[0] for p in parts)
-        if lo > hi:
-            raise ConfigError("n-sup", f"lo > hi in {raw_sup!r}")
-        n_sup = (lo, hi)
-    try:
-        trials = int(get("trials"))
-        seed = int(get("seed"))
-        chunk = int(get("chunk-size"))
-        kr = float(get("kr"))
-        conf = float(get("confidence"))
-    except ValueError as exc:
-        raise ConfigError("trials/seed/chunk-size/kr/confidence", str(exc)) from None
+    values = []
+    for key, (default, parse, _) in _OPTIONS.items():
+        raw = flags.get(key.replace("-", "_"))
+        if raw is None:
+            raw = file_vals.get(key, default)
+        try:
+            values.append(parse(str(raw)))
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
     if command in ("mc", "verify"):
-        if trials < 1:
-            raise ConfigError("trials", "must be >= 1 for simulation commands")
         try:  # checks SELFNORM_THREADS before any bound or simulation
             mcmod.worker_count(1)
         except ValueError as exc:
             raise ConfigError("env", str(exc)) from None
-    if chunk < 1:
-        raise ConfigError("chunk-size", f"must be >= 1, got {chunk}")
-    if not (kr > 0.0 and math.isfinite(kr)):
-        raise ConfigError("kr", f"must be positive and finite, got {kr}")
-    if not 0.0 < conf < 1.0:
-        raise ConfigError("confidence", f"must lie strictly between 0 and 1, "
-                                        f"got {conf}")
-    B_grid = _parse_grid("B", str(get("B")))
-    bad = [b for b in B_grid if not (b > 0.0 and math.isfinite(b))]
-    if bad:
-        raise ConfigError("B", f"thresholds must be positive and finite, "
-                               f"got {bad[0]}")
-    fmt = get("format")
-    if fmt not in ("csv", "pretty"):
-        raise ConfigError("format", f"unknown format {fmt!r}")
-    return RunConfig(
-        command=command,
-        distribution=str(dist),
-        n_grid=_parse_grid("n", str(get("n")), integer=True),
-        B_grid=B_grid,
-        n_sup_range=n_sup,
-        trials=trials,
-        seed=seed,
-        kr_constant=kr,
-        chunk_size=chunk,
-        confidence=conf,
-        output_path=get("output"),
-        format=fmt,
-        family=get("family"),
-    )
+    return RunConfig(command, *values)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -209,24 +197,10 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd)
-        p.add_argument("--dist", help="rademacher | gaussian | uniform:a=<real> | "
-                                      "discrete:v1:p1,... | empirical:<path>")
-        p.add_argument("--n", help="comma-separated sample sizes")
-        p.add_argument("--B", help="comma-separated thresholds ('e' allowed)")
-        p.add_argument("--n-sup", dest="n_sup",
-                       help="lo:hi range for sup-over-n rows")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--kr", type=float, help="Rosenthal constant")
-        p.add_argument("--chunk-size", dest="chunk_size", type=int)
-        p.add_argument("--confidence", type=float)
-        p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "pretty"))
+        for key, (_, _, help_text) in _OPTIONS.items():
+            if key != "family" or cmd == "gls":
+                p.add_argument(f"--{key}", help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        if cmd == "gls":
-            p.add_argument("--family",
-                           help="psi:degenerate:r=<r> | psi:power:m=<m> | "
-                                "phi:power:m=<m> | phi:natural")
     return parser
 
 
@@ -266,10 +240,12 @@ def _point_row(dist_name: str, n_label: str, family: str, pt: bd.BoundPoint,
     }
 
 
-def _skip_row(dist_name: str, n_label: str, family: str, B: float) -> dict:
-    row = _point_row(dist_name, n_label, family, bd.BoundPoint(B, math.nan))
+def _blank_row(dist_name: str, n_label: str, family: str, B: float,
+               status: str = "", est=None) -> dict:
+    """A row without a bound value: a SKIP marker or a simulation estimate."""
+    row = _point_row(dist_name, n_label, family, bd.BoundPoint(B, math.nan),
+                     est=est, status=status)
     row["value"] = None
-    row["status"] = "SKIP"
     return row
 
 
@@ -294,29 +270,24 @@ def _write_pretty(rows: list[dict]) -> str:
 # -- command bodies ------------------------------------------------------------
 
 
-def _sorted_B(config: RunConfig) -> list[float]:
-    return sorted(set(config.B_grid))
-
-
 def _curves(config: RunConfig, dist,
             families: tuple[str, ...]) -> list[bd.BoundCurve]:
     """Every curve of the families, upper bounds at each grid n and then
     over the sup range."""
-    B_grid = _sorted_B(config)
-    ns: list[int | tuple[int, int]] = sorted(set(config.n_grid))
+    ns: list[int | tuple[int, int]] = list(config.n_grid)
     if config.n_sup_range is not None:
         ns.append(config.n_sup_range)
     curves = []
     for family in families:
         if family == bd.EXP_LEVEL:
-            curves += [bd.exp_curve(dist, n, B_grid) for n in ns]
+            curves += [bd.exp_curve(dist, n, config.B_grid) for n in ns]
         elif family == bd.POWER_LEVEL:
-            curves += [bd.power_curve(dist, n, B_grid, config.kr_constant)
+            curves += [bd.power_curve(dist, n, config.B_grid, config.kr_constant)
                        for n in ns]
         elif family == bd.LOWER_Q1:
-            curves.append(bd.lower_q1_curve(dist, B_grid))
+            curves.append(bd.lower_q1_curve(dist, config.B_grid))
         else:
-            curves.append(bd.lower_clt_curve(dist, B_grid))
+            curves.append(bd.lower_clt_curve(dist, config.B_grid))
     return curves
 
 
@@ -329,8 +300,8 @@ def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
     for curve in curves:
         label = mcmod._n_label(curve.n)
         if curve.family == bd.POWER_LEVEL:
-            rows += [_skip_row(dist.name, label, curve.family, B)
-                     for B in _sorted_B(config) if B < math.e]
+            rows += [_blank_row(dist.name, label, curve.family, B, "SKIP")
+                     for B in config.B_grid if B < math.e]
         for pt in curve.points:
             if checked is None:
                 rows.append(_point_row(dist.name, label, curve.family, pt))
@@ -344,14 +315,11 @@ def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
 
 def _mc_rows(config: RunConfig, dist) -> list[dict]:
     rows = []
-    for n in sorted(set(config.n_grid)):
+    for n in config.n_grid:
         cfg = mcmod.MCConfig(n, config.trials, config.seed, config.chunk_size,
                              config.confidence)
-        for est in mcmod.empirical_tail(dist, cfg, _sorted_B(config)):
-            row = _point_row(dist.name, str(n), "MC", bd.BoundPoint(est.B, math.nan),
-                             est=est)
-            row["value"] = None
-            rows.append(row)
+        rows += [_blank_row(dist.name, str(n), "MC", est.B, est=est)
+                 for est in mcmod.empirical_tail(dist, cfg, config.B_grid)]
     return rows
 
 
@@ -363,45 +331,32 @@ def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
     cfg = mcmod.MCConfig(max(config.n_grid), config.trials, config.seed,
                          config.chunk_size, config.confidence)
     try:
-        report = mcmod.verify_bounds(dist, config.n_grid, _sorted_B(config), cfg,
+        report = mcmod.verify_bounds(dist, config.n_grid, config.B_grid, cfg,
                                      curves)
     except mcmod.GridMismatchError as exc:
-        raise ConfigError("n/n-sup", str(exc)) from None
+        raise ConfigError("n-sup", str(exc)) from None
     return _curve_rows(config, dist, curves, report), report.all_pass
 
 
-def _parse_family_param(family: str, tag: str) -> float:
-    prefix, _, raw = family.rpartition("=")
-    if not prefix.endswith(tag):
-        raise ConfigError("family", f"expected '{tag}=<real>' in {family!r}")
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError("family", f"bad value {raw!r} in {family!r}")
-    return value
+# family prefix -> (constructor, parameter name); phi:natural takes none
+_GLS_FAMILIES = {"psi:degenerate": (gl.degenerate_psi, "r"),
+                 "psi:power": (gl.power_psi, "m"),
+                 "phi:power": (gl.power_phi, "m")}
 
 
 def _gls_generator(family: str, dist) -> gl.PsiFunction | gl.PhiFunction:
     """The moment generator or MGF majorant that a ``--family`` spec names."""
-    if family.startswith("psi:degenerate:"):
-        make, tag = gl.degenerate_psi, "r"
-    elif family.startswith("psi:power:"):
-        make, tag = gl.power_psi, "m"
-    elif family.startswith("phi:power:"):
-        make, tag = gl.power_phi, "m"
-    elif family == "phi:natural":
+    if family == "phi:natural":
         return gl.natural_phi(dist)
-    elif family.startswith("psi:"):
-        raise ConfigError("family", f"unknown generator {family!r}")
-    elif family.startswith("phi:"):
-        raise ConfigError("family", f"unknown majorant {family!r}")
-    else:
+    prefix, _, param = family.rpartition(":")
+    if prefix not in _GLS_FAMILIES:
         raise ConfigError("family", f"unknown family {family!r}")
-    value = _parse_family_param(family, tag)
+    make, tag = _GLS_FAMILIES[prefix]
+    name, _, raw = param.partition("=")
+    if name != tag:
+        raise ConfigError("family", f"expected '{tag}=<real>' in {family!r}")
     try:
-        return make(value)
+        return make(_finite_real(raw))
     except ValueError as exc:
         raise ConfigError("family", str(exc)) from None
 
@@ -422,7 +377,7 @@ def _gls_rows(config: RunConfig, dist) -> list[dict]:
         raise ConfigError("family", f"no finite norm of {dist.name} against "
                                     f"{family!r}: {exc}") from None
     rows = [{"dist": dist.name, "family": names[0], "value": norm, "status": ""}]
-    for B in _sorted_B(config):
+    for B in config.B_grid:
         rows.append({"dist": dist.name, "B": B, "family": names[1],
                      "value": tail_fn(gen, norm, B), "status": ""})
     return rows
@@ -450,14 +405,16 @@ def run(config: RunConfig) -> int:
 
     text = _write_csv(rows) if config.format == "csv" else _write_pretty(rows)
     if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("output", f"cannot write {config.output_path!r}: "
+                                        f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
-    if config.command == "verify" and not all_pass:
-        return 1
-    return 0
+    return 0 if all_pass else 1
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -57,7 +57,6 @@ class PsiFunction:
     fn: Callable[[float], float]
     p_lo: float = 1.0
     b: float = math.inf
-    kind: str = "custom"
     lo_open: bool = False
 
     def __call__(self, p: float) -> float:
@@ -74,7 +73,6 @@ class PhiFunction:
 
     fn: Callable[[float], float]
     lambda0: float = math.inf
-    kind: str = "custom"
 
     def __call__(self, lam: float) -> float:
         return self.fn(lam)
@@ -87,21 +85,21 @@ def degenerate_psi(r: float) -> PsiFunction:
     """Generator identically 1 on [1, r]: its norm is the plain Lr norm."""
     if r < 1.0:
         raise ValueError(f"degenerate generator needs r >= 1, got {r}")
-    return PsiFunction(lambda p: 1.0, p_lo=1.0, b=r, kind="degenerate")
+    return PsiFunction(lambda p: 1.0, p_lo=1.0, b=r)
 
 
 def power_psi(m: float) -> PsiFunction:
     """Power-growth generator psi(p) = p^(1/m)."""
     if m <= 0.0:
         raise ValueError(f"power generator needs m > 0, got {m}")
-    return PsiFunction(lambda p: p ** (1.0 / m), kind="power")
+    return PsiFunction(lambda p: p ** (1.0 / m))
 
 
 def power_phi(m: float) -> PhiFunction:
     """MGF majorant phi(lam) = |lam|^m / m (m = 2 is the subgaussian case)."""
     if m <= 0.0:
         raise ValueError(f"power majorant needs m > 0, got {m}")
-    return PhiFunction(lambda lam: abs(lam) ** m / m, kind="power")
+    return PhiFunction(lambda lam: abs(lam) ** m / m)
 
 
 def natural_phi(dist) -> PhiFunction:
@@ -116,7 +114,7 @@ def natural_phi(dist) -> PhiFunction:
     def fn(lam: float) -> float:
         return max(dist.log_mgf2(lam, 0.0), dist.log_mgf2(-lam, 0.0))
 
-    return PhiFunction(fn, kind="natural")
+    return PhiFunction(fn)
 
 
 # -- grid helpers ------------------------------------------------------------

@@ -150,12 +150,8 @@ def empirical_tail(dist: DistributionModel, cfg: MCConfig,
             bins += np.bincount(np.searchsorted(B_sorted, t), minlength=bins.size)
         return bins
 
-    workers = worker_count(num_chunks)
-    if workers == 1:
-        bins = sum(run_chunk(k) for k in range(num_chunks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bins = sum(pool.map(run_chunk, range(num_chunks)))
+    with ThreadPoolExecutor(max_workers=worker_count(num_chunks)) as pool:
+        bins = sum(pool.map(run_chunk, range(num_chunks)))
     counts = np.empty_like(B_arr, dtype=np.int64)
     counts[order] = bins[::-1].cumsum()[::-1][1:]
 

@@ -238,8 +238,8 @@ def test_criterion_10_negative_control(tmp_path, monkeypatch):
 
     true_point = bd._exp_tail_point
 
-    def corrupted(dist, n, B, tol=1e-9):
-        pt = true_point(dist, n, B, tol)
+    def corrupted(dist, n, B):
+        pt = true_point(dist, n, B)
         return bd.BoundPoint(pt.B, pt.value * 1e-6, pt.optimizer)
 
     monkeypatch.setattr(bd, "_exp_tail_point", corrupted)

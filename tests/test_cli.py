@@ -1,5 +1,6 @@
 """Command-line surface: parsing, CSV contract, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import math
@@ -11,8 +12,8 @@ import pytest
 
 import selfnorm
 
-from selfnorm.cli import (CSV_COLUMNS, ConfigError, RunConfig, build_config,
-                          main, run)
+from selfnorm.cli import (COMMANDS, CSV_COLUMNS, ConfigError, RunConfig,
+                          _make_parser, build_config, main, run)
 
 
 def make_config(command="bound-exp", **over):
@@ -46,7 +47,7 @@ class TestBuildConfig:
             build_config("bound-exp", {})
 
     def test_grid_parsing(self):
-        cfg = build_config("mc", {"dist": "gaussian", "n": "2,8", "B": "1,e,5"})
+        cfg = build_config("mc", {"dist": "gaussian", "n": "8,2,8", "B": "5,1,e,1"})
         assert cfg.n_grid == [2, 8]
         assert cfg.B_grid == [1.0, math.e, 5.0]
 
@@ -364,3 +365,42 @@ class TestMain:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("selfnorm: configuration error: family:")
+
+    # one bad value per option key, accepted by argparse as a plain string
+    BAD_VALUES = {
+        "dist": "uniform:a=bogus", "n": "0", "B": "-1", "n-sup": "9:2",
+        "trials": "abc", "seed": "abc", "kr": "abc", "chunk-size": "abc",
+        "confidence": "abc", "output": "{tmp}/missing/x.csv", "format": "xml",
+        "family": "psi:bogus:r=1",
+    }
+
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_bad_value_same_line_from_flag_and_file(self, key, tmp_path, capsys):
+        value = self.BAD_VALUES[key].format(tmp=tmp_path)
+        base = {"dist": "rademacher", "B": "3", "family": "phi:power:m=2"}
+        base.pop(key, None)
+        argv = ["gls"] + [a for k, v in base.items() for a in (f"--{k}", v)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        lines = []
+        for extra in ([f"--{key}", value], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines.append(captured.err.splitlines())
+        (line,) = lines[0]
+        assert lines[1] == [line]
+        assert line.startswith(f"selfnorm: configuration error: {key}:")
+
+    def test_flags_per_command(self):
+        (sub,) = [a for a in _make_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        common = {"-h", "--help", "--dist", "--n", "--B", "--n-sup", "--trials",
+                  "--seed", "--kr", "--chunk-size", "--confidence", "--output",
+                  "--format", "--config"}
+        assert set(sub.choices) == set(COMMANDS)
+        for command, parser in sub.choices.items():
+            flags = {s for a in parser._actions for s in a.option_strings}
+            assert flags == common | ({"--family"} if command == "gls" else set())

@@ -119,18 +119,18 @@ class TestGlsNorm:
 
 class TestBphiNorm:
     def test_gaussian_self_norm(self):
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0, kind="power")
+        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
         assert bphi_norm(lambda lam: lam * lam / 2.0, phi2) == pytest.approx(
             1.0, abs=1e-6)
 
     def test_rademacher_against_subgaussian(self):
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0, kind="power")
+        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
         got = bphi_norm(lncosh, phi2)
         assert got == pytest.approx(1.0, abs=1e-4)
         assert got <= 1.0 + 1e-12
 
     def test_zero_variable(self):
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0, kind="power")
+        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
         assert bphi_norm(lambda lam: 0.0, phi2) == 0.0
 
     def test_unbounded_when_majorant_too_weak(self):
@@ -141,7 +141,7 @@ class TestBphiNorm:
     def test_builtin_laws_dominated_tails(self):
         # norm then tail must dominate the true two-sided tail max; a
         # coarse lambda grid suffices (domination, not precision)
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0, kind="power")
+        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
         cases = []
         rad = Rademacher()
         cases.append((rad, lambda u: 0.5 if u <= 1.0 else 0.0))
