@@ -37,9 +37,12 @@ for m in (1.5, 3.0):
     print(f"  m = {m}: numeric {fenchel(lambda x: x ** m / m, u):.8f}"
           f"   exact {u ** mp / mp:.8f}")
 
-print("\n=== unbounded objectives are detected, not chased ===")
+print("\n=== an objective still rising at the search cap is read there ===")
 x, v = maximize_concave(lambda x: 0.3 * x, 0.0)
-print(f"  maximize 0.3*x on [0, inf): value = {v} (declared unbounded)")
+print(f"  maximize 0.3*x on [0, inf): x = {x:.6g} (the cap 1e-8*2^63), "
+      f"value = {v:.6g}")
+print("  the best point evaluated is returned, so a Chernoff exponent read")
+print(f"  there is still valid: exp(-value) = {math.exp(-v)}")
 
 print("\n=== monotone inversion (used for generator conversions) ===")
 y = 0.14384

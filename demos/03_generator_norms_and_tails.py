@@ -14,9 +14,8 @@ norm and the plain moment bound.
 
 import math
 
-from selfnorm import (PhiFunction, Rademacher, StandardGaussian, bphi_norm,
-                      bphi_tail_bound, degenerate_psi, gls_norm,
-                      gls_tail_bound, power_psi)
+from selfnorm import (Rademacher, StandardGaussian, bphi_norm, bphi_tail_bound,
+                      degenerate_psi, gls_norm, gls_tail_bound, power_psi)
 
 gauss = StandardGaussian()
 rad = Rademacher()
@@ -39,7 +38,8 @@ for y in (5.0, 10.0):
           f"   true normal tail {0.5 * math.erfc(y / math.sqrt(2)):.3e}")
 
 print("\n=== MGF route: norms against the subgaussian majorant lam^2/2 ===")
-phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
+# a majorant is a plain function; it would return +inf outside its domain
+phi2 = lambda lam: lam * lam / 2.0
 tau_g = bphi_norm(lambda lam: gauss.log_mgf2(lam, 0.0), phi2)
 tau_r = bphi_norm(lambda lam: rad.log_mgf2(lam, 0.0), phi2)
 print(f"  gaussian: tau = {tau_g:.8f} (its own majorant, so exactly 1)")

@@ -37,7 +37,6 @@ from .distributions import (
     parse_distribution,
 )
 from .gls import (
-    PhiFunction,
     PsiFunction,
     bphi_norm,
     bphi_tail_bound,

@@ -77,17 +77,16 @@ class BoundCurve:
     points: tuple[BoundPoint, ...]
 
 
-def integer_scan(n_lo: int, n_hi: int, dense_limit: int = 64,
-                 ratio: float = 1.25) -> list[int]:
-    """Integers n_lo..n_hi: every one up to dense_limit, then a geometric
-    ladder (rounded, deduplicated) always including n_hi."""
+def integer_scan(n_lo: int, n_hi: int) -> list[int]:
+    """Integers n_lo..n_hi: every one up to 64, then a geometric ladder
+    of ratio 1.25 (rounded, deduplicated) always including n_hi."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"bad range [{n_lo}, {n_hi}]")
-    out = set(range(n_lo, min(dense_limit, n_hi) + 1))
-    v = max(dense_limit, n_lo)
+    out = set(range(n_lo, min(64, n_hi) + 1))
+    v = max(64, n_lo)
     out.add(min(v, n_hi))
     while v < n_hi:
-        v = max(v + 1, round(v * ratio))
+        v = max(v + 1, round(v * 1.25))
         out.add(min(v, n_hi))
     return sorted(out)
 
@@ -101,8 +100,7 @@ def sum_cgf(dist: DistributionModel, n: int, B: float, theta: float) -> float:
     Equals n * log_mgf2(theta/sqrt(n), B*theta/n); ``+inf`` propagates
     from the log-MGF when the expectation diverges.
     """
-    v = dist.log_mgf2(theta / math.sqrt(n), B * theta / n)
-    return n * v if v != math.inf else math.inf
+    return n * dist.log_mgf2(theta / math.sqrt(n), B * theta / n)
 
 
 def _theta_guess(dist: DistributionModel, n: int, B: float) -> float:
@@ -123,10 +121,12 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
 
     ``exp(-sup_{theta>=0} [theta*B*sigma^2 - cgf(theta)])``; the
     conjugate is evaluated at B*sigma^2, the exact threshold of the
-    linearized event.  The value is 0 when the event is impossible: for
-    an atomic law whose nonzero atoms all have |xi| >= m once
-    B > sqrt(n)/m, and otherwise when the supremum still grows at the
-    search cap.
+    linearized event.  Every theta gives a valid bound, and the exponent
+    is at least its value 0 at theta = 0.  The value is 0 without a
+    search when the event is impossible for an atomic law whose nonzero
+    atoms all have |xi| >= m, once B > sqrt(n)/m.  When the objective
+    still grows at the search cap, the bound is read there, as at any
+    other theta.
     """
     if B <= 0.0:
         raise ValueError(f"B must be positive, got {B}")
@@ -139,22 +139,14 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
     target = B * dist.sigma2
 
     def obj(theta: float) -> float:
-        c = sum_cgf(dist, n, B, theta)
-        if c == math.inf:
-            return -math.inf
-        return theta * target - c
+        return theta * target - sum_cgf(dist, n, B, theta)
 
     # a theta bracket of relative width 1e-6 leaves an exponent error of
     # order 1e-12 relative: the objective is flat at its maximum
     theta_star, exponent = maximize_concave(obj, 0.0, _THETA_TOL,
                                             x0=_theta_guess(dist, n, B),
                                             rtol=_THETA_RTOL)
-    if exponent == math.inf:
-        # the objective still grew at the doubling cap
-        return BoundPoint(B, 0.0, {"theta_star": theta_star, "objective": exponent,
-                                   "reason": "cap"})
-    exponent = max(exponent, 0.0)
-    return BoundPoint(B, min(1.0, math.exp(-exponent)),
+    return BoundPoint(B, math.exp(-exponent),
                       {"theta_star": theta_star, "objective": exponent})
 
 
@@ -182,24 +174,14 @@ def rosenthal_psi(dist: DistributionModel, n: int, B: float,
 
     By Rosenthal's inequality the sqrt(n)-normalized sum of the
     linearized summands has moment-growth norm at most 1 against this
-    generator.  Support is (1, b) with b limited only by which summand
-    moments are finite.
+    generator.  Support is (1, inf); a p where the summand moment
+    diverges raises, and the tail search treats it as a barrier.
     """
-    for probe in (2.0, 1.5, 1.25, 1.0625):
-        try:
-            probe_norm = dist.summand_lp_norm(n, B, probe)
-            break
-        except ArithmeticError:
-            continue
-    else:
-        raise DomainError("no finite summand moment beyond p = 1")
 
     def fn(p: float) -> float:
-        # the p search starts at 2.0, so the probe is usually asked again
-        norm = probe_norm if p == probe else dist.summand_lp_norm(n, B, p)
-        return kr * (p / math.log(p)) * norm
+        return kr * (p / math.log(p)) * dist.summand_lp_norm(n, B, p)
 
-    return PsiFunction(fn, p_lo=1.0, b=math.inf, lo_open=True)
+    return PsiFunction(fn, lo_open=True)
 
 
 def _power_tail_point(dist: DistributionModel, n: int, B: float,

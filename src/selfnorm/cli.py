@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -123,6 +124,16 @@ def _n_range(text: str) -> tuple[int, int] | None:
     return lo, hi
 
 
+def _output_path(text: str) -> str | None:
+    if not text:
+        return None
+    folder = os.path.dirname(text) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"cannot write {text!r}: directory {folder!r} is "
+                         "missing or not writable")
+    return text
+
+
 # key -> (default text, parser, help), in RunConfig field order; every
 # value goes through its parser, whether it is a flag, a file line or the
 # default.  --family exists on gls only.
@@ -141,7 +152,7 @@ _OPTIONS = {
     "confidence": ("0.999", _checked(float, lambda v: 0.0 < v < 1.0,
                                      "strictly between 0 and 1"),
                    "Clopper-Pearson confidence level"),
-    "output": ("", lambda t: t or None, "output path (default: stdout)"),
+    "output": ("", _output_path, "output path (default: stdout)"),
     "format": ("csv", _checked(str, ("csv", "pretty").__contains__, "csv or pretty"),
                "csv | pretty"),
     "family": ("", lambda t: t or None, "psi:degenerate:r=<r> | psi:power:m=<m> | "
@@ -293,23 +304,24 @@ def _curves(config: RunConfig, dist,
 
 def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
                 report: mcmod.VerificationReport | None = None) -> list[dict]:
-    """One row per curve point, with its verdict when a report is given,
-    and a SKIP row for each B < e of every PowerLevel curve."""
+    """One row per grid B of every curve: its point, with the verdict when
+    a report is given, or a SKIP row where the curve has no point."""
     checked = iter(report.rows) if report else None
     rows = []
     for curve in curves:
         label = mcmod._n_label(curve.n)
-        if curve.family == bd.POWER_LEVEL:
-            rows += [_blank_row(dist.name, label, curve.family, B, "SKIP")
-                     for B in config.B_grid if B < math.e]
-        for pt in curve.points:
-            if checked is None:
+        points = {pt.B: pt for pt in curve.points}
+        for B in config.B_grid:
+            pt = points.get(B)
+            if pt is None:
+                rows.append(_blank_row(dist.name, label, curve.family, B, "SKIP"))
+            elif checked is None:
                 rows.append(_point_row(dist.name, label, curve.family, pt))
-                continue
-            r = next(checked)
-            rows.append(_point_row(dist.name, label, curve.family, pt,
-                                   est=r.estimate, status=r.status,
-                                   margin=r.margin, tightness=r.tightness))
+            else:
+                r = next(checked)
+                rows.append(_point_row(dist.name, label, curve.family, pt,
+                                       est=r.estimate, status=r.status,
+                                       margin=r.margin, tightness=r.tightness))
     return rows
 
 
@@ -344,7 +356,7 @@ _GLS_FAMILIES = {"psi:degenerate": (gl.degenerate_psi, "r"),
                  "phi:power": (gl.power_phi, "m")}
 
 
-def _gls_generator(family: str, dist) -> gl.PsiFunction | gl.PhiFunction:
+def _gls_generator(family: str, dist) -> gl.PsiFunction | Callable[[float], float]:
     """The moment generator or MGF majorant that a ``--family`` spec names."""
     if family == "phi:natural":
         return gl.natural_phi(dist)
@@ -367,7 +379,7 @@ def _gls_rows(config: RunConfig, dist) -> list[dict]:
         raise ConfigError("family", "the gls command needs --family")
     gen = _gls_generator(family, dist)
     try:
-        if isinstance(gen, gl.PsiFunction):
+        if family.startswith("psi:"):
             names, tail_fn = ("GlsNorm", "GlsTail"), gl.gls_tail_bound
             norm = gl.gls_norm(dist.lp_norm, gen)
         else:

@@ -109,10 +109,11 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
     An evaluation returning ``-inf`` is an ordinary point that loses every
     comparison: it closes a bracket like any decrease, and it blocks the
     parabolic step.  A ``-inf`` between ``x_lo`` and a finite value
-    therefore never ends the search.  If the objective still increases at
-    the cap ``x_lo + 1e-8 * 2**63`` it is declared unbounded above and
-    ``(inf, inf)`` is returned; if no probe down to ``x_lo + 1e-8`` beats
-    ``obj(x_lo)``, the origin ``(x_lo, obj(x_lo))`` is returned.
+    therefore never ends the search.  The best point evaluated is
+    returned, so the value is never below ``obj(x_lo)``: if the objective
+    still increases at the cap ``x_lo + 1e-8 * 2**63``, that is
+    ``(cap, obj(cap))``; if no probe down to ``x_lo + 1e-8`` beats
+    ``obj(x_lo)``, it is the origin ``(x_lo, obj(x_lo))``.
 
     ``obj(x_lo)`` must not be ``+inf`` or NaN.  A ``-inf`` there is a
     barrier like any other; when no probe is finite, ``(x_lo, -inf)`` is
@@ -135,7 +136,7 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
             if fc <= v:
                 return _brent_max(obj, a, x, c, fa, v, fc, tol, rtol)
             a, fa, x, v = x, v, c, fc
-        return math.inf, math.inf
+        return x, v
     c, fc = x, v
     while step > _FIRST_STEP:
         step *= 0.5
@@ -146,22 +147,15 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
     return x_lo, v_lo
 
 
-def fenchel(f: Callable[[float], float], u: float, tol: float = 1e-9) -> float:
+def fenchel(f: Callable[[float], float], u: float) -> float:
     """One-sided convex conjugate ``sup_{x >= 0} (x*u - f(x))``.
 
     ``f`` must be convex with ``f(0) = 0``; it may return ``+inf``
-    outside its domain.  The result is always >= 0 (x = 0 is feasible)
-    and ``+inf`` when the supremum diverges.
+    outside its domain, which makes ``x*u - f(x)`` a ``-inf`` barrier.
+    The result is always >= 0 (x = 0 is feasible); when the supremum
+    still grows at the search cap it is the value there.
     """
-
-    def obj(x: float) -> float:
-        fx = f(x)
-        if fx == math.inf:
-            return -math.inf
-        return x * u - fx
-
-    _, value = maximize_concave(obj, 0.0, tol)
-    return max(value, 0.0)
+    return maximize_concave(lambda x: x * u - f(x), 0.0)[1]
 
 
 def invert_monotone(f: Callable[[float], float], y: float, x_lo: float,

@@ -72,11 +72,15 @@ class DistributionModel:
 
     # -- primitive operations supplied by subclasses ---------------------
 
-    def _expect(self, g: Callable[[float], float], tol: float,
-                breakpoints: Sequence[float]) -> float:
+    def expect(self, g: Callable[[float], float]) -> float:
+        """E g(xi), to relative accuracy 1e-10 for smooth integrands.
+
+        Raises :class:`DivergentError` when the expectation does not
+        converge or exceeds the overflow guard.
+        """
         raise NotImplementedError
 
-    def _log_expect_exponent(self, t: Callable[[float], float], tol: float,
+    def _log_expect_exponent(self, t: Callable[[float], float],
                              breakpoints: Sequence[float]) -> float:
         """ln E exp(t(xi)), computed entirely at exponent level.
 
@@ -106,18 +110,7 @@ class DistributionModel:
 
     # -- derived operations ----------------------------------------------
 
-    def expect(self, g: Callable[[float], float], tol: float = _DEFAULT_TOL,
-               breakpoints: Sequence[float] = ()) -> float:
-        """E g(xi) to relative accuracy ``tol`` for smooth integrands.
-
-        ``breakpoints`` are abscissae where the integrand has kinks or
-        narrow features; quadrature laws split the integral there.
-        Raises :class:`DivergentError` when the expectation does not
-        converge or exceeds the overflow guard.
-        """
-        return self._expect(g, tol, breakpoints)
-
-    def lp_norm(self, p: float, tol: float = _DEFAULT_TOL) -> float:
+    def lp_norm(self, p: float) -> float:
         """Classical Lp norm (E|xi|^p)^(1/p), p >= 1."""
         if p < 1.0:
             raise ValueError(f"p must be >= 1, got {p}")
@@ -127,10 +120,10 @@ class DistributionModel:
             with np.errstate(divide="ignore"):
                 return p * np.log(np.abs(x))
 
-        log_moment = self._log_expect_exponent(t, tol, (0.0, -scale, scale))
+        log_moment = self._log_expect_exponent(t, (0.0, -scale, scale))
         return math.exp(log_moment / p)
 
-    def log_mgf2(self, l1: float, l2: float, tol: float = _DEFAULT_TOL) -> float:
+    def log_mgf2(self, l1: float, l2: float) -> float:
         """Bivariate log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)).
 
         Returns ``+inf`` when the expectation diverges; always 0 at the
@@ -152,7 +145,7 @@ class DistributionModel:
         else:
             pts = (0.0,)
         try:
-            v = self._log_expect_exponent(t, tol, pts)
+            v = self._log_expect_exponent(t, pts)
         except DivergentError:
             return math.inf
         if math.isnan(v):
@@ -166,8 +159,8 @@ class DistributionModel:
         laws symmetric about 0."""
         if "qm" not in self._moment_cache:
             s2 = self.sigma2
-            w = self._expect(lambda x: (s2 - x * x) ** 2, _DEFAULT_TOL, ())
-            z = self._expect(lambda x: s2 * x - x ** 3, _DEFAULT_TOL, ())
+            w = self.expect(lambda x: (s2 - x * x) ** 2)
+            z = self.expect(lambda x: s2 * x - x ** 3)
             self._moment_cache["qm"] = (s2, max(w, 0.0), z)
         return self._moment_cache["qm"]
 
@@ -177,13 +170,12 @@ class DistributionModel:
         s2, w, z = self.quadratic_moments()
         return n * s2 + 2.0 * B * math.sqrt(n) * z + B * B * w
 
-    def summand_lp_norm(self, n: int, B: float, p: float,
-                        tol: float = _DEFAULT_TOL) -> float:
+    def summand_lp_norm(self, n: int, B: float, p: float) -> float:
         """Lp norm of the linearized summand xi + B*(sigma^2 - xi^2)/sqrt(n)."""
         if p < 1.0:
             raise ValueError(f"p must be >= 1, got {p}")
         if B == 0.0:
-            return self.lp_norm(p, tol)
+            return self.lp_norm(p)
         c = B / math.sqrt(n)
         s2 = self.sigma2
 
@@ -195,8 +187,7 @@ class DistributionModel:
         disc = math.sqrt(1.0 + 4.0 * c * c * s2)
         roots = ((1.0 - disc) / (2.0 * c), (1.0 + disc) / (2.0 * c))
         scale = math.sqrt(max(2.0 * p * s2, s2))
-        log_moment = self._log_expect_exponent(
-            t, tol, (0.0, *roots, -scale, scale))
+        log_moment = self._log_expect_exponent(t, (0.0, *roots, -scale, scale))
         return math.exp(log_moment / p)
 
 
@@ -260,12 +251,12 @@ class DiscreteLaw(DistributionModel):
             vals = np.array([float(g(v)) for v in self._values])
         return vals
 
-    def _expect(self, g, tol, breakpoints):
+    def expect(self, g):
         vals = self._apply(g)
         total = float(np.dot(self._probs, vals))
         return _guard_finite(total, "discrete expectation")
 
-    def _log_expect_exponent(self, t, tol, breakpoints):
+    def _log_expect_exponent(self, t, breakpoints):
         exps = self._apply(t)
         return float(logsumexp(exps, b=self._probs))
 
@@ -315,13 +306,13 @@ class _QuadratureLaw(DistributionModel):
         return [lo, *pts, hi]
 
     @staticmethod
-    def _quad_piece(fn, a, b, tol):
+    def _quad_piece(fn, a, b):
         # imported here: scipy.integrate pulls in scipy.optimize, which
         # laws without a density never need
         from scipy import integrate
 
-        out = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_FLOOR, epsrel=tol,
-                             limit=300, full_output=1)
+        out = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_FLOOR,
+                             epsrel=_DEFAULT_TOL, limit=300, full_output=1)
         val, abserr = out[0], out[1]
         if not math.isfinite(val) or abs(val) > OVERFLOW_LIMIT:
             raise DivergentError("quadrature diverged")
@@ -334,14 +325,8 @@ class _QuadratureLaw(DistributionModel):
                 raise DivergentError(f"quadrature failed to converge: {out[3]}")
         return val
 
-    def _expect(self, g, tol, breakpoints):
-        def integrand(x):
-            return self._density(x) * g(x)
-
-        edges = self._edges(breakpoints)
-        total = 0.0
-        for a, b in zip(edges, edges[1:]):
-            total += self._quad_piece(integrand, a, b, tol)
+    def expect(self, g):
+        total = self._quad_piece(lambda x: self._density(x) * g(x), *self.support)
         return _guard_finite(total, "expectation")
 
     def _probe_points(self, breakpoints):
@@ -352,7 +337,7 @@ class _QuadratureLaw(DistributionModel):
         return np.array(sorted(p for p in pts
                                if math.isfinite(p) and lo <= p <= hi))
 
-    def _log_expect_exponent(self, t, tol, breakpoints):
+    def _log_expect_exponent(self, t, breakpoints):
         def h(x):
             return self._log_density(x) + t(x)
 
@@ -390,7 +375,7 @@ class _QuadratureLaw(DistributionModel):
         edges = self._edges(inner)
         total = 0.0
         for lo_e, hi_e in zip(edges, edges[1:]):
-            total += self._quad_piece(integrand, lo_e, hi_e, tol)
+            total += self._quad_piece(integrand, lo_e, hi_e)
         if total <= 0.0:
             return -math.inf
         return shift + math.log(total)
@@ -400,7 +385,7 @@ class _QuadratureLaw(DistributionModel):
         a, b = max(lo, slo), min(hi, shi)
         if a >= b:
             return 0.0
-        return self._quad_piece(self._density, a, b, _DEFAULT_TOL)
+        return self._quad_piece(self._density, a, b)
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -455,12 +440,11 @@ class DensityLaw(_QuadratureLaw):
                  name: str = "density"):
         self._density_fn = density
         self.support = (float(support[0]), float(support[1]))
-        mass = self._quad_piece(density, *self.support, _DEFAULT_TOL)
+        mass = self._quad_piece(density, *self.support)
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"density integrates to {mass}, not 1")
-        mean = self._quad_piece(lambda x: x * density(x), *self.support, _DEFAULT_TOL)
-        sigma2 = self._quad_piece(lambda x: x * x * density(x), *self.support,
-                                  _DEFAULT_TOL)
+        mean = self._quad_piece(lambda x: x * density(x), *self.support)
+        sigma2 = self._quad_piece(lambda x: x * x * density(x), *self.support)
         if abs(mean) > _MEAN_TOL * math.sqrt(sigma2):
             raise ValueError(f"law is not centered: mean = {mean}")
         super().__init__(sigma2, name)

@@ -7,7 +7,10 @@ Two norms drive the tail machinery:
   optimized-over-p Markov tail bound;
 * the MGF-domination norm: the least ``tau`` with
   ``E exp(lam*zeta) <= exp(phi(lam*tau))``, which turns a convex MGF
-  majorant ``phi`` into a Chernoff tail via the convex conjugate.
+  majorant ``phi`` into a Chernoff tail via the convex conjugate.  A
+  majorant is a plain callable, even, convex and zero at the origin; it
+  returns ``+inf`` outside its domain, and every search treats that as
+  a barrier.
 
 Also provided: the degenerate generator that recovers a plain Lp norm.
 A norm that is infinite, or still growing at the edge of its search
@@ -28,7 +31,6 @@ from .convex import (NotBracketedError, _brent_max, fenchel, invert_monotone,
 from .distributions import DivergentError
 
 __all__ = [
-    "PhiFunction",
     "PsiFunction",
     "bphi_norm",
     "bphi_tail_bound",
@@ -43,39 +45,26 @@ __all__ = [
 
 _P_START = 2.0
 _P_RTOL = 1e-6
+# the moment-growth norm and tail both search p up to this
+_P_CAP = 1000.0
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class PsiFunction:
     """Moment-growth generator p -> psi(p) > 0 on an interval of p.
 
-    ``fn`` must be positive and finite on (p_lo, b); ``lo_open`` marks a
-    generator that blows up at p_lo itself (the Rosenthal transform
-    diverges at p = 1).
+    ``fn`` must be positive and finite on (1, b); ``lo_open`` marks a
+    generator that blows up at p = 1 itself (the Rosenthal transform
+    does).
     """
 
     fn: Callable[[float], float]
-    p_lo: float = 1.0
     b: float = math.inf
     lo_open: bool = False
 
     def __call__(self, p: float) -> float:
         return self.fn(p)
-
-
-@dataclass(frozen=True)
-class PhiFunction:
-    """Even convex MGF majorant lam -> phi(lam), zero at the origin.
-
-    ``lambda0`` is the domain radius; evaluations at |lam| >= lambda0
-    may return ``+inf`` and every search treats that as a barrier.
-    """
-
-    fn: Callable[[float], float]
-    lambda0: float = math.inf
-
-    def __call__(self, lam: float) -> float:
-        return self.fn(lam)
 
 
 # -- generator families ------------------------------------------------------
@@ -85,7 +74,7 @@ def degenerate_psi(r: float) -> PsiFunction:
     """Generator identically 1 on [1, r]: its norm is the plain Lr norm."""
     if r < 1.0:
         raise ValueError(f"degenerate generator needs r >= 1, got {r}")
-    return PsiFunction(lambda p: 1.0, p_lo=1.0, b=r)
+    return PsiFunction(lambda p: 1.0, b=r)
 
 
 def power_psi(m: float) -> PsiFunction:
@@ -95,14 +84,14 @@ def power_psi(m: float) -> PsiFunction:
     return PsiFunction(lambda p: p ** (1.0 / m))
 
 
-def power_phi(m: float) -> PhiFunction:
+def power_phi(m: float) -> Callable[[float], float]:
     """MGF majorant phi(lam) = |lam|^m / m (m = 2 is the subgaussian case)."""
     if m <= 0.0:
         raise ValueError(f"power majorant needs m > 0, got {m}")
-    return PhiFunction(lambda lam: abs(lam) ** m / m)
+    return lambda lam: abs(lam) ** m / m
 
 
-def natural_phi(dist) -> PhiFunction:
+def natural_phi(dist) -> Callable[[float], float]:
     """Symmetrized log-MGF of a law, max over both signs of the argument.
 
     Evaluations are memoized: norm and conjugate searches revisit the
@@ -114,7 +103,7 @@ def natural_phi(dist) -> PhiFunction:
     def fn(lam: float) -> float:
         return max(dist.log_mgf2(lam, 0.0), dist.log_mgf2(-lam, 0.0))
 
-    return PhiFunction(fn)
+    return fn
 
 
 # -- grid helpers ------------------------------------------------------------
@@ -123,7 +112,7 @@ def natural_phi(dist) -> PhiFunction:
 def _try_positive(fn: Callable[[float], float], x: float) -> float | None:
     try:
         v = fn(x)
-    except (DivergentError, NotBracketedError):
+    except (ArithmeticError, NotBracketedError):
         return None
     if not math.isfinite(v) or v <= 0.0:
         return None
@@ -131,9 +120,7 @@ def _try_positive(fn: Callable[[float], float], x: float) -> float | None:
 
 
 def _support(psi: PsiFunction, cap: float) -> tuple[float, float]:
-    lo = psi.p_lo
-    if psi.lo_open:
-        lo = lo * (1.0 + 1e-6) if lo > 0 else 1e-6
+    lo = 1.0 + 1e-6 if psi.lo_open else 1.0
     hi = min(psi.b, cap)
     if hi < lo:
         raise ValueError(f"empty generator support [{lo}, {hi}]")
@@ -155,31 +142,29 @@ def _rising_through_last_decade(grid: np.ndarray, vals: list) -> bool:
     return len(seq) >= 2 and all(a < b for a, b in zip(seq, seq[1:]))
 
 
-def _refine(fn: Callable[[float], float], xs, vals: list, i: int,
-            tol: float) -> float:
+def _refine(fn: Callable[[float], float], xs, vals: list, i: int) -> float:
     """Brent's search for the max of ``fn`` between the neighbours of the
     scanned argmax ``xs[i]``; never below the scanned ``vals[i]``."""
     lo, hi = max(i - 1, 0), min(i + 1, len(xs) - 1)
     return _brent_max(fn, xs[lo], xs[i], xs[hi], vals[lo], vals[i], vals[hi],
-                      tol, 0.0)[1]
+                      _TOL, 0.0)[1]
 
 
 # -- moment-growth norm and tail ---------------------------------------------
 
 
-def gls_norm(moment_curve: Callable[[float], float], psi: PsiFunction,
-             grid_points: int = 128, p_cap: float = 256.0,
-             tol: float = 1e-9) -> float:
+def gls_norm(moment_curve: Callable[[float], float], psi: PsiFunction) -> float:
     """sup over the generator support of moment_curve(p) / psi(p).
 
-    Scans a geometric p-grid (capped at ``p_cap`` when the support is
-    unbounded) and refines by Brent's search around the grid argmax.
+    Scans a 128-point geometric p-grid (capped at p = 1000, the tail
+    search's cap, when the support is longer) and refines by Brent's
+    search around the grid argmax.
     Raises :class:`DivergentError` when the moment diverges on the whole
     support, or when the ratio is still strictly rising through the last
     decade of an unbounded support; p-points where the moment diverges
     are skipped.
     """
-    grid = _support_grid(psi, p_cap, grid_points)
+    grid = _support_grid(psi, _P_CAP, 128)
 
     def ratio(p: float) -> float:
         num = _try_positive(moment_curve, p)
@@ -195,12 +180,11 @@ def gls_norm(moment_curve: Callable[[float], float], psi: PsiFunction,
     if psi.b == math.inf and i_best == len(grid) - 1 \
             and _rising_through_last_decade(grid, vals):
         raise DivergentError("ratio still rising at the top of the p-grid")
-    return _refine(ratio, grid, vals, i_best, tol)
+    return _refine(ratio, grid, vals, i_best)
 
 
 def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
-                  p_cap: float = 1000.0,
-                  tol: float = 1e-9) -> tuple[float, float | None, float]:
+                  p_cap: float = _P_CAP) -> tuple[float, float | None, float]:
     """Optimized Markov bound min_p (psi(p)*norm/y)^p.
 
     Returns (value, attaining p or None, -ln(value)).  Clamps to 1
@@ -211,11 +195,12 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
     (capped at ``p_cap``).  It is for the Rosenthal generator (ln E|X|^p
     is convex by Lyapunov, and so is p*ln(p/ln p)), for p^(1/m) and for
     the degenerate generator, whose exponent is linear.  The search
-    starts at p = 2 and stops on a p bracket of ``tol + 1e-6*p``; a p
-    where psi diverges, and any p above the support, is a ``-inf``
-    barrier.  The top of the support is evaluated exactly as well, since
-    a linear exponent has its minimum there, unless a finite probe above
-    the search's best p already rules it out.
+    starts at p = 2 and stops on a p bracket of ``1e-9 + 1e-6*p``; a p
+    where psi diverges or overflows, and any p above the support, is a
+    ``-inf`` barrier, and a generator finite nowhere gives 1.  The top of
+    the support is evaluated exactly as well, since a linear exponent has
+    its minimum there, unless a finite probe above the search's best p
+    already rules it out.
     """
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
@@ -235,7 +220,7 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
         finite_ps.append(p)
         return -p * (math.log(den) + log_scale)
 
-    p_best, neg = maximize_concave(neg_exponent, lo, tol,
+    p_best, neg = maximize_concave(neg_exponent, lo, _TOL,
                                    x0=min(max(_P_START, lo), hi), rtol=_P_RTOL)
     # every probe's exponent is at least p_best's, so by convexity a finite
     # probe in (p_best, hi] shows that the exponent at hi is no lower
@@ -251,34 +236,27 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
 
 
 def gls_tail_bound(psi: PsiFunction, norm: float, y: float,
-                   p_cap: float = 1000.0, tol: float = 1e-9) -> float:
+                   p_cap: float = _P_CAP) -> float:
     """Tail bound P(|zeta| > y) <= min_p (psi(p)*norm/y)^p, clamped to [0, 1]."""
-    value, _, _ = _gls_tail_opt(psi, norm, y, p_cap, tol)
+    value, _, _ = _gls_tail_opt(psi, norm, y, p_cap)
     return value
 
 
 # -- MGF-domination norm and tail --------------------------------------------
 
 
-def bphi_norm(law_mgf: Callable[[float], float], phi: PhiFunction,
-              points_per_decade: int = 64, decades: int = 6,
-              tol: float = 1e-9) -> float:
-    """Least tau with ln E exp(±lam*zeta) <= phi(lam*tau) on (0, lambda0).
+def bphi_norm(law_mgf: Callable[[float], float], phi: Callable[[float], float],
+              points_per_decade: int = 64, decades: int = 6) -> float:
+    """Least tau with ln E exp(±lam*zeta) <= phi(lam*tau) for lam > 0.
 
     ``law_mgf`` is the log-MGF of the variable.  Scans a geometric
-    lambda grid (6 decades centered on 1 by default, clipped into the
-    majorant's domain) of phi^{-1}(law_mgf(±lam))/lam and refines around
-    the argmax.  Raises :class:`DivergentError` when the MGF escapes the
-    majorant's range or the ratio is still rising at the grid edge of an
-    unbounded domain.
+    lambda grid (6 decades centered on 1 by default) of
+    phi^{-1}(law_mgf(±lam))/lam and refines around the argmax.  Raises
+    :class:`DivergentError` when the MGF escapes the majorant's range or
+    the ratio is still rising at the grid edge.
     """
-    if phi.lambda0 == math.inf:
-        half = 10.0 ** (decades / 2.0)
-        lam_lo, lam_hi = 1.0 / half, half
-    else:
-        lam_hi = phi.lambda0 * (1.0 - 1e-12)
-        lam_lo = lam_hi * 10.0 ** (-decades)
-    grid = np.geomspace(lam_lo, lam_hi, points_per_decade * decades + 1)
+    half = 10.0 ** (decades / 2.0)
+    grid = np.geomspace(1.0 / half, half, points_per_decade * decades + 1)
 
     def ratio(lam: float, sign: float) -> float:
         y = law_mgf(sign * lam)
@@ -286,7 +264,7 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: PhiFunction,
             raise DivergentError(f"log-MGF diverges at lambda = {sign * lam}")
         y = max(y, 0.0)
         try:
-            x = invert_monotone(phi.fn, y, 0.0, lam)
+            x = invert_monotone(phi, y, 0.0, lam)
         except NotBracketedError:
             raise DivergentError(
                 f"majorant range exceeded at lambda = {sign * lam}") from None
@@ -296,18 +274,16 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: PhiFunction,
     for sign in (1.0, -1.0):
         vals = [ratio(lam, sign) for lam in grid]
         i_best = int(np.argmax(vals))
-        if phi.lambda0 == math.inf and i_best == len(grid) - 1 \
-                and _rising_through_last_decade(grid, vals):
+        if i_best == len(grid) - 1 and _rising_through_last_decade(grid, vals):
             raise DivergentError("norm ratio still rising at the lambda-grid edge")
         best = max(best, _refine(lambda t: ratio(math.exp(t), sign),
-                                 np.log(grid), vals, i_best, tol))
+                                 np.log(grid), vals, i_best))
     # grid suprema err low; round up so tails built on this norm stay
     # valid even when the Chernoff exponent is exactly tight
     return best * (1.0 + 1e-9)
 
 
-def bphi_tail_bound(phi: PhiFunction, norm: float, u: float,
-                    tol: float = 1e-9) -> float:
+def bphi_tail_bound(phi: Callable[[float], float], norm: float, u: float) -> float:
     """Chernoff tail max[P(zeta >= u), P(zeta <= -u)] <= exp(-phi*(u/norm))."""
     if u < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {u}")
@@ -315,12 +291,4 @@ def bphi_tail_bound(phi: PhiFunction, norm: float, u: float,
         return 1.0
     if norm == 0.0:
         return 0.0
-    lam0 = phi.lambda0
-
-    def f(x: float) -> float:
-        return phi.fn(x) if x < lam0 else math.inf
-
-    exponent = fenchel(f, u / norm, tol)
-    if exponent == math.inf:
-        return 0.0
-    return min(1.0, math.exp(-exponent))
+    return math.exp(-fenchel(phi, u / norm))

@@ -17,7 +17,7 @@ from selfnorm.bounds import (DEFAULT_B_GRID, exp_curve, lower_q1_curve,
 from selfnorm.cli import RunConfig, run
 from selfnorm.convex import fenchel
 from selfnorm.distributions import Rademacher, StandardGaussian, UniformSymmetric
-from selfnorm.gls import PhiFunction, bphi_tail_bound, degenerate_psi, gls_tail_bound
+from selfnorm.gls import bphi_tail_bound, degenerate_psi, gls_tail_bound
 from selfnorm.mc import MCConfig, empirical_tail
 
 E = math.e
@@ -207,7 +207,7 @@ def test_criterion_08_conjugate_oracles():
             worst = max(worst,
                         abs(fenchel(lambda x: x ** m / m, u) - u ** mp / mp))
     ok_fenchel = worst <= 1e-7
-    phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
+    phi2 = lambda lam: lam * lam / 2.0
     worst_tail = max(abs(bphi_tail_bound(phi2, 1.0, u) - math.exp(-u * u / 2))
                      for u in np.linspace(0.0, 6.0, 25))
     report(8, ok_fenchel and worst_tail <= 1e-9,

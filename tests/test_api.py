@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "BoundCurve", "BoundPoint", "DEFAULT_B_GRID", "DEFAULT_KR", "DensityLaw",
     "DiscreteLaw", "DistributionModel", "DivergentError", "DomainError",
     "EXP_LEVEL", "GridMismatchError", "LOWER_CLT", "LOWER_Q1", "MCConfig",
-    "NotBracketedError", "POWER_LEVEL", "PhiFunction", "PsiFunction",
+    "NotBracketedError", "POWER_LEVEL", "PsiFunction",
     "Rademacher", "StandardGaussian", "UniformSymmetric", "VerificationReport",
     "bphi_norm", "bphi_tail_bound", "clopper_pearson", "degenerate_psi",
     "empirical_tail", "exp_curve", "fenchel", "gls_norm", "gls_tail_bound",
@@ -28,7 +28,7 @@ def test_package_names():
     names = sorted(name for name, value in vars(selfnorm).items()
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert names == sorted(PUBLIC_NAMES)
 
 

@@ -1,0 +1,57 @@
+"""The names bench/tracer.py patches: every one must stay a global that
+the library looks up at call time, or the benchmark's per-layer counts
+silently read 0."""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from selfnorm import cli
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+from tracer import EXP_CELL, POWER_CELL, PRIMITIVES, SUP_CELL, Tracer
+
+ARGVS = [
+    ["bound-exp", "--dist", "gaussian", "--n", "1,4", "--n-sup", "1:8",
+     "--B", "0.5,5"],
+    ["bound-power", "--dist", "uniform:a=1.7320508075688772", "--n", "4",
+     "--B", "1,5"],
+    ["verify", "--dist", "rademacher", "--n", "1,4", "--B", "0.5,3",
+     "--trials", "2000"],
+]
+
+
+def run_all() -> list[tuple[str, int]]:
+    """Stdout and exit status of each command, run through cli.main."""
+    out = []
+    for argv in ARGVS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out.append((buf.getvalue(), exc.value.code))
+    return out
+
+
+def test_tracer_counts_every_layer_and_changes_no_output():
+    plain = run_all()
+    tracer = Tracer()
+    tracer.install()
+    patches = list(tracer._patches)
+    try:
+        traced = run_all()
+    finally:
+        tracer.uninstall()
+
+    assert traced == plain
+    assert [code for _, code in plain] == [0, 0, 0]
+    for owner, attr, original in patches:
+        assert getattr(owner, attr) is original, (owner, attr)
+    for kind in (EXP_CELL, POWER_CELL, SUP_CELL):
+        assert len(tracer.cells[kind]) > 0, kind
+    for name in (*PRIMITIVES, "convex.maximize_concave", "gls.tail_opt",
+                 "mc.empirical_tail", "mc.verify_bounds", "cli.main"):
+        assert tracer.calls[name] > 0, name

@@ -271,10 +271,14 @@ class TestExpTailSupport:
         assert _exp_tail_point(law, n, B).value == 0.0
 
     def test_cap_reason_without_support_argument(self):
+        # T(1) = 1/xi is -1 or 1/2 here, so T(1) > 1 is impossible but no
+        # support argument sees it: the objective still grows at the cap,
+        # and the bound read there underflows to 0
         law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
         pt = _exp_tail_point(law, 1, 1.0)
         assert pt.value == 0.0
-        assert pt.optimizer["reason"] == "cap"
+        assert pt.optimizer["theta_star"] == 1e-8 * 2.0 ** 63
+        assert "reason" not in pt.optimizer
 
     def test_density_laws_never_settled_by_support(self, gauss):
         assert gauss.min_abs_atom == 0.0
@@ -461,9 +465,9 @@ class TestPowerTailOptimizer:
     @pytest.mark.parametrize("name", ["rad", "gauss"])
     def test_no_repeated_or_ruled_out_moment_calls(self, name, request,
                                                    monkeypatch):
-        # the p = 2 probe of rosenthal_psi serves the search's start, and
-        # the top of the support (p_cap = 1000) is ruled out by a finite
-        # probe above p* (p* is far below it on this cell)
+        # the search starts at p = 2, and the top of the support
+        # (p_cap = 1000) is ruled out by a finite probe above p* (p* is
+        # far below it on this cell)
         law = request.getfixturevalue(name)
         ps = []
         lp_norm = law.summand_lp_norm
@@ -486,6 +490,33 @@ class TestPowerTailOptimizer:
         reference = 0.27429682231511837
         assert reference * (1.0 - 1e-9) <= pt.value <= reference * (1.0 + 1e-6)
         assert 1.0 < pt.optimizer["p_star"] < 2.5
+
+
+class TestUpperAboveExactQ1:
+    """At n = 1 both upper bounds must dominate the exact tail LowerQ1, at
+    every scale of the law: a tiny scale must not read as an impossible
+    event."""
+
+    SCALES = (1e-30, 1e-20, 1e-16, 1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+    B_GRID = (0.25, 0.5, 1.0, E, 5.0, 50.0)
+    LAWS = {
+        "uniform": UniformSymmetric,
+        "skewed": lambda a: DiscreteLaw([(-a, 2.0 / 3.0), (2.0 * a, 1.0 / 3.0)]),
+        "zero-atom": lambda a: DiscreteLaw([(-a, 0.25), (0.0, 0.5), (a, 0.25)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_scales(self, name):
+        violations = []
+        for a in self.SCALES:
+            law = self.LAWS[name](a)
+            exact = {pt.B: pt.value for pt in lower_q1_curve(law, self.B_GRID).points}
+            for curve in (exp_curve(law, 1, self.B_GRID),
+                          power_curve(law, 1, self.B_GRID)):
+                violations += [(a, curve.family, pt.B, pt.value, exact[pt.B])
+                               for pt in curve.points
+                               if pt.value < exact[pt.B] * (1.0 - 1e-9)]
+        assert violations == []
 
 
 class TestLowerBounds:

@@ -337,6 +337,40 @@ class TestMain:
         (line,) = captured.err.splitlines()
         assert line.startswith("selfnorm: configuration error: B:")
 
+    @pytest.mark.parametrize("argv", [
+        ["bound-power", "--dist", "gaussian", "--n", "4", "--B", "1e300"],
+        ["gls", "--dist", "gaussian", "--family", "psi:power:m=1e-300",
+         "--B", "5"],
+    ])
+    def test_divergent_moments_give_a_table(self, argv, capsys):
+        # every summand moment (or generator value) past p = 1 overflows:
+        # each such p is a barrier of the tail search, not an error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(0.0 <= float(r["value"]) <= 1.0 for r in rows
+                            if r["family"] in ("PowerLevel", "GlsTail"))
+
+    def test_unwritable_output_rejected_before_any_work(self, tmp_path,
+                                                        capsys, monkeypatch):
+        import selfnorm.bounds as bdmod
+        import selfnorm.mc as mcmod
+
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(mcmod, "empirical_tail", no_work)
+        monkeypatch.setattr(bdmod, "_exp_tail_point", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--dist", "rademacher", "--n", "4", "--B", "1",
+                  "--output", str(tmp_path / "missing" / "x.csv")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("selfnorm: configuration error: output:")
+
     def test_sweep_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dist", "rademacher"])

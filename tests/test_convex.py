@@ -20,6 +20,10 @@ def lncosh_conjugate(s):
     return (1 + s) / 2 * math.log(1 + s) + (1 - s) / 2 * math.log(1 - s)
 
 
+# the doubling search's last point: 1e-8 doubled 63 times
+CAP = 1e-8 * 2.0 ** 63
+
+
 class TestMaximizeConcave:
     def test_parabola(self):
         x, v = maximize_concave(lambda x: -((x - 1.0) ** 2), 0.0, 1e-9)
@@ -31,8 +35,8 @@ class TestMaximizeConcave:
         assert v == pytest.approx(0.13081203594113697, abs=1e-9)
 
     def test_unbounded_linear(self):
-        x, v = maximize_concave(lambda x: x, 0.0, 1e-9)
-        assert v == math.inf
+        # still rising at the cap: the cap is the best point evaluated
+        assert maximize_concave(lambda x: x, 0.0, 1e-9) == (CAP, CAP)
 
     def test_barrier_inside_ray(self):
         # domain ends at x = 1; maximum of x*3 - x^2/(1-x) sits inside
@@ -114,9 +118,9 @@ class TestMaximizeConcaveStart:
 
     def test_linear_objective_from_start_is_unbounded(self):
         assert maximize_concave(lambda x: 0.5 * x, 0.0, 1e-9, x0=3.0) == (
-            math.inf, math.inf)
+            CAP, 0.5 * CAP)
         assert maximize_concave(lambda x: 0.5 * x, 0.0, 1e-9, x0=1e300) == (
-            math.inf, math.inf)
+            CAP, 0.5 * CAP)
 
     def test_relative_tolerance(self):
         # stops on a bracket of relative width rtol, long before tol = 0

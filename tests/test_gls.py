@@ -8,7 +8,7 @@ from scipy.stats import norm as scipy_norm
 
 from selfnorm.distributions import (DivergentError, Rademacher, StandardGaussian,
                                     UniformSymmetric)
-from selfnorm.gls import (PhiFunction, PsiFunction, _gls_tail_opt, bphi_norm,
+from selfnorm.gls import (PsiFunction, _gls_tail_opt, bphi_norm,
                           bphi_tail_bound, degenerate_psi, gls_norm,
                           gls_tail_bound, natural_phi, power_phi, power_psi)
 
@@ -109,6 +109,19 @@ class TestGlsNorm:
         assert got == pytest.approx(oracle, rel=1e-6)
         assert got == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-6)
 
+    @pytest.mark.parametrize("r", [300.0, 1000.0])
+    def test_degenerate_norm_past_256(self, r):
+        # the norm scans p as far as the tail searches it
+        law = StandardGaussian()
+        got = gls_norm(law.lp_norm, degenerate_psi(r))
+        assert got == pytest.approx(law.lp_norm(r), rel=1e-9)
+
+    def test_degenerate_tail_above_true_tail(self):
+        law = StandardGaussian()
+        psi = degenerate_psi(1000.0)
+        tail = gls_tail_bound(psi, gls_norm(law.lp_norm, psi), 27.0)
+        assert tail >= 2.0 * scipy_norm.sf(27.0)
+
     def test_unbounded_detection(self):
         with pytest.raises(DivergentError):
             gls_norm(lambda p: p, power_psi(2.0))
@@ -119,29 +132,29 @@ class TestGlsNorm:
 
 class TestBphiNorm:
     def test_gaussian_self_norm(self):
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
+        phi2 = lambda lam: lam * lam / 2.0
         assert bphi_norm(lambda lam: lam * lam / 2.0, phi2) == pytest.approx(
             1.0, abs=1e-6)
 
     def test_rademacher_against_subgaussian(self):
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
+        phi2 = lambda lam: lam * lam / 2.0
         got = bphi_norm(lncosh, phi2)
         assert got == pytest.approx(1.0, abs=1e-4)
         assert got <= 1.0 + 1e-12
 
     def test_zero_variable(self):
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
+        phi2 = lambda lam: lam * lam / 2.0
         assert bphi_norm(lambda lam: 0.0, phi2) == 0.0
 
     def test_unbounded_when_majorant_too_weak(self):
         # gaussian MGF grows like lam^2 but the majorant only linearly
         with pytest.raises(DivergentError):
-            bphi_norm(lambda lam: lam * lam / 2.0, PhiFunction(lncosh))
+            bphi_norm(lambda lam: lam * lam / 2.0, lncosh)
 
     def test_builtin_laws_dominated_tails(self):
         # norm then tail must dominate the true two-sided tail max; a
         # coarse lambda grid suffices (domination, not precision)
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
+        phi2 = lambda lam: lam * lam / 2.0
         cases = []
         rad = Rademacher()
         cases.append((rad, lambda u: 0.5 if u <= 1.0 else 0.0))
@@ -161,7 +174,7 @@ class TestBphiNorm:
 
 class TestBphiTailBound:
     def test_subgaussian_exact(self):
-        phi2 = PhiFunction(lambda lam: lam * lam / 2.0)
+        phi2 = lambda lam: lam * lam / 2.0
         for u in (0.5, 1.0, 2.0, 5.0):
             assert bphi_tail_bound(phi2, 1.0, u) == pytest.approx(
                 math.exp(-u * u / 2.0), rel=1e-9)
@@ -185,8 +198,8 @@ class TestBphiTailBound:
 
     def test_domain_limited_majorant(self):
         # phi finite only on [0, 1): conjugate exists, tail still in [0,1]
-        phi = PhiFunction(lambda lam: lam * lam / (1.0 - lam * lam)
-                          if abs(lam) < 1.0 else math.inf, lambda0=1.0)
+        phi = (lambda lam: lam * lam / (1.0 - lam * lam)
+               if abs(lam) < 1.0 else math.inf)
         v = bphi_tail_bound(phi, 1.0, 4.0)
         assert 0.0 < v < 1.0
 
