@@ -35,7 +35,6 @@ __all__ = [
     "LOWER_Q1",
     "POWER_LEVEL",
     "exp_curve",
-    "integer_scan",
     "lower_clt_curve",
     "lower_q1_curve",
     "power_curve",
@@ -53,6 +52,9 @@ DEFAULT_B_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, math.e, 3.0, 5.0, 10.0, 20.0, 50.0)
 
 _THETA_RTOL = 1e-6
 _THETA_TOL = 1e-9
+# cells a sup over n evaluates before it settles for its tail certificate;
+# a power of two, so that the last checkpoint falls right after them
+_SUP_CELLS = 64
 
 
 class DomainError(ValueError):
@@ -75,20 +77,6 @@ class BoundCurve:
     family: str
     n: int | tuple[int, int]
     points: tuple[BoundPoint, ...]
-
-
-def integer_scan(n_lo: int, n_hi: int) -> list[int]:
-    """Integers n_lo..n_hi: every one up to 64, then a geometric ladder
-    of ratio 1.25 (rounded, deduplicated) always including n_hi."""
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"bad range [{n_lo}, {n_hi}]")
-    out = set(range(n_lo, min(64, n_hi) + 1))
-    v = max(64, n_lo)
-    out.add(min(v, n_hi))
-    while v < n_hi:
-        v = max(v + 1, round(v * 1.25))
-        out.add(min(v, n_hi))
-    return sorted(out)
 
 
 # -- exponential level -------------------------------------------------------
@@ -150,19 +138,84 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
                       {"theta_star": theta_star, "objective": exponent})
 
 
-def _sup_scan(point_fn: Callable[[int], BoundPoint], B: float, n_lo: int,
-              n_hi: int) -> BoundPoint:
-    """Max of point_fn over the scanned n range (a truncation of the all-n
-    supremum; widen n_hi to see whether the sup is interior)."""
-    best: BoundPoint | None = None
-    best_n = n_lo
-    for n in integer_scan(n_lo, n_hi):
+def _sup_scan(dist: DistributionModel, point_fn: Callable[[int], BoundPoint],
+              B: float, n_lo: int, n_hi: int) -> BoundPoint:
+    """A bound on the sup of Q_n(B) over n_lo <= n <= n_hi from the
+    cells point_fn(n), each a bound on one Q_n(B).
+
+    Cells are evaluated from n_lo upward.  After 1, 2, 4, ..., 64 cells,
+    at n = N, the tail certificate bounds Q_n(B) for every n >= N.  The
+    walk stops on the first of:
+
+    * the certificate is at most the best cell: that cell, with its n as
+      ``optimizer["n_star"]``, bounds the sup over all n >= n_lo;
+    * n passes n_hi: every cell of the range was evaluated, and the max
+      is exact, with ``n_star`` as above;
+    * the 64 cells are spent: the certificate itself, which exceeds
+      every cell, is reported, with no ``n_star``.
+    """
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError(f"bad range [{n_lo}, {n_hi}]")
+    best, best_n = None, n_lo
+    n, check = n_lo, n_lo + 1
+    while n <= n_hi:
+        if n == check:
+            tail = _tail_certificate(dist, n, B, best.value)
+            if tail <= best.value:
+                break
+            if n - n_lo == _SUP_CELLS:
+                # abs: a certificate of 1 has exponent 0, not -0
+                return BoundPoint(B, tail, {"objective": abs(math.log(tail))})
+            check = 2 * check - n_lo
         pt = point_fn(n)
         if best is None or pt.value > best.value:
             best, best_n = pt, n
+        n += 1
     opt = dict(best.optimizer)
     opt["n_star"] = float(best_n)
     return BoundPoint(B, best.value, opt)
+
+
+def _tail_certificate(dist: DistributionModel, N: int, B: float,
+                      enough: float = 0.0) -> float:
+    """An upper bound on Q_n(B) that holds for every n >= N.
+
+    The smallest of the certificates that apply, tried cheapest first;
+    the search stops early at one that is at most ``enough``.
+
+    * Efron (1969; de la Pena, Lai and Shao, Self-Normalized Processes,
+      2009, ch. 2), for symmetric laws: given the |xi_i|, the signs are
+      fair coins, so Hoeffding's inequality gives
+      ``Q_n(B) <= (E exp(-u*xi^2))^n = exp(c*g(u)/u)`` with c = B^2/2,
+      u = c/n and g(u) = log_mgf2(0, u) - u*sigma^2.  As g is convex
+      with g(0) = 0, g(u)/u grows with u, so the bound is non-increasing
+      in n; it tends to exp(-B^2*sigma^2/2).
+    * Minkowski and Rosenthal, for B >= e: for n >= N the summand's Lp
+      norm is at most ``|xi|_p + (B/sqrt(N))*|sigma^2 - xi^2|_p``, so one
+      moment-level search on that norm dominates every PowerLevel cell
+      past N at the constant DEFAULT_KR.
+    * Otherwise 1.
+    """
+    bound = 1.0
+    if dist.symmetric:
+        c = 0.5 * B * B
+        u = c / N
+        g = dist.log_mgf2(0.0, u) - u * dist.sigma2
+        # in this form the sign law gets exactly exp(-c): g(u)/u is -1
+        bound = min(bound, math.exp(c * g / u))
+        if bound <= enough:
+            return bound
+    if B >= math.e:
+        shift = B / math.sqrt(N)
+
+        def fn(p: float) -> float:
+            norm = dist.lp_norm(p) + shift * dist._square_dev_lp_norm(p)
+            return DEFAULT_KR * (p / math.log(p)) * norm
+
+        value, _, _ = _gls_tail_opt(PsiFunction(fn, lo_open=True), 1.0,
+                                    B * dist.sigma2)
+        bound = min(bound, value)
+    return bound
 
 
 # -- power level --------------------------------------------------------------
@@ -207,11 +260,12 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
 # -- curves --------------------------------------------------------------------
 
 
-def _curve(family: str, n: int | tuple[int, int], B_grid: Sequence[float],
+def _curve(family: str, dist: DistributionModel, n: int | tuple[int, int],
+           B_grid: Sequence[float],
            point_fn: Callable[[int, float], BoundPoint]) -> BoundCurve:
     if isinstance(n, tuple):
         n_lo, n_hi = n
-        pts = tuple(_sup_scan(lambda m, B=B: point_fn(m, B), B, n_lo, n_hi)
+        pts = tuple(_sup_scan(dist, lambda m, B=B: point_fn(m, B), B, n_lo, n_hi)
                     for B in B_grid)
     else:
         pts = tuple(point_fn(n, B) for B in B_grid)
@@ -222,11 +276,14 @@ def exp_curve(dist: DistributionModel, n: int | tuple[int, int],
               B_grid: Sequence[float]) -> BoundCurve:
     """ExpLevel bound at every B of the grid, sorted.
 
-    ``n`` is a sample size or an ``(lo, hi)`` range; a range gives, for
-    each B, the max over the scanned n in it, with the attaining n as
-    ``optimizer["n_star"]``.
+    ``n`` is a sample size or an ``(lo, hi)`` range.  A range gives, for
+    each B, a bound on the sup of Q_n(B) over it: the max of the cells
+    from lo up, with the attaining n as ``optimizer["n_star"]``, once a
+    tail certificate rules out every later n or the range ends; or,
+    after 64 cells, the certificate itself, with no ``n_star``.  A value
+    certified by the tail covers every n >= lo, past hi too.
     """
-    return _curve(EXP_LEVEL, n, sorted(B_grid),
+    return _curve(EXP_LEVEL, dist, n, sorted(B_grid),
                   lambda m, B: _exp_tail_point(dist, m, B))
 
 
@@ -234,7 +291,7 @@ def power_curve(dist: DistributionModel, n: int | tuple[int, int],
                 B_grid: Sequence[float], kr: float = DEFAULT_KR) -> BoundCurve:
     """PowerLevel bound at every B >= e of the grid, sorted; ``n`` as in
     :func:`exp_curve`."""
-    return _curve(POWER_LEVEL, n, [B for B in sorted(B_grid) if B >= math.e],
+    return _curve(POWER_LEVEL, dist, n, [B for B in sorted(B_grid) if B >= math.e],
                   lambda m, B: _power_tail_point(dist, m, B, kr))
 
 

@@ -21,7 +21,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .convex import _brent_max
 
@@ -62,6 +61,9 @@ class DistributionModel:
     name: str
     # a lower bound on |xi| over xi != 0; positive only for atomic laws
     min_abs_atom: float = 0.0
+    # xi and -xi have the same law; the sup-over-n tail certificate of
+    # the bounds module needs it
+    symmetric: bool = False
 
     def __init__(self, sigma2: float, name: str):
         if not (sigma2 > 0.0 and math.isfinite(sigma2)):
@@ -190,6 +192,20 @@ class DistributionModel:
         log_moment = self._log_expect_exponent(t, (0.0, *roots, -scale, scale))
         return math.exp(log_moment / p)
 
+    def _square_dev_lp_norm(self, p: float) -> float:
+        """Lp norm of sigma^2 - xi^2, the B-part of the summand."""
+        s2 = self.sigma2
+
+        def t(x):
+            with np.errstate(divide="ignore"):
+                return p * np.log(np.abs(s2 - x * x))
+
+        sigma = math.sqrt(s2)
+        scale = math.sqrt(max(2.0 * p * s2, s2))
+        log_moment = self._log_expect_exponent(t, (0.0, -sigma, sigma,
+                                                   -scale, scale))
+        return math.exp(log_moment / p)
+
 
 # -- discrete laws ---------------------------------------------------------
 
@@ -220,6 +236,9 @@ class DiscreteLaw(DistributionModel):
         super().__init__(sigma2, name)
         self.min_abs_atom = float(np.abs(
             self._values[(self._values != 0.0) & (self._probs > 0.0)]).min())
+        # sorted by value, so mirrored atoms read the same backwards
+        self.symmetric = bool(np.array_equal(self._values, -self._values[::-1])
+                              and np.array_equal(self._probs, self._probs[::-1]))
 
     @classmethod
     def from_sample(cls, samples: Iterable[float],
@@ -257,8 +276,23 @@ class DiscreteLaw(DistributionModel):
         return _guard_finite(total, "discrete expectation")
 
     def _log_expect_exponent(self, t, breakpoints):
+        # the algorithm of scipy.special.logsumexp (SciPy 1.17), bit for bit,
+        # without the cost of importing scipy.special: the largest terms are
+        # summed apart, as m, and the rest enter through log1p(s/m)
         exps = self._apply(t)
-        return float(logsumexp(exps, b=self._probs))
+        b = self._probs
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = np.where(b == 0.0, -math.inf, exps)
+            a_max = a.max()
+            top = a == a_max
+            m = np.sum(b * top.astype(float))
+            s = np.sum(b * np.exp(np.where(top, -math.inf, a) - a_max))
+            if s != 0.0:
+                s = s / m
+            out = np.log1p(s) + np.log(m) + a_max
+            if not np.isfinite(out):
+                out = np.log(np.sum(b * np.exp(exps)))
+        return float(out)
 
     def sample(self, rng, size):
         return rng.choice(self._values, size=size, p=self._probs)
@@ -395,6 +429,7 @@ class StandardGaussian(_QuadratureLaw):
     """Standard normal law, sigma^2 = 1."""
 
     support = (-math.inf, math.inf)
+    symmetric = True
 
     def __init__(self):
         super().__init__(1.0, "gaussian")
@@ -408,6 +443,8 @@ class StandardGaussian(_QuadratureLaw):
 
 class UniformSymmetric(_QuadratureLaw):
     """Uniform law on [-a, a]; sigma^2 = a^2/3."""
+
+    symmetric = True
 
     def __init__(self, half_width: float):
         if not (half_width > 0.0 and math.isfinite(half_width)):

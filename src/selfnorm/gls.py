@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -127,16 +127,19 @@ def _support(psi: PsiFunction, cap: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _support_grid(psi: PsiFunction, cap: float, points: int) -> np.ndarray:
+def _support_grid(psi: PsiFunction, cap: float, points: int) -> list[float]:
+    """Geometric grid over the support, as Python floats: a generator that
+    overflows there raises OverflowError, a barrier, where a NumPy scalar
+    would print a warning and return inf."""
     lo, hi = _support(psi, cap)
     if hi == lo:
-        return np.array([lo])
+        return [lo]
     grid = np.geomspace(lo, hi, points)
     grid[0], grid[-1] = lo, hi
-    return grid
+    return grid.tolist()
 
 
-def _rising_through_last_decade(grid: np.ndarray, vals: list) -> bool:
+def _rising_through_last_decade(grid: Sequence[float], vals: list) -> bool:
     hi = grid[-1]
     seq = [v for p, v in zip(grid, vals) if v > -math.inf and p >= hi / 10.0]
     return len(seq) >= 2 and all(a < b for a, b in zip(seq, seq[1:]))

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bounds import BoundCurve, BoundPoint, EXP_LEVEL, LOWER_CLT, LOWER_Q1, POWER_LEVEL
 from .distributions import DistributionModel
@@ -98,6 +97,10 @@ def _stat_from_sums(root_n: float, num, den) -> np.ndarray:
 
 def clopper_pearson(hits: int, trials: int, confidence: float) -> tuple[float, float]:
     """Exact binomial interval from the Beta-quantile characterization."""
+    # imported here: scipy.special costs more start-up time than the whole
+    # rest of the package, and only simulations need it
+    from scipy.special import betaincinv
+
     alpha = 1.0 - confidence
     lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2.0))
     hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits,

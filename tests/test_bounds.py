@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import gammaln
 from scipy.stats import norm as scipy_norm
 
 from selfnorm.bounds import (DEFAULT_B_GRID, DomainError, exp_curve,
-                             integer_scan, lower_clt_curve, lower_q1_curve,
-                             power_curve, rosenthal_psi, sum_cgf)
-from selfnorm.bounds import _exp_tail_point, _power_tail_point
+                             lower_clt_curve, lower_q1_curve, power_curve,
+                             rosenthal_psi, sum_cgf)
+from selfnorm.bounds import _exp_tail_point, _power_tail_point, _tail_certificate
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
                                     StandardGaussian, UniformSymmetric)
 
@@ -34,6 +35,40 @@ def rademacher_exact_tail(n, B):
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     t = math.sqrt(n) * signs.sum(axis=1) / (signs ** 2).sum(axis=1)
     return float((t > B).mean())
+
+
+def integer_scan(n_lo, n_hi):
+    """The n values a sup over n_lo..n_hi once sampled: every one up to 64,
+    then a geometric ladder of ratio 1.25 (rounded, deduplicated) always
+    including n_hi.  Kept as the oracle the certified sup must dominate."""
+    out = set(range(n_lo, min(64, n_hi) + 1))
+    v = max(64, n_lo)
+    out.add(min(v, n_hi))
+    while v < n_hi:
+        v = max(v + 1, round(v * 1.25))
+        out.add(min(v, n_hi))
+    return sorted(out)
+
+
+def rademacher_max_log_tail(Bs, n_max):
+    """max over n <= n_max of ln P(T(n) > B) for signs, for each B.
+
+    T(n) = (2k - n)/sqrt(n) for k plus signs, so each tail is a binomial
+    upper sum, accumulated in log space.  The threshold is lowered by
+    1e-12 relative, so that ties count as exceedances and the oracle errs
+    high.
+    """
+    worst = dict.fromkeys(Bs, -math.inf)
+    for n in range(1, n_max + 1):
+        k = np.arange(n + 1)
+        log_pmf = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                   - n * math.log(2.0))
+        log_upper = np.logaddexp.accumulate(log_pmf[::-1])[::-1]
+        for B in Bs:
+            hit = 2 * k - n > B * math.sqrt(n) * (1.0 - 1e-12)
+            if hit.any():
+                worst[B] = max(worst[B], float(log_upper[np.argmax(hit)]))
+    return worst
 
 
 def sup_point(curve_fn, law, B, n_lo, n_hi):
@@ -292,13 +327,13 @@ class TestExpTailBoundSup:
         assert v == _exp_tail_point(gauss, 16, 5.0).value
 
     def test_rademacher_khinchine_scaling(self, rad):
-        # n*conj(B/sqrt(n)) decreases toward B^2/2, so the scan tops out
-        # at n_hi and the exponent ratio sits just above 1
+        # n*conj(B/sqrt(n)) decreases toward B^2/2, so the cells rise
+        # towards exp(-B^2/2) and never reach it: after 64 cells the sup
+        # is the tail certificate, exactly that limit, at no attaining n
         for B in (0.5, 1.0, 1.5):
-            v, n_star = sup_point(exp_curve, rad, B, 1, 10 ** 4)
-            assert n_star == 10 ** 4
-            ratio = -math.log(v) * 2.0 / (B * B)
-            assert 1.0 <= ratio <= 1.1
+            (pt,) = exp_curve(rad, (1, 10 ** 4), [B]).points
+            assert pt.value == math.exp(-B * B / 2.0)
+            assert "n_star" not in pt.optimizer
 
     def test_gaussian_large_B_single_term(self, gauss):
         # at large B the n = 1 term dominates and B*value -> e^0.5/2
@@ -319,6 +354,77 @@ class TestExpTailBoundSup:
                      for n in integer_scan(1, 32)}
             assert pt.value == max(table.values())
             assert table[int(pt.optimizer["n_star"])] == pt.value
+
+
+class TestCertifiedSup:
+    """The sup over a range against the cells it stands for."""
+
+    def test_signs_dominate_exact_tail_at_every_n(self, rad):
+        Bs = (0.5, 1.0, 2.0, 5.0)
+        worst = rademacher_max_log_tail(Bs, 4096)
+        for pt in exp_curve(rad, (1, 4096), Bs).points:
+            assert math.log(pt.value) >= worst[pt.B], pt.B
+
+    @pytest.mark.parametrize("name", ["rad", "gauss", "uni"])
+    def test_dominates_old_ladder_and_limit(self, name, request):
+        law = request.getfixturevalue(name)
+        curve = exp_curve(law, (1, 4096), DEFAULT_B_GRID)
+        for pt in curve.points:
+            ladder = max(_exp_tail_point(law, n, pt.B).value
+                         for n in integer_scan(1, 4096))
+            assert pt.value >= ladder, pt.B
+            limit = math.exp(-pt.B ** 2 * law.sigma2 / 2.0)
+            assert pt.value >= limit * (1.0 - 1e-12), pt.B
+
+    @pytest.mark.parametrize("name", ["rad", "gauss", "uni"])
+    def test_short_range_is_exact_max(self, name, request):
+        law = request.getfixturevalue(name)
+        for pt in exp_curve(law, (1, 64), [0.5, 2.0, 5.0]).points:
+            cells = [_exp_tail_point(law, n, pt.B).value for n in range(1, 65)]
+            assert pt.value == max(cells)
+            assert cells[int(pt.optimizer["n_star"]) - 1] == pt.value
+
+    @pytest.mark.parametrize("law", [
+        Rademacher(), StandardGaussian(), UniformSymmetric(SQRT3),
+        DiscreteLaw([(-2.0, 0.25), (0.0, 0.5), (2.0, 0.25)])])
+    def test_efron_non_increasing_in_N(self, law):
+        # below B = e the certificate is the Efron bound alone
+        assert law.symmetric
+        for B in (0.5, 1.0, 2.5):
+            tails = [_tail_certificate(law, N, B)
+                     for N in (1, 2, 3, 5, 16, 100, 1000, 10 ** 5)]
+            assert all(b <= a for a, b in zip(tails, tails[1:])), B
+            assert tails[-1] >= math.exp(-B * B * law.sigma2 / 2.0) * (1 - 1e-12)
+
+    def test_efron_gaussian_closed_form(self, gauss):
+        # E exp(-u*xi^2) = (1 + 2u)^(-1/2), so the bound is (1 + B^2/N)^(-N/2)
+        for B, N in ((0.5, 1), (1.0, 7), (2.5, 64), (2.5, 4096)):
+            assert _tail_certificate(gauss, N, B) == pytest.approx(
+                (1.0 + B * B / N) ** (-N / 2.0), rel=1e-9)
+
+    def test_symmetry_flag(self):
+        assert not DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)]).symmetric
+        assert not DensityLaw(lambda x: 0.5 * np.exp(-np.abs(x))).symmetric
+
+    @pytest.mark.parametrize("law, B, N", [
+        (DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)]), 5.0, 4),
+        (DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)]), 20.0, 16),
+        (DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)]), 50.0, 64),
+        (DensityLaw(lambda x: np.exp(-np.maximum(x, -1.0) - 1.0) * (x > -1.0),
+                    support=(-1.0, math.inf), name="exponential-1"), 50.0, 64)])
+    def test_minkowski_dominates_power_cells(self, law, B, N):
+        # asymmetric laws: the certificate is the Minkowski-Rosenthal tail
+        assert not law.symmetric
+        tail = _tail_certificate(law, N, B)
+        assert tail < 1.0
+        for n in (N, 2 * N, 8 * N):
+            assert tail >= _power_tail_point(law, n, B).value, n
+
+    def test_asymmetric_small_B_without_certificate(self):
+        law = DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)])
+        assert _tail_certificate(law, 64, 2.0) == 1.0
+        (pt,) = exp_curve(law, (1, 4096), [2.0]).points
+        assert pt.value == 1.0 and "n_star" not in pt.optimizer
 
 
 class TestRosenthalPsi:

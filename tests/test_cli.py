@@ -322,6 +322,32 @@ class TestMain:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
+    def test_builtin_laws_leave_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
+        code = ("import sys, selfnorm.cli\n"
+                "from selfnorm.distributions import parse_distribution\n"
+                "for spec in ('rademacher', 'gaussian', 'uniform:a=2'):\n"
+                "    parse_distribution(spec)\n"
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
+    def test_generator_overflow_is_silent(self):
+        # psi(p) = p^(1e300) overflows at every p > 1: a barrier of the
+        # search, with no warning on stderr
+        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "selfnorm.cli", "gls", "--dist", "gaussian",
+             "--family", "psi:power:m=1e-300", "--B", "5"],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert out.stderr == ""
+        assert out.stdout.splitlines()[1:] == [
+            "gaussian,,,GlsNorm,0.797884560802866,,,,,,,",
+            "gaussian,,5,GlsTail,0.159576912160573,,,,,,,"]
+
     @pytest.mark.parametrize("argv", [
         ["bound-exp", "--dist", "rademacher", "--B", "-1"],
         ["bound-lower", "--dist", "gaussian", "--B", "0"],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DistributionModel,
                                     DivergentError, Rademacher,
@@ -210,6 +211,31 @@ class TestSummandMoments:
         expected = s2 + 2 * B * zp / math.sqrt(n) + B * B * w / n
         assert law.summand_lp_norm(n, B, 2.0) ** 2 == pytest.approx(
             expected, rel=1e-9)
+
+
+class TestDiscreteLogSumExp:
+    def test_bit_identical_to_scipy(self):
+        # the port must reproduce scipy.special.logsumexp bit for bit: a
+        # plain max-shifted sum differs from it in the last digits
+        rng = np.random.default_rng(7)
+        specials = (math.inf, -math.inf, math.nan)
+        for _ in range(3000):
+            k = int(rng.integers(2, 9))
+            probs = rng.random(k) * (rng.random(k) > 0.15)
+            probs[:2] += 0.1
+            probs /= probs.sum()
+            values = rng.normal(size=k)
+            values -= np.dot(probs, values)
+            law = DiscreteLaw(np.column_stack((values, probs)))
+            exps = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), k)
+            if rng.random() < 0.3:
+                exps[rng.integers(k)] = exps.max()
+            if rng.random() < 0.1:
+                exps[rng.integers(k)] = specials[rng.integers(3)]
+            got = law._log_expect_exponent(lambda x: exps, ())
+            want = float(logsumexp(exps, b=law._probs))
+            assert got == want or (math.isnan(got) and math.isnan(want)), \
+                (exps, law._probs)
 
 
 class TestConstruction:
