@@ -1,10 +1,12 @@
-"""End-to-end verification: bounds vs simulation, with a negative control.
+"""End-to-end verification: bounds vs the referee, with a negative control.
 
-The verification gate simulates T(n) with deterministic chunked
-substreams, wraps exact binomial intervals around the hit counts, and
-demands that every upper bound clear the lower confidence limit (and
-the n = 1 lower bound stay under the upper limit).  A deliberately
-corrupted bound demonstrates that the gate actually bites.
+The simulation draws T(n) from deterministic chunked substreams and
+wraps exact binomial intervals around the hit counts.  The verification
+gate referees the sign law exactly instead: its tail at each n is a
+finite sum over the counts of +1 draws, bracketed at ties T = B.  Every
+upper bound must clear the lower end of the referee's interval (and the
+n = 1 lower bound stay under the upper end).  A deliberately corrupted
+bound demonstrates that the gate actually bites.
 """
 
 import math
@@ -34,7 +36,7 @@ curves.append(lower_clt_curve(law, B_grid))
 print("\n=== full verification sweep (sign law) ===")
 report = verify_bounds(law, n_grid, B_grid, cfg, curves)
 print(f"  {len(report.rows)} cells checked, all pass: {report.all_pass}")
-print("   family           n  B      bound        MC point     margin")
+print("   family           n  B      bound        exact tail   margin")
 for row in report.rows:
     if row.family == "LowerCLT":
         continue
@@ -51,7 +53,7 @@ print(f"  bounds scaled by 1e-6: all pass = {bad_report.all_pass}, "
       f"{len(bad_report.failures)} FAIL cells")
 for row in bad_report.failures:
     print(f"    FAIL at n={row.n_label}, B={row.point.B}: bound "
-          f"{row.point.value:.2e} < interval floor {row.estimate.ci_lo:.2e}")
+          f"{row.point.value:.2e} < exact floor {row.estimate.ci_lo:.2e}")
 
 print("\nthe same pipeline runs from the command line:")
 print("  selfnorm verify --dist rademacher --n 1,4,16 --n-sup 1:64 \\")

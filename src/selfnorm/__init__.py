@@ -4,8 +4,9 @@ For i.i.d. centered xi_1, ..., xi_n the object of study is the
 statistic ``T(n) = sqrt(n) * sum(xi_i) / sum(xi_i^2)`` and its tail
 ``Q_n(B) = P(T(n) > B)``.  The package computes non-asymptotic upper
 bounds (an optimized-exponent Chernoff family and a Rosenthal-moment
-family), exact lower bounds, and checks every bound cell against Monte
-Carlo simulation with exact confidence intervals.
+family), exact lower bounds, and checks every bound cell against the
+exact tail of a finite atomic law, or else against Monte Carlo
+simulation with exact confidence intervals.
 """
 
 from .bounds import (

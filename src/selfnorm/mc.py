@@ -1,5 +1,12 @@
-"""Monte Carlo estimation of the self-normalized tail, with exact
-binomial confidence intervals; the empirical referee for every bound.
+"""The referee for every bound: the exact tail of a finite atomic law
+when its count vectors can be enumerated, and otherwise Monte Carlo
+estimation of the self-normalized tail with exact binomial confidence
+intervals.
+
+A finite atomic law with k atoms reaches T(n) through the counts of
+each atom among the n draws, so Q_n(B) is a finite sum of multinomial
+probabilities over the C(n+k-1, k-1) count vectors.  Up to
+``_EXACT_CAP`` vectors that sum replaces the simulation.
 
 Simulation is chunked: chunk k draws from its own counter-based
 substream seeded by (seed, k), and chunk hit-counts are reduced in chunk
@@ -24,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BoundCurve, BoundPoint, EXP_LEVEL, LOWER_CLT, LOWER_Q1, POWER_LEVEL
-from .distributions import DistributionModel
+from .distributions import DiscreteLaw, DistributionModel
 
 __all__ = [
     "GridMismatchError",
@@ -40,6 +47,14 @@ __all__ = [
 THREADS_ENV = "SELFNORM_THREADS"
 # draws per block of a chunk: a block and its squares stay in cache
 _BLOCK_DRAWS = 1 << 18
+# most count vectors an exact tail enumerates: 4 atoms at n = 64 take
+# 48k vectors and ~11 ms, and 4 atoms at n = 256 would take 2.9M
+_EXACT_CAP = 200_000
+# an exact tail reads P(T > B(1 + _TIE_REL)) and P(T > B(1 - _TIE_REL)):
+# T = B up to rounding is a tie whose side the float sums cannot decide
+_TIE_REL = 1e-12
+# relative widening of an exact bracket for the rounding of its sums
+_SUM_REL = 1e-9
 
 
 class GridMismatchError(ValueError):
@@ -65,7 +80,15 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Point estimate of P(T(n) > B) with an exact two-sided interval."""
+    """Point estimate of P(T(n) > B) with an exact two-sided interval.
+
+    A simulated estimate counts ``hits`` of ``trials`` and carries a
+    Clopper-Pearson interval at ``confidence``.  An exact tail (see
+    :func:`_exact_tail`) has ``hits = trials = 0`` and ``confidence =
+    1.0``; its interval is the tie bracket ``[P(T > B(1+1e-12)),
+    P(T > B(1-1e-12))]`` widened by 1e-9 relative, and ``point`` is its
+    unwidened lower end.
+    """
 
     B: float
     n: int
@@ -167,12 +190,69 @@ def empirical_tail(dist: DistributionModel, cfg: MCConfig,
     return out
 
 
+def _exact_tail(dist: DistributionModel, n: int,
+                B_grid: Sequence[float]) -> list[TailEstimate] | None:
+    """Exact P(T(n) > B) for each B of a finite atomic law, or None.
+
+    None for any law that is not a :class:`DiscreteLaw`, and for one
+    whose count vectors at n number more than ``_EXACT_CAP``.  Each
+    count vector is weighted by its multinomial probability, computed
+    in log space from a log-factorial table, and its statistic comes
+    from the same ``_stat_from_sums`` as the simulation's.  Tails below
+    the smallest positive double read 0.
+    """
+    if not isinstance(dist, DiscreteLaw):
+        return None
+    live = dist._probs > 0.0
+    values, probs = dist._values[live], dist._probs[live]
+    if math.comb(n + values.size - 1, values.size - 1) > _EXACT_CAP:
+        return None
+    # lgamma, not a cumulative sum of logs, whose rounding grows with n
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    # open count vectors: the draws still to place, the sums of the
+    # placed draws and of their squares, and the log-probability so far;
+    # a vector is closed once every draw is placed, so a law with many
+    # atoms keeps only its few open vectors, never a k-column table
+    rest = np.array([n])
+    s1, s2, log_w = np.zeros(1), np.zeros(1), log_fact[[n]]
+    closed = []
+    for j, (x, log_p) in enumerate(zip(values.tolist(), np.log(probs).tolist())):
+        if j == values.size - 1:
+            row, c = np.arange(rest.size), rest  # the last atom takes the rest
+        else:
+            # each open vector splits into one per count 0..rest of atom j
+            row = np.repeat(np.arange(rest.size), rest + 1)
+            c = np.arange(row.size) - np.repeat(np.cumsum(rest + 1) - rest - 1,
+                                                rest + 1)
+        rest, s1, s2 = rest[row] - c, s1[row] + c * x, s2[row] + c * (x * x)
+        log_w = log_w[row] + c * log_p - log_fact[c]
+        done = rest == 0
+        closed.append((s1[done], s2[done], log_w[done]))
+        rest, s1, s2, log_w = rest[~done], s1[~done], s2[~done], log_w[~done]
+        if not rest.size:
+            break
+    s1, s2, log_w = (np.concatenate(parts) for parts in zip(*closed))
+    weight = np.exp(log_w)
+    t = _stat_from_sums(math.sqrt(n), s1, s2)
+    order = np.argsort(t)
+    t = t[order]
+    # tail[i]: probability of the vectors from i on, summed from the top
+    tail = np.append(np.cumsum(weight[order][::-1])[::-1], 0.0)
+    B_arr = np.asarray(list(B_grid), dtype=float)
+    above = tail[np.searchsorted(t, B_arr * (1.0 + _TIE_REL), "right")]
+    at_or_above = tail[np.searchsorted(t, B_arr * (1.0 - _TIE_REL), "right")]
+    return [TailEstimate(B, n, 0, 0, min(lo, 1.0), lo * (1.0 - _SUM_REL),
+                         min(hi * (1.0 + _SUM_REL), 1.0), 1.0)
+            for B, lo, hi in zip(B_arr.tolist(), above.tolist(),
+                                 at_or_above.tolist())]
+
+
 # -- verification -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class VerificationRow:
-    """One bound cell matched against its Monte Carlo estimate."""
+    """One bound cell matched against its exact tail or Monte Carlo estimate."""
 
     dist: str
     n_label: str
@@ -232,22 +312,27 @@ def _check_grids(curves: Sequence[BoundCurve], n_grid: Sequence[int],
 def verify_bounds(dist: DistributionModel, n_grid: Sequence[int],
                   B_grid: Sequence[float], cfg: MCConfig,
                   bound_curves: Sequence[BoundCurve]) -> VerificationReport:
-    """Check every bound cell against simulation.
+    """Check every bound cell against the exact tail or a simulation.
 
     Upper bounds must sit at or above the lower confidence limit of the
     matching estimate (for sup-over-n curves: the largest such limit over
     the grid n inside the curve's range, of which there must be one);
     the single-observation lower bound must sit at or below the upper
     limit at n = 1.  The limiting normal tail is attached as REPORT rows
-    and asserts nothing.  Raises :class:`GridMismatchError` when curves
-    and grid disagree.
+    and asserts nothing.  At each grid n a finite atomic law gets its
+    exact tail (:func:`_exact_tail`) when that is enumerable, and
+    ``cfg``'s trials, seed and chunking then play no part.  Raises
+    :class:`GridMismatchError` when curves and grid disagree.
     """
     _check_grids(bound_curves, n_grid, B_grid)
     report = VerificationReport()
     for n in sorted(set(n_grid)):
-        for est in empirical_tail(dist, MCConfig(n, cfg.trials, cfg.seed,
+        ests = _exact_tail(dist, n, B_grid)
+        if ests is None:
+            ests = empirical_tail(dist, MCConfig(n, cfg.trials, cfg.seed,
                                                  cfg.chunk_size, cfg.confidence),
-                                  B_grid):
+                                  B_grid)
+        for est in ests:
             report.estimates[(n, est.B)] = est
 
     for curve in bound_curves:

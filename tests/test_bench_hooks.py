@@ -22,6 +22,9 @@ ARGVS = [
      "--B", "1,5"],
     ["verify", "--dist", "rademacher", "--n", "1,4", "--B", "0.5,3",
      "--trials", "2000"],
+    # a density law: the exact referee leaves it to the simulation
+    ["verify", "--dist", "uniform:a=1.7320508075688772", "--n", "1,4",
+     "--B", "0.5,3", "--trials", "2000"],
 ]
 
 
@@ -47,7 +50,7 @@ def test_tracer_counts_every_layer_and_changes_no_output():
         tracer.uninstall()
 
     assert traced == plain
-    assert [code for _, code in plain] == [0, 0, 0]
+    assert [code for _, code in plain] == [0, 0, 0, 0]
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, (owner, attr)
     for kind in (EXP_CELL, POWER_CELL, SUP_CELL):
