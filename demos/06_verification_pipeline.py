@@ -3,10 +3,12 @@
 The simulation draws T(n) from deterministic chunked substreams and
 wraps exact binomial intervals around the hit counts.  The verification
 gate referees the sign law exactly instead: its tail at each n is a
-finite sum over the counts of +1 draws, bracketed at ties T = B.  Every
-upper bound must clear the lower end of the referee's interval (and the
-n = 1 lower bound stay under the upper end).  A deliberately corrupted
-bound demonstrates that the gate actually bites.
+finite sum over the counts of +1 draws, bracketed at ties T = B.  The
+gate reads its grid from the curves it is given: the n of every fixed-n
+curve and the B of every point.  Every upper bound must clear the lower
+end of the referee's interval (and the n = 1 lower bound stay under the
+upper end).  A deliberately corrupted bound demonstrates that the gate
+actually bites.
 """
 
 import math
@@ -28,13 +30,13 @@ print(f"  exact P(T(4) > 1) = 1/16 = 0.0625; estimate {a.point:.5f} "
       f"in [{a.ci_lo:.5f}, {a.ci_hi:.5f}]")
 
 curves = [exp_curve(law, n, B_grid) for n in n_grid]
-# the sup over n = 1..64 is checked against the worst grid n in that range
+# the sup over n = 1..64 is checked against the worst of n = 1, 4, 16
 curves.append(exp_curve(law, (1, 64), B_grid))
 curves.append(lower_q1_curve(law, B_grid))
 curves.append(lower_clt_curve(law, B_grid))
 
 print("\n=== full verification sweep (sign law) ===")
-report = verify_bounds(law, n_grid, B_grid, cfg, curves)
+report = verify_bounds(law, curves, cfg)
 print(f"  {len(report.rows)} cells checked, all pass: {report.all_pass}")
 print("   family           n  B      bound        exact tail   margin")
 for row in report.rows:
@@ -48,7 +50,7 @@ print("\n=== negative control: a corrupted bound must fail ===")
 good = exp_curve(law, 4, B_grid)
 bad = BoundCurve(good.family, good.n, tuple(
     BoundPoint(pt.B, pt.value * 1e-6, pt.optimizer) for pt in good.points))
-bad_report = verify_bounds(law, n_grid, B_grid, cfg, [bad])
+bad_report = verify_bounds(law, [bad], cfg)
 print(f"  bounds scaled by 1e-6: all pass = {bad_report.all_pass}, "
       f"{len(bad_report.failures)} FAIL cells")
 for row in bad_report.failures:

@@ -78,6 +78,18 @@ class BoundCurve:
     n: int | tuple[int, int]
     points: tuple[BoundPoint, ...]
 
+    @property
+    def n_range(self) -> tuple[int, int]:
+        """The (lo, hi) range of a sup curve; (n, n) at fixed n."""
+        return self.n if isinstance(self.n, tuple) else (self.n, self.n)
+
+    @property
+    def label(self) -> str:
+        """The n column of the curve's rows: n, or sup(lo..hi)."""
+        if isinstance(self.n, tuple):
+            return f"sup({self.n[0]}..{self.n[1]})"
+        return str(self.n)
+
 
 # -- exponential level -------------------------------------------------------
 

@@ -127,6 +127,8 @@ def _n_range(text: str) -> tuple[int, int] | None:
 def _output_path(text: str) -> str | None:
     if not text:
         return None
+    if os.path.isdir(text):
+        raise ValueError(f"cannot write {text!r}: it is a directory")
     folder = os.path.dirname(text) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ValueError(f"cannot write {text!r}: directory {folder!r} is "
@@ -193,12 +195,18 @@ def build_config(command: str, flags: dict) -> RunConfig:
             values.append(parse(str(raw)))
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
+    config = RunConfig(command, *values)
     if command in ("mc", "verify"):
         try:  # checks SELFNORM_THREADS before any bound or simulation
             mcmod.worker_count(1)
         except ValueError as exc:
             raise ConfigError("env", str(exc)) from None
-    return RunConfig(command, *values)
+    if command == "verify" and config.n_sup_range:
+        lo, hi = config.n_sup_range
+        if not any(lo <= n <= hi for n in config.n_grid):
+            raise ConfigError("n-sup", f"no --n value in {lo}..{hi} to verify "
+                                       "the sup rows against")
+    return config
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -309,7 +317,7 @@ def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
     checked = iter(report.rows) if report else None
     rows = []
     for curve in curves:
-        label = mcmod._n_label(curve.n)
+        label = curve.label
         points = {pt.B: pt for pt in curve.points}
         for B in config.B_grid:
             pt = points.get(B)
@@ -342,11 +350,7 @@ def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
     curves = _curves(config, dist, families)
     cfg = mcmod.MCConfig(max(config.n_grid), config.trials, config.seed,
                          config.chunk_size, config.confidence)
-    try:
-        report = mcmod.verify_bounds(dist, config.n_grid, config.B_grid, cfg,
-                                     curves)
-    except mcmod.GridMismatchError as exc:
-        raise ConfigError("n-sup", str(exc)) from None
+    report = mcmod.verify_bounds(dist, curves, cfg)
     return _curve_rows(config, dist, curves, report), report.all_pass
 
 

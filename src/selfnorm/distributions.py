@@ -226,7 +226,8 @@ class DiscreteLaw(DistributionModel):
         if abs(self._probs.sum() - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"atom probabilities sum to {self._probs.sum()}, not 1")
         mean = float(np.dot(self._probs, self._values))
-        sigma2 = float(np.dot(self._probs, self._values ** 2))
+        with np.errstate(over="ignore"):  # an inf variance is rejected below
+            sigma2 = float(np.dot(self._probs, self._values ** 2))
         if sigma2 <= 0.0:
             raise ValueError("discrete law is degenerate at 0")
         if abs(mean) > _MEAN_TOL * math.sqrt(sigma2):

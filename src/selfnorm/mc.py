@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +58,7 @@ _SUM_REL = 1e-9
 
 
 class GridMismatchError(ValueError):
-    """Bound curves do not line up with the verification grid."""
+    """A sup-over-n curve has no refereed n in its range."""
 
 
 @dataclass(frozen=True)
@@ -278,92 +278,57 @@ class VerificationReport:
         return not self.failures
 
 
-def _n_label(n) -> str:
-    if isinstance(n, tuple):
-        return f"sup({n[0]}..{n[1]})"
-    return str(n)
-
-
-def _check_grids(curves: Sequence[BoundCurve], n_grid: Sequence[int],
-                 B_grid: Sequence[float]) -> None:
-    b_set = set(float(b) for b in B_grid)
-    for curve in curves:
-        bs = {pt.B for pt in curve.points}
-        if not bs <= b_set:
-            raise GridMismatchError(
-                f"{curve.family} curve has B values {sorted(bs - b_set)} "
-                "outside the verification grid")
-        if curve.family == LOWER_CLT:
-            continue
-        if curve.family == LOWER_Q1:
-            if 1 not in n_grid:
-                raise GridMismatchError("single-observation lower bound needs n = 1 "
-                                        "in the grid")
-        elif isinstance(curve.n, int) and curve.n not in n_grid:
-            raise GridMismatchError(
-                f"{curve.family} curve at n = {curve.n} not in the grid")
-        elif isinstance(curve.n, tuple) and not any(
-                curve.n[0] <= n <= curve.n[1] for n in n_grid):
-            raise GridMismatchError(
-                f"{curve.family} curve over n = {curve.n[0]}..{curve.n[1]} "
-                "has no grid n in its range to verify against")
-
-
-def verify_bounds(dist: DistributionModel, n_grid: Sequence[int],
-                  B_grid: Sequence[float], cfg: MCConfig,
-                  bound_curves: Sequence[BoundCurve]) -> VerificationReport:
+def verify_bounds(dist: DistributionModel, curves: Sequence[BoundCurve],
+                  cfg: MCConfig) -> VerificationReport:
     """Check every bound cell against the exact tail or a simulation.
 
-    Upper bounds must sit at or above the lower confidence limit of the
-    matching estimate (for sup-over-n curves: the largest such limit over
-    the grid n inside the curve's range, of which there must be one);
-    the single-observation lower bound must sit at or below the upper
-    limit at n = 1.  The limiting normal tail is attached as REPORT rows
-    and asserts nothing.  At each grid n a finite atomic law gets its
-    exact tail (:func:`_exact_tail`) when that is enumerable, and
-    ``cfg``'s trials, seed and chunking then play no part.  Raises
-    :class:`GridMismatchError` when curves and grid disagree.
+    The referee's grid comes from the curves: it runs at the n of every
+    fixed-n curve (n = 1 for the lower-bound curves) and at the B of
+    every point.  Each cell is checked against the refereed n in its
+    range, a fixed-n curve's range being (n, n): an upper bound must sit
+    at or above the lower confidence limit of the estimate, taking the
+    n with the largest such limit in a sup-over-n range; the
+    single-observation lower bound must sit at or below the upper limit
+    at n = 1.  The limiting normal tail is attached as REPORT rows and
+    asserts nothing.  At each n a finite atomic law gets its exact tail
+    (:func:`_exact_tail`) when that is enumerable; otherwise ``cfg``'s
+    trials, seed, chunking and confidence run the simulation, and its
+    ``n`` plays no part.  Raises :class:`GridMismatchError`, before any
+    work, when a sup curve has no refereed n in its range.
     """
-    _check_grids(bound_curves, n_grid, B_grid)
+    ns = sorted({lo for lo, hi in (c.n_range for c in curves) if lo == hi})
+    for curve in curves:
+        lo, hi = curve.n_range
+        if not any(lo <= n <= hi for n in ns):
+            raise GridMismatchError(
+                f"{curve.family} curve over n = {lo}..{hi} has no refereed n "
+                "in its range to verify against")
+    B_grid = sorted({pt.B for c in curves for pt in c.points})
     report = VerificationReport()
-    for n in sorted(set(n_grid)):
+    for n in ns:
         ests = _exact_tail(dist, n, B_grid)
         if ests is None:
-            ests = empirical_tail(dist, MCConfig(n, cfg.trials, cfg.seed,
-                                                 cfg.chunk_size, cfg.confidence),
-                                  B_grid)
+            ests = empirical_tail(dist, replace(cfg, n=n), B_grid)
         for est in ests:
             report.estimates[(n, est.B)] = est
 
-    for curve in bound_curves:
+    for curve in curves:
+        lo, hi = curve.n_range
         for pt in curve.points:
+            est = max((report.estimates[(n, pt.B)] for n in ns if lo <= n <= hi),
+                      key=lambda e: e.ci_lo)
+            if curve.family == LOWER_CLT:
+                report.rows.append(VerificationRow(dist.name, curve.label, pt,
+                                                   curve.family, est, "REPORT"))
+                continue
             if curve.family in (EXP_LEVEL, POWER_LEVEL):
-                if isinstance(curve.n, tuple):
-                    lo, hi = curve.n
-                    cands = [report.estimates[(n, pt.B)]
-                             for n in sorted(set(n_grid)) if lo <= n <= hi]
-                    est = max(cands, key=lambda e: e.ci_lo)
-                else:
-                    est = report.estimates[(curve.n, pt.B)]
-                ok = pt.value >= est.ci_lo
-                row = VerificationRow(
-                    dist.name, _n_label(curve.n), pt, curve.family, est,
-                    "PASS" if ok else "FAIL",
-                    margin=pt.value - est.ci_lo,
-                    tightness=pt.value / est.point if est.point > 0 else math.inf)
+                margin = pt.value - est.ci_lo
             elif curve.family == LOWER_Q1:
-                est = report.estimates[(1, pt.B)]
-                ok = pt.value <= est.ci_hi
-                row = VerificationRow(
-                    dist.name, "1", pt, curve.family, est,
-                    "PASS" if ok else "FAIL",
-                    margin=est.ci_hi - pt.value,
-                    tightness=pt.value / est.point if est.point > 0 else math.inf)
-            elif curve.family == LOWER_CLT:
-                est = report.estimates.get((1, pt.B))
-                row = VerificationRow(dist.name, _n_label(curve.n), pt,
-                                      curve.family, est, "REPORT")
+                margin = est.ci_hi - pt.value
             else:
-                raise GridMismatchError(f"unknown bound family {curve.family!r}")
-            report.rows.append(row)
+                raise ValueError(f"unknown bound family {curve.family!r}")
+            report.rows.append(VerificationRow(
+                dist.name, curve.label, pt, curve.family, est,
+                "PASS" if margin >= 0.0 else "FAIL", margin=margin,
+                tightness=pt.value / est.point if est.point > 0 else math.inf))
     return report

@@ -14,8 +14,9 @@ from selfnorm.bounds import (DEFAULT_B_GRID, DomainError, exp_curve,
                              lower_clt_curve, lower_q1_curve, power_curve,
                              rosenthal_psi, sum_cgf)
 from selfnorm.bounds import _exp_tail_point, _power_tail_point, _tail_certificate
-from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
-                                    StandardGaussian, UniformSymmetric)
+from selfnorm.distributions import (DensityLaw, DiscreteLaw, DivergentError,
+                                    Rademacher, StandardGaussian,
+                                    UniformSymmetric)
 
 E = math.e
 SQRT3 = math.sqrt(3.0)
@@ -596,6 +597,16 @@ class TestPowerTailOptimizer:
         reference = 0.27429682231511837
         assert reference * (1.0 - 1e-9) <= pt.value <= reference * (1.0 + 1e-6)
         assert 1.0 < pt.optimizer["p_star"] < 2.5
+
+    @pytest.mark.xfail(strict=True, raises=DivergentError,
+                       reason="QUADPACK's 'probably divergent' verdict is fatal "
+                              "although t5 moments are finite below p = 2.5")
+    def test_heavy_tail_l2_norm_is_finite(self):
+        # t5 has E xi^2 = 5/3 and E xi^4 = 25, so the summand's L2 norm at
+        # n = 16, B = 5 is sqrt(sigma^2 + B^2 * (E xi^4 - sigma^4) / n)
+        law = DensityLaw(t5_density)
+        exact = math.sqrt(5.0 / 3.0 + 25.0 * (25.0 - 25.0 / 9.0) / 16.0)
+        assert law.summand_lp_norm(16, 5.0, 2.0) == pytest.approx(exact, rel=1e-9)
 
 
 class TestUpperAboveExactQ1:

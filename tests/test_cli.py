@@ -348,6 +348,24 @@ class TestMain:
             "gaussian,,,GlsNorm,0.797884560802866,,,,,,,",
             "gaussian,,5,GlsTail,0.159576912160573,,,,,,,"]
 
+    @pytest.mark.parametrize("spec", ["discrete:-1e200:0.5,1e200:0.5",
+                                      "empirical"])
+    def test_overflowing_atoms_one_line(self, spec, tmp_path):
+        # the atoms' squares overflow: one line, and no NumPy warning
+        if spec == "empirical":
+            path = tmp_path / "huge.txt"
+            path.write_text("1e308\n-1e308\n")
+            spec = f"empirical:{path}"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "selfnorm.cli", "bound-exp", "--dist", spec],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert line.startswith("selfnorm: configuration error: dist: variance "
+                               "must be finite")
+
     @pytest.mark.parametrize("argv", [
         ["bound-exp", "--dist", "rademacher", "--B", "-1"],
         ["bound-lower", "--dist", "gaussian", "--B", "0"],
@@ -388,14 +406,19 @@ class TestMain:
 
         monkeypatch.setattr(mcmod, "empirical_tail", no_work)
         monkeypatch.setattr(bdmod, "_exp_tail_point", no_work)
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--dist", "rademacher", "--n", "4", "--B", "1",
-                  "--output", str(tmp_path / "missing" / "x.csv")])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("selfnorm: configuration error: output:")
+        # a missing folder, a directory, and a sup range with no --n in it
+        cases = [(["--output", str(tmp_path / "missing" / "x.csv")], "output"),
+                 (["--output", str(tmp_path)], "output"),
+                 (["--n-sup", "16:4096"], "n-sup")]
+        for extra, key in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--dist", "rademacher", "--n", "1,4", "--B", "1",
+                      *extra])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"selfnorm: configuration error: {key}:")
 
     def test_sweep_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -97,8 +97,8 @@ class TestExactReferee:
 
         monkeypatch.setattr(mc, "empirical_tail", refuse)
         law, n_grid, B_grid = LAWS[name], [1, 4, 16], [0.5, 1.0, 2.0]
-        report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 10 ** 6, 1),
-                               self.curves(law, n_grid, B_grid))
+        report = verify_bounds(law, self.curves(law, n_grid, B_grid),
+                               MCConfig(1, 10 ** 6, 1))
         assert report.all_pass
         assert all(e.trials == 0 for e in report.estimates.values())
 
@@ -112,8 +112,8 @@ class TestExactReferee:
 
         monkeypatch.setattr(mc, "empirical_tail", counted)
         law = DiscreteLaw.from_sample(np.arange(50.0) ** 1.5)
-        report = verify_bounds(law, [1, 8], [0.5, 3.0], MCConfig(1, 2000, 1),
-                               self.curves(law, [1, 8], [0.5, 3.0])[:2])
+        report = verify_bounds(law, self.curves(law, [1, 8], [0.5, 3.0])[:2],
+                               MCConfig(1, 2000, 1))
         assert calls == [8]
         assert report.estimates[(1, 0.5)].trials == 0
         assert report.estimates[(8, 0.5)].trials == 2000
@@ -150,8 +150,7 @@ class TestExactReferee:
         positive = sum(v > 0.0 for v in exact.values())
         assert positive >= 10
         for seed in range(1, 6):
-            report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 1000, seed),
-                                   curves)
+            report = verify_bounds(law, curves, MCConfig(1, 1000, seed))
             assert len(report.failures) == positive
             assert all(exact[(int(r.n_label), r.point.B)] > 0.0
                        for r in report.failures)

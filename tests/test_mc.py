@@ -221,8 +221,8 @@ class TestVerifyBounds:
     def test_full_pass(self):
         law = Rademacher()
         n_grid, B_grid = [1, 4, 16], [0.5, 1.0, 2.0]
-        report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 10 ** 5, 17),
-                               self.make_curves(law, n_grid, B_grid))
+        report = verify_bounds(law, self.make_curves(law, n_grid, B_grid),
+                               MCConfig(1, 10 ** 5, 17))
         assert report.all_pass
         families = {r.family for r in report.rows}
         assert families == {"ExpLevel", "LowerQ1", "LowerCLT"}
@@ -231,67 +231,51 @@ class TestVerifyBounds:
 
     def test_sup_curve_checked_against_worst_n(self):
         law = Rademacher()
-        n_grid, B_grid = [1, 4], [0.5, 1.0]
-        curves = [exp_curve(law, (1, 64), B_grid)]
-        report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 10 ** 4, 23),
-                               curves)
+        B_grid = [0.5, 1.0]
+        curves = [exp_curve(law, n, B_grid) for n in (1, 4)]
+        curves.append(exp_curve(law, (1, 64), B_grid))
+        report = verify_bounds(law, curves, MCConfig(1, 10 ** 4, 23))
         assert report.all_pass
+        assert sorted(report.estimates) == [(n, B) for n in (1, 4) for B in B_grid]
 
     def test_sup_curve_uses_only_grid_n_in_its_range(self):
         # the n = 1 estimate (about 0.5 at B = 0.25) lies outside 16..64
         law = Rademacher()
-        n_grid, B_grid = [1, 16], [0.25, 0.5, 1.0]
-        report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 20000, 5),
-                               [exp_curve(law, (16, 64), B_grid)])
-        assert len(report.rows) == 3
-        for row in report.rows:
+        B_grid = [0.25, 0.5, 1.0]
+        curves = [exp_curve(law, n, B_grid) for n in (1, 16)]
+        curves.append(exp_curve(law, (16, 64), B_grid))
+        report = verify_bounds(law, curves, MCConfig(1, 20000, 5))
+        sup_rows = report.rows[6:]
+        assert len(sup_rows) == 3
+        for row in sup_rows:
             assert row.n_label == "sup(16..64)"
             assert row.estimate is report.estimates[(16, row.point.B)]
 
     def test_sup_curve_without_grid_n_in_range(self):
         law = Rademacher()
+        curves = [exp_curve(law, n, [0.5]) for n in (1, 4)]
         with pytest.raises(GridMismatchError, match="16..64"):
-            verify_bounds(law, [1, 4], [0.5], MCConfig(1, 100, 1),
-                          [exp_curve(law, (16, 64), [0.5])])
+            verify_bounds(law, [*curves, exp_curve(law, (16, 64), [0.5])],
+                          MCConfig(1, 100, 1))
 
     def test_corrupted_bound_flags_fail(self):
         law = Rademacher()
-        n_grid, B_grid = [4], [0.5, 1.0]
-        curve = exp_curve(law, 4, B_grid)
+        curve = exp_curve(law, 4, [0.5, 1.0])
         corrupted = BoundCurve(curve.family, curve.n, tuple(
             BoundPoint(pt.B, pt.value * 1e-6, pt.optimizer)
             for pt in curve.points))
-        report = verify_bounds(law, n_grid, B_grid, MCConfig(1, 10 ** 4, 29),
-                               [corrupted])
+        report = verify_bounds(law, [corrupted], MCConfig(1, 10 ** 4, 29))
         assert not report.all_pass
         assert len(report.failures) == 2
 
     def test_margins_and_tightness_recorded(self):
         law = Rademacher()
-        report = verify_bounds(law, [4], [0.5], MCConfig(1, 10 ** 4, 31),
-                               [exp_curve(law, 4, [0.5])])
+        report = verify_bounds(law, [exp_curve(law, 4, [0.5])],
+                               MCConfig(1, 10 ** 4, 31))
         (row,) = report.rows
         assert row.margin == pytest.approx(row.point.value - row.estimate.ci_lo)
         assert row.tightness == pytest.approx(
             row.point.value / row.estimate.point)
-
-    def test_grid_mismatch_on_foreign_B(self):
-        law = Rademacher()
-        with pytest.raises(GridMismatchError):
-            verify_bounds(law, [4], [0.5], MCConfig(1, 100, 1),
-                          [exp_curve(law, 4, [0.5, 1.0])])
-
-    def test_grid_mismatch_on_foreign_n(self):
-        law = Rademacher()
-        with pytest.raises(GridMismatchError):
-            verify_bounds(law, [4], [0.5], MCConfig(1, 100, 1),
-                          [exp_curve(law, 8, [0.5])])
-
-    def test_lower_bound_needs_n1(self):
-        law = Rademacher()
-        with pytest.raises(GridMismatchError):
-            verify_bounds(law, [4], [0.5], MCConfig(1, 100, 1),
-                          [lower_q1_curve(law, [0.5])])
 
 
 class TestMCConfig:
