@@ -37,9 +37,10 @@ for name, law in laws.items():
 print("\n(the sign law at B=2, n=1 reads 0: |T(1)| = 1 < 2, impossible event)")
 
 print("\n=== sup over n: the uniform-in-n tail ===")
-print("cells from n = 1 up, until a tail certificate (Efron's symmetrization")
-print("bound for symmetric laws, a Minkowski-Rosenthal bound for B >= e)")
-print("covers every later n; after 64 cells the certificate is the value")
+print("cells from n = 1 up, until a tail certificate covers every later n:")
+print("Efron's symmetrization bound for symmetric laws, and for B >= e the")
+print("Rosenthal bound on the larger moment generator of the current n and")
+print("of n = infinity; after 64 cells the certificate is the value")
 for name in ("gaussian", "rademacher"):
     for pt in exp_curve(laws[name], (1, 4096), [1.0, 5.0]).points:
         where = (f"attained at n = {pt.optimizer['n_star']:.0f}"

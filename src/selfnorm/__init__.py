@@ -14,7 +14,6 @@ from .bounds import (
     BoundPoint,
     DEFAULT_B_GRID,
     DEFAULT_KR,
-    DomainError,
     EXP_LEVEL,
     LOWER_CLT,
     LOWER_Q1,

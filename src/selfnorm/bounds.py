@@ -29,7 +29,6 @@ __all__ = [
     "BoundPoint",
     "DEFAULT_B_GRID",
     "DEFAULT_KR",
-    "DomainError",
     "EXP_LEVEL",
     "LOWER_CLT",
     "LOWER_Q1",
@@ -55,10 +54,6 @@ _THETA_TOL = 1e-9
 # cells a sup over n evaluates before it settles for its tail certificate;
 # a power of two, so that the last checkpoint falls right after them
 _SUP_CELLS = 64
-
-
-class DomainError(ValueError):
-    """A bound was requested outside its range of validity."""
 
 
 @dataclass(frozen=True)
@@ -202,10 +197,15 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
       u = c/n and g(u) = log_mgf2(0, u) - u*sigma^2.  As g is convex
       with g(0) = 0, g(u)/u grows with u, so the bound is non-increasing
       in n; it tends to exp(-B^2*sigma^2/2).
-    * Minkowski and Rosenthal, for B >= e: for n >= N the summand's Lp
-      norm is at most ``|xi|_p + (B/sqrt(N))*|sigma^2 - xi^2|_p``, so one
-      moment-level search on that norm dominates every PowerLevel cell
-      past N at the constant DEFAULT_KR.
+    * Rosenthal, for B >= e: for p >= 1 the norm
+      ``|xi + c*(sigma^2 - xi^2)|_p`` is convex in c, as the norm of a
+      function affine in c.  Every n >= N has c = B/sqrt(n) in
+      (0, B/sqrt(N)], so the PowerLevel generator at n is at most the
+      larger of those at N and at c = 0, and one moment-level search on
+      that pointwise max dominates every PowerLevel cell past N at the
+      constant DEFAULT_KR.  It is the cells' own generator, so it is
+      valid exactly where they are, and a change to that generator's p
+      range applies to both.
     * Otherwise 1.
     """
     bound = 1.0
@@ -218,15 +218,9 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
         if bound <= enough:
             return bound
     if B >= math.e:
-        shift = B / math.sqrt(N)
-
-        def fn(p: float) -> float:
-            norm = dist.lp_norm(p) + shift * dist._square_dev_lp_norm(p)
-            return DEFAULT_KR * (p / math.log(p)) * norm
-
-        value, _, _ = _gls_tail_opt(PsiFunction(fn, lo_open=True), 1.0,
-                                    B * dist.sigma2)
-        bound = min(bound, value)
+        psi_N, psi_inf = rosenthal_psi(dist, N, B), rosenthal_psi(dist, N, 0.0)
+        psi = PsiFunction(lambda p: max(psi_N(p), psi_inf(p)), lo_open=True)
+        bound = min(bound, _gls_tail_opt(psi, 1.0, B * dist.sigma2)[0])
     return bound
 
 
@@ -257,10 +251,6 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
     normalized-sum norm pinned at 1 by Rosenthal's inequality; B*sigma^2
     is the exact threshold of the linearized event.
     """
-    if B < math.e:
-        raise DomainError(
-            f"power-level bound requires B >= e, got {B}; "
-            "use the exponential-level bound below that")
     psi = rosenthal_psi(dist, n, B, kr)
     value, p_star, exponent = _gls_tail_opt(psi, 1.0, B * dist.sigma2)
     opt = {"objective": exponent}

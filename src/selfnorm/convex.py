@@ -162,14 +162,22 @@ def invert_monotone(f: Callable[[float], float], y: float, x_lo: float,
                     x_hi_hint: float) -> float:
     """Solve f(x) = y for f continuous and strictly increasing on [x_lo, inf).
 
-    Expands a bracket from ``x_hi_hint`` by doubling, then bisects until
-    ``|f(x) - y| <= 1e-10 * max(1, |y|)``.  Raises
-    :class:`NotBracketedError` when ``y`` lies below ``f(x_lo)`` or is
-    never reached before the expansion overflows.
+    The answer is never below the root: a point is accepted only when
+    ``0 <= f(x) - y <= 1e-10 * |y|``.  Expands a bracket from
+    ``x_hi_hint`` by doubling; its first end that reaches y is tested
+    the same way, and the bracket is then bisected until a midpoint
+    passes or it is narrower than ``4e-16 * |hi|``, when its upper end
+    is returned.  Raises :class:`NotBracketedError` when ``y`` lies
+    below ``f(x_lo)`` or is never reached before the expansion
+    overflows.
     """
-    tol_y = 1e-10 * max(1.0, abs(y))
+    tol_y = 1e-10 * abs(y)
+
+    def above(fx: float) -> bool:
+        return 0.0 <= fx - y <= tol_y
+
     f_lo = f(x_lo)
-    if abs(f_lo - y) <= tol_y:
+    if above(f_lo):
         return x_lo
     if f_lo > y:
         raise NotBracketedError(f"target {y} below f({x_lo}) = {f_lo}")
@@ -186,17 +194,19 @@ def invert_monotone(f: Callable[[float], float], y: float, x_lo: float,
         hi = x_lo + step
     else:
         raise NotBracketedError(f"target {y} not reached on the search ray")
+    if above(f_hi):
+        return hi
 
     lo = x_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if abs(f_mid - y) <= tol_y:
+        if above(f_mid):
             return mid
         if f_mid < y:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
+        if hi - lo <= 4e-16 * abs(hi):
             break
-    return 0.5 * (lo + hi)
+    return hi

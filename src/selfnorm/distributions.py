@@ -192,20 +192,6 @@ class DistributionModel:
         log_moment = self._log_expect_exponent(t, (0.0, *roots, -scale, scale))
         return math.exp(log_moment / p)
 
-    def _square_dev_lp_norm(self, p: float) -> float:
-        """Lp norm of sigma^2 - xi^2, the B-part of the summand."""
-        s2 = self.sigma2
-
-        def t(x):
-            with np.errstate(divide="ignore"):
-                return p * np.log(np.abs(s2 - x * x))
-
-        sigma = math.sqrt(s2)
-        scale = math.sqrt(max(2.0 * p * s2, s2))
-        log_moment = self._log_expect_exponent(t, (0.0, -sigma, sigma,
-                                                   -scale, scale))
-        return math.exp(log_moment / p)
-
 
 # -- discrete laws ---------------------------------------------------------
 

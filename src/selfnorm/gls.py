@@ -254,9 +254,12 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: Callable[[float], float],
 
     ``law_mgf`` is the log-MGF of the variable.  Scans a geometric
     lambda grid (6 decades centered on 1 by default) of
-    phi^{-1}(law_mgf(±lam))/lam and refines around the argmax.  Raises
-    :class:`DivergentError` when the MGF escapes the majorant's range or
-    the ratio is still rising at the grid edge.
+    phi^{-1}(law_mgf(±lam))/lam and refines around the argmax.  Each
+    inverse comes from :func:`invert_monotone`, which never answers
+    below the root, so no ratio reads low; the grid supremum, which
+    can, is rounded up by 1e-9.  Raises :class:`DivergentError` when the
+    MGF escapes the majorant's range or the ratio is still rising at the
+    grid edge.
     """
     half = 10.0 ** (decades / 2.0)
     grid = np.geomspace(1.0 / half, half, points_per_decade * decades + 1)

@@ -10,9 +10,9 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 from scipy.stats import norm as scipy_norm
 
-from selfnorm.bounds import (DEFAULT_B_GRID, DomainError, exp_curve,
-                             lower_clt_curve, lower_q1_curve, power_curve,
-                             rosenthal_psi, sum_cgf)
+from selfnorm.bounds import (DEFAULT_B_GRID, exp_curve, lower_clt_curve,
+                             lower_q1_curve, power_curve, rosenthal_psi,
+                             sum_cgf)
 from selfnorm.bounds import _exp_tail_point, _power_tail_point, _tail_certificate
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DivergentError,
                                     Rademacher, StandardGaussian,
@@ -414,7 +414,8 @@ class TestCertifiedSup:
         (DensityLaw(lambda x: np.exp(-np.maximum(x, -1.0) - 1.0) * (x > -1.0),
                     support=(-1.0, math.inf), name="exponential-1"), 50.0, 64)])
     def test_minkowski_dominates_power_cells(self, law, B, N):
-        # asymmetric laws: the certificate is the Minkowski-Rosenthal tail
+        # asymmetric laws: the certificate is the Rosenthal tail on the
+        # larger of the generators at N and at n = infinity
         assert not law.symmetric
         tail = _tail_certificate(law, N, B)
         assert tail < 1.0
@@ -450,10 +451,6 @@ class TestRosenthalPsi:
 
 
 class TestPowerTailBound:
-    def test_rejects_below_e(self, rad):
-        with pytest.raises(DomainError):
-            _power_tail_point(rad, 4, 2.0)
-
     def test_clamps_at_e(self, rad):
         # at B = e the threshold equals e times the unit norm: no
         # information from the moment route, so the bound saturates at 1

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -226,3 +227,22 @@ class TestInvertMonotone:
         y = 0.37
         x = invert_monotone(lambda t: t ** 3, y, 0.0, 0.1)
         assert abs(x ** 3 - y) <= 1e-10 * max(1.0, y)
+
+    @pytest.mark.parametrize("f", [lambda x: x * x, math.expm1],
+                             ids=["square", "expm1"])
+    def test_one_sided_and_relative_over_decades(self, f):
+        # never below the root, and within 1e-10 relative of y also
+        # where y is far below 1
+        for y in np.geomspace(1e-12, 1e3, 200).tolist():
+            x = invert_monotone(f, y, 0.0, 1.0)
+            assert 0.0 <= f(x) - y <= 1e-10 * y, y
+
+    def test_exact_hit_at_bracket_end(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 2.0 * x
+
+        assert invert_monotone(f, 3.0, 0.0, 1.5) == 1.5
+        assert calls == [0.0, 1.5]

@@ -1,6 +1,7 @@
 """The exact referee for finite atomic laws: enumeration against brute
-force, the tie bracket, the cap, its use in ``verify``, and a random-law
-property test of every bound family against the exact tail."""
+force, the tie bracket, the cap, its use in ``verify``, a random-law
+property test of every bound family against the exact tail, and the
+sup-over-n rows and tail certificate against the exact tails of a range."""
 
 import contextlib
 import io
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from selfnorm import cli, mc
 from selfnorm.bounds import (DEFAULT_B_GRID, EXP_LEVEL, BoundCurve, BoundPoint,
-                             exp_curve, lower_q1_curve, power_curve)
+                             _tail_certificate, exp_curve, lower_q1_curve,
+                             power_curve)
 from selfnorm.distributions import DiscreteLaw, Rademacher, StandardGaussian
 from selfnorm.mc import MCConfig, _exact_tail, self_normalized_stat, verify_bounds
 
@@ -183,3 +185,39 @@ def test_every_bound_respects_the_exact_tail(law, n):
     at_one = {e.B: e for e in _exact_tail(law, 1, B_grid)}
     for pt in lower_q1_curve(law, B_grid).points:
         assert at_one[pt.B].ci_lo <= pt.value <= at_one[pt.B].ci_hi, pt
+
+
+SKEWED = DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)])
+
+
+class TestExactSup:
+    """Sup rows and the tail certificate against the largest exact tail
+    of a range: each must bound every n it stands for."""
+
+    B_GRID = (math.e, 5.0, 20.0)
+
+    @pytest.mark.parametrize("law, M", [
+        (SKEWED, 2000),
+        (DiscreteLaw([(-1.0, 0.9), (9.0, 0.1)]), 2000),
+        (Rademacher(), 2000),
+        (DiscreteLaw([(-1.0, 0.6), (0.0, 0.2), (3.0, 0.2)]), 300),
+    ], ids=["skewed2", "rare9", "signs", "lazy3"])
+    def test_sup_rows_and_certificate_dominate_exact_tails(self, law, M):
+        # exact[n - 1, j]: the exact tail's lower end at n and B_GRID[j]
+        exact = np.array([[e.ci_lo for e in _exact_tail(law, n, self.B_GRID)]
+                          for n in range(1, M + 1)])
+        # from_n[N - 1, j]: the largest exact tail over N <= n <= M
+        from_n = np.maximum.accumulate(exact[::-1], axis=0)[::-1]
+        for j, B in enumerate(self.B_GRID):
+            for N in (1, 2, 9, 65):
+                assert _tail_certificate(law, N, B) >= from_n[N - 1, j], (B, N)
+        for curve in (exp_curve(law, (1, M), self.B_GRID),
+                      power_curve(law, (1, M), self.B_GRID)):
+            for pt in curve.points:
+                j = self.B_GRID.index(pt.B)
+                assert pt.value >= from_n[0, j], (curve.family, pt.B)
+
+    def test_certificate_past_the_cells_is_tight_at_large_B(self):
+        # the moment certificate settles this row after 64 cells
+        (pt,) = exp_curve(SKEWED, (1, 4096), [20.0]).points
+        assert pt.value < 1e-11

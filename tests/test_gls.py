@@ -142,6 +142,11 @@ class TestBphiNorm:
         assert got == pytest.approx(1.0, abs=1e-4)
         assert got <= 1.0 + 1e-12
 
+    def test_rademacher_norm_not_below_its_grid_sup(self):
+        # the ratio is 0.99999992 at lambda = 1e-3 (ln cosh = lambda^2/2
+        # - lambda^4/12 there), so the norm may not read below that
+        assert bphi_norm(lncosh, lambda lam: lam * lam / 2.0) >= 0.99999991
+
     def test_zero_variable(self):
         phi2 = lambda lam: lam * lam / 2.0
         assert bphi_norm(lambda lam: 0.0, phi2) == 0.0
