@@ -17,6 +17,7 @@ the latter report-only).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -51,6 +52,11 @@ DEFAULT_B_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, math.e, 3.0, 5.0, 10.0, 20.0, 50.0)
 
 _THETA_RTOL = 1e-6
 _THETA_TOL = 1e-9
+# share of its two terms charged against the Chernoff exponent for their
+# rounding (4 ulps): they nearly cancel when B*sigma^2 is large against
+# the law's scale (uniform:a=1e6 at B = 50: terms of 5e15 around an
+# exponent of 18)
+_CANCEL_ROUNDING = 4.0 * sys.float_info.epsilon
 # cells a sup over n evaluates before it settles for its tail certificate;
 # a power of two, so that the last checkpoint falls right after them
 _SUP_CELLS = 64
@@ -134,7 +140,8 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
     target = B * dist.sigma2
 
     def obj(theta: float) -> float:
-        return theta * target - sum_cgf(dist, n, B, theta)
+        gain, cgf = theta * target, sum_cgf(dist, n, B, theta)
+        return gain - cgf - _CANCEL_ROUNDING * (abs(gain) + abs(cgf))
 
     # a theta bracket of relative width 1e-6 leaves an exponent error of
     # order 1e-12 relative: the objective is flat at its maximum

@@ -7,22 +7,23 @@ law only through expectations: plain moments, the bivariate log-MGF
 shifted summand ``xi + B*(sigma^2 - xi^2)/sqrt(n)`` that appears once the
 self-normalized tail event is linearized.
 
-Expectations are computed by adaptive quadrature for density laws (with
-exponent-level evaluation so that huge-but-finite integrands never
-overflow pointwise) and exact summation for discrete laws, empirical
-samples included.  Any evaluation or partial result with magnitude
-above ``exp(700)`` marks the expectation as divergent; callers that
-need an extended-real answer (the log-MGF) map that onto ``+inf``.
+Density laws are integrated by one vectorized adaptive Gauss-Legendre
+rule (:func:`_integrate`) that works on the integrand's exponent, so
+that huge-but-finite integrands never overflow pointwise; discrete laws,
+empirical samples included, are summed exactly.  A moment whose tail
+past the probe ladder does not decay geometrically, and a plain
+expectation above ``exp(700)``, raise :class:`DivergentError`; callers
+that need an extended-real answer (the log-MGF) map that onto ``+inf``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from .convex import _brent_max
 
 __all__ = [
     "DensityLaw",
@@ -38,10 +39,22 @@ __all__ = [
 
 OVERFLOW_LIMIT = math.exp(700.0)
 
-_DEFAULT_TOL = 1e-10
-_QUAD_ABS_FLOOR = 1e-13
 _MEAN_TOL = 1e-8
 _PROB_SUM_TOL = 1e-12
+# probe ladder of density laws, in units of sigma: 0 and +-2^k, k = -10..100
+_LADDER = np.array([-math.ldexp(1.0, k) for k in range(100, -11, -1)] + [0.0]
+                   + [math.ldexp(1.0, k) for k in range(-10, 101)])
+_GL_NODES = 32
+# a piece is done when its 1- and 2-panel values agree to this share of
+# the running total, widened by the rounding of exponents near |shift|
+_PIECE_TOL = 1e-13
+_EXPONENT_NOISE = 64.0 * sys.float_info.epsilon
+# bisections per round, and rounds: a kink costs one piece per round
+_MAX_SPLIT = 64
+_MAX_ROUNDS = 60
+# the largest share of the total that an extrapolated tail, or the error
+# left after the last round, may carry
+_UNRESOLVED_TOL = 1e-10
 
 
 class DivergentError(ArithmeticError):
@@ -52,6 +65,181 @@ def _guard_finite(value: float, what: str) -> float:
     if not math.isfinite(value) or abs(value) > OVERFLOW_LIMIT:
         raise DivergentError(f"{what} exceeded the overflow guard or diverged")
     return value
+
+
+def _apply(fn, x: np.ndarray) -> np.ndarray:
+    """fn over the array x; a constant broadcasts, and a function of
+    scalars only is applied elementwise."""
+    try:
+        vals = np.asarray(fn(x), dtype=float)
+        if vals.shape == x.shape:
+            return vals
+        if vals.ndim == 0:
+            return np.full(x.shape, float(vals))
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(v)) for v in x.ravel()]).reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre():
+    """The 32-node Gauss-Legendre rule on [0, 1] as node fractions and
+    weights.
+
+    The nodes start as the eigenvalues of the Jacobi matrix (Golub &
+    Welsch 1969, Math. Comp. 23).  Two Newton steps on P_32 in 40-digit
+    decimal arithmetic then give nodes and weights ``2/((1 - x^2)
+    P_32'(x)^2)`` rounded once to float: in float arithmetic the
+    weights near the ends lose up to 6e-14 to the cancellation in
+    ``1 - x^2``, which shows in the last digit of a moment.
+    """
+    from decimal import Decimal, localcontext
+
+    n = _GL_NODES
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    start = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for x0 in start[n // 2:]:
+            x = Decimal(float(x0))
+            for _ in range(2):
+                # P_n(x) and P_n'(x) by the three-term recurrence
+                p_prev, p = Decimal(1), x
+                for j in range(2, n + 1):
+                    p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+                dp = n * (x * p - p_prev) / (x * x - 1)
+                x -= p / dp
+            nodes.append(float((1 + x) / 2))
+            weights.append(float(1 / ((1 - x * x) * dp * dp)))
+    # the rule is symmetric: node 1 - u pairs with node u
+    u, w = np.array(nodes), np.array(weights)
+    u, w = np.concatenate((1.0 - u[::-1], u)), np.concatenate((w[::-1], w))
+    # shared by every caller through the cache
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _integrate(fn, lo: float, hi: float, scale: float,
+               breakpoints: Sequence[float] = ()) -> tuple[float, float]:
+    """The integral of ``s * exp(e)`` over [lo, hi], where ``(e, s) =
+    fn(x)`` for an array x.  Returns ``(shift, total)``; the integral is
+    ``exp(shift) * total``.
+
+    The probes are the ladder ``0, +-scale*2^k`` (k = -10..100), the
+    breakpoints and the finite ends, within [lo, hi].  Only the window of
+    probes where e is within 800 of its largest probe value is
+    integrated, piece by piece between consecutive probes (see
+    :func:`_adapt`).  When [lo, hi] goes on past an end of the ladder, a
+    peak of e at that end means divergence; a window reaching it adds
+    the geometric tail ``r/(1 - r)`` times the last octave, r the ratio
+    of the last two octaves, and that tail must stay below
+    ``_UNRESOLVED_TOL`` of the total, else the integral counts as divergent.
+    """
+    pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
+    probes = pts[(pts >= lo) & (pts <= hi) & (np.abs(pts) <= scale * _LADDER[-1])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = np.asarray(fn(probes)[0], dtype=float)
+    e = np.where(np.isnan(e), -math.inf, e)
+    i0, last = int(np.argmax(e)), len(probes) - 1
+    top = e[i0]
+    if top == -math.inf:
+        return -math.inf, 0.0
+    open_lo, open_hi = probes[0] > lo, probes[-1] < hi
+    if top == math.inf or (i0 == 0 and open_lo) or (i0 == last and open_hi):
+        raise DivergentError("integrand diverges at its peak")
+    # past the window the integrand is below exp(-800) of the peak at
+    # every probe
+    rel = np.nonzero(e >= top - 800.0)[0]
+    i_lo, i_hi = max(rel[0] - 1, 0), min(rel[-1] + 1, last)
+    edges = probes[i_lo:i_hi + 1]
+    shift, acc = _adapt(fn, edges[:-1], edges[1:])
+    total = float(acc.sum())
+    span = np.abs(edges).max()
+    for is_open, dist in ((open_lo and i_lo == 0, -edges[1:]),
+                          (open_hi and i_hi == last, edges[:-1])):
+        if not is_open:
+            continue
+        # the last two octaves: [span/2, span] and [span/4, span/2] out
+        outer = float(acc[dist >= 0.5 * span].sum())
+        inner = float(acc[(dist >= 0.25 * span) & (dist < 0.5 * span)].sum())
+        if outer == 0.0:
+            continue
+        r = outer / inner if inner != 0.0 else math.inf
+        tail = outer * r / (1.0 - r) if 0.0 <= r < 1.0 else math.inf
+        if not abs(tail) <= _UNRESOLVED_TOL * np.abs(acc).sum():
+            raise DivergentError("integrand tail does not decay")
+        total += tail
+    return shift, total
+
+
+def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Adaptive Gauss-Legendre integrals of ``s * exp(e - shift)`` over
+    the pieces [a_i, b_i]; returns ``shift`` and the value of each piece.
+
+    Each piece is integrated by the 32-node rule on one panel and on two
+    halves.  A piece whose two values differ by more than ``_PIECE_TOL``
+    of the running total (plus the rounding of exponents near
+    ``|shift|``) is bisected, its halves keeping their one-panel values;
+    all pieces of a round go through one call of ``fn``, and at most
+    ``_MAX_SPLIT`` are bisected per round.  ``shift`` follows the largest
+    exponent seen, so no node overflows.
+    """
+    u, w = _gauss_legendre()
+    u2 = np.concatenate((0.5 * u, 0.5 + 0.5 * u))
+    origin = np.arange(len(a))
+    acc = np.zeros(len(a))  # accepted value per piece
+    one = None  # one-panel values, known for halves of a bisected piece
+    carried = None  # open pieces left over by the split cap
+    shift = -math.inf
+    for rnd in range(_MAX_ROUNDS):
+        width = b - a
+        nodes = u2 if one is not None else np.concatenate((u, u2))
+        e, s = fn(a[:, None] + width[:, None] * nodes)
+        if np.isnan(e).any():
+            raise DivergentError("integrand is not a number")
+        peak = e.max(initial=-math.inf)
+        if peak == math.inf:
+            raise DivergentError("integrand diverges")
+        if peak > shift:
+            rescale = math.exp(shift - peak)
+            acc *= rescale
+            if one is not None:
+                one = one * rescale
+            if carried is not None:
+                carried[3:] = [c * rescale for c in carried[3:]]
+            shift = float(peak)
+        vals = s * np.exp(e - shift) if shift > -math.inf else np.zeros(e.shape)
+        if one is None:
+            one = width * (vals[:, :_GL_NODES] @ w)
+            vals = vals[:, _GL_NODES:]
+        left = 0.5 * width * (vals[:, :_GL_NODES] @ w)
+        right = 0.5 * width * (vals[:, _GL_NODES:] @ w)
+        if carried is not None:
+            a, b, origin, one, left, right = (np.concatenate(pair) for pair in zip(
+                (a, b, origin, one, left, right), carried))
+        both = left + right
+        err = np.abs(both - one)
+        scale = np.abs(acc).sum() + np.abs(both).sum()
+        done = err <= (_PIECE_TOL + _EXPONENT_NOISE * abs(shift)) * scale
+        if rnd == _MAX_ROUNDS - 1:
+            if err.sum() > _UNRESOLVED_TOL * scale:
+                raise DivergentError("quadrature did not converge")
+            done[:] = True
+        np.add.at(acc, origin[done], both[done])
+        open_ = np.nonzero(~done)[0]
+        if not open_.size:
+            break
+        open_ = open_[np.argsort(-err[open_], kind="stable")]
+        split, rest = open_[:_MAX_SPLIT], open_[_MAX_SPLIT:]
+        carried = ([arr[rest] for arr in (a, b, origin, one, left, right)]
+                   if rest.size else None)
+        mid = 0.5 * (a[split] + b[split])
+        a, b = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
+        origin = np.tile(origin[split], 2)
+        one = np.concatenate((left[split], right[split]))
+    return shift, acc
 
 
 class DistributionModel:
@@ -75,7 +263,7 @@ class DistributionModel:
     # -- primitive operations supplied by subclasses ---------------------
 
     def expect(self, g: Callable[[float], float]) -> float:
-        """E g(xi), to relative accuracy 1e-10 for smooth integrands.
+        """E g(xi), to about 1e-13 relative for smooth integrands.
 
         Raises :class:`DivergentError` when the expectation does not
         converge or exceeds the overflow guard.
@@ -135,10 +323,11 @@ class DistributionModel:
         """
         if l1 == 0.0 and l2 == 0.0:
             return 0.0
-        s2 = self.sigma2
 
+        # the constant l2*sigma^2 is added last, so that the exponent stays
+        # of the size of its variation even when l2*sigma^2 is huge
         def t(x):
-            return l1 * x + l2 * (s2 - x * x)
+            return l1 * x - l2 * (x * x)
 
         if l2 > 0.0:
             center = l1 / (2.0 * l2)
@@ -147,7 +336,7 @@ class DistributionModel:
         else:
             pts = (0.0,)
         try:
-            v = self._log_expect_exponent(t, pts)
+            v = self._log_expect_exponent(t, pts) + l2 * self.sigma2
         except DivergentError:
             return math.inf
         if math.isnan(v):
@@ -248,17 +437,8 @@ class DiscreteLaw(DistributionModel):
         values, counts = np.unique(arr - arr.mean(), return_counts=True)
         return cls(np.column_stack((values, counts / arr.size)), name=name)
 
-    def _apply(self, g):
-        try:
-            vals = np.asarray(g(self._values), dtype=float)
-            if vals.shape != self._values.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(g(v)) for v in self._values])
-        return vals
-
     def expect(self, g):
-        vals = self._apply(g)
+        vals = _apply(g, self._values)
         total = float(np.dot(self._probs, vals))
         return _guard_finite(total, "discrete expectation")
 
@@ -266,7 +446,7 @@ class DiscreteLaw(DistributionModel):
         # the algorithm of scipy.special.logsumexp (SciPy 1.17), bit for bit,
         # without the cost of importing scipy.special: the largest terms are
         # summed apart, as m, and the rest enter through log1p(s/m)
-        exps = self._apply(t)
+        exps = _apply(t, self._values)
         b = self._probs
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = np.where(b == 0.0, -math.inf, exps)
@@ -309,7 +489,8 @@ class Rademacher(DiscreteLaw):
 
 
 class _QuadratureLaw(DistributionModel):
-    """Shared adaptive-quadrature engine for laws given by a density."""
+    """Laws given by a density: every expectation goes through
+    :func:`_integrate`, with the probe ladder in units of sigma."""
 
     support: tuple[float, float]
 
@@ -320,83 +501,28 @@ class _QuadratureLaw(DistributionModel):
         with np.errstate(over="ignore"):
             return np.exp(self._log_density(x))
 
-    def _edges(self, breakpoints):
-        lo, hi = self.support
-        pts = sorted({float(b) for b in breakpoints
-                      if math.isfinite(b) and lo < b < hi})
-        return [lo, *pts, hi]
+    def _integrate_density(self, g, lo, hi, scale):
+        """The integral of density * g over [lo, hi]."""
 
-    @staticmethod
-    def _quad_piece(fn, a, b):
-        # imported here: scipy.integrate pulls in scipy.optimize, which
-        # laws without a density never need
-        from scipy import integrate
+        def fn(x):
+            f = self._density(x) * _apply(g, x)
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(f)), np.sign(f)
 
-        out = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_FLOOR,
-                             epsrel=_DEFAULT_TOL, limit=300, full_output=1)
-        val, abserr = out[0], out[1]
-        if not math.isfinite(val) or abs(val) > OVERFLOW_LIMIT:
-            raise DivergentError("quadrature diverged")
-        if len(out) > 3:
-            # a "divergent" verdict is fatal even when the error estimate
-            # looks small: the transformed integrand is then garbage
-            if "divergent" in out[3]:
-                raise DivergentError(f"quadrature failed: {out[3]}")
-            if abserr > 1e-7 * max(1.0, abs(val)):
-                raise DivergentError(f"quadrature failed to converge: {out[3]}")
-        return val
+        shift, total = _integrate(fn, lo, hi, scale)
+        with np.errstate(over="ignore"):
+            return _guard_finite(float(np.exp(shift) * total), "expectation")
 
     def expect(self, g):
-        total = self._quad_piece(lambda x: self._density(x) * g(x), *self.support)
-        return _guard_finite(total, "expectation")
-
-    def _probe_points(self, breakpoints):
-        lo, hi = self.support
-        scale = math.sqrt(self.sigma2)
-        ladder = scale * 2.0 ** np.arange(-10, 41)
-        pts = {0.0, *(-ladder), *ladder, *breakpoints, lo, hi}
-        return np.array(sorted(p for p in pts
-                               if math.isfinite(p) and lo <= p <= hi))
+        return self._integrate_density(g, *self.support, math.sqrt(self.sigma2))
 
     def _log_expect_exponent(self, t, breakpoints):
-        def h(x):
-            return self._log_density(x) + t(x)
+        def fn(x):
+            with np.errstate(invalid="ignore", over="ignore"):
+                return self._log_density(x) + t(x), 1.0
 
-        # locate the integrand's peak: vectorized probe ladder, then a
-        # Brent refinement between the best probe's neighbors
-        probes = self._probe_points(breakpoints)
-        with np.errstate(invalid="ignore", over="ignore"):
-            h_vals = np.asarray(h(probes), dtype=float)
-        h_vals = np.where(np.isnan(h_vals), -math.inf, h_vals)
-        i0 = int(np.argmax(h_vals))
-        triple = [max(i0 - 1, 0), i0, min(i0 + 1, len(probes) - 1)]
-        a, b, c = probes[triple].tolist()
-        with np.errstate(invalid="ignore", over="ignore"):
-            x_peak, shift = _brent_max(lambda x: float(h(x)), a, b, c,
-                                       *h_vals[triple].tolist(), 1e-10, 0.0)
-        if not math.isfinite(shift):
-            if shift == -math.inf:
-                return -math.inf
-            raise DivergentError("integrand exponent diverges at its peak")
-
-        def integrand(x):
-            e = h(x) - shift
-            return math.exp(e) if e < 709.0 else math.inf
-
-        # split only inside the window where the shifted integrand can be
-        # nonzero; split points far outside it would create huge finite
-        # pieces whose interior spike quadrature cannot find.  The outer
-        # pieces stay unbounded so a tail that re-grows is still caught.
-        rel = np.nonzero(h_vals >= shift - 800.0)[0]
-        lo_i, hi_i = (min(rel[0], i0), max(rel[-1], i0)) if rel.size else (i0, i0)
-        w_lo = probes[max(lo_i - 1, 0)]
-        w_hi = probes[min(hi_i + 1, len(probes) - 1)]
-        inner = {w_lo, w_hi, *(p for p in (*breakpoints, a, x_peak, c)
-                               if w_lo <= p <= w_hi)}
-        edges = self._edges(inner)
-        total = 0.0
-        for lo_e, hi_e in zip(edges, edges[1:]):
-            total += self._quad_piece(integrand, lo_e, hi_e)
+        shift, total = _integrate(fn, *self.support, math.sqrt(self.sigma2),
+                                  breakpoints)
         if total <= 0.0:
             return -math.inf
         return shift + math.log(total)
@@ -406,7 +532,7 @@ class _QuadratureLaw(DistributionModel):
         a, b = max(lo, slo), min(hi, shi)
         if a >= b:
             return 0.0
-        return self._quad_piece(self._density, a, b)
+        return self._integrate_density(lambda x: 1.0, a, b, math.sqrt(self.sigma2))
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -442,7 +568,7 @@ class UniformSymmetric(_QuadratureLaw):
         super().__init__(half_width * half_width / 3.0, f"uniform:a={half_width:g}")
 
     def _log_density(self, x):
-        # quadrature calls this once per node with a float: skip NumPy there
+        # a float gives a float, as for the other laws
         if isinstance(x, float):
             return self._log_height if abs(x) <= self.half_width else -math.inf
         return np.where(np.abs(x) <= self.half_width, self._log_height, -math.inf)
@@ -464,11 +590,10 @@ class DensityLaw(_QuadratureLaw):
                  name: str = "density"):
         self._density_fn = density
         self.support = (float(support[0]), float(support[1]))
-        mass = self._quad_piece(density, *self.support)
+        mass, mean, sigma2 = (self._integrate_density(g, *self.support, 1.0)
+                              for g in (lambda x: 1.0, lambda x: x, lambda x: x * x))
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"density integrates to {mass}, not 1")
-        mean = self._quad_piece(lambda x: x * density(x), *self.support)
-        sigma2 = self._quad_piece(lambda x: x * x * density(x), *self.support)
         if abs(mean) > _MEAN_TOL * math.sqrt(sigma2):
             raise ValueError(f"law is not centered: mean = {mean}")
         super().__init__(sigma2, name)
@@ -476,10 +601,10 @@ class DensityLaw(_QuadratureLaw):
 
     def _log_density(self, x):
         with np.errstate(divide="ignore"):
-            return np.log(self._density_fn(x))
+            return np.log(_apply(self._density_fn, x))
 
     def _density(self, x):
-        return self._density_fn(x)
+        return _apply(self._density_fn, x)
 
     def sample(self, rng, size):
         if self._sampler is None:

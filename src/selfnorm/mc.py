@@ -197,7 +197,8 @@ def _exact_tail(dist: DistributionModel, n: int,
     None for any law that is not a :class:`DiscreteLaw`, and for one
     whose count vectors at n number more than ``_EXACT_CAP``.  Each
     count vector is weighted by its multinomial probability, computed
-    in log space from a log-factorial table, and its statistic comes
+    in log space from a log-factorial table (at n = 1 the vectors are
+    the atoms, with their own probabilities), and its statistic comes
     from the same ``_stat_from_sums`` as the simulation's.  Tails below
     the smallest positive double read 0.
     """
@@ -207,6 +208,18 @@ def _exact_tail(dist: DistributionModel, n: int,
     values, probs = dist._values[live], dist._probs[live]
     if math.comb(n + values.size - 1, values.size - 1) > _EXACT_CAP:
         return None
+    if n == 1:
+        # each count vector is one draw, and T(1) = 1/xi: the tail is
+        # P(0 < xi < 1/B), with P(0 < xi <= 1/B) at the top of the bracket
+        s1, s2, weight = values, values * values, probs
+    else:
+        s1, s2, weight = _count_vectors(values, probs, n)
+    return _tail_estimates(n, s1, s2, weight, B_grid)
+
+
+def _count_vectors(values: np.ndarray, probs: np.ndarray, n: int):
+    """Sum, sum of squares and multinomial probability of every count
+    vector of n draws from the atoms ``values`` with ``probs``."""
     # lgamma, not a cumulative sum of logs, whose rounding grows with n
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     # open count vectors: the draws still to place, the sums of the
@@ -232,7 +245,13 @@ def _exact_tail(dist: DistributionModel, n: int,
         if not rest.size:
             break
     s1, s2, log_w = (np.concatenate(parts) for parts in zip(*closed))
-    weight = np.exp(log_w)
+    return s1, s2, np.exp(log_w)
+
+
+def _tail_estimates(n: int, s1: np.ndarray, s2: np.ndarray, weight: np.ndarray,
+                    B_grid: Sequence[float]) -> list[TailEstimate]:
+    """The exact tail bracket at each B of the outcomes with sums s1, s2
+    of n draws and probabilities ``weight``."""
     t = _stat_from_sums(math.sqrt(n), s1, s2)
     order = np.argsort(t)
     t = t[order]

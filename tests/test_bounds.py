@@ -10,13 +10,12 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 from scipy.stats import norm as scipy_norm
 
-from selfnorm.bounds import (DEFAULT_B_GRID, exp_curve, lower_clt_curve,
-                             lower_q1_curve, power_curve, rosenthal_psi,
-                             sum_cgf)
+from selfnorm.bounds import (DEFAULT_B_GRID, DEFAULT_KR, exp_curve,
+                             lower_clt_curve, lower_q1_curve, power_curve,
+                             rosenthal_psi, sum_cgf)
 from selfnorm.bounds import _exp_tail_point, _power_tail_point, _tail_certificate
-from selfnorm.distributions import (DensityLaw, DiscreteLaw, DivergentError,
-                                    Rademacher, StandardGaussian,
-                                    UniformSymmetric)
+from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
+                                    StandardGaussian, UniformSymmetric)
 
 E = math.e
 SQRT3 = math.sqrt(3.0)
@@ -587,17 +586,31 @@ class TestPowerTailOptimizer:
         assert 2.0 in ps and 1000.0 not in ps
 
     def test_heavy_tail_works_around_divergence(self):
-        # the threshold is B*sigma^2 with sigma^2 = 5/3; a 1e6-trial
-        # simulation puts Q_16(5) far below this value
+        # the summand moments end at p = 2.5, a barrier of the search; the
+        # oracle minimizes the same exponent over moments from QUADPACK on
+        # infinite pieces split at the summand's roots.  The threshold is
+        # B*sigma^2 with sigma^2 = 5/3, and 4e5 simulated draws put
+        # Q_16(5) near 1e-5, far below the bound
         law = DensityLaw(t5_density)
-        pt = _power_tail_point(law, 16, 5.0)
-        reference = 0.27429682231511837
-        assert reference * (1.0 - 1e-9) <= pt.value <= reference * (1.0 + 1e-6)
+        n, B = 16, 5.0
+        pt = _power_tail_point(law, n, B)
+        c, s2 = B / math.sqrt(n), 5.0 / 3.0
+        disc = math.sqrt(1.0 + 4.0 * c * c * s2)
+        cuts = (-math.inf, (1.0 - disc) / (2.0 * c), 0.0, (1.0 + disc) / (2.0 * c),
+                math.inf)
+
+        def exponent(p):
+            moment = sum(quad(lambda x: abs(x + c * (s2 - x * x)) ** p * t5_density(x),
+                              a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for a, b in zip(cuts, cuts[1:]))
+            return p * math.log(DEFAULT_KR * p / math.log(p) / (B * s2)) + math.log(moment)
+
+        r = minimize_scalar(exponent, bounds=(1.0 + 1e-6, 2.49), method="bounded",
+                            options={"xatol": 1e-12})
+        assert pt.value == pytest.approx(math.exp(r.fun), rel=1e-9)
+        assert pt.value == pytest.approx(0.98438245834080, rel=1e-9)
         assert 1.0 < pt.optimizer["p_star"] < 2.5
 
-    @pytest.mark.xfail(strict=True, raises=DivergentError,
-                       reason="QUADPACK's 'probably divergent' verdict is fatal "
-                              "although t5 moments are finite below p = 2.5")
     def test_heavy_tail_l2_norm_is_finite(self):
         # t5 has E xi^2 = 5/3 and E xi^4 = 25, so the summand's L2 norm at
         # n = 16, B = 5 is sqrt(sigma^2 + B^2 * (E xi^4 - sigma^4) / n)

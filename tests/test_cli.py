@@ -334,6 +334,25 @@ class TestMain:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
+    def test_density_law_bounds_leave_quadrature_unloaded(self):
+        # density-law moments come from the package's own Gauss-Legendre
+        # rule: bounding a density law loads no SciPy quadrature or optimizer
+        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
+        code = ("import contextlib, io, sys\n"
+                "from selfnorm.cli import main\n"
+                "for cmd in ('bound-exp', 'bound-power'):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        try:\n"
+                "            main([cmd, '--dist', 'gaussian'])\n"
+                "        except SystemExit as exc:\n"
+                "            assert exc.code == 0, exc.code\n"
+                "print([m for m in ('scipy.integrate', 'scipy.optimize')\n"
+                "       if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
     def test_generator_overflow_is_silent(self):
         # psi(p) = p^(1e300) overflows at every p > 1: a barrier of the
         # search, with no warning on stderr
@@ -344,8 +363,9 @@ class TestMain:
             check=True, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src})
         assert out.stderr == ""
+        # the norm is E|xi| = sqrt(2/pi) = 0.79788456080286536
         assert out.stdout.splitlines()[1:] == [
-            "gaussian,,,GlsNorm,0.797884560802866,,,,,,,",
+            f"gaussian,,,GlsNorm,{math.sqrt(2.0 / math.pi):.15g},,,,,,,",
             "gaussian,,5,GlsTail,0.159576912160573,,,,,,,"]
 
     @pytest.mark.parametrize("spec", ["discrete:-1e200:0.5,1e200:0.5",

@@ -129,6 +129,56 @@ class TestLogMgf2:
         assert mid <= (law.log_mgf2(a1, a2) + law.log_mgf2(b1, b2)) / 2 + 1e-9
 
 
+def t5_density(x):
+    # Student t with 5 degrees of freedom: E|xi|^p finite for p < 5
+    return 8.0 / (3.0 * math.sqrt(5.0) * math.pi) * (1.0 + x * x / 5.0) ** -3
+
+
+class TestClosedFormOracles:
+    """Density-law quadrature against closed forms, to the last digits."""
+
+    @pytest.mark.parametrize("l1, l2", [
+        (0.0, 0.5), (1.0, 1.0), (2.0, 0.1), (0.5, -0.3), (3.0, -0.2),
+        (-1.5, 0.7), (100.0, 5000.0), (1e3, 1e3)])
+    def test_gaussian_log_mgf2(self, laws, l1, l2):
+        assert laws["gaussian"].log_mgf2(l1, l2) == pytest.approx(
+            gauss_log_mgf2(l1, l2), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5, 20.0, 64.0, 150.0, 300.0])
+    def test_gaussian_lp_norm(self, laws, p):
+        expected = math.exp((0.5 * p * math.log(2.0) + math.lgamma((p + 1) / 2)
+                             - 0.5 * math.log(math.pi)) / p)
+        assert laws["gaussian"].lp_norm(p) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("a", [SQRT3, 2.5])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5, 20.0, 64.0, 300.0])
+    def test_uniform_lp_norm(self, a, p):
+        assert UniformSymmetric(a).lp_norm(p) == pytest.approx(
+            a / (p + 1.0) ** (1.0 / p), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.5])
+    def test_t5_lp_norm(self, p):
+        # E|T_nu|^p = nu^(p/2) Gamma((p+1)/2) Gamma((nu-p)/2) / (sqrt(pi) Gamma(nu/2));
+        # at p = 4.5 a share 2e-6 of the moment lies past 2^40 sigma
+        nu = 5.0
+        log_moment = (0.5 * p * math.log(nu) + math.lgamma((p + 1) / 2)
+                      + math.lgamma((nu - p) / 2) - 0.5 * math.log(math.pi)
+                      - math.lgamma(nu / 2))
+        assert DensityLaw(t5_density).lp_norm(p) == pytest.approx(
+            math.exp(log_moment / p), rel=1e-9)
+
+    def test_divergence(self, laws):
+        assert laws["gaussian"].log_mgf2(1.0, -0.6) == math.inf
+        assert laws["gaussian"].log_mgf2(1.0, -0.5000001) == math.inf
+        t5 = DensityLaw(t5_density)
+        # E|xi|^5 diverges logarithmically, the summand's 2.6th moment
+        # like x^0.2
+        for moment in (lambda: t5.lp_norm(5.0), lambda: t5.lp_norm(5.5),
+                       lambda: t5.summand_lp_norm(16, 5.0, 2.6)):
+            with pytest.raises(DivergentError):
+                moment()
+
+
 class TestQuadraticMoments:
     def test_rademacher(self, laws):
         assert laws["rademacher"].quadratic_moments() == (1.0, 0.0, 0.0)

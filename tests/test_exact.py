@@ -7,6 +7,7 @@ import contextlib
 import io
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,36 @@ class TestExactTail:
             (est,) = _exact_tail(law, 1, [B])
             assert est.point == pytest.approx(law.prob_between(0.0, 1.0 / B),
                                               rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", ["signs", "skewed2", "lazy3", "skewed3"])
+    def test_single_draw_path_matches_enumeration(self, name):
+        # n = 1 skips the enumeration; the B grid puts ties on every atom
+        law = LAWS[name]
+        B_grid = sorted(set(DEFAULT_B_GRID)
+                        | {1.0 / v for v in law._values.tolist() if v > 0.0})
+        general = mc._tail_estimates(
+            1, *mc._count_vectors(law._values, law._probs, 1), B_grid)
+        for fast, slow in zip(_exact_tail(law, 1, B_grid), general, strict=True):
+            assert fast.B == slow.B
+            for field in ("point", "ci_lo", "ci_hi"):
+                assert getattr(fast, field) == pytest.approx(
+                    getattr(slow, field), rel=1e-15, abs=0), (fast.B, field)
+
+    def test_single_draw_tail_of_a_large_sample_is_fast(self):
+        # the bracket runs from P(0 < xi < 1/B) to P(0 < xi <= 1/B); one
+        # enumeration pass per atom would take seconds on these 1e5 atoms
+        sample = np.random.default_rng(11).standard_normal(100_000)
+        law = DiscreteLaw.from_sample(sample)
+        B_grid = [0.25, 1.0, 1.0 / law._values[-1], 5.0]
+        start = time.perf_counter()
+        ests = _exact_tail(law, 1, B_grid)
+        assert time.perf_counter() - start < 1.0
+        for est in ests:
+            closed = law._probs[(law._values > 0.0)
+                                & (law._values <= 1.0 / est.B)].sum()
+            assert est.point == pytest.approx(law.prob_between(0.0, 1.0 / est.B),
+                                              rel=1e-12, abs=0)
+            assert est.ci_hi >= closed
 
     def test_order_of_grid_is_kept(self):
         ests = _exact_tail(Rademacher(), 4, [2.0, 0.25, 1.0])
