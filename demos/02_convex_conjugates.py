@@ -44,7 +44,7 @@ print(f"  maximize 0.3*x on [0, inf): x = {x:.6g} (the cap 1e-8*2^63), "
 print("  the best point evaluated is returned, so a Chernoff exponent read")
 print(f"  there is still valid: exp(-value) = {math.exp(-v)}")
 
-print("\n=== monotone inversion (used for generator conversions) ===")
+print("\n=== monotone inversion (used by the MGF-domination norm) ===")
 y = 0.14384
 x = invert_monotone(lncosh, y, 0.0, 1.0)
 print(f"  solve ln cosh x = {y}: x = {x:.6f}, residual {lncosh(x) - y:+.2e}")

@@ -1,14 +1,16 @@
 """End-to-end verification: bounds vs the referee, with a negative control.
 
-The simulation draws T(n) from deterministic chunked substreams and
-wraps exact binomial intervals around the hit counts.  The verification
-gate referees the sign law exactly instead: its tail at each n is a
+The referee of a cell is the exact tail wherever the law's count
+vectors can be enumerated, and a simulation otherwise.  The simulation
+draws T(n) in chunks of about 2^18 draws, each from its own
+deterministic substream, and wraps exact binomial intervals around the
+hit counts.  The sign law is refereed exactly: its tail at each n is a
 finite sum over the counts of +1 draws, bracketed at ties T = B.  The
-gate reads its grid from the curves it is given: the n of every fixed-n
-curve and the B of every point.  Every upper bound must clear the lower
-end of the referee's interval (and the n = 1 lower bound stay under the
-upper end).  A deliberately corrupted bound demonstrates that the gate
-actually bites.
+gate reads its grid from the curves it is given: the first n of every
+curve's range and the B of every point.  Every upper bound must clear
+the lower end of the referee's interval (and the n = 1 lower bound stay
+under the upper end).  A deliberately corrupted bound demonstrates that
+the gate actually bites.
 """
 
 import math

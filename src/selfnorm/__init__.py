@@ -48,7 +48,6 @@ from .gls import (
     power_psi,
 )
 from .mc import (
-    GridMismatchError,
     MCConfig,
     VerificationReport,
     clopper_pearson,

@@ -153,9 +153,10 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
 
 
 def _sup_scan(dist: DistributionModel, point_fn: Callable[[int], BoundPoint],
-              B: float, n_lo: int, n_hi: int) -> BoundPoint:
+              B: float, n_lo: int, n_hi: int, kr: float = DEFAULT_KR) -> BoundPoint:
     """A bound on the sup of Q_n(B) over n_lo <= n <= n_hi from the
-    cells point_fn(n), each a bound on one Q_n(B).
+    cells point_fn(n), each a bound on one Q_n(B); ``kr`` is the
+    Rosenthal constant of the tail certificate.
 
     Cells are evaluated from n_lo upward.  After 1, 2, 4, ..., 64 cells,
     at n = N, the tail certificate bounds Q_n(B) for every n >= N.  The
@@ -174,7 +175,7 @@ def _sup_scan(dist: DistributionModel, point_fn: Callable[[int], BoundPoint],
     n, check = n_lo, n_lo + 1
     while n <= n_hi:
         if n == check:
-            tail = _tail_certificate(dist, n, B, best.value)
+            tail = _tail_certificate(dist, n, B, best.value, kr)
             if tail <= best.value:
                 break
             if n - n_lo == _SUP_CELLS:
@@ -191,7 +192,7 @@ def _sup_scan(dist: DistributionModel, point_fn: Callable[[int], BoundPoint],
 
 
 def _tail_certificate(dist: DistributionModel, N: int, B: float,
-                      enough: float = 0.0) -> float:
+                      enough: float = 0.0, kr: float = DEFAULT_KR) -> float:
     """An upper bound on Q_n(B) that holds for every n >= N.
 
     The smallest of the certificates that apply, tried cheapest first;
@@ -210,9 +211,9 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
       (0, B/sqrt(N)], so the PowerLevel generator at n is at most the
       larger of those at N and at c = 0, and one moment-level search on
       that pointwise max dominates every PowerLevel cell past N at the
-      constant DEFAULT_KR.  It is the cells' own generator, so it is
-      valid exactly where they are, and a change to that generator's p
-      range applies to both.
+      Rosenthal constant ``kr``.  It is the cells' own generator, so it
+      is valid exactly where they are, and a change to that generator's
+      p range applies to both.
     * Otherwise 1.
     """
     bound = 1.0
@@ -225,7 +226,8 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
         if bound <= enough:
             return bound
     if B >= math.e:
-        psi_N, psi_inf = rosenthal_psi(dist, N, B), rosenthal_psi(dist, N, 0.0)
+        psi_N = rosenthal_psi(dist, N, B, kr)
+        psi_inf = rosenthal_psi(dist, N, 0.0, kr)
         psi = PsiFunction(lambda p: max(psi_N(p), psi_inf(p)), lo_open=True)
         bound = min(bound, _gls_tail_opt(psi, 1.0, B * dist.sigma2)[0])
     return bound
@@ -270,11 +272,11 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
 
 
 def _curve(family: str, dist: DistributionModel, n: int | tuple[int, int],
-           B_grid: Sequence[float],
-           point_fn: Callable[[int, float], BoundPoint]) -> BoundCurve:
+           B_grid: Sequence[float], point_fn: Callable[[int, float], BoundPoint],
+           kr: float = DEFAULT_KR) -> BoundCurve:
     if isinstance(n, tuple):
         n_lo, n_hi = n
-        pts = tuple(_sup_scan(dist, lambda m, B=B: point_fn(m, B), B, n_lo, n_hi)
+        pts = tuple(_sup_scan(dist, lambda m, B=B: point_fn(m, B), B, n_lo, n_hi, kr)
                     for B in B_grid)
     else:
         pts = tuple(point_fn(n, B) for B in B_grid)
@@ -299,9 +301,10 @@ def exp_curve(dist: DistributionModel, n: int | tuple[int, int],
 def power_curve(dist: DistributionModel, n: int | tuple[int, int],
                 B_grid: Sequence[float], kr: float = DEFAULT_KR) -> BoundCurve:
     """PowerLevel bound at every B >= e of the grid, sorted; ``n`` as in
-    :func:`exp_curve`."""
+    :func:`exp_curve`, with the tail certificate of a range at ``kr``
+    too."""
     return _curve(POWER_LEVEL, dist, n, [B for B in sorted(B_grid) if B >= math.e],
-                  lambda m, B: _power_tail_point(dist, m, B, kr))
+                  lambda m, B: _power_tail_point(dist, m, B, kr), kr)
 
 
 def lower_q1_curve(dist: DistributionModel, B_grid: Sequence[float]) -> BoundCurve:

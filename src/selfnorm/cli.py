@@ -5,9 +5,11 @@ Commands
 bound-exp     exponential-level upper bounds over the (n, B) grid
 bound-power   moment-level upper bounds (rows with B < e are SKIP markers)
 bound-lower   single-observation and limiting-tail lower bounds
-mc            Monte Carlo tail estimates only
-verify        all bound families + simulation + PASS/FAIL per cell (exit 1
-              on any FAIL); ``--n-sup lo:hi`` adds the sup-over-n rows
+mc            the referee's tail estimates only: exact for an enumerable
+              atomic law, simulated otherwise
+verify        all bound families + referee + PASS/FAIL per cell (exit 1
+              on any FAIL); ``--n-sup lo:hi`` adds the sup-over-n rows,
+              refereed at n = lo and at every ``--n`` in the range
 gls           norm and tail of a chosen generator family against the law
 
 Output is CSV (columns fixed, floats at 15 significant digits, ``inf``
@@ -29,7 +31,7 @@ from typing import Callable
 from . import bounds as bd
 from . import gls as gl
 from . import mc as mcmod
-from .distributions import DivergentError, parse_distribution
+from .distributions import DistributionModel, DivergentError, parse_distribution
 
 __all__ = ["ConfigError", "RunConfig", "build_config", "main", "run"]
 
@@ -54,22 +56,23 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """One command's settings; ``n_grid`` and ``B_grid`` are sorted and
-    free of repeats, as :func:`build_config` returns them."""
+    """One command's settings, parsed: ``distribution`` is the law,
+    ``family`` the gls family as (spec, generator of a law), and
+    ``n_grid`` and ``B_grid`` are sorted and free of repeats, as
+    :func:`build_config` returns them."""
 
     command: str
-    distribution: str
+    distribution: DistributionModel
     n_grid: list[int]
     B_grid: list[float]
     n_sup_range: tuple[int, int] | None
     trials: int
     seed: int
     kr_constant: float
-    chunk_size: int
     confidence: float
     output_path: str | None
     format: str
-    family: str | None = None
+    family: tuple[str, Callable] | None = None
 
 
 # -- parsing -------------------------------------------------------------------
@@ -136,11 +139,34 @@ def _output_path(text: str) -> str | None:
     return text
 
 
+# family prefix -> (constructor, parameter name); phi:natural takes none
+_GLS_FAMILIES = {"psi:degenerate": (gl.degenerate_psi, "r"),
+                 "psi:power": (gl.power_psi, "m"),
+                 "phi:power": (gl.power_phi, "m")}
+
+
+def _gls_family(text: str) -> tuple[str, Callable] | None:
+    """A ``--family`` spec as (spec, generator of a law); None when empty."""
+    if not text:
+        return None
+    if text == "phi:natural":
+        return text, gl.natural_phi
+    prefix, _, param = text.rpartition(":")
+    if prefix not in _GLS_FAMILIES:
+        raise ValueError(f"unknown family {text!r}")
+    make, tag = _GLS_FAMILIES[prefix]
+    name, _, raw = param.partition("=")
+    if name != tag:
+        raise ValueError(f"expected '{tag}=<real>' in {text!r}")
+    gen = make(_finite_real(raw))
+    return text, lambda dist: gen
+
+
 # key -> (default text, parser, help), in RunConfig field order; every
 # value goes through its parser, whether it is a flag, a file line or the
 # default.  --family exists on gls only.
 _OPTIONS = {
-    "dist": ("", _checked(str, bool, "a distribution spec"),
+    "dist": ("", parse_distribution,
              "rademacher | gaussian | uniform:a=<real> | discrete:v1:p1,... | "
              "empirical:<path>"),
     "n": ("1,4,16,64", _grid(_positive_int), "comma-separated sample sizes"),
@@ -150,15 +176,14 @@ _OPTIONS = {
     "trials": ("100000", _positive_int, "simulation trials per sample size"),
     "seed": ("1", _checked(int), "simulation seed"),
     "kr": (str(bd.DEFAULT_KR), _positive_real, "Rosenthal constant"),
-    "chunk-size": ("8192", _positive_int, "trials per simulation chunk"),
     "confidence": ("0.999", _checked(float, lambda v: 0.0 < v < 1.0,
                                      "strictly between 0 and 1"),
                    "Clopper-Pearson confidence level"),
     "output": ("", _output_path, "output path (default: stdout)"),
     "format": ("csv", _checked(str, ("csv", "pretty").__contains__, "csv or pretty"),
                "csv | pretty"),
-    "family": ("", lambda t: t or None, "psi:degenerate:r=<r> | psi:power:m=<m> | "
-                                        "phi:power:m=<m> | phi:natural"),
+    "family": ("", _gls_family, "psi:degenerate:r=<r> | psi:power:m=<m> | "
+                                "phi:power:m=<m> | phi:natural"),
 }
 
 
@@ -201,11 +226,6 @@ def build_config(command: str, flags: dict) -> RunConfig:
             mcmod.worker_count(1)
         except ValueError as exc:
             raise ConfigError("env", str(exc)) from None
-    if command == "verify" and config.n_sup_range:
-        lo, hi = config.n_sup_range
-        if not any(lo <= n <= hi for n in config.n_grid):
-            raise ConfigError("n-sup", f"no --n value in {lo}..{hi} to verify "
-                                       "the sup rows against")
     return config
 
 
@@ -336,10 +356,9 @@ def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
 def _mc_rows(config: RunConfig, dist) -> list[dict]:
     rows = []
     for n in config.n_grid:
-        cfg = mcmod.MCConfig(n, config.trials, config.seed, config.chunk_size,
-                             config.confidence)
+        cfg = mcmod.MCConfig(n, config.trials, config.seed, config.confidence)
         rows += [_blank_row(dist.name, str(n), "MC", est.B, est=est)
-                 for est in mcmod.empirical_tail(dist, cfg, config.B_grid)]
+                 for est in mcmod._estimate(dist, cfg, config.B_grid)]
     return rows
 
 
@@ -349,39 +368,16 @@ def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
         families += (bd.LOWER_Q1, bd.LOWER_CLT)
     curves = _curves(config, dist, families)
     cfg = mcmod.MCConfig(max(config.n_grid), config.trials, config.seed,
-                         config.chunk_size, config.confidence)
+                         config.confidence)
     report = mcmod.verify_bounds(dist, curves, cfg)
     return _curve_rows(config, dist, curves, report), report.all_pass
 
 
-# family prefix -> (constructor, parameter name); phi:natural takes none
-_GLS_FAMILIES = {"psi:degenerate": (gl.degenerate_psi, "r"),
-                 "psi:power": (gl.power_psi, "m"),
-                 "phi:power": (gl.power_phi, "m")}
-
-
-def _gls_generator(family: str, dist) -> gl.PsiFunction | Callable[[float], float]:
-    """The moment generator or MGF majorant that a ``--family`` spec names."""
-    if family == "phi:natural":
-        return gl.natural_phi(dist)
-    prefix, _, param = family.rpartition(":")
-    if prefix not in _GLS_FAMILIES:
-        raise ConfigError("family", f"unknown family {family!r}")
-    make, tag = _GLS_FAMILIES[prefix]
-    name, _, raw = param.partition("=")
-    if name != tag:
-        raise ConfigError("family", f"expected '{tag}=<real>' in {family!r}")
-    try:
-        return make(_finite_real(raw))
-    except ValueError as exc:
-        raise ConfigError("family", str(exc)) from None
-
-
 def _gls_rows(config: RunConfig, dist) -> list[dict]:
-    family = config.family
-    if not family:
+    if config.family is None:
         raise ConfigError("family", "the gls command needs --family")
-    gen = _gls_generator(family, dist)
+    family, generator_of = config.family
+    gen = generator_of(dist)
     try:
         if family.startswith("psi:"):
             names, tail_fn = ("GlsNorm", "GlsTail"), gl.gls_tail_bound
@@ -401,11 +397,7 @@ def _gls_rows(config: RunConfig, dist) -> list[dict]:
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
-    try:
-        dist = parse_distribution(config.distribution)
-    except ValueError as exc:
-        raise ConfigError("dist", str(exc)) from None
-
+    dist = config.distribution
     all_pass = True
     if config.command in _BOUND_FAMILIES:
         curves = _curves(config, dist, _BOUND_FAMILIES[config.command])

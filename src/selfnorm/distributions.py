@@ -283,8 +283,7 @@ class DistributionModel:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draws of the law; must read ``rng`` in order, so that one
-        ``(m, n)`` draw equals consecutive ``(m_i, n)`` draws."""
+        """Draws of the law from ``rng``, in an array of shape ``size``."""
         raise NotImplementedError
 
     def _sample_sums(self, rng: np.random.Generator, rows: int, n: int):

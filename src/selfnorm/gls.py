@@ -48,6 +48,10 @@ _P_RTOL = 1e-6
 # the moment-growth norm and tail both search p up to this
 _P_CAP = 1000.0
 _TOL = 1e-9
+# relative rise through the lowest decade of lambda beyond which an
+# MGF-domination ratio counts as unbounded as lambda -> 0: signs against
+# lam^2/2 rise 8e-6 towards their limit 1, while lam^-a rises 10^a - 1
+_BOTTOM_RISE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -139,10 +143,14 @@ def _support_grid(psi: PsiFunction, cap: float, points: int) -> list[float]:
     return grid.tolist()
 
 
-def _rising_through_last_decade(grid: Sequence[float], vals: list) -> bool:
+def _rising_through_last_decade(grid: Sequence[float], vals: list,
+                                rise: float = 0.0) -> bool:
+    """Whether ``vals`` rise strictly, and by more than ``rise`` relative,
+    through the top decade of the ascending ``grid``."""
     hi = grid[-1]
     seq = [v for p, v in zip(grid, vals) if v > -math.inf and p >= hi / 10.0]
-    return len(seq) >= 2 and all(a < b for a, b in zip(seq, seq[1:]))
+    return len(seq) >= 2 and all(a < b for a, b in zip(seq, seq[1:])) \
+        and seq[-1] > seq[0] * (1.0 + rise)
 
 
 def _refine(fn: Callable[[float], float], xs, vals: list, i: int) -> float:
@@ -258,8 +266,9 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: Callable[[float], float],
     inverse comes from :func:`invert_monotone`, which never answers
     below the root, so no ratio reads low; the grid supremum, which
     can, is rounded up by 1e-9.  Raises :class:`DivergentError` when the
-    MGF escapes the majorant's range or the ratio is still rising at the
-    grid edge.
+    MGF escapes the majorant's range, or when the ratio is still rising
+    at the top edge of the grid, or by more than 1% through the lowest
+    decade at its bottom edge.
     """
     half = 10.0 ** (decades / 2.0)
     grid = np.geomspace(1.0 / half, half, points_per_decade * decades + 1)
@@ -280,7 +289,10 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: Callable[[float], float],
     for sign in (1.0, -1.0):
         vals = [ratio(lam, sign) for lam in grid]
         i_best = int(np.argmax(vals))
-        if i_best == len(grid) - 1 and _rising_through_last_decade(grid, vals):
+        # the bottom edge of the lambda grid is the top edge in 1/lambda
+        if i_best == len(grid) - 1 and _rising_through_last_decade(grid, vals) \
+                or i_best == 0 and _rising_through_last_decade(
+                    1.0 / grid[::-1], vals[::-1], _BOTTOM_RISE):
             raise DivergentError("norm ratio still rising at the lambda-grid edge")
         best = max(best, _refine(lambda t: ratio(math.exp(t), sign),
                                  np.log(grid), vals, i_best))

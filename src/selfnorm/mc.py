@@ -1,21 +1,18 @@
 """The referee for every bound: the exact tail of a finite atomic law
 when its count vectors can be enumerated, and otherwise Monte Carlo
 estimation of the self-normalized tail with exact binomial confidence
-intervals.
+intervals; :func:`_estimate` picks one for ``verify`` and ``mc`` alike.
 
 A finite atomic law with k atoms reaches T(n) through the counts of
 each atom among the n draws, so Q_n(B) is a finite sum of multinomial
 probabilities over the C(n+k-1, k-1) count vectors.  Up to
 ``_EXACT_CAP`` vectors that sum replaces the simulation.
 
-Simulation is chunked: chunk k draws from its own counter-based
-substream seeded by (seed, k), and chunk hit-counts are reduced in chunk
-order.  Results are therefore bit-identical for a given
-(seed, chunk_size, trials) regardless of how many worker threads run the
-chunks.  Inside a chunk the rows are drawn in blocks of about
-``_BLOCK_DRAWS`` draws, each reduced at once to per-row sums of the
-draws and of their squares; every law reads its substream in order, so
-the blocking changes no hit count.  Tail cells routinely see
+Simulation is chunked: a chunk of ``max(1, _CHUNK_DRAWS // n)`` trials
+is drawn at once from its own counter-based substream seeded by
+(seed, chunk index), and chunk hit-counts are reduced in chunk order,
+so results are bit-identical for a given (seed, n, trials) however many
+worker threads run the chunks.  Tail cells routinely see
 single-digit hit counts, so intervals are exact Clopper-Pearson rather
 than normal-approximate.
 """
@@ -34,7 +31,6 @@ from .bounds import BoundCurve, BoundPoint, EXP_LEVEL, LOWER_CLT, LOWER_Q1, POWE
 from .distributions import DiscreteLaw, DistributionModel
 
 __all__ = [
-    "GridMismatchError",
     "MCConfig",
     "VerificationReport",
     "clopper_pearson",
@@ -45,8 +41,9 @@ __all__ = [
 ]
 
 THREADS_ENV = "SELFNORM_THREADS"
-# draws per block of a chunk: a block and its squares stay in cache
-_BLOCK_DRAWS = 1 << 18
+# draws per simulation chunk: a chunk's draws and their squares stay in
+# cache, and a pass at large n still spreads over several chunks
+_CHUNK_DRAWS = 1 << 18
 # most count vectors an exact tail enumerates: 4 atoms at n = 64 take
 # 48k vectors and ~11 ms, and 4 atoms at n = 256 would take 2.9M
 _EXACT_CAP = 200_000
@@ -57,25 +54,25 @@ _TIE_REL = 1e-12
 _SUM_REL = 1e-9
 
 
-class GridMismatchError(ValueError):
-    """A sup-over-n curve has no refereed n in its range."""
-
-
 @dataclass(frozen=True)
 class MCConfig:
-    """Simulation plan: sample size n, trial count, seed, chunking, CI level."""
+    """Simulation plan: sample size n, trial count, seed, CI level."""
 
     n: int
     trials: int
     seed: int
-    chunk_size: int = 8192
     confidence: float = 0.999
 
     def __post_init__(self):
-        if self.n < 1 or self.trials < 1 or self.chunk_size < 1:
-            raise ValueError("n, trials, and chunk_size must all be >= 1")
+        if self.n < 1 or self.trials < 1:
+            raise ValueError("n and trials must both be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0,1), got {self.confidence}")
+
+    @property
+    def chunk_size(self) -> int:
+        """Trials per simulation chunk: about ``_CHUNK_DRAWS`` draws."""
+        return max(1, _CHUNK_DRAWS // self.n)
 
 
 @dataclass(frozen=True)
@@ -161,20 +158,16 @@ def empirical_tail(dist: DistributionModel, cfg: MCConfig,
     B_arr = np.asarray(list(B_grid), dtype=float)
     order = np.argsort(B_arr, kind="stable")
     B_sorted = B_arr[order]
-    num_chunks = -(-cfg.trials // cfg.chunk_size)
-    rows = max(1, _BLOCK_DRAWS // cfg.n)
+    chunk = cfg.chunk_size
+    num_chunks = -(-cfg.trials // chunk)
     root_n = math.sqrt(cfg.n)
 
     def run_chunk(k: int) -> np.ndarray:
         # bins[i]: trials whose statistic exceeds exactly the i smallest B
-        bins = np.zeros(B_arr.size + 1, dtype=np.int64)
-        m = min(cfg.chunk_size, cfg.trials - k * cfg.chunk_size)
-        rng = _chunk_rng(cfg.seed, k)
-        for start in range(0, m, rows):
-            s, q = dist._sample_sums(rng, min(rows, m - start), cfg.n)
-            t = _stat_from_sums(root_n, s, q)
-            bins += np.bincount(np.searchsorted(B_sorted, t), minlength=bins.size)
-        return bins
+        m = min(chunk, cfg.trials - k * chunk)
+        s, q = dist._sample_sums(_chunk_rng(cfg.seed, k), m, cfg.n)
+        t = _stat_from_sums(root_n, s, q)
+        return np.bincount(np.searchsorted(B_sorted, t), minlength=B_arr.size + 1)
 
     with ThreadPoolExecutor(max_workers=worker_count(num_chunks)) as pool:
         bins = sum(pool.map(run_chunk, range(num_chunks)))
@@ -266,6 +259,15 @@ def _tail_estimates(n: int, s1: np.ndarray, s2: np.ndarray, weight: np.ndarray,
                                  at_or_above.tolist())]
 
 
+def _estimate(dist: DistributionModel, cfg: MCConfig,
+              B_grid: Sequence[float]) -> list[TailEstimate]:
+    """The exact tail at ``cfg.n`` when :func:`_exact_tail` can enumerate
+    it, with ``cfg``'s trials, seed and confidence unused; otherwise the
+    simulation of :func:`empirical_tail`."""
+    ests = _exact_tail(dist, cfg.n, B_grid)
+    return empirical_tail(dist, cfg, B_grid) if ests is None else ests
+
+
 # -- verification -------------------------------------------------------------
 
 
@@ -301,34 +303,23 @@ def verify_bounds(dist: DistributionModel, curves: Sequence[BoundCurve],
                   cfg: MCConfig) -> VerificationReport:
     """Check every bound cell against the exact tail or a simulation.
 
-    The referee's grid comes from the curves: it runs at the n of every
-    fixed-n curve (n = 1 for the lower-bound curves) and at the B of
-    every point.  Each cell is checked against the refereed n in its
-    range, a fixed-n curve's range being (n, n): an upper bound must sit
-    at or above the lower confidence limit of the estimate, taking the
-    n with the largest such limit in a sup-over-n range; the
-    single-observation lower bound must sit at or below the upper limit
-    at n = 1.  The limiting normal tail is attached as REPORT rows and
-    asserts nothing.  At each n a finite atomic law gets its exact tail
-    (:func:`_exact_tail`) when that is enumerable; otherwise ``cfg``'s
-    trials, seed, chunking and confidence run the simulation, and its
-    ``n`` plays no part.  Raises :class:`GridMismatchError`, before any
-    work, when a sup curve has no refereed n in its range.
+    The referee's grid comes from the curves: it runs at the first n of
+    every curve's range (the n of a fixed-n curve, n = 1 for the
+    lower-bound curves, lo for a sup over lo..hi) and at the B of every
+    point.  Each cell is checked against the refereed n in its range:
+    an upper bound must sit at or above the lower confidence limit of
+    the estimate, taking the n with the largest such limit in a
+    sup-over-n range; the single-observation lower bound must sit at or
+    below the upper limit at n = 1.  The limiting normal tail is
+    attached as REPORT rows and asserts nothing.  Each n gets its
+    estimate from :func:`_estimate` with ``cfg``'s trials, seed and
+    confidence; ``cfg``'s own ``n`` plays no part.
     """
-    ns = sorted({lo for lo, hi in (c.n_range for c in curves) if lo == hi})
-    for curve in curves:
-        lo, hi = curve.n_range
-        if not any(lo <= n <= hi for n in ns):
-            raise GridMismatchError(
-                f"{curve.family} curve over n = {lo}..{hi} has no refereed n "
-                "in its range to verify against")
+    ns = sorted({curve.n_range[0] for curve in curves})
     B_grid = sorted({pt.B for c in curves for pt in c.points})
     report = VerificationReport()
     for n in ns:
-        ests = _exact_tail(dist, n, B_grid)
-        if ests is None:
-            ests = empirical_tail(dist, replace(cfg, n=n), B_grid)
-        for est in ests:
+        for est in _estimate(dist, replace(cfg, n=n), B_grid):
             report.estimates[(n, est.B)] = est
 
     for curve in curves:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from selfnorm import mc
 from selfnorm.bounds import (DEFAULT_B_GRID, exp_curve, lower_q1_curve,
                              _exp_tail_point, _power_tail_point)
 from selfnorm.cli import RunConfig, run
@@ -218,21 +219,32 @@ def test_criterion_08_conjugate_oracles():
 
 
 def test_criterion_09_deterministic_csv(tmp_path, monkeypatch):
+    # a density law, so that every n is simulated: an atomic law's small n
+    # are enumerated exactly and would test no thread at all
+    law = UniformSymmetric(SQRT3)
+    passes, simulate = [], mc.empirical_tail
+
+    def spy(dist, cfg, B_grid):
+        passes.append(cfg.n)
+        return simulate(dist, cfg, B_grid)
+
     def cfg(path):
         return RunConfig(
-            command="verify", distribution="rademacher", n_grid=[1, 4, 16],
+            command="verify", distribution=law, n_grid=[1, 4, 16],
             B_grid=[0.5, 1.0, 2.0], n_sup_range=None, trials=200000, seed=7,
-            kr_constant=0.6379, chunk_size=8192, confidence=0.999,
-            output_path=str(path), format="csv")
+            kr_constant=0.6379, confidence=0.999, output_path=str(path),
+            format="csv")
 
+    monkeypatch.setattr(mc, "empirical_tail", spy)
     monkeypatch.setenv("SELFNORM_THREADS", "1")
     assert run(cfg(tmp_path / "serial.csv")) == 0
     monkeypatch.setenv("SELFNORM_THREADS", "6")
     assert run(cfg(tmp_path / "threaded.csv")) == 0
     same = (tmp_path / "serial.csv").read_bytes() == \
         (tmp_path / "threaded.csv").read_bytes()
-    report(9, same, "verify CSV byte-identical across 1 and 6 worker threads "
-                    "with the same seed")
+    report(9, same and passes == [1, 4, 16] * 2,
+           "verify CSV byte-identical across 1 and 6 worker threads with the "
+           f"same seed (simulated n: {passes})")
 
 
 def test_criterion_10_negative_control(tmp_path, monkeypatch):
@@ -246,9 +258,9 @@ def test_criterion_10_negative_control(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bd, "_exp_tail_point", corrupted)
     cfg = RunConfig(
-        command="verify", distribution="rademacher", n_grid=[1, 4],
+        command="verify", distribution=Rademacher(), n_grid=[1, 4],
         B_grid=[0.5, 1.0], n_sup_range=None, trials=100000, seed=3,
-        kr_constant=0.6379, chunk_size=8192, confidence=0.999,
+        kr_constant=0.6379, confidence=0.999,
         output_path=str(tmp_path / "bad.csv"), format="csv")
     status = run(cfg)
     text = (tmp_path / "bad.csv").read_text()

@@ -12,18 +12,35 @@ import pytest
 
 import selfnorm
 
+from selfnorm import mc
 from selfnorm.cli import (COMMANDS, CSV_COLUMNS, ConfigError, RunConfig,
-                          _make_parser, build_config, main, run)
+                          _gls_family, _make_parser, build_config, main, run)
+from selfnorm.distributions import Rademacher, parse_distribution
+
+UNIFORM = "uniform:a=1.7320508075688772"  # unit variance: a = sqrt(3)
 
 
-def make_config(command="bound-exp", **over):
+def make_config(command="bound-exp", distribution="rademacher", family="",
+                **over):
     base = dict(
-        command=command, distribution="rademacher", n_grid=[1, 4],
-        B_grid=[0.5, 1.0, 2.0], n_sup_range=None, trials=2000, seed=1,
-        kr_constant=0.6379, chunk_size=1024, confidence=0.999,
-        output_path=None, format="csv", family=None)
+        command=command, distribution=parse_distribution(distribution),
+        n_grid=[1, 4], B_grid=[0.5, 1.0, 2.0], n_sup_range=None, trials=2000,
+        seed=1, kr_constant=0.6379, confidence=0.999, output_path=None,
+        format="csv", family=_gls_family(family))
     base.update(over)
     return RunConfig(**base)
+
+
+def spy_on_simulation(monkeypatch) -> list:
+    """Record the sample size of every simulation pass."""
+    calls, simulate = [], mc.empirical_tail
+
+    def spy(dist, cfg, B_grid):
+        calls.append(cfg.n)
+        return simulate(dist, cfg, B_grid)
+
+    monkeypatch.setattr(mc, "empirical_tail", spy)
+    return calls
 
 
 def read_rows(path):
@@ -67,7 +84,7 @@ class TestBuildConfig:
         path = tmp_path / "run.cfg"
         path.write_text("dist=gaussian\nn=2,4\ntrials=777\n# comment\n")
         cfg = build_config("mc", {"config": str(path), "trials": 55})
-        assert cfg.distribution == "gaussian"
+        assert cfg.distribution.name == "gaussian"
         assert cfg.n_grid == [2, 4]
         assert cfg.trials == 55
 
@@ -122,6 +139,31 @@ class TestCommands:
         rows = read_rows(out)
         assert all(r["family"] == "MC" and r["mc_point"] != "" for r in rows)
 
+    def test_mc_prints_the_referee_estimate(self, capsys, monkeypatch):
+        calls = spy_on_simulation(monkeypatch)
+
+        def out(command, dist="rademacher", *extra):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--dist", dist, "--n", "4", "--B", "0.5,1", *extra])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        def cells(text):
+            return {tuple(r[c] for c in ("B", "mc_point", "mc_ci_lo", "mc_ci_hi"))
+                    for r in csv.DictReader(io.StringIO(text))
+                    if r["family"] in ("MC", "ExpLevel") and r["n"] == "4"}
+
+        # an enumerable atomic law: the exact tail, whatever the seed or
+        # trial count, and the cells verify checks against
+        text = out("mc")
+        assert out("mc", "rademacher", "--seed", "5", "--trials", "17") == text
+        assert len(cells(text)) == 2
+        assert cells(text) == cells(out("verify"))
+        assert calls == []
+        # a density law is simulated
+        out("mc", "gaussian", "--trials", "1000")
+        assert calls == [4]
+
     def test_gls_families(self, tmp_path):
         for family, norm_fam, tail_fam in [
                 ("psi:degenerate:r=4", "GlsNorm", "GlsTail"),
@@ -149,9 +191,8 @@ class TestCommands:
         assert any(r["mc_point"] != "" for r in rows if r["family"] == "ExpLevel")
 
     def test_bad_distribution_raises_config_error(self):
-        cfg = make_config("bound-exp", distribution="uniform:a=bogus")
         with pytest.raises(ConfigError, match="dist"):
-            run(cfg)
+            build_config("bound-exp", {"dist": "uniform:a=bogus"})
 
     def test_pretty_format(self, capsys):
         cfg = make_config("bound-lower", format="pretty")
@@ -185,14 +226,18 @@ class TestCsvContract:
         assert row["optimizer"] == "inf"
 
     def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
-        cfg_a = make_config("verify", trials=30000, n_grid=[1, 4],
-                            output_path=str(tmp_path / "a.csv"))
-        cfg_b = make_config("verify", trials=30000, n_grid=[1, 4],
-                            output_path=str(tmp_path / "b.csv"))
+        # a density law is always simulated: 30000 trials are 1 chunk at
+        # n = 1 and 2 at n = 16
+        calls = spy_on_simulation(monkeypatch)
+        cfg_a = make_config("verify", distribution=UNIFORM, trials=30000,
+                            n_grid=[1, 16], output_path=str(tmp_path / "a.csv"))
+        cfg_b = make_config("verify", distribution=UNIFORM, trials=30000,
+                            n_grid=[1, 16], output_path=str(tmp_path / "b.csv"))
         monkeypatch.setenv("SELFNORM_THREADS", "1")
         run(cfg_a)
         monkeypatch.setenv("SELFNORM_THREADS", "5")
         run(cfg_b)
+        assert calls == [1, 16, 1, 16]
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -250,7 +295,6 @@ class TestMain:
     @pytest.mark.parametrize("flag, value, key", [
         ("--confidence", "2", "confidence"),
         ("--kr", "-1", "kr"),
-        ("--chunk-size", "-5", "chunk-size"),
     ])
     def test_bad_numeric_flag_exit_two(self, flag, value, key, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -281,12 +325,19 @@ class TestMain:
         assert line.startswith("selfnorm: configuration error: env:")
         assert "SELFNORM_THREADS" in line
 
-    def test_sup_range_outside_grid_exit_two(self, capsys):
+    def test_sup_range_outside_grid_refereed_at_its_lo(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dist", "rademacher", "--n", "1,4",
                   "--n-sup", "16:64", "--B", "0.5", "--trials", "100"])
-        assert exc.value.code == 2
-        assert "configuration error" in capsys.readouterr().err
+        assert exc.value.code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        (est,) = mc._exact_tail(Rademacher(), 16, [0.5])
+        sup_rows = [r for r in rows if r["n"] == "sup(16..64)"]
+        assert [r["family"] for r in sup_rows] == ["ExpLevel", "PowerLevel"]
+        (row, _) = sup_rows
+        assert row["status"] == "PASS"
+        assert [row[c] for c in ("mc_point", "mc_ci_lo", "mc_ci_hi")] == \
+            [f"{v:.15g}" for v in (est.point, est.ci_lo, est.ci_hi)]
 
     @pytest.mark.parametrize("argv", [
         ["bound-exp", "--n", "1,4"],
@@ -426,10 +477,9 @@ class TestMain:
 
         monkeypatch.setattr(mcmod, "empirical_tail", no_work)
         monkeypatch.setattr(bdmod, "_exp_tail_point", no_work)
-        # a missing folder, a directory, and a sup range with no --n in it
+        # a missing folder and a directory
         cases = [(["--output", str(tmp_path / "missing" / "x.csv")], "output"),
-                 (["--output", str(tmp_path)], "output"),
-                 (["--n-sup", "16:4096"], "n-sup")]
+                 (["--output", str(tmp_path)], "output")]
         for extra, key in cases:
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--dist", "rademacher", "--n", "1,4", "--B", "1",
@@ -439,6 +489,19 @@ class TestMain:
             assert captured.out == ""
             (line,) = captured.err.splitlines()
             assert line.startswith(f"selfnorm: configuration error: {key}:")
+
+    def test_chunk_size_removed(self, tmp_path, capsys):
+        # simulation chunks are sized from n: neither the flag nor the
+        # config key exists
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("chunk-size=8192\n")
+        for extra in (["--chunk-size", "8192"], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["mc", "--dist", "gaussian", *extra])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "chunk-size" in captured.err
 
     def test_sweep_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -458,6 +521,7 @@ class TestMain:
         "phi:power:m=1",
         "psi:degenerate:r=inf",
         "psi:power:m=nan",
+        "phi:power:m=3",
     ])
     def test_bad_gls_family_exit_two(self, family, capsys):
         # bad parameters and families whose norm is unbounded on the law
@@ -472,8 +536,8 @@ class TestMain:
     # one bad value per option key, accepted by argparse as a plain string
     BAD_VALUES = {
         "dist": "uniform:a=bogus", "n": "0", "B": "-1", "n-sup": "9:2",
-        "trials": "abc", "seed": "abc", "kr": "abc", "chunk-size": "abc",
-        "confidence": "abc", "output": "{tmp}/missing/x.csv", "format": "xml",
+        "trials": "abc", "seed": "abc", "kr": "abc", "confidence": "abc",
+        "output": "{tmp}/missing/x.csv", "format": "xml",
         "family": "psi:bogus:r=1",
     }
 
@@ -501,8 +565,8 @@ class TestMain:
         (sub,) = [a for a in _make_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
         common = {"-h", "--help", "--dist", "--n", "--B", "--n-sup", "--trials",
-                  "--seed", "--kr", "--chunk-size", "--confidence", "--output",
-                  "--format", "--config"}
+                  "--seed", "--kr", "--confidence", "--output", "--format",
+                  "--config"}
         assert set(sub.choices) == set(COMMANDS)
         for command, parser in sub.choices.items():
             flags = {s for a in parser._actions for s in a.option_strings}

@@ -248,6 +248,15 @@ class TestExactSup:
                 j = self.B_GRID.index(pt.B)
                 assert pt.value >= from_n[0, j], (curve.family, pt.B)
 
+    @pytest.mark.parametrize("kr", [0.6379, 1.0, 2.0])
+    def test_power_sup_row_dominates_its_cells_at_any_kr(self, kr):
+        # the certificate bounds the cells at their own Rosenthal constant
+        sup = power_curve(SKEWED, (64, 4096), self.B_GRID, kr)
+        for n in (64, 128, 1000, 4096):
+            cells = power_curve(SKEWED, n, self.B_GRID, kr)
+            for cell, row in zip(cells.points, sup.points):
+                assert row.value >= cell.value, (n, row.B)
+
     def test_certificate_past_the_cells_is_tight_at_large_B(self):
         # the moment certificate settles this row after 64 cells
         (pt,) = exp_curve(SKEWED, (1, 4096), [20.0]).points

@@ -11,8 +11,8 @@ from selfnorm.bounds import (BoundCurve, BoundPoint, exp_curve,
                              lower_clt_curve, lower_q1_curve)
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
                                     StandardGaussian, UniformSymmetric)
-from selfnorm.mc import (GridMismatchError, MCConfig, clopper_pearson,
-                         empirical_tail, self_normalized_stat, verify_bounds)
+from selfnorm.mc import (MCConfig, clopper_pearson, empirical_tail,
+                         self_normalized_stat, verify_bounds)
 
 
 def rademacher_exact_tail(n, B):
@@ -100,8 +100,10 @@ class TestEmpiricalTail:
             assert est.confidence == 0.99
 
     def test_deterministic_across_worker_counts(self, monkeypatch):
+        # chunks of 4096 trials: 15 of them, the last one partial
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", 3 * 4096)
         law = StandardGaussian()
-        cfg = MCConfig(n=3, trials=60000, seed=11, chunk_size=4096)
+        cfg = MCConfig(n=3, trials=60000, seed=11)
         monkeypatch.setenv("SELFNORM_THREADS", "1")
         serial = [e.hits for e in empirical_tail(law, cfg, [0.5, 1.5])]
         monkeypatch.setenv("SELFNORM_THREADS", "6")
@@ -165,8 +167,8 @@ class TestEmpiricalTail:
 
 
 def one_shot_hits(dist, cfg, B_grid):
-    """The unblocked chunk kernel: one (m, n) draw per chunk, the statistic
-    of every row, and a broadcast compare against every B."""
+    """The plain chunk kernel: one ``sample`` draw of (m, n) per chunk,
+    the statistic of every row, and a broadcast compare against every B."""
     B_arr = np.asarray(B_grid, dtype=float)
     hits = np.zeros(B_arr.size, dtype=np.int64)
     for k in range(-(-cfg.trials // cfg.chunk_size)):
@@ -190,22 +192,24 @@ STREAM_LAWS = {
 
 
 class TestBlockedKernel:
-    """Blocking and the integer sign path leave every hit count unchanged."""
+    """The row sums of ``_sample_sums`` (integer signs included) and the
+    binned counts leave every hit count of the plain kernel unchanged."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("block_draws", [mc._BLOCK_DRAWS, 50])
+    # a small chunk makes many chunks and a partial last one at every n
+    @pytest.mark.parametrize("chunk_draws", [mc._CHUNK_DRAWS, 50])
     @pytest.mark.parametrize("n", [1, 3, 16, 257])
     @pytest.mark.parametrize("law", sorted(STREAM_LAWS))
-    def test_hits_match_one_shot_kernel(self, law, n, block_draws, threads,
+    def test_hits_match_one_shot_kernel(self, law, n, chunk_draws, threads,
                                         monkeypatch):
-        monkeypatch.setattr(mc, "_BLOCK_DRAWS", block_draws)
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
         monkeypatch.setenv("SELFNORM_THREADS", threads)
         dist = STREAM_LAWS[law]
         # unsorted, with repeats, and with values the statistic attains:
         # sqrt(n)*s/n is the rademacher T(n) of a sign sum s
         root_n = math.sqrt(n)
         B_grid = [1.0, root_n * 1.0 / n, 0.25, 2.0, 1.0, root_n * 3.0 / n, 0.5]
-        cfg = MCConfig(n=n, trials=3001, seed=9, chunk_size=700)
+        cfg = MCConfig(n=n, trials=3001, seed=9)
         ests = empirical_tail(dist, cfg, B_grid)
         assert [e.B for e in ests] == B_grid
         assert [e.hits for e in ests] == one_shot_hits(dist, cfg, B_grid)
@@ -251,13 +255,6 @@ class TestVerifyBounds:
             assert row.n_label == "sup(16..64)"
             assert row.estimate is report.estimates[(16, row.point.B)]
 
-    def test_sup_curve_without_grid_n_in_range(self):
-        law = Rademacher()
-        curves = [exp_curve(law, n, [0.5]) for n in (1, 4)]
-        with pytest.raises(GridMismatchError, match="16..64"):
-            verify_bounds(law, [*curves, exp_curve(law, (16, 64), [0.5])],
-                          MCConfig(1, 100, 1))
-
     def test_corrupted_bound_flags_fail(self):
         law = Rademacher()
         curve = exp_curve(law, 4, [0.5, 1.0])
@@ -286,3 +283,7 @@ class TestMCConfig:
             MCConfig(n=1, trials=0, seed=1)
         with pytest.raises(ValueError):
             MCConfig(n=1, trials=10, seed=1, confidence=1.5)
+
+    def test_chunk_size_from_n(self):
+        assert [MCConfig(n, 10, 1).chunk_size for n in (1, 3, 2 ** 18, 10 ** 6)] \
+            == [2 ** 18, 87381, 1, 1]
