@@ -274,13 +274,18 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
 def _curve(family: str, dist: DistributionModel, n: int | tuple[int, int],
            B_grid: Sequence[float], point_fn: Callable[[int, float], BoundPoint],
            kr: float = DEFAULT_KR) -> BoundCurve:
-    if isinstance(n, tuple):
-        n_lo, n_hi = n
-        pts = tuple(_sup_scan(dist, lambda m, B=B: point_fn(m, B), B, n_lo, n_hi, kr)
-                    for B in B_grid)
-    else:
-        pts = tuple(point_fn(n, B) for B in B_grid)
-    return BoundCurve(family, n, pts)
+    """point_fn at n, or its sup over the range n, at every B of the
+    ascending grid.  Q_n(B) never rises with B, so a point above its
+    predecessor takes the predecessor's value and objective instead."""
+    pts = []
+    for B in B_grid:
+        pt = (_sup_scan(dist, lambda m: point_fn(m, B), B, *n, kr)
+              if isinstance(n, tuple) else point_fn(n, B))
+        if pts and pt.value > pts[-1].value:
+            pt = BoundPoint(B, pts[-1].value,
+                            {"objective": pts[-1].optimizer["objective"]})
+        pts.append(pt)
+    return BoundCurve(family, n, tuple(pts))
 
 
 def exp_curve(dist: DistributionModel, n: int | tuple[int, int],
@@ -292,7 +297,8 @@ def exp_curve(dist: DistributionModel, n: int | tuple[int, int],
     from lo up, with the attaining n as ``optimizer["n_star"]``, once a
     tail certificate rules out every later n or the range ends; or,
     after 64 cells, the certificate itself, with no ``n_star``.  A value
-    certified by the tail covers every n >= lo, past hi too.
+    certified by the tail covers every n >= lo, past hi too.  A point
+    above its predecessor carries the predecessor's value and objective.
     """
     return _curve(EXP_LEVEL, dist, n, sorted(B_grid),
                   lambda m, B: _exp_tail_point(dist, m, B))

@@ -13,7 +13,8 @@ verify        all bound families + referee + PASS/FAIL per cell (exit 1
 gls           norm and tail of a chosen generator family against the law
 
 Output is CSV (columns fixed, floats at 15 significant digits, ``inf``
-for infinities, absent fields empty) or an aligned-column pretty table.
+for infinities, absent fields empty, a field holding a comma quoted) or
+an aligned-column pretty table.
 Configuration may come from flags or a flat key=value file via
 ``--config``; flags win on conflict.  The ``SELFNORM_THREADS``
 environment variable caps simulation worker threads.
@@ -22,6 +23,8 @@ environment variable caps simulation worker threads.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import os
 import sys
@@ -289,10 +292,12 @@ def _blank_row(dist_name: str, n_label: str, family: str, B: float,
 
 
 def _write_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """The rows under the header, quoting only a field with a comma or quote."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_fmt(row.get(col)) for col in CSV_COLUMNS] for row in rows)
+    return buf.getvalue()
 
 
 def _write_pretty(rows: list[dict]) -> str:
@@ -384,7 +389,10 @@ def _gls_rows(config: RunConfig, dist) -> list[dict]:
             norm = gl.gls_norm(dist.lp_norm, gen)
         else:
             names, tail_fn = ("BphiNorm", "BphiTail"), gl.bphi_tail_bound
-            norm = gl.bphi_norm(lambda lam: dist.log_mgf2(lam, 0.0), gen)
+            # sigma times the norm of xi/sigma, whose scale the lambda grid fits
+            sigma = math.sqrt(dist.sigma2)
+            norm = sigma * gl.bphi_norm(lambda lam: dist.log_mgf2(lam / sigma, 0.0),
+                                        gen)
     except DivergentError as exc:
         raise ConfigError("family", f"no finite norm of {dist.name} against "
                                     f"{family!r}: {exc}") from None

@@ -10,10 +10,12 @@ self-normalized tail event is linearized.
 Density laws are integrated by one vectorized adaptive Gauss-Legendre
 rule (:func:`_integrate`) that works on the integrand's exponent, so
 that huge-but-finite integrands never overflow pointwise; discrete laws,
-empirical samples included, are summed exactly.  A moment whose tail
-past the probe ladder does not decay geometrically, and a plain
-expectation above ``exp(700)``, raise :class:`DivergentError`; callers
-that need an extended-real answer (the log-MGF) map that onto ``+inf``.
+empirical samples included, are summed exactly.  A density law reads
+its density only through ``_log_density``, and every law draws only
+through ``sample``.  A moment whose tail past the probe ladder does not
+decay geometrically, and a plain expectation above ``exp(700)``, raise
+:class:`DivergentError`; callers that need an extended-real answer (the
+log-MGF) map that onto ``+inf``.
 """
 
 from __future__ import annotations
@@ -286,13 +288,6 @@ class DistributionModel:
         """Draws of the law from ``rng``, in an array of shape ``size``."""
         raise NotImplementedError
 
-    def _sample_sums(self, rng: np.random.Generator, rows: int, n: int):
-        """Row sums and row sums of squares of ``sample(rng, (rows, n))``."""
-        x = np.asarray(self.sample(rng, (rows, n)), dtype=float)
-        s = x.sum(axis=-1)
-        np.multiply(x, x, out=x)
-        return s, x.sum(axis=-1)
-
     def prob_between(self, lo: float, hi: float) -> float:
         """P(lo < xi < hi), open at both ends (only atoms can tell)."""
         raise NotImplementedError
@@ -474,15 +469,6 @@ class Rademacher(DiscreteLaw):
     def __init__(self):
         super().__init__([(-1.0, 0.5), (1.0, 0.5)], name="rademacher")
 
-    def sample(self, rng, size):
-        return 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0
-
-    def _sample_sums(self, rng, rows, n):
-        # the int32 draw reads the same stream as sample's int64 one, and
-        # sums of signs are exact in float64: the statistic is unchanged
-        bits = rng.integers(0, 2, size=(rows, n), dtype=np.int32)
-        return 2 * bits.sum(axis=-1, dtype=np.int64) - n, n
-
 
 # -- density laws ----------------------------------------------------------
 
@@ -494,18 +480,15 @@ class _QuadratureLaw(DistributionModel):
     support: tuple[float, float]
 
     def _log_density(self, x):
+        """The log-density at every point of the array x."""
         raise NotImplementedError
-
-    def _density(self, x):
-        with np.errstate(over="ignore"):
-            return np.exp(self._log_density(x))
 
     def _integrate_density(self, g, lo, hi, scale):
         """The integral of density * g over [lo, hi]."""
 
         def fn(x):
-            f = self._density(x) * _apply(g, x)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
+                f = np.exp(self._log_density(x)) * _apply(g, x)
                 return np.log(np.abs(f)), np.sign(f)
 
         shift, total = _integrate(fn, lo, hi, scale)
@@ -567,9 +550,6 @@ class UniformSymmetric(_QuadratureLaw):
         super().__init__(half_width * half_width / 3.0, f"uniform:a={half_width:g}")
 
     def _log_density(self, x):
-        # a float gives a float, as for the other laws
-        if isinstance(x, float):
-            return self._log_height if abs(x) <= self.half_width else -math.inf
         return np.where(np.abs(x) <= self.half_width, self._log_height, -math.inf)
 
     def sample(self, rng, size):
@@ -601,9 +581,6 @@ class DensityLaw(_QuadratureLaw):
     def _log_density(self, x):
         with np.errstate(divide="ignore"):
             return np.log(_apply(self._density_fn, x))
-
-    def _density(self, x):
-        return _apply(self._density_fn, x)
 
     def sample(self, rng, size):
         if self._sampler is None:

@@ -123,22 +123,22 @@ def _try_positive(fn: Callable[[float], float], x: float) -> float | None:
     return v
 
 
-def _support(psi: PsiFunction, cap: float) -> tuple[float, float]:
+def _support(psi: PsiFunction) -> tuple[float, float]:
     lo = 1.0 + 1e-6 if psi.lo_open else 1.0
-    hi = min(psi.b, cap)
+    hi = min(psi.b, _P_CAP)
     if hi < lo:
         raise ValueError(f"empty generator support [{lo}, {hi}]")
     return lo, hi
 
 
-def _support_grid(psi: PsiFunction, cap: float, points: int) -> list[float]:
+def _support_grid(psi: PsiFunction) -> list[float]:
     """Geometric grid over the support, as Python floats: a generator that
     overflows there raises OverflowError, a barrier, where a NumPy scalar
     would print a warning and return inf."""
-    lo, hi = _support(psi, cap)
+    lo, hi = _support(psi)
     if hi == lo:
         return [lo]
-    grid = np.geomspace(lo, hi, points)
+    grid = np.geomspace(lo, hi, 128)
     grid[0], grid[-1] = lo, hi
     return grid.tolist()
 
@@ -175,7 +175,7 @@ def gls_norm(moment_curve: Callable[[float], float], psi: PsiFunction) -> float:
     decade of an unbounded support; p-points where the moment diverges
     are skipped.
     """
-    grid = _support_grid(psi, _P_CAP, 128)
+    grid = _support_grid(psi)
 
     def ratio(p: float) -> float:
         num = _try_positive(moment_curve, p)
@@ -194,8 +194,8 @@ def gls_norm(moment_curve: Callable[[float], float], psi: PsiFunction) -> float:
     return _refine(ratio, grid, vals, i_best)
 
 
-def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
-                  p_cap: float = _P_CAP) -> tuple[float, float | None, float]:
+def _gls_tail_opt(psi: PsiFunction, norm: float,
+                  y: float) -> tuple[float, float | None, float]:
     """Optimized Markov bound min_p (psi(p)*norm/y)^p.
 
     Returns (value, attaining p or None, -ln(value)).  Clamps to 1
@@ -203,7 +203,7 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
     information.
 
     The exponent p*ln(psi(p)*norm/y) must be convex in p on the support
-    (capped at ``p_cap``).  It is for the Rosenthal generator (ln E|X|^p
+    (capped at p = 1000).  It is for the Rosenthal generator (ln E|X|^p
     is convex by Lyapunov, and so is p*ln(p/ln p)), for p^(1/m) and for
     the degenerate generator, whose exponent is linear.  The search
     starts at p = 2 and stops on a p bracket of ``1e-9 + 1e-6*p``; a p
@@ -220,7 +220,7 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
     if y <= math.e * norm:
         return 1.0, None, 0.0
 
-    lo, hi = _support(psi, p_cap)
+    lo, hi = _support(psi)
     log_scale = math.log(norm) - math.log(y)
     finite_ps = []
 
@@ -246,23 +246,26 @@ def _gls_tail_opt(psi: PsiFunction, norm: float, y: float,
     return math.exp(-neg), p_best, neg
 
 
-def gls_tail_bound(psi: PsiFunction, norm: float, y: float,
-                   p_cap: float = _P_CAP) -> float:
-    """Tail bound P(|zeta| > y) <= min_p (psi(p)*norm/y)^p, clamped to [0, 1]."""
-    value, _, _ = _gls_tail_opt(psi, norm, y, p_cap)
+def gls_tail_bound(psi: PsiFunction, norm: float, y: float) -> float:
+    """Tail bound P(|zeta| > y) <= min_p (psi(p)*norm/y)^p over p <= 1000,
+    clamped to [0, 1]."""
+    value, _, _ = _gls_tail_opt(psi, norm, y)
     return value
 
 
 # -- MGF-domination norm and tail --------------------------------------------
 
 
-def bphi_norm(law_mgf: Callable[[float], float], phi: Callable[[float], float],
-              points_per_decade: int = 64, decades: int = 6) -> float:
+def bphi_norm(law_mgf: Callable[[float], float],
+              phi: Callable[[float], float]) -> float:
     """Least tau with ln E exp(±lam*zeta) <= phi(lam*tau) for lam > 0.
 
-    ``law_mgf`` is the log-MGF of the variable.  Scans a geometric
-    lambda grid (6 decades centered on 1 by default) of
-    phi^{-1}(law_mgf(±lam))/lam and refines around the argmax.  Each
+    ``law_mgf`` is the log-MGF of the variable.  Scans the ratio
+    phi^{-1}(law_mgf(±lam))/lam on a fixed geometric lambda grid, 385
+    points over 1e-3..1e3, and refines around the argmax.  The grid is
+    made for a variable of unit scale: the norm is scale-equivariant
+    (zeta/s has norm tau/s), so a caller with a wide or narrow variable
+    passes the log-MGF of zeta/s and multiplies the norm by s.  Each
     inverse comes from :func:`invert_monotone`, which never answers
     below the root, so no ratio reads low; the grid supremum, which
     can, is rounded up by 1e-9.  Raises :class:`DivergentError` when the
@@ -270,8 +273,8 @@ def bphi_norm(law_mgf: Callable[[float], float], phi: Callable[[float], float],
     at the top edge of the grid, or by more than 1% through the lowest
     decade at its bottom edge.
     """
-    half = 10.0 ** (decades / 2.0)
-    grid = np.geomspace(1.0 / half, half, points_per_decade * decades + 1)
+    # 64 points a decade over six decades about the unit scale
+    grid = np.geomspace(1e-3, 1e3, 385)
 
     def ratio(lam: float, sign: float) -> float:
         y = law_mgf(sign * lam)

@@ -154,7 +154,8 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def empirical_tail(dist: DistributionModel, cfg: MCConfig,
                    B_grid: Sequence[float]) -> list[TailEstimate]:
-    """One simulation pass counting exceedances of every B simultaneously."""
+    """One simulation pass counting exceedances of every B simultaneously;
+    a chunk is one ``dist.sample(rng, (m, n))`` draw, squared in place."""
     B_arr = np.asarray(list(B_grid), dtype=float)
     order = np.argsort(B_arr, kind="stable")
     B_sorted = B_arr[order]
@@ -165,8 +166,9 @@ def empirical_tail(dist: DistributionModel, cfg: MCConfig,
     def run_chunk(k: int) -> np.ndarray:
         # bins[i]: trials whose statistic exceeds exactly the i smallest B
         m = min(chunk, cfg.trials - k * chunk)
-        s, q = dist._sample_sums(_chunk_rng(cfg.seed, k), m, cfg.n)
-        t = _stat_from_sums(root_n, s, q)
+        x = dist.sample(_chunk_rng(cfg.seed, k), (m, cfg.n))
+        s = x.sum(axis=-1)
+        t = _stat_from_sums(root_n, s, np.multiply(x, x, out=x).sum(axis=-1))
         return np.bincount(np.searchsorted(B_sorted, t), minlength=B_arr.size + 1)
 
     with ThreadPoolExecutor(max_workers=worker_count(num_chunks)) as pool:

@@ -1,12 +1,11 @@
 """Acceptance gate: every headline guarantee at its stated tolerance.
 
 One criterion per test, each printing a single pass/fail line (run with
-``pytest tests/test_acceptance.py -v -s`` to see them).  The heavy
-Monte Carlo referees (10^6 trials per (law, n) cell) are computed once
-per session and shared across criteria.
+``pytest tests/test_acceptance.py -v -s`` to see them).  The referees
+(exact tails for the sign law, 10^6-trial simulations for the density
+laws) are computed once per session and shared across criteria.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -42,12 +41,6 @@ def lncosh_conjugate(s):
     return (1 + s) / 2 * math.log(1 + s) + (1 - s) / 2 * math.log(1 - s)
 
 
-def rademacher_exact_tail(n, B):
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    t = math.sqrt(n) * signs.sum(axis=1) / float(n)
-    return float((t > B).mean())
-
-
 @pytest.fixture(scope="module")
 def laws():
     return {
@@ -59,14 +52,16 @@ def laws():
 
 @pytest.fixture(scope="module")
 def referee(laws):
-    """Monte Carlo estimates: {(law name, n): {B: TailEstimate}}."""
+    """Tail estimates: {(law name, n): {B: TailEstimate}}, exact for the
+    sign law (n + 1 count vectors at n) and simulated for the others."""
     table = {}
     for name, law in laws.items():
         for n in N_GRID:
-            if name == "rademacher" and n <= 16:
-                continue  # enumeration covers these exactly
-            cfg = MCConfig(n=n, trials=TRIALS, seed=SEED + n)
-            ests = empirical_tail(law, cfg, DEFAULT_B_GRID)
+            if name == "rademacher":
+                ests = mc._exact_tail(law, n, DEFAULT_B_GRID)
+            else:
+                cfg = MCConfig(n=n, trials=TRIALS, seed=SEED + n)
+                ests = empirical_tail(law, cfg, DEFAULT_B_GRID)
             table[(name, n)] = {est.B: est for est in ests}
     return table
 
@@ -77,14 +72,9 @@ def test_criterion_01_exponential_domination(laws, referee):
         for n in N_GRID:
             for B in DEFAULT_B_GRID:
                 bound = _exp_tail_point(law, n, B).value
-                if name == "rademacher" and n <= 16:
-                    floor = rademacher_exact_tail(n, B)
-                    kind = "exact"
-                else:
-                    floor = referee[(name, n)][B].ci_lo
-                    kind = "ci_lo"
+                floor = referee[(name, n)][B].ci_lo
                 if bound < floor:
-                    violations.append((name, n, B, bound, floor, kind))
+                    violations.append((name, n, B, bound, floor))
     report(1, not violations,
            f"optimized-exponent bound >= exact/MC tail floor on "
            f"{len(laws) * len(N_GRID) * len(DEFAULT_B_GRID)} cells "
@@ -101,10 +91,7 @@ def test_criterion_02_power_domination(laws, referee):
                 if B < E:
                     continue
                 pt = _power_tail_point(law, n, B)
-                if name == "rademacher" and n <= 16:
-                    floor = rademacher_exact_tail(n, B)
-                else:
-                    floor = referee[(name, n)][B].ci_lo
+                floor = referee[(name, n)][B].ci_lo
                 if pt.value < floor:
                     violations.append((name, n, B, pt.value, floor))
                 if B > E:

@@ -1,6 +1,8 @@
-"""The package's public names, pinned so that the API cannot grow silently."""
+"""The package's public names and the parameters of its callables,
+pinned so that the API cannot grow silently."""
 
 import importlib
+import inspect
 import types
 
 import pytest
@@ -21,6 +23,44 @@ PUBLIC_NAMES = [
     "verify_bounds",
 ]
 
+# parameter names of every exported callable but the two exceptions,
+# whose signatures are the built-in ones
+PARAMETERS = {
+    "BoundCurve": ("family", "n", "points"),
+    "BoundPoint": ("B", "value", "optimizer"),
+    "DensityLaw": ("density", "support", "name"),
+    "DiscreteLaw": ("atoms", "name"),
+    "DistributionModel": ("sigma2", "name"),
+    "MCConfig": ("n", "trials", "seed", "confidence"),
+    "PsiFunction": ("fn", "b", "lo_open"),
+    "Rademacher": (),
+    "StandardGaussian": (),
+    "UniformSymmetric": ("half_width",),
+    "VerificationReport": ("rows", "estimates"),
+    "bphi_norm": ("law_mgf", "phi"),
+    "bphi_tail_bound": ("phi", "norm", "u"),
+    "clopper_pearson": ("hits", "trials", "confidence"),
+    "degenerate_psi": ("r",),
+    "empirical_tail": ("dist", "cfg", "B_grid"),
+    "exp_curve": ("dist", "n", "B_grid"),
+    "fenchel": ("f", "u"),
+    "gls_norm": ("moment_curve", "psi"),
+    "gls_tail_bound": ("psi", "norm", "y"),
+    "invert_monotone": ("f", "y", "x_lo", "x_hi_hint"),
+    "lower_clt_curve": ("dist", "B_grid"),
+    "lower_q1_curve": ("dist", "B_grid"),
+    "maximize_concave": ("obj", "x_lo", "tol", "x0", "rtol"),
+    "natural_phi": ("dist",),
+    "parse_distribution": ("spec",),
+    "power_curve": ("dist", "n", "B_grid", "kr"),
+    "power_phi": ("m",),
+    "power_psi": ("m",),
+    "rosenthal_psi": ("dist", "n", "B", "kr"),
+    "self_normalized_stat": ("x",),
+    "sum_cgf": ("dist", "n", "B", "theta"),
+    "verify_bounds": ("dist", "curves", "cfg"),
+}
+
 MODULES = ["bounds", "cli", "convex", "distributions", "gls", "mc"]
 
 
@@ -37,3 +77,13 @@ def test_module_all_entries_exist(module):
     mod = importlib.import_module(f"selfnorm.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_callable_parameters():
+    got = {}
+    for name in PUBLIC_NAMES:
+        value = getattr(selfnorm, name)
+        if callable(value) and not (isinstance(value, type)
+                                    and issubclass(value, Exception)):
+            got[name] = tuple(inspect.signature(value).parameters)
+    assert got == PARAMETERS

@@ -715,3 +715,36 @@ class TestScanAndCurves:
     def test_power_curve_only_valid_region(self, rad):
         curve = power_curve(rad, 4, [1.0, 2.0, E, 3.0])
         assert [pt.B for pt in curve.points] == [E, 3.0]
+
+
+class TestNonIncreasingInB:
+    """Q_n(B) never rises with B, and neither does any curve: a point
+    above its predecessor carries the predecessor's value."""
+
+    LAWS = {
+        "two-atom": DiscreteLaw([(-1.0, 0.6666666666666666),
+                                 (2.0, 0.3333333333333334)]),
+        "empirical": DiscreteLaw.from_sample(
+            np.random.default_rng(0).exponential(size=300)),
+    }
+
+    @pytest.mark.parametrize("n", [1, 4, 16, (1, 4096)])
+    @pytest.mark.parametrize("curve_fn", [exp_curve, power_curve])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_every_curve_non_increasing(self, law, curve_fn, n):
+        curve = curve_fn(self.LAWS[law], n, DEFAULT_B_GRID)
+        for prev, pt in zip(curve.points, curve.points[1:]):
+            assert pt.value <= prev.value, (pt.B, pt.value, prev.value)
+
+    def test_carried_point_keeps_only_the_objective(self):
+        # the sup cell at B = 50 reads 2.10e-8 against 7.23e-13 at B = 20
+        low, high = exp_curve(self.LAWS["two-atom"], (1, 4096), [20.0, 50.0]).points
+        assert low.value == pytest.approx(7.23e-13, rel=1e-3)
+        assert high.value == low.value
+        assert high.optimizer == {"objective": low.optimizer["objective"]}
+
+    def test_power_cells_carried_at_n16(self):
+        pts = power_curve(self.LAWS["empirical"], 16, [E, 5.0, 20.0]).points
+        assert pts[0].optimizer["p_star"] > 1.0
+        assert [pt.value for pt in pts] == [pts[0].value] * 3
+        assert all("p_star" not in pt.optimizer for pt in pts[1:])

@@ -179,6 +179,23 @@ class TestCommands:
             assert rows[0]["family"] == norm_fam
             assert {r["family"] for r in rows[1:]} == {tail_fam}
 
+    def test_bphi_norm_scales_with_sigma(self, capsys):
+        # the norm of xi/sigma against lam^2/2, times sigma: the same
+        # ratio for every half width, the widest included
+        ratios = []
+        for a in (0.01, math.sqrt(3.0), 50.0, 100.0):
+            spec = f"uniform:a={a!r}"
+            with pytest.raises(SystemExit) as exc:
+                main(["gls", "--dist", spec, "--family", "phi:power:m=2",
+                      "--B", "3"])
+            assert exc.value.code == 0
+            rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert rows[0]["family"] == "BphiNorm"
+            sigma = math.sqrt(parse_distribution(spec).sigma2)
+            ratios.append(float(rows[0]["value"]) / sigma)
+        assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-9)
+        assert ratios[0] == pytest.approx(1.0, rel=1e-6)
+
     def test_verify_n_sup_unified_table(self, tmp_path):
         out = tmp_path / "s.csv"
         cfg = make_config("verify", B_grid=[0.5, 1.0, 3.0], trials=5000,
@@ -239,6 +256,30 @@ class TestCsvContract:
         run(cfg_b)
         assert calls == [1, 16, 1, 16]
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("source", ["discrete", "empirical"])
+    def test_dist_holding_a_comma_is_one_field(self, source, tmp_path, capsys):
+        if source == "discrete":
+            spec = "discrete:-1:0.6666666666666666,2:0.3333333333333334"
+        else:
+            sample = tmp_path / "draws,300.txt"
+            sample.write_text("-1\n0.5\n2\n")
+            spec = f"empirical:{sample}"
+        with pytest.raises(SystemExit) as exc:
+            main(["bound-exp", "--dist", spec, "--n", "1,4", "--n-sup", "1:8",
+                  "--B", "2"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(len(r) == len(CSV_COLUMNS) for r in csv.reader(io.StringIO(out)))
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["dist"], r["n"], r["B"], r["family"]) for r in rows] == [
+            (spec, n, "2", "ExpLevel") for n in ("1", "4", "sup(1..8)")]
+
+    def test_other_fields_unquoted(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bound-exp", "--dist", UNIFORM, "--n", "4", "--B", "2"])
+        assert '"' not in capsys.readouterr().out
 
 
 class TestSharedCurvePath:

@@ -293,15 +293,6 @@ class TestConstruction:
         assert UniformSymmetric(SQRT3).sigma2 == pytest.approx(1.0)
         assert UniformSymmetric(2.0).sigma2 == pytest.approx(4.0 / 3.0)
 
-    def test_uniform_scalar_log_density_matches_array(self):
-        law = UniformSymmetric(SQRT3)
-        xs = [-2.0, -SQRT3, -0.3, 0.0, 1.0, SQRT3, 1.8]
-        arr = law._log_density(np.array(xs))
-        for x, want in zip(xs, arr):
-            got = law._log_density(x)
-            assert type(got) is float
-            assert got == want
-
     def test_discrete_rejects_off_center(self):
         with pytest.raises(ValueError, match="not centered"):
             DiscreteLaw([(0.0, 0.5), (1.0, 0.5)])

@@ -192,8 +192,8 @@ STREAM_LAWS = {
 
 
 class TestBlockedKernel:
-    """The row sums of ``_sample_sums`` (integer signs included) and the
-    binned counts leave every hit count of the plain kernel unchanged."""
+    """The row sums, the squares taken in place and the binned counts
+    leave every hit count of the plain kernel unchanged."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     # a small chunk makes many chunks and a partial last one at every n
