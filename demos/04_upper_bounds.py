@@ -43,8 +43,8 @@ print("Rosenthal bound on the larger moment generator of the current n and")
 print("of n = infinity; after 64 cells the certificate is the value")
 for name in ("gaussian", "rademacher"):
     for pt in exp_curve(laws[name], (1, 4096), [1.0, 5.0]).points:
-        where = (f"attained at n = {pt.optimizer['n_star']:.0f}"
-                 if "n_star" in pt.optimizer else "the certificate itself")
+        where = (f"attained at n = {pt.n_star}"
+                 if pt.n_star is not None else "the certificate itself")
         print(f"  {name:>10}, B = {pt.B:>4}: sup bound {pt.value:.4e}, {where}")
 print("  the sign law's cells rise towards exp(-B^2/2), its certificate;")
 print("  large B favors n = 1, where the gaussian bound scales like e^(1/2)/(2B):")
@@ -62,7 +62,7 @@ print("\nthe sign law's summand is the sign itself, so its moment bound")
 print("is n-free; the sup over n collapses to any single n:")
 (pt,) = power_curve(laws["rademacher"], (1, 256), [10.0]).points
 print(f"  sup over n in [1, 256] at B = 10: {pt.value:.4e} "
-      f"(n* = {pt.optimizer['n_star']:.0f})")
+      f"(n* = {pt.n_star})")
 
 print("\n=== the two families side by side (gaussian, n = 16) ===")
 print("   B      exponential     moment-level")

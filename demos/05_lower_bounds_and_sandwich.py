@@ -7,7 +7,7 @@ Two reference points from below:
   density at 0 it decays like density(0)/B: the sup tail is NOT
   exponentially small in B, unlike the classical normalized-sum tail.
 * The limiting normal tail 1 - Phi(B) (reported next to the heuristic
-  exp(-B^2/2), which its curve carries as the optimizer's objective;
+  exp(-B^2/2), which its curve carries as each point's objective;
   they disagree noticeably, so both are printed and neither is asserted
   as a finite-n bound).
 """
@@ -35,7 +35,7 @@ print(f"limits: gaussian density at 0 = 1/sqrt(2*pi) = "
 print("\n=== two limiting-tail reference values of the gaussian (report-only) ===")
 print("   B     exp(-B^2/2)    1 - Phi(B)")
 for ref in lower_clt_curve(gauss, [1.0, 2.0, 3.0]).points:
-    print(f"  {ref.B:>4}   {ref.optimizer['objective']:.6f}     {ref.value:.6f}")
+    print(f"  {ref.B:>4}   {ref.objective:.6f}     {ref.value:.6f}")
 print("(the quadratic heuristic overshoots the actual normal tail)")
 
 print("\n=== sandwiching the exact n = 1 tail by simulation ===")

@@ -13,11 +13,11 @@ under the upper end).  A deliberately corrupted bound demonstrates that
 the gate actually bites.
 """
 
-import math
+import dataclasses
 
-from selfnorm import (BoundCurve, BoundPoint, MCConfig, Rademacher,
-                      empirical_tail, exp_curve, lower_clt_curve,
-                      lower_q1_curve, verify_bounds)
+from selfnorm import (BoundCurve, MCConfig, Rademacher, empirical_tail,
+                      exp_curve, lower_clt_curve, lower_q1_curve,
+                      verify_bounds)
 
 law = Rademacher()
 n_grid = [1, 4, 16]
@@ -51,7 +51,7 @@ for row in report.rows:
 print("\n=== negative control: a corrupted bound must fail ===")
 good = exp_curve(law, 4, B_grid)
 bad = BoundCurve(good.family, good.n, tuple(
-    BoundPoint(pt.B, pt.value * 1e-6, pt.optimizer) for pt in good.points))
+    dataclasses.replace(pt, value=pt.value * 1e-6) for pt in good.points))
 bad_report = verify_bounds(law, [bad], cfg)
 print(f"  bounds scaled by 1e-6: all pass = {bad_report.all_pass}, "
       f"{len(bad_report.failures)} FAIL cells")

@@ -11,19 +11,21 @@ so every bound here is a bound on the mean of n i.i.d. centered summands.
 Two upper-bound families are provided (an optimized-exponent Chernoff
 bound and a Rosenthal-moment bound valid for B >= e), plus two lower
 bounds (the exact single-observation tail and the limiting normal tail,
-the latter report-only).
+the latter report-only).  Each builder returns a curve of
+:class:`BoundPoint` cells, whose fields are the bound columns of the
+CLI's rows, and rejects a B that is not positive and finite.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .convex import maximize_concave
 from .distributions import DistributionModel
-from .gls import PsiFunction, _gls_tail_opt
+from .gls import PsiFunction, _gls_tail_opt, _tail_value
 
 __all__ = [
     "BoundCurve",
@@ -64,11 +66,17 @@ _SUP_CELLS = 64
 
 @dataclass(frozen=True)
 class BoundPoint:
-    """One (B, bound value) cell with optimizer diagnostics."""
+    """One (B, bound value) cell and the other bound columns of its row:
+    ``objective`` is the exponent -ln(value) (LowerCLT: the heuristic
+    value exp(-B^2*sigma^2/2)), ``arg_star`` the theta* or p* that
+    attains it and ``n_star`` the attaining n of a sup over n; None is a
+    blank column."""
 
     B: float
     value: float
-    optimizer: dict = field(default_factory=dict)
+    objective: float | None = None
+    arg_star: float | None = None
+    n_star: int | None = None
 
 
 @dataclass(frozen=True)
@@ -129,14 +137,11 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
     still grows at the search cap, the bound is read there, as at any
     other theta.
     """
-    if B <= 0.0:
-        raise ValueError(f"B must be positive, got {B}")
     # by Cauchy-Schwarz over the k nonzero terms, |sum xi| <= sqrt(k*sum xi^2)
     # and sum xi^2 >= k*m^2, so T(n) <= sqrt(n)/m: beyond that the event is
     # impossible (the factor keeps float rounding of T on the safe side)
     if B * dist.min_abs_atom > math.sqrt(n) * (1.0 + 1e-12):
-        return BoundPoint(B, 0.0, {"theta_star": math.inf, "objective": math.inf,
-                                   "reason": "support"})
+        return BoundPoint(B, 0.0, math.inf, math.inf)
     target = B * dist.sigma2
 
     def obj(theta: float) -> float:
@@ -145,11 +150,10 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
 
     # a theta bracket of relative width 1e-6 leaves an exponent error of
     # order 1e-12 relative: the objective is flat at its maximum
-    theta_star, exponent = maximize_concave(obj, 0.0, _THETA_TOL,
-                                            x0=_theta_guess(dist, n, B),
-                                            rtol=_THETA_RTOL)
-    return BoundPoint(B, math.exp(-exponent),
-                      {"theta_star": theta_star, "objective": exponent})
+    theta, exponent = maximize_concave(obj, 0.0, _THETA_TOL,
+                                       x0=_theta_guess(dist, n, B),
+                                       rtol=_THETA_RTOL)
+    return BoundPoint(B, _tail_value(exponent), exponent, theta)
 
 
 def _sup_scan(dist: DistributionModel, point_fn: Callable[[int], BoundPoint],
@@ -162,8 +166,9 @@ def _sup_scan(dist: DistributionModel, point_fn: Callable[[int], BoundPoint],
     at n = N, the tail certificate bounds Q_n(B) for every n >= N.  The
     walk stops on the first of:
 
-    * the certificate is at most the best cell: that cell, with its n as
-      ``optimizer["n_star"]``, bounds the sup over all n >= n_lo;
+    * the certificate's exponent is at least the best cell's objective:
+      that cell, with its n as ``n_star``, bounds the sup over all
+      n >= n_lo;
     * n passes n_hi: every cell of the range was evaluated, and the max
       is exact, with ``n_star`` as above;
     * the 64 cells are spent: the certificate itself, which exceeds
@@ -175,28 +180,26 @@ def _sup_scan(dist: DistributionModel, point_fn: Callable[[int], BoundPoint],
     n, check = n_lo, n_lo + 1
     while n <= n_hi:
         if n == check:
-            tail = _tail_certificate(dist, n, B, best.value, kr)
-            if tail <= best.value:
+            exponent = _tail_certificate(dist, n, B, best.objective, kr)
+            if exponent >= best.objective:
                 break
             if n - n_lo == _SUP_CELLS:
-                # abs: a certificate of 1 has exponent 0, not -0
-                return BoundPoint(B, tail, {"objective": abs(math.log(tail))})
+                return BoundPoint(B, _tail_value(exponent), exponent)
             check = 2 * check - n_lo
         pt = point_fn(n)
         if best is None or pt.value > best.value:
             best, best_n = pt, n
         n += 1
-    opt = dict(best.optimizer)
-    opt["n_star"] = float(best_n)
-    return BoundPoint(B, best.value, opt)
+    return replace(best, n_star=best_n)
 
 
 def _tail_certificate(dist: DistributionModel, N: int, B: float,
-                      enough: float = 0.0, kr: float = DEFAULT_KR) -> float:
-    """An upper bound on Q_n(B) that holds for every n >= N.
+                      enough: float = math.inf, kr: float = DEFAULT_KR) -> float:
+    """An exponent e with Q_n(B) <= exp(-e) for every n >= N.
 
-    The smallest of the certificates that apply, tried cheapest first;
-    the search stops early at one that is at most ``enough``.
+    The largest of the certificates' exponents that apply, tried
+    cheapest first; the search stops early at one that is at least
+    ``enough``.
 
     * Efron (1969; de la Pena, Lai and Shao, Self-Normalized Processes,
       2009, ch. 2), for symmetric laws: given the |xi_i|, the signs are
@@ -214,23 +217,23 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
       Rosenthal constant ``kr``.  It is the cells' own generator, so it
       is valid exactly where they are, and a change to that generator's
       p range applies to both.
-    * Otherwise 1.
+    * Otherwise 0, the bound 1.
     """
-    bound = 1.0
+    exponent = 0.0
     if dist.symmetric:
         c = 0.5 * B * B
         u = c / N
         g = dist.log_mgf2(0.0, u) - u * dist.sigma2
-        # in this form the sign law gets exactly exp(-c): g(u)/u is -1
-        bound = min(bound, math.exp(c * g / u))
-        if bound <= enough:
-            return bound
+        # in this form the sign law gets exactly c: g(u)/u is -1
+        exponent = max(exponent, -c * g / u)
+        if exponent >= enough:
+            return exponent
     if B >= math.e:
         psi_N = rosenthal_psi(dist, N, B, kr)
         psi_inf = rosenthal_psi(dist, N, 0.0, kr)
         psi = PsiFunction(lambda p: max(psi_N(p), psi_inf(p)), lo_open=True)
-        bound = min(bound, _gls_tail_opt(psi, 1.0, B * dist.sigma2)[0])
-    return bound
+        exponent = max(exponent, _gls_tail_opt(psi, 1.0, B * dist.sigma2)[2])
+    return exponent
 
 
 # -- power level --------------------------------------------------------------
@@ -261,14 +264,19 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
     is the exact threshold of the linearized event.
     """
     psi = rosenthal_psi(dist, n, B, kr)
-    value, p_star, exponent = _gls_tail_opt(psi, 1.0, B * dist.sigma2)
-    opt = {"objective": exponent}
-    if p_star is not None:
-        opt["p_star"] = p_star
-    return BoundPoint(B, value, opt)
+    value, p, exponent = _gls_tail_opt(psi, 1.0, B * dist.sigma2)
+    return BoundPoint(B, value, exponent, p)
 
 
 # -- curves --------------------------------------------------------------------
+
+
+def _sorted_B(B_grid: Sequence[float]) -> list[float]:
+    """The B grid in ascending order, every B checked positive and finite."""
+    for B in B_grid:
+        if not 0.0 < B < math.inf:
+            raise ValueError(f"B must be positive and finite, got {B}")
+    return sorted(B_grid)
 
 
 def _curve(family: str, dist: DistributionModel, n: int | tuple[int, int],
@@ -282,8 +290,7 @@ def _curve(family: str, dist: DistributionModel, n: int | tuple[int, int],
         pt = (_sup_scan(dist, lambda m: point_fn(m, B), B, *n, kr)
               if isinstance(n, tuple) else point_fn(n, B))
         if pts and pt.value > pts[-1].value:
-            pt = BoundPoint(B, pts[-1].value,
-                            {"objective": pts[-1].optimizer["objective"]})
+            pt = BoundPoint(B, pts[-1].value, pts[-1].objective)
         pts.append(pt)
     return BoundCurve(family, n, tuple(pts))
 
@@ -294,13 +301,13 @@ def exp_curve(dist: DistributionModel, n: int | tuple[int, int],
 
     ``n`` is a sample size or an ``(lo, hi)`` range.  A range gives, for
     each B, a bound on the sup of Q_n(B) over it: the max of the cells
-    from lo up, with the attaining n as ``optimizer["n_star"]``, once a
+    from lo up, with the attaining n as ``n_star``, once a
     tail certificate rules out every later n or the range ends; or,
     after 64 cells, the certificate itself, with no ``n_star``.  A value
     certified by the tail covers every n >= lo, past hi too.  A point
     above its predecessor carries the predecessor's value and objective.
     """
-    return _curve(EXP_LEVEL, dist, n, sorted(B_grid),
+    return _curve(EXP_LEVEL, dist, n, _sorted_B(B_grid),
                   lambda m, B: _exp_tail_point(dist, m, B))
 
 
@@ -309,7 +316,8 @@ def power_curve(dist: DistributionModel, n: int | tuple[int, int],
     """PowerLevel bound at every B >= e of the grid, sorted; ``n`` as in
     :func:`exp_curve`, with the tail certificate of a range at ``kr``
     too."""
-    return _curve(POWER_LEVEL, dist, n, [B for B in sorted(B_grid) if B >= math.e],
+    return _curve(POWER_LEVEL, dist, n,
+                  [B for B in _sorted_B(B_grid) if B >= math.e],
                   lambda m, B: _power_tail_point(dist, m, B, kr), kr)
 
 
@@ -321,12 +329,9 @@ def lower_q1_curve(dist: DistributionModel, B_grid: Sequence[float]) -> BoundCur
     interval is open at 1/B: an atom exactly there gives T = B, which
     does not exceed B.
     """
-    pts = []
-    for B in sorted(B_grid):
-        if B <= 0.0:
-            raise ValueError(f"B must be positive, got {B}")
-        pts.append(BoundPoint(B, dist.prob_between(0.0, 1.0 / B)))
-    return BoundCurve(LOWER_Q1, 1, tuple(pts))
+    pts = tuple(BoundPoint(B, dist.prob_between(0.0, 1.0 / B))
+                for B in _sorted_B(B_grid))
+    return BoundCurve(LOWER_Q1, 1, pts)
 
 
 def lower_clt_curve(dist: DistributionModel,
@@ -334,7 +339,7 @@ def lower_clt_curve(dist: DistributionModel,
     """Limiting-tail reference values of the law.
 
     The value is the normal tail 1 - Phi(B*sigma), which is what Q_n(B)
-    actually converges to; ``optimizer["objective"]`` holds the
+    actually converges to; ``objective`` holds the
     heuristic exp(-B^2*sigma^2/2).  The two disagree substantially at
     moderate B (0.159 vs 0.607 at B*sigma = 1), so reports carry both
     and only the normal tail participates in comparisons, and even that
@@ -342,6 +347,6 @@ def lower_clt_curve(dist: DistributionModel,
     """
     sigma = math.sqrt(dist.sigma2)
     pts = tuple(BoundPoint(B, 0.5 * math.erfc(B * sigma / math.sqrt(2.0)),
-                           {"objective": math.exp(-B * B * dist.sigma2 / 2.0)})
-                for B in sorted(B_grid))
+                           math.exp(-B * B * dist.sigma2 / 2.0))
+                for B in _sorted_B(B_grid))
     return BoundCurve(LOWER_CLT, 1, pts)

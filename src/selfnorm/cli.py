@@ -14,7 +14,8 @@ gls           norm and tail of a chosen generator family against the law
 
 Output is CSV (columns fixed, floats at 15 significant digits, ``inf``
 for infinities, absent fields empty, a field holding a comma quoted) or
-an aligned-column pretty table.
+an aligned-column pretty table.  A row's bound columns are the fields
+of its :class:`~selfnorm.bounds.BoundPoint`, blank on a row without one.
 Configuration may come from flags or a flat key=value file via
 ``--config``; flags win on conflict.  The ``SELFNORM_THREADS``
 environment variable caps simulation worker threads.
@@ -261,33 +262,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _point_row(dist_name: str, n_label: str, family: str, pt: bd.BoundPoint,
-               est=None, status: str = "", margin=None, tightness=None) -> dict:
-    opt = pt.optimizer
-    return {
-        "dist": dist_name,
-        "n": n_label,
-        "B": pt.B,
-        "family": family,
-        "value": pt.value,
-        "optimizer": opt.get("objective"),
-        "theta_or_p_star": opt.get("theta_star", opt.get("p_star")),
-        "n_star": opt.get("n_star"),
-        "mc_point": est.point if est else None,
-        "mc_ci_lo": est.ci_lo if est else None,
-        "mc_ci_hi": est.ci_hi if est else None,
-        "status": status,
-        "margin": margin,
-        "tightness": tightness,
-    }
-
-
-def _blank_row(dist_name: str, n_label: str, family: str, B: float,
-               status: str = "", est=None) -> dict:
-    """A row without a bound value: a SKIP marker or a simulation estimate."""
-    row = _point_row(dist_name, n_label, family, bd.BoundPoint(B, math.nan),
-                     est=est, status=status)
-    row["value"] = None
+def _row(dist_name: str, n_label: str, family: str,
+         pt: bd.BoundPoint | None = None, est=None, status: str = "",
+         margin=None, tightness=None, B: float | None = None) -> dict:
+    """One row of a curve or of the referee: B and the bound columns are
+    the point's fields, the mc columns the estimate's, each blank when
+    absent; a row without a point (SKIP or MC) is given its B."""
+    row = {"dist": dist_name, "n": n_label, "family": family,
+           "B": B if pt is None else pt.B,
+           "status": status, "margin": margin, "tightness": tightness}
+    if pt is not None:
+        row.update(value=pt.value, optimizer=pt.objective,
+                   theta_or_p_star=pt.arg_star, n_star=pt.n_star)
+    if est is not None:
+        row.update(mc_point=est.point, mc_ci_lo=est.ci_lo, mc_ci_hi=est.ci_hi)
     return row
 
 
@@ -342,19 +330,18 @@ def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
     checked = iter(report.rows) if report else None
     rows = []
     for curve in curves:
-        label = curve.label
+        head = (dist.name, curve.label, curve.family)
         points = {pt.B: pt for pt in curve.points}
         for B in config.B_grid:
             pt = points.get(B)
             if pt is None:
-                rows.append(_blank_row(dist.name, label, curve.family, B, "SKIP"))
+                rows.append(_row(*head, B=B, status="SKIP"))
             elif checked is None:
-                rows.append(_point_row(dist.name, label, curve.family, pt))
+                rows.append(_row(*head, pt))
             else:
                 r = next(checked)
-                rows.append(_point_row(dist.name, label, curve.family, pt,
-                                       est=r.estimate, status=r.status,
-                                       margin=r.margin, tightness=r.tightness))
+                rows.append(_row(*head, pt, r.estimate, r.status, r.margin,
+                                 r.tightness))
     return rows
 
 
@@ -362,7 +349,7 @@ def _mc_rows(config: RunConfig, dist) -> list[dict]:
     rows = []
     for n in config.n_grid:
         cfg = mcmod.MCConfig(n, config.trials, config.seed, config.confidence)
-        rows += [_blank_row(dist.name, str(n), "MC", est.B, est=est)
+        rows += [_row(dist.name, str(n), "MC", est=est, B=est.B)
                  for est in mcmod._estimate(dist, cfg, config.B_grid)]
     return rows
 

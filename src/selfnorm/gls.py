@@ -20,6 +20,7 @@ grid, raises :class:`~selfnorm.distributions.DivergentError`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -52,6 +53,10 @@ _TOL = 1e-9
 # MGF-domination ratio counts as unbounded as lambda -> 0: signs against
 # lam^2/2 rise 8e-6 towards their limit 1, while lam^-a rises 10^a - 1
 _BOTTOM_RISE = 1e-2
+# points a decade of the MGF-domination norm's lambda grid, and the
+# fewest of them over which lambda at least doubles (10^(20/64) = 2.05)
+_PER_DECADE = 64
+_DOUBLING = 20
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,17 @@ def gls_norm(moment_curve: Callable[[float], float], psi: PsiFunction) -> float:
     return _refine(ratio, grid, vals, i_best)
 
 
+def _tail_value(exponent: float) -> float:
+    """The bound exp(-exponent) of a tail exponent >= 0.  A finite exponent
+    whose value falls below the smallest normal double reads the next
+    double above it, so it never rounds low to 0; only an infinite one,
+    an impossible event, reads 0."""
+    value = math.exp(-exponent)
+    if value < sys.float_info.min and exponent < math.inf:
+        value = math.nextafter(value, math.inf)
+    return value
+
+
 def _gls_tail_opt(psi: PsiFunction, norm: float,
                   y: float) -> tuple[float, float | None, float]:
     """Optimized Markov bound min_p (psi(p)*norm/y)^p.
@@ -243,7 +259,7 @@ def _gls_tail_opt(psi: PsiFunction, norm: float,
         return 1.0, None, 0.0
     if neg <= 0.0:
         return 1.0, p_best, 0.0
-    return math.exp(-neg), p_best, neg
+    return _tail_value(neg), p_best, neg
 
 
 def gls_tail_bound(psi: PsiFunction, norm: float, y: float) -> float:
@@ -268,13 +284,22 @@ def bphi_norm(law_mgf: Callable[[float], float],
     passes the log-MGF of zeta/s and multiplies the norm by s.  Each
     inverse comes from :func:`invert_monotone`, which never answers
     below the root, so no ratio reads low; the grid supremum, which
-    can, is rounded up by 1e-9.  Raises :class:`DivergentError` when the
-    MGF escapes the majorant's range, or when the ratio is still rising
-    at the top edge of the grid, or by more than 1% through the lowest
-    decade at its bottom edge.
+    can, is rounded up by 1e-9.  When the argmax is the grid's bottom
+    point, the supremum is the ratio's limit r0 as lambda -> 0, below
+    the grid.  Near 0 the ratio is r0 - c*lam^k with k >= 1 (signs
+    against lam^2/2 have k = 2, a skewed law k = 1), so it falls by at
+    least c*lam^k, its remaining rise to r0, while lambda grows by a
+    factor rho >= 2: r0 <= 2*r(lam) - r(rho*lam).  That is read 20 grid
+    points up, at lam = 2.05e-3 with rho = 2.05, where the log-MGF
+    (about 2e-6) carries a quarter of the bottom point's relative
+    rounding.
+    Raises :class:`DivergentError` when the MGF escapes the majorant's
+    range, or when the ratio is still rising at the top edge of the
+    grid, or by more than 1% through the lowest decade at its bottom
+    edge.
     """
-    # 64 points a decade over six decades about the unit scale
-    grid = np.geomspace(1e-3, 1e3, 385)
+    # _PER_DECADE points a decade over six decades about the unit scale
+    grid = np.geomspace(1e-3, 1e3, 6 * _PER_DECADE + 1)
 
     def ratio(lam: float, sign: float) -> float:
         y = law_mgf(sign * lam)
@@ -297,8 +322,11 @@ def bphi_norm(law_mgf: Callable[[float], float],
                 or i_best == 0 and _rising_through_last_decade(
                     1.0 / grid[::-1], vals[::-1], _BOTTOM_RISE):
             raise DivergentError("norm ratio still rising at the lambda-grid edge")
-        best = max(best, _refine(lambda t: ratio(math.exp(t), sign),
-                                 np.log(grid), vals, i_best))
+        sup = _refine(lambda t: ratio(math.exp(t), sign), np.log(grid),
+                      vals, i_best)
+        if i_best == 0:
+            sup = max(sup, 2.0 * vals[_DOUBLING] - vals[2 * _DOUBLING])
+        best = max(best, sup)
     # grid suprema err low; round up so tails built on this norm stay
     # valid even when the Chernoff exponent is exactly tight
     return best * (1.0 + 1e-9)
@@ -312,4 +340,4 @@ def bphi_tail_bound(phi: Callable[[float], float], norm: float, u: float) -> flo
         return 1.0
     if norm == 0.0:
         return 0.0
-    return math.exp(-fenchel(phi, u / norm))
+    return _tail_value(fenchel(phi, u / norm))

@@ -6,6 +6,7 @@ One criterion per test, each printing a single pass/fail line (run with
 laws) are computed once per session and shared across criteria.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -95,8 +96,7 @@ def test_criterion_02_power_domination(laws, referee):
                 if pt.value < floor:
                     violations.append((name, n, B, pt.value, floor))
                 if B > E:
-                    p_star = pt.optimizer.get("p_star")
-                    if p_star is None or not math.isfinite(p_star):
+                    if pt.arg_star is None or not math.isfinite(pt.arg_star):
                         missing_p.append((name, n, B))
                 else:
                     clamped += 1  # B = e: bound saturates at 1, nothing attained
@@ -241,7 +241,7 @@ def test_criterion_10_negative_control(tmp_path, monkeypatch):
 
     def corrupted(dist, n, B):
         pt = true_point(dist, n, B)
-        return bd.BoundPoint(pt.B, pt.value * 1e-6, pt.optimizer)
+        return dataclasses.replace(pt, value=pt.value * 1e-6)
 
     monkeypatch.setattr(bd, "_exp_tail_point", corrupted)
     cfg = RunConfig(

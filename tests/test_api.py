@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
 # whose signatures are the built-in ones
 PARAMETERS = {
     "BoundCurve": ("family", "n", "points"),
-    "BoundPoint": ("B", "value", "optimizer"),
+    "BoundPoint": ("B", "value", "objective", "arg_star", "n_star"),
     "DensityLaw": ("density", "support", "name"),
     "DiscreteLaw": ("atoms", "name"),
     "DistributionModel": ("sigma2", "name"),

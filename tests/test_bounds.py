@@ -16,6 +16,7 @@ from selfnorm.bounds import (DEFAULT_B_GRID, DEFAULT_KR, exp_curve,
 from selfnorm.bounds import _exp_tail_point, _power_tail_point, _tail_certificate
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
                                     StandardGaussian, UniformSymmetric)
+from selfnorm.gls import _tail_value
 
 E = math.e
 SQRT3 = math.sqrt(3.0)
@@ -74,7 +75,7 @@ def rademacher_max_log_tail(Bs, n_max):
 def sup_point(curve_fn, law, B, n_lo, n_hi):
     """Value and attaining n of a one-B curve over the range n_lo..n_hi."""
     pt = curve_fn(law, (n_lo, n_hi), [B]).points[0]
-    return pt.value, int(pt.optimizer["n_star"])
+    return pt.value, pt.n_star
 
 
 def q1(law, B):
@@ -179,15 +180,24 @@ class TestExpTailBound:
 
         r = minimize_scalar(neg, bounds=(1e-9, 50.0), method="bounded",
                             options={"xatol": 1e-12})
-        assert pt.optimizer["objective"] == pytest.approx(-r.fun, rel=1e-8)
+        assert pt.objective == pytest.approx(-r.fun, rel=1e-8)
 
     def test_value_in_unit_interval(self, gauss):
         for B in DEFAULT_B_GRID:
             assert 0.0 <= _exp_tail_point(gauss, 4, B).value <= 1.0
 
     def test_rejects_nonpositive_threshold(self, gauss):
-        with pytest.raises(ValueError):
-            _exp_tail_point(gauss, 4, 0.0)
+        # one check in all four builders, also where power_curve would
+        # drop the B as below e and the lower curves would return a row
+        builders = (lambda g: exp_curve(gauss, 4, g),
+                    lambda g: power_curve(gauss, 4, g),
+                    lambda g: lower_q1_curve(gauss, g),
+                    lambda g: lower_clt_curve(gauss, g))
+        for build in builders:
+            for B in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError,
+                                   match="B must be positive and finite"):
+                    build([3.0, B])
 
 
 class TestExpTailOptimizer:
@@ -220,7 +230,7 @@ class TestExpTailOptimizer:
                     return math.inf if c == math.inf else c - th * target
 
                 r = minimize_scalar(
-                    neg, bounds=(0.0, 2.0 * pt.optimizer["theta_star"] + 1.0),
+                    neg, bounds=(0.0, 2.0 * pt.arg_star + 1.0),
                     method="bounded", options={"xatol": 1e-12})
                 oracle = min(1.0, math.exp(min(r.fun, 0.0)))
                 assert pt.value == pytest.approx(oracle, rel=1e-9), (n, B)
@@ -231,7 +241,7 @@ class TestExpTailOptimizer:
         law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
         assert law.summand_variance(1, 1.0) == pytest.approx(
             0.0, abs=1e-12)
-        assert _exp_tail_point(law, 1, 1.0).value == 0.0
+        assert _exp_tail_point(law, 1, 1.0).value == math.ulp(0.0)
 
     def test_heavy_tail_reaches_interior_maximum(self):
         # fourth moment infinite: the start falls back to theta = B, and a
@@ -243,7 +253,7 @@ class TestExpTailOptimizer:
         n, B = 16, 1.0
         pt = _exp_tail_point(law, n, B)
         assert pt.value < 0.7
-        theta = pt.optimizer["theta_star"]
+        theta = pt.arg_star
         l1, l2 = theta / math.sqrt(n), B * theta / n
 
         def integrand(x):
@@ -254,7 +264,7 @@ class TestExpTailOptimizer:
                   for a, b in ((-math.inf, 0.0), (0.0, peak), (peak, math.inf)))
         assert sum_cgf(law, n, B, theta) == pytest.approx(n * math.log(mgf),
                                                           rel=1e-8)
-        assert pt.optimizer["objective"] == pytest.approx(
+        assert pt.objective == pytest.approx(
             theta * B * law.sigma2 - n * math.log(mgf), rel=1e-8)
 
 
@@ -279,9 +289,8 @@ class TestExpTailSupport:
                 pt = _exp_tail_point(law, n, B)
                 assert calls[0] == 0, (n, B)
                 assert pt.value == 0.0
-                assert pt.optimizer == {"theta_star": math.inf,
-                                        "objective": math.inf,
-                                        "reason": "support"}
+                assert (pt.objective, pt.arg_star, pt.n_star) == (
+                    math.inf, math.inf, None)
                 if n <= 16:
                     assert rademacher_exact_tail(n, B) == 0.0
 
@@ -290,7 +299,7 @@ class TestExpTailSupport:
         # strict inequality is settled by support; Chernoff stays positive
         pt = _exp_tail_point(rad, 4, 2.0)
         assert pt.value > 0.0
-        assert "reason" not in pt.optimizer
+        assert math.isfinite(pt.objective)
 
     def test_zero_atom_law(self):
         # a zero atom keeps the Chernoff objective bounded (by P(0)^n), so
@@ -305,15 +314,15 @@ class TestExpTailSupport:
         assert float(weights[t > B].sum()) == 0.0
         assert _exp_tail_point(law, n, B).value == 0.0
 
-    def test_cap_reason_without_support_argument(self):
+    def test_cap_without_support_argument(self):
         # T(1) = 1/xi is -1 or 1/2 here, so T(1) > 1 is impossible but no
         # support argument sees it: the objective still grows at the cap,
-        # and the bound read there underflows to 0
+        # and the bound read there is the least positive double, not 0
         law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
         pt = _exp_tail_point(law, 1, 1.0)
-        assert pt.value == 0.0
-        assert pt.optimizer["theta_star"] == 1e-8 * 2.0 ** 63
-        assert "reason" not in pt.optimizer
+        assert pt.value == math.ulp(0.0)
+        assert pt.arg_star == 1e-8 * 2.0 ** 63
+        assert math.isfinite(pt.objective)
 
     def test_density_laws_never_settled_by_support(self, gauss):
         assert gauss.min_abs_atom == 0.0
@@ -333,7 +342,7 @@ class TestExpTailBoundSup:
         for B in (0.5, 1.0, 1.5):
             (pt,) = exp_curve(rad, (1, 10 ** 4), [B]).points
             assert pt.value == math.exp(-B * B / 2.0)
-            assert "n_star" not in pt.optimizer
+            assert pt.n_star is None
 
     def test_gaussian_large_B_single_term(self, gauss):
         # at large B the n = 1 term dominates and B*value -> e^0.5/2
@@ -353,7 +362,7 @@ class TestExpTailBoundSup:
             table = {n: _exp_tail_point(rad, n, pt.B).value
                      for n in integer_scan(1, 32)}
             assert pt.value == max(table.values())
-            assert table[int(pt.optimizer["n_star"])] == pt.value
+            assert table[pt.n_star] == pt.value
 
 
 class TestCertifiedSup:
@@ -382,7 +391,7 @@ class TestCertifiedSup:
         for pt in exp_curve(law, (1, 64), [0.5, 2.0, 5.0]).points:
             cells = [_exp_tail_point(law, n, pt.B).value for n in range(1, 65)]
             assert pt.value == max(cells)
-            assert cells[int(pt.optimizer["n_star"]) - 1] == pt.value
+            assert cells[pt.n_star - 1] == pt.value
 
     @pytest.mark.parametrize("law", [
         Rademacher(), StandardGaussian(), UniformSymmetric(SQRT3),
@@ -391,7 +400,7 @@ class TestCertifiedSup:
         # below B = e the certificate is the Efron bound alone
         assert law.symmetric
         for B in (0.5, 1.0, 2.5):
-            tails = [_tail_certificate(law, N, B)
+            tails = [_tail_value(_tail_certificate(law, N, B))
                      for N in (1, 2, 3, 5, 16, 100, 1000, 10 ** 5)]
             assert all(b <= a for a, b in zip(tails, tails[1:])), B
             assert tails[-1] >= math.exp(-B * B * law.sigma2 / 2.0) * (1 - 1e-12)
@@ -399,7 +408,7 @@ class TestCertifiedSup:
     def test_efron_gaussian_closed_form(self, gauss):
         # E exp(-u*xi^2) = (1 + 2u)^(-1/2), so the bound is (1 + B^2/N)^(-N/2)
         for B, N in ((0.5, 1), (1.0, 7), (2.5, 64), (2.5, 4096)):
-            assert _tail_certificate(gauss, N, B) == pytest.approx(
+            assert _tail_value(_tail_certificate(gauss, N, B)) == pytest.approx(
                 (1.0 + B * B / N) ** (-N / 2.0), rel=1e-9)
 
     def test_symmetry_flag(self):
@@ -416,16 +425,16 @@ class TestCertifiedSup:
         # asymmetric laws: the certificate is the Rosenthal tail on the
         # larger of the generators at N and at n = infinity
         assert not law.symmetric
-        tail = _tail_certificate(law, N, B)
+        tail = _tail_value(_tail_certificate(law, N, B))
         assert tail < 1.0
         for n in (N, 2 * N, 8 * N):
             assert tail >= _power_tail_point(law, n, B).value, n
 
     def test_asymmetric_small_B_without_certificate(self):
         law = DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)])
-        assert _tail_certificate(law, 64, 2.0) == 1.0
+        assert _tail_certificate(law, 64, 2.0) == 0.0
         (pt,) = exp_curve(law, (1, 4096), [2.0]).points
-        assert pt.value == 1.0 and "n_star" not in pt.optimizer
+        assert pt.value == 1.0 and pt.n_star is None
 
 
 class TestRosenthalPsi:
@@ -466,9 +475,8 @@ class TestPowerTailBound:
     def test_attaining_p_recorded(self, rad, gauss):
         for law, n, B in [(rad, 4, 10.0), (gauss, 16, 5.0)]:
             pt = _power_tail_point(law, n, B)
-            assert "p_star" in pt.optimizer
-            assert math.isfinite(pt.optimizer["p_star"])
-            assert pt.optimizer["p_star"] > 1.0
+            assert math.isfinite(pt.arg_star)
+            assert pt.arg_star > 1.0
 
     def test_gaussian_against_oracle(self, gauss):
         # coarse oracle grid: each moment evaluation costs a quadrature
@@ -559,9 +567,9 @@ class TestPowerTailOptimizer:
                     return p * (math.log(psi(p)) - math.log(B))
 
                 r = minimize_scalar(
-                    exponent, bounds=(1.0 + 1e-6, 2.0 * pt.optimizer["p_star"] + 1.0),
+                    exponent, bounds=(1.0 + 1e-6, 2.0 * pt.arg_star + 1.0),
                     method="bounded", options={"xatol": 1e-12})
-                assert pt.optimizer["objective"] == pytest.approx(
+                assert pt.objective == pytest.approx(
                     max(-r.fun, 0.0), rel=1e-9), (n, B)
         assert sum(cell_calls) / len(cell_calls) <= 25.0
 
@@ -581,7 +589,7 @@ class TestPowerTailOptimizer:
 
         monkeypatch.setattr(law, "summand_lp_norm", recorded)
         pt = _power_tail_point(law, 16, 20.0)
-        assert pt.optimizer["p_star"] < 500.0
+        assert pt.arg_star < 500.0
         assert len(ps) == len(set(ps))
         assert 2.0 in ps and 1000.0 not in ps
 
@@ -609,7 +617,7 @@ class TestPowerTailOptimizer:
                             options={"xatol": 1e-12})
         assert pt.value == pytest.approx(math.exp(r.fun), rel=1e-9)
         assert pt.value == pytest.approx(0.98438245834080, rel=1e-9)
-        assert 1.0 < pt.optimizer["p_star"] < 2.5
+        assert 1.0 < pt.arg_star < 2.5
 
     def test_heavy_tail_l2_norm_is_finite(self):
         # t5 has E xi^2 = 5/3 and E xi^4 = 25, so the summand's L2 norm at
@@ -674,13 +682,13 @@ class TestLowerBounds:
 
     def test_clt_reference_values(self, rad):
         ref, ref3 = lower_clt_curve(rad, [1.0, 3.0]).points
-        assert ref.optimizer["objective"] == pytest.approx(0.6065306597, rel=1e-8)
+        assert ref.objective == pytest.approx(0.6065306597, rel=1e-8)
         assert ref.value == pytest.approx(0.15865525393, rel=1e-8)
         assert ref3.value == pytest.approx(0.0013498980, rel=1e-6)
 
     def test_clt_vanishes_at_infinity(self, rad):
         (ref,) = lower_clt_curve(rad, [40.0]).points
-        assert ref.optimizer["objective"] < 1e-300
+        assert ref.objective < 1e-300
         assert ref.value < 1e-300
 
     def test_clt_limit_uses_the_law_scale(self, rad):
@@ -690,7 +698,7 @@ class TestLowerBounds:
         (ref,) = lower_clt_curve(half, [2.0]).points
         (ref1,) = lower_clt_curve(rad, [1.0]).points
         assert ref.value == ref1.value
-        assert ref.optimizer["objective"] == ref1.optimizer["objective"]
+        assert ref.objective == ref1.objective
         assert ref.value == pytest.approx(scipy_norm.sf(1.0), rel=1e-12)
 
 
@@ -741,10 +749,11 @@ class TestNonIncreasingInB:
         low, high = exp_curve(self.LAWS["two-atom"], (1, 4096), [20.0, 50.0]).points
         assert low.value == pytest.approx(7.23e-13, rel=1e-3)
         assert high.value == low.value
-        assert high.optimizer == {"objective": low.optimizer["objective"]}
+        assert (high.objective, high.arg_star, high.n_star) == (
+            low.objective, None, None)
 
     def test_power_cells_carried_at_n16(self):
         pts = power_curve(self.LAWS["empirical"], 16, [E, 5.0, 20.0]).points
-        assert pts[0].optimizer["p_star"] > 1.0
+        assert pts[0].arg_star > 1.0
         assert [pt.value for pt in pts] == [pts[0].value] * 3
-        assert all("p_star" not in pt.optimizer for pt in pts[1:])
+        assert all(pt.arg_star is None for pt in pts[1:])

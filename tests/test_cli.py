@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,7 +182,8 @@ class TestCommands:
 
     def test_bphi_norm_scales_with_sigma(self, capsys):
         # the norm of xi/sigma against lam^2/2, times sigma: the same
-        # ratio for every half width, the widest included
+        # ratio for every half width, the widest included, and never
+        # below the supremum 1, the ratio's limit as lambda -> 0
         ratios = []
         for a in (0.01, math.sqrt(3.0), 50.0, 100.0):
             spec = f"uniform:a={a!r}"
@@ -194,7 +196,7 @@ class TestCommands:
             sigma = math.sqrt(parse_distribution(spec).sigma2)
             ratios.append(float(rows[0]["value"]) / sigma)
         assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-9)
-        assert ratios[0] == pytest.approx(1.0, rel=1e-6)
+        assert all(1.0 <= r <= 1.0 + 1e-6 for r in ratios)
 
     def test_verify_n_sup_unified_table(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -241,6 +243,23 @@ class TestCsvContract:
         (row,) = read_rows(out)
         assert row["value"] == "0"
         assert row["optimizer"] == "inf"
+
+    @pytest.mark.parametrize("spec, objective", [
+        ("gaussian", 754.297358392037), (UNIFORM, 986.065083511733)])
+    def test_underflowed_bound_reads_above_zero(self, spec, objective, capsys):
+        # exp(-objective) is below the least double: a finite exponent
+        # still reads a positive bound, and only an impossible event 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bound-exp", "--dist", spec, "--n", "1024", "--B", "50"])
+        assert exc.value.code == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert float(row["optimizer"]) == pytest.approx(objective, rel=1e-9)
+        assert 0.0 < float(row["value"]) <= 1e-320
+
+    def test_readme_columns_block_is_the_header(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("Columns, in order:", 1)[1].split("```")[1]
+        assert block.strip() == ",".join(CSV_COLUMNS)
 
     def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
         # a density law is always simulated: 30000 trials are 1 chunk at

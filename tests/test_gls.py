@@ -8,7 +8,7 @@ from scipy.stats import norm as scipy_norm
 
 from selfnorm.distributions import (DivergentError, Rademacher, StandardGaussian,
                                     UniformSymmetric)
-from selfnorm.gls import (PsiFunction, _gls_tail_opt, bphi_norm,
+from selfnorm.gls import (PsiFunction, _gls_tail_opt, _tail_value, bphi_norm,
                           bphi_tail_bound, degenerate_psi, gls_norm,
                           gls_tail_bound, natural_phi, power_phi, power_psi)
 
@@ -31,6 +31,29 @@ def dense_min_exponent(psi_fn, y, lo, hi, n=200001):
     grid = np.geomspace(lo, hi, n)
     vals = np.array([p * (math.log(psi_fn(p)) - math.log(y)) for p in grid])
     return float(vals.min())
+
+
+class TestTailValue:
+    """exp(-exponent) as an upper bound: a finite exponent never reads 0."""
+
+    def test_normal_range_is_plain_exp(self):
+        for exponent in (0.0, 1.5, 700.0, 708.0):
+            assert _tail_value(exponent) == math.exp(-exponent)
+
+    def test_subnormal_and_underflow_round_up(self):
+        for exponent in (710.0, 720.0, 745.0, 754.3, 1e11):
+            value = _tail_value(exponent)
+            assert value == math.nextafter(math.exp(-exponent), math.inf)
+            assert value > 0.0
+
+    def test_impossible_event_reads_zero(self):
+        assert _tail_value(math.inf) == 0.0
+
+    def test_both_tail_routes_floor_an_underflow(self):
+        # (sqrt(p)/1000)^p at the search's cap p = 1000: exponent 3454;
+        # exp(-50^2/2): exponent 1250
+        assert 0.0 < gls_tail_bound(power_psi(2.0), 1.0, 1000.0) <= 1e-320
+        assert 0.0 < bphi_tail_bound(power_phi(2.0), 1.0, 50.0) <= 1e-320
 
 
 class TestGlsTailBound:
@@ -74,8 +97,8 @@ class TestGlsTailBound:
         # psi = sqrt(p) diverges from p = 3 on: the unconstrained minimum
         # p = y^2/e lies beyond, so the bound sits at the barrier's edge
         psi = PsiFunction(lambda p: math.sqrt(p) if p < 3.0 else math.inf)
-        value, p_star, _ = _gls_tail_opt(psi, 1.0, 10.0)
-        assert 2.99 < p_star < 3.0
+        value, p, _ = _gls_tail_opt(psi, 1.0, 10.0)
+        assert 2.99 < p < 3.0
         assert value == pytest.approx((math.sqrt(3.0) / 10.0) ** 3, rel=1e-4)
         assert value >= (math.sqrt(3.0) / 10.0) ** 3
 
@@ -138,10 +161,11 @@ class TestBphiNorm:
             1.0, abs=1e-6)
 
     def test_rademacher_against_subgaussian(self):
+        # the ratio's sup 1 is its limit as lambda -> 0, below the grid:
+        # the norm extrapolates to it from two grid ratios
         phi2 = lambda lam: lam * lam / 2.0
         got = bphi_norm(lncosh, phi2)
-        assert got == pytest.approx(1.0, abs=1e-4)
-        assert got <= 1.0 + 1e-12
+        assert 1.0 <= got <= 1.0 + 1e-5
 
     def test_rademacher_norm_not_below_its_grid_sup(self):
         # the ratio is 0.99999992 at lambda = 1e-3 (ln cosh = lambda^2/2

@@ -1,5 +1,6 @@
 """Simulation, interval exactness, determinism, and the verification gate."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,8 +8,7 @@ import numpy as np
 import pytest
 
 from selfnorm import mc
-from selfnorm.bounds import (BoundCurve, BoundPoint, exp_curve,
-                             lower_clt_curve, lower_q1_curve)
+from selfnorm.bounds import BoundCurve, exp_curve, lower_clt_curve, lower_q1_curve
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
                                     StandardGaussian, UniformSymmetric)
 from selfnorm.mc import (MCConfig, clopper_pearson, empirical_tail,
@@ -259,7 +259,7 @@ class TestVerifyBounds:
         law = Rademacher()
         curve = exp_curve(law, 4, [0.5, 1.0])
         corrupted = BoundCurve(curve.family, curve.n, tuple(
-            BoundPoint(pt.B, pt.value * 1e-6, pt.optimizer)
+            dataclasses.replace(pt, value=pt.value * 1e-6)
             for pt in curve.points))
         report = verify_bounds(law, [corrupted], MCConfig(1, 10 ** 4, 29))
         assert not report.all_pass
