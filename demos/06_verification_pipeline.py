@@ -22,7 +22,7 @@ from selfnorm import (BoundCurve, MCConfig, Rademacher, empirical_tail,
 law = Rademacher()
 n_grid = [1, 4, 16]
 B_grid = [0.5, 1.0, 2.0]
-cfg = MCConfig(n=1, trials=300000, seed=7)
+trials, seed = 300000, 7
 
 print("=== determinism: same seed, same counts, any worker count ===")
 a = empirical_tail(law, MCConfig(4, 100000, 123), [1.0])[0]
@@ -38,13 +38,14 @@ curves.append(lower_q1_curve(law, B_grid))
 curves.append(lower_clt_curve(law, B_grid))
 
 print("\n=== full verification sweep (sign law) ===")
-report = verify_bounds(law, curves, cfg)
-print(f"  {len(report.rows)} cells checked, all pass: {report.all_pass}")
+rows = verify_bounds(law, curves, trials, seed)
+print(f"  {len(rows)} cells checked, all pass: "
+      f"{all(row.status != 'FAIL' for row in rows)}")
 print("   family           n  B      bound        exact tail   margin")
-for row in report.rows:
-    if row.family == "LowerCLT":
+for row in rows:
+    if row.curve.family == "LowerCLT":
         continue
-    print(f"  {row.family:>9}  {row.n_label:>10}  {row.point.B:<4g} "
+    print(f"  {row.curve.family:>9}  {row.curve.label:>10}  {row.point.B:<4g} "
           f"{row.point.value:<12.4e} {row.estimate.point:<12.4e} "
           f"{row.margin:+.3e}  {row.status}")
 
@@ -52,14 +53,15 @@ print("\n=== negative control: a corrupted bound must fail ===")
 good = exp_curve(law, 4, B_grid)
 bad = BoundCurve(good.family, good.n, tuple(
     dataclasses.replace(pt, value=pt.value * 1e-6) for pt in good.points))
-bad_report = verify_bounds(law, [bad], cfg)
-print(f"  bounds scaled by 1e-6: all pass = {bad_report.all_pass}, "
-      f"{len(bad_report.failures)} FAIL cells")
-for row in bad_report.failures:
-    print(f"    FAIL at n={row.n_label}, B={row.point.B}: bound "
+failures = [row for row in verify_bounds(law, [bad], trials, seed)
+            if row.status == "FAIL"]
+print(f"  bounds scaled by 1e-6: {len(failures)} FAIL cells")
+for row in failures:
+    print(f"    FAIL at n={row.curve.label}, B={row.point.B}: bound "
           f"{row.point.value:.2e} < exact floor {row.estimate.ci_lo:.2e}")
 
 print("\nthe same pipeline runs from the command line:")
 print("  selfnorm verify --dist rademacher --n 1,4,16 --n-sup 1:64 \\")
 print("      --B 0.5,1,2 --trials 1000000 --seed 7 --output report.csv")
-print("(exit status 1 whenever a FAIL cell appears)")
+print("(exit status 1 whenever a FAIL cell appears, with one line per")
+print(" FAIL cell on stderr)")

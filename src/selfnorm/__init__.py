@@ -49,7 +49,6 @@ from .gls import (
 )
 from .mc import (
     MCConfig,
-    VerificationReport,
     clopper_pearson,
     empirical_tail,
     self_normalized_stat,

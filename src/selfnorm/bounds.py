@@ -132,15 +132,16 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
     conjugate is evaluated at B*sigma^2, the exact threshold of the
     linearized event.  Every theta gives a valid bound, and the exponent
     is at least its value 0 at theta = 0.  The value is 0 without a
-    search when the event is impossible for an atomic law whose nonzero
-    atoms all have |xi| >= m, once B > sqrt(n)/m.  When the objective
-    still grows at the search cap, the bound is read there, as at any
-    other theta.
+    search when the event is impossible for an atomic law whose smallest
+    positive atom is m, once B > sqrt(n)/m.  When the objective still
+    grows at the search cap, the bound is read there, as at any other
+    theta.
     """
-    # by Cauchy-Schwarz over the k nonzero terms, |sum xi| <= sqrt(k*sum xi^2)
-    # and sum xi^2 >= k*m^2, so T(n) <= sqrt(n)/m: beyond that the event is
-    # impossible (the factor keeps float rounding of T on the safe side)
-    if B * dist.min_abs_atom > math.sqrt(n) * (1.0 + 1e-12):
+    # T(n) > 0 needs sum xi > 0, and sum xi <= sum over the positive terms
+    # of xi <= sum xi^2/m, so T(n) <= sqrt(n)/m, attained by n draws of m:
+    # beyond that the event is impossible (the factor keeps float rounding
+    # of T on the safe side)
+    if B * dist.min_positive_atom > math.sqrt(n) * (1.0 + 1e-12):
         return BoundPoint(B, 0.0, math.inf, math.inf)
     target = B * dist.sigma2
 

@@ -8,8 +8,9 @@ bound-lower   single-observation and limiting-tail lower bounds
 mc            the referee's tail estimates only: exact for an enumerable
               atomic law, simulated otherwise
 verify        all bound families + referee + PASS/FAIL per cell (exit 1
-              on any FAIL); ``--n-sup lo:hi`` adds the sup-over-n rows,
-              refereed at n = lo and at every ``--n`` in the range
+              on any FAIL, with one stderr line per FAIL cell);
+              ``--n-sup lo:hi`` adds the sup-over-n rows, refereed at
+              n = lo and at every ``--n`` in the range
 gls           norm and tail of a chosen generator family against the law
 
 Output is CSV (columns fixed, floats at 15 significant digits, ``inf``
@@ -324,10 +325,11 @@ def _curves(config: RunConfig, dist,
 
 
 def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
-                report: mcmod.VerificationReport | None = None) -> list[dict]:
+                verified: list[mcmod.VerificationRow] | None = None) -> list[dict]:
     """One row per grid B of every curve: its point, with the verdict when
-    a report is given, or a SKIP row where the curve has no point."""
-    checked = iter(report.rows) if report else None
+    the curves' verified rows are given, or a SKIP row where the curve
+    has no point."""
+    checked = iter(verified) if verified else None
     rows = []
     for curve in curves:
         head = (dist.name, curve.label, curve.family)
@@ -346,12 +348,21 @@ def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
 
 
 def _mc_rows(config: RunConfig, dist) -> list[dict]:
-    rows = []
-    for n in config.n_grid:
-        cfg = mcmod.MCConfig(n, config.trials, config.seed, config.confidence)
-        rows += [_row(dist.name, str(n), "MC", est=est, B=est.B)
-                 for est in mcmod._estimate(dist, cfg, config.B_grid)]
-    return rows
+    ests = mcmod._estimates(dist, config.n_grid, config.B_grid, config.trials,
+                            config.seed, config.confidence)
+    return [_row(dist.name, str(n), "MC", est=est, B=B)
+            for (n, B), est in ests.items()]
+
+
+def _fail_line(row: mcmod.VerificationRow) -> str:
+    """The stderr line naming a FAIL cell, its bound and the estimate it
+    failed against."""
+    est = row.estimate
+    source = "exact" if est.trials == 0 else f"simulated ({est.trials} trials)"
+    return (f"selfnorm: FAIL {row.curve.family} n={row.curve.label} "
+            f"B={_fmt(row.point.B)}: bound {_fmt(row.point.value)}, {source} "
+            f"tail at n={est.n} in [{_fmt(est.ci_lo)}, {_fmt(est.ci_hi)}], "
+            f"margin {_fmt(row.margin)}")
 
 
 def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
@@ -359,10 +370,12 @@ def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
     if 1 in config.n_grid:
         families += (bd.LOWER_Q1, bd.LOWER_CLT)
     curves = _curves(config, dist, families)
-    cfg = mcmod.MCConfig(max(config.n_grid), config.trials, config.seed,
-                         config.confidence)
-    report = mcmod.verify_bounds(dist, curves, cfg)
-    return _curve_rows(config, dist, curves, report), report.all_pass
+    verified = mcmod.verify_bounds(dist, curves, config.trials, config.seed,
+                                   config.confidence)
+    failures = [r for r in verified if r.status == "FAIL"]
+    for r in failures:
+        print(_fail_line(r), file=sys.stderr)
+    return _curve_rows(config, dist, curves, verified), not failures
 
 
 def _gls_rows(config: RunConfig, dist) -> list[dict]:

@@ -249,8 +249,9 @@ class DistributionModel:
 
     sigma2: float
     name: str
-    # a lower bound on |xi| over xi != 0; positive only for atomic laws
-    min_abs_atom: float = 0.0
+    # the smallest positive atom (inf if there is none); 0, which settles
+    # nothing, for laws with a density
+    min_positive_atom: float = 0.0
     # xi and -xi have the same law; the sup-over-n tail certificate of
     # the bounds module needs it
     symmetric: bool = False
@@ -404,8 +405,8 @@ class DiscreteLaw(DistributionModel):
         if name is None:
             name = "discrete:" + ",".join(f"{v:g}:{q:g}" for v, q in pairs)
         super().__init__(sigma2, name)
-        self.min_abs_atom = float(np.abs(
-            self._values[(self._values != 0.0) & (self._probs > 0.0)]).min())
+        positive = self._values[(self._values > 0.0) & (self._probs > 0.0)]
+        self.min_positive_atom = float(positive.min()) if positive.size else math.inf
         # sorted by value, so mirrored atoms read the same backwards
         self.symmetric = bool(np.array_equal(self._values, -self._values[::-1])
                               and np.array_equal(self._probs, self._probs[::-1]))
@@ -506,7 +507,10 @@ class _QuadratureLaw(DistributionModel):
         shift, total = _integrate(fn, *self.support, math.sqrt(self.sigma2),
                                   breakpoints)
         if total <= 0.0:
-            return -math.inf
+            # the expectation of a positive integrand is positive: a zero
+            # total means the quadrature missed the mass (at a jump of the
+            # density, say), and log_mgf2 then reads +inf, a barrier
+            raise DivergentError("quadrature lost the integrand's mass")
         return shift + math.log(total)
 
     def prob_between(self, lo, hi):

@@ -1,7 +1,9 @@
 """The referee for every bound: the exact tail of a finite atomic law
 when its count vectors can be enumerated, and otherwise Monte Carlo
 estimation of the self-normalized tail with exact binomial confidence
-intervals; :func:`_estimate` picks one for ``verify`` and ``mc`` alike.
+intervals.  :func:`_estimates` picks one at every (n, B) for ``verify``
+and ``mc`` alike, and :func:`verify_bounds` checks each bound point
+against it, one :class:`VerificationRow` per point.
 
 A finite atomic law with k atoms reaches T(n) through the counts of
 each atom among the n draws, so Q_n(B) is a finite sum of multinomial
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,6 @@ from .distributions import DiscreteLaw, DistributionModel
 
 __all__ = [
     "MCConfig",
-    "VerificationReport",
     "clopper_pearson",
     "empirical_tail",
     "self_normalized_stat",
@@ -261,13 +262,20 @@ def _tail_estimates(n: int, s1: np.ndarray, s2: np.ndarray, weight: np.ndarray,
                                  at_or_above.tolist())]
 
 
-def _estimate(dist: DistributionModel, cfg: MCConfig,
-              B_grid: Sequence[float]) -> list[TailEstimate]:
-    """The exact tail at ``cfg.n`` when :func:`_exact_tail` can enumerate
-    it, with ``cfg``'s trials, seed and confidence unused; otherwise the
-    simulation of :func:`empirical_tail`."""
-    ests = _exact_tail(dist, cfg.n, B_grid)
-    return empirical_tail(dist, cfg, B_grid) if ests is None else ests
+def _estimates(dist: DistributionModel, ns: Sequence[int], B_grid: Sequence[float],
+               trials: int, seed: int,
+               confidence: float) -> dict[tuple[int, float], TailEstimate]:
+    """The estimate at every n and then every B: the exact tail when
+    :func:`_exact_tail` can enumerate it, otherwise the simulation of
+    :func:`empirical_tail`.  Each n's MCConfig is built either way, so
+    bad settings raise ValueError even where nothing is simulated."""
+    out = {}
+    for n in ns:
+        cfg = MCConfig(n, trials, seed, confidence)
+        ests = _exact_tail(dist, n, B_grid)
+        for est in empirical_tail(dist, cfg, B_grid) if ests is None else ests:
+            out[(n, est.B)] = est
+    return out
 
 
 # -- verification -------------------------------------------------------------
@@ -277,61 +285,42 @@ def _estimate(dist: DistributionModel, cfg: MCConfig,
 class VerificationRow:
     """One bound cell matched against its exact tail or Monte Carlo estimate."""
 
-    dist: str
-    n_label: str
+    curve: BoundCurve
     point: BoundPoint
-    family: str
-    estimate: TailEstimate | None
+    estimate: TailEstimate
     status: str
     margin: float | None = None
     tightness: float | None = None
 
 
-@dataclass
-class VerificationReport:
-    rows: list[VerificationRow] = field(default_factory=list)
-    estimates: dict = field(default_factory=dict)
-
-    @property
-    def failures(self) -> list[VerificationRow]:
-        return [r for r in self.rows if r.status == "FAIL"]
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures
-
-
 def verify_bounds(dist: DistributionModel, curves: Sequence[BoundCurve],
-                  cfg: MCConfig) -> VerificationReport:
+                  trials: int, seed: int,
+                  confidence: float = 0.999) -> list[VerificationRow]:
     """Check every bound cell against the exact tail or a simulation.
 
-    The referee's grid comes from the curves: it runs at the first n of
-    every curve's range (the n of a fixed-n curve, n = 1 for the
-    lower-bound curves, lo for a sup over lo..hi) and at the B of every
-    point.  Each cell is checked against the refereed n in its range:
-    an upper bound must sit at or above the lower confidence limit of
-    the estimate, taking the n with the largest such limit in a
-    sup-over-n range; the single-observation lower bound must sit at or
-    below the upper limit at n = 1.  The limiting normal tail is
-    attached as REPORT rows and asserts nothing.  Each n gets its
-    estimate from :func:`_estimate` with ``cfg``'s trials, seed and
-    confidence; ``cfg``'s own ``n`` plays no part.
+    Returns one row per point, in the order of the curves and then of
+    their points.  The referee's grid comes from the curves: it runs at
+    the first n of every curve's range (the n of a fixed-n curve, n = 1
+    for the lower-bound curves, lo for a sup over lo..hi) and at the B
+    of every point.  Each cell is checked against the refereed n in its
+    range: an upper bound must sit at or above the lower confidence
+    limit of the estimate, taking the n with the largest such limit in
+    a sup-over-n range; the single-observation lower bound must sit at
+    or below the upper limit at n = 1.  The limiting normal tail gets
+    REPORT rows and asserts nothing.  A simulation runs ``trials``
+    trials from ``seed``, with intervals at ``confidence``.
     """
     ns = sorted({curve.n_range[0] for curve in curves})
     B_grid = sorted({pt.B for c in curves for pt in c.points})
-    report = VerificationReport()
-    for n in ns:
-        for est in _estimate(dist, replace(cfg, n=n), B_grid):
-            report.estimates[(n, est.B)] = est
-
+    ests = _estimates(dist, ns, B_grid, trials, seed, confidence)
+    rows = []
     for curve in curves:
         lo, hi = curve.n_range
         for pt in curve.points:
-            est = max((report.estimates[(n, pt.B)] for n in ns if lo <= n <= hi),
+            est = max((ests[(n, pt.B)] for n in ns if lo <= n <= hi),
                       key=lambda e: e.ci_lo)
             if curve.family == LOWER_CLT:
-                report.rows.append(VerificationRow(dist.name, curve.label, pt,
-                                                   curve.family, est, "REPORT"))
+                rows.append(VerificationRow(curve, pt, est, "REPORT"))
                 continue
             if curve.family in (EXP_LEVEL, POWER_LEVEL):
                 margin = pt.value - est.ci_lo
@@ -339,8 +328,7 @@ def verify_bounds(dist: DistributionModel, curves: Sequence[BoundCurve],
                 margin = est.ci_hi - pt.value
             else:
                 raise ValueError(f"unknown bound family {curve.family!r}")
-            report.rows.append(VerificationRow(
-                dist.name, curve.label, pt, curve.family, est,
-                "PASS" if margin >= 0.0 else "FAIL", margin=margin,
+            rows.append(VerificationRow(
+                curve, pt, est, "PASS" if margin >= 0.0 else "FAIL", margin=margin,
                 tightness=pt.value / est.point if est.point > 0 else math.inf))
-    return report
+    return rows

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "DiscreteLaw", "DistributionModel", "DivergentError", "EXP_LEVEL",
     "LOWER_CLT", "LOWER_Q1", "MCConfig",
     "NotBracketedError", "POWER_LEVEL", "PsiFunction",
-    "Rademacher", "StandardGaussian", "UniformSymmetric", "VerificationReport",
+    "Rademacher", "StandardGaussian", "UniformSymmetric",
     "bphi_norm", "bphi_tail_bound", "clopper_pearson", "degenerate_psi",
     "empirical_tail", "exp_curve", "fenchel", "gls_norm", "gls_tail_bound",
     "invert_monotone", "lower_clt_curve", "lower_q1_curve", "maximize_concave",
@@ -36,7 +36,6 @@ PARAMETERS = {
     "Rademacher": (),
     "StandardGaussian": (),
     "UniformSymmetric": ("half_width",),
-    "VerificationReport": ("rows", "estimates"),
     "bphi_norm": ("law_mgf", "phi"),
     "bphi_tail_bound": ("phi", "norm", "u"),
     "clopper_pearson": ("hits", "trials", "confidence"),
@@ -58,7 +57,7 @@ PARAMETERS = {
     "rosenthal_psi": ("dist", "n", "B", "kr"),
     "self_normalized_stat": ("x",),
     "sum_cgf": ("dist", "n", "B", "theta"),
-    "verify_bounds": ("dist", "curves", "cfg"),
+    "verify_bounds": ("dist", "curves", "trials", "seed", "confidence"),
 }
 
 MODULES = ["bounds", "cli", "convex", "distributions", "gls", "mc"]
@@ -68,7 +67,7 @@ def test_package_names():
     names = sorted(name for name, value in vars(selfnorm).items()
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert names == sorted(PUBLIC_NAMES)
 
 

@@ -31,6 +31,14 @@ def lncosh_conjugate(s):
     return (1 + s) / 2 * math.log(1 + s) + (1 - s) / 2 * math.log(1 - s)
 
 
+def atomic_brute_tail(law, n, B):
+    """Enumeration of P(T(n) > B) over the k^n atom sequences of a law."""
+    seqs = np.array(list(itertools.product(range(law._values.size), repeat=n)))
+    x = law._values[seqs]
+    t = math.sqrt(n) * x.sum(axis=1) / (x ** 2).sum(axis=1)
+    return float(np.prod(law._probs[seqs], axis=1)[t > B].sum())
+
+
 def rademacher_exact_tail(n, B):
     """Full 2^n enumeration of P(T(n) > B) for the sign law."""
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
@@ -241,7 +249,18 @@ class TestExpTailOptimizer:
         law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
         assert law.summand_variance(1, 1.0) == pytest.approx(
             0.0, abs=1e-12)
-        assert _exp_tail_point(law, 1, 1.0).value == math.ulp(0.0)
+        # and T(1) <= 1/2, the inverse of the positive atom, settles it
+        assert _exp_tail_point(law, 1, 1.0).value == 0.0
+
+    def test_density_gap_around_zero_stays_finite(self):
+        # the density jumps at |x| = 1 and 2: at l1 = 1e6, l2 = 1.5e6 the
+        # quadrature misses the spike at x = 1, which must read as
+        # divergent (+inf, a barrier), never as a log-MGF of -inf
+        law = DensityLaw(lambda x: np.where((np.abs(x) >= 1) & (np.abs(x) <= 2),
+                                            0.5, 0.0), support=(-2.0, 2.0))
+        assert law.log_mgf2(1e6, 1.5e6) != -math.inf
+        for pt in exp_curve(law, 1, [1.5, 3.0]).points:
+            assert 0.0 <= pt.value <= 1.0, pt
 
     def test_heavy_tail_reaches_interior_maximum(self):
         # fourth moment infinite: the start falls back to theta = B, and a
@@ -269,30 +288,42 @@ class TestExpTailOptimizer:
 
 
 class TestExpTailSupport:
-    """Cells settled by T(n) <= sqrt(n)/m for atomic laws, with no search."""
+    """Cells settled by T(n) <= sqrt(n)/m for atomic laws whose smallest
+    positive atom is m, with no search."""
 
     def test_beyond_support_costs_no_log_mgf(self, monkeypatch):
-        law = Rademacher()
-        calls = [0]
-        log_mgf2 = law.log_mgf2
+        # the sign law (m = 1) and a skewed law (m = 2, whose negative atom
+        # -1 is smaller): the rule reads the positive atoms only
+        for law, m in ((Rademacher(), 1.0),
+                       (DiscreteLaw([(-1.0, 0.6666666666666666),
+                                     (2.0, 0.3333333333333334)]), 2.0)):
+            assert law.min_positive_atom == m
+            calls = [0]
+            log_mgf2 = law.log_mgf2
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return log_mgf2(*args, **kwargs)
+            def counted(*args, log_mgf2=log_mgf2, **kwargs):
+                calls[0] += 1
+                return log_mgf2(*args, **kwargs)
 
-        monkeypatch.setattr(law, "log_mgf2", counted)
-        for n in (1, 4, 16, 64):
-            for B in DEFAULT_B_GRID:
-                if B <= math.sqrt(n):
-                    continue
-                calls[0] = 0
-                pt = _exp_tail_point(law, n, B)
-                assert calls[0] == 0, (n, B)
-                assert pt.value == 0.0
-                assert (pt.objective, pt.arg_star, pt.n_star) == (
-                    math.inf, math.inf, None)
-                if n <= 16:
-                    assert rademacher_exact_tail(n, B) == 0.0
+            monkeypatch.setattr(law, "log_mgf2", counted)
+            for n in (1, 4, 16, 64):
+                for B in DEFAULT_B_GRID:
+                    if B * m <= math.sqrt(n):
+                        continue
+                    calls[0] = 0
+                    pt = _exp_tail_point(law, n, B)
+                    assert calls[0] == 0, (law.name, n, B)
+                    assert pt.value == 0.0
+                    assert (pt.objective, pt.arg_star, pt.n_star) == (
+                        math.inf, math.inf, None)
+                    if n <= 16:
+                        assert atomic_brute_tail(law, n, B) == 0.0
+
+    def test_law_without_positive_atom(self):
+        # every T(n) is at most 0, so every cell is impossible
+        law = DiscreteLaw([(-1.0, 1e-30), (0.0, 1.0 - 1e-30)])
+        assert law.min_positive_atom == math.inf
+        assert _exp_tail_point(law, 4, 0.25).value == 0.0
 
     def test_boundary_goes_through_the_search(self, rad):
         # B = sqrt(n) exactly: T(n) > B is still impossible, but only the
@@ -315,17 +346,20 @@ class TestExpTailSupport:
         assert _exp_tail_point(law, n, B).value == 0.0
 
     def test_cap_without_support_argument(self):
-        # T(1) = 1/xi is -1 or 1/2 here, so T(1) > 1 is impossible but no
-        # support argument sees it: the objective still grows at the cap,
-        # and the bound read there is the least positive double, not 0
+        # T(1) = 1/xi is -1 or 1/2 here, so T(1) > B is impossible for this
+        # B, but it lies inside the support rule's rounding margin: the
+        # objective still grows at the cap, and the bound is read there
         law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
-        pt = _exp_tail_point(law, 1, 1.0)
-        assert pt.value == math.ulp(0.0)
+        B = 0.5 * (1.0 + 5e-13)
+        assert atomic_brute_tail(law, 1, B) == 0.0
+        pt = _exp_tail_point(law, 1, B)
         assert pt.arg_star == 1e-8 * 2.0 ** 63
         assert math.isfinite(pt.objective)
+        assert 0.0 < pt.value < 1.0
+        assert pt.value == pytest.approx(math.exp(-pt.objective), rel=1e-12)
 
     def test_density_laws_never_settled_by_support(self, gauss):
-        assert gauss.min_abs_atom == 0.0
+        assert gauss.min_positive_atom == 0.0
         assert _exp_tail_point(gauss, 1, 50.0).value > 0.0
 
 

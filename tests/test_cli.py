@@ -161,9 +161,12 @@ class TestCommands:
         assert len(cells(text)) == 2
         assert cells(text) == cells(out("verify"))
         assert calls == []
-        # a density law is simulated
-        out("mc", "gaussian", "--trials", "1000")
+        # a density law is simulated, in the same pass for mc and verify
+        text = out("mc", "gaussian", "--trials", "1000")
         assert calls == [4]
+        assert len(cells(text)) == 2
+        assert cells(text) == cells(out("verify", "gaussian", "--trials", "1000"))
+        assert calls == [4, 4]
 
     def test_gls_families(self, tmp_path):
         for family, norm_fam, tail_fam in [
@@ -351,6 +354,22 @@ class TestMain:
                   "--output", str(out)])
         assert exc.value.code == 0
         assert out.exists()
+        assert capsys.readouterr().err == ""
+
+    def test_verify_fail_names_its_cell_on_stderr(self, capsys):
+        # kr = 0.01 makes the PowerLevel cell at n = 16, B = 3 fall below
+        # the exact tail of the sign law; the CSV is unchanged by the line
+        argv = ["verify", "--dist", "rademacher", "--n", "1,4,16", "--B", "3,5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--kr", "0.01"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("selfnorm: FAIL PowerLevel n=16 B=3: bound ")
+        assert "exact tail at n=16 in [" in line and "margin -" in line
+        (fail,) = [r for r in csv.DictReader(io.StringIO(captured.out))
+                   if r["status"] == "FAIL"]
+        assert (fail["family"], fail["n"], fail["B"]) == ("PowerLevel", "16", "3")
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--confidence", "2", "confidence"),

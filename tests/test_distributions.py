@@ -327,7 +327,7 @@ class TestConstruction:
         assert law.name == "empirical"
         assert law.prob_between(-1.0, 0.0) == pytest.approx(3.0 / 8.0)
         assert law.prob_between(0.0, 1.0) == pytest.approx(2.0 / 8.0)
-        assert law.min_abs_atom == pytest.approx(0.25)
+        assert law.min_positive_atom == pytest.approx(0.25)
 
     @pytest.mark.parametrize("bad", [[1.0], [1.0, math.nan], [0.0, math.inf]])
     def test_empirical_rejects_bad_samples(self, bad):

@@ -19,7 +19,7 @@ from selfnorm.bounds import (DEFAULT_B_GRID, EXP_LEVEL, BoundCurve, BoundPoint,
                              power_curve)
 from selfnorm.distributions import DiscreteLaw, Rademacher, StandardGaussian
 from selfnorm.gls import _tail_value
-from selfnorm.mc import MCConfig, _exact_tail, self_normalized_stat, verify_bounds
+from selfnorm.mc import _exact_tail, self_normalized_stat, verify_bounds
 
 TIE_B = (1.0, 0.5, math.sqrt(2.0), 2.0)
 LAWS = {
@@ -131,10 +131,9 @@ class TestExactReferee:
 
         monkeypatch.setattr(mc, "empirical_tail", refuse)
         law, n_grid, B_grid = LAWS[name], [1, 4, 16], [0.5, 1.0, 2.0]
-        report = verify_bounds(law, self.curves(law, n_grid, B_grid),
-                               MCConfig(1, 10 ** 6, 1))
-        assert report.all_pass
-        assert all(e.trials == 0 for e in report.estimates.values())
+        rows = verify_bounds(law, self.curves(law, n_grid, B_grid), 10 ** 6, 1)
+        assert all(r.status == "PASS" for r in rows)
+        assert all(r.estimate.trials == 0 for r in rows)
 
     def test_over_cap_law_still_simulates(self, monkeypatch):
         calls = []
@@ -146,11 +145,10 @@ class TestExactReferee:
 
         monkeypatch.setattr(mc, "empirical_tail", counted)
         law = DiscreteLaw.from_sample(np.arange(50.0) ** 1.5)
-        report = verify_bounds(law, self.curves(law, [1, 8], [0.5, 3.0])[:2],
-                               MCConfig(1, 2000, 1))
+        rows = verify_bounds(law, self.curves(law, [1, 8], [0.5, 3.0])[:2], 2000, 1)
         assert calls == [8]
-        assert report.estimates[(1, 0.5)].trials == 0
-        assert report.estimates[(8, 0.5)].trials == 2000
+        assert [(r.estimate.n, r.estimate.B, r.estimate.trials) for r in rows] == [
+            (1, 0.5, 0), (1, 3.0, 0), (8, 0.5, 2000), (8, 3.0, 2000)]
 
     @pytest.mark.parametrize("flag, a, b", [
         ("--seed", "1", "2"),
@@ -184,10 +182,10 @@ class TestExactReferee:
         positive = sum(v > 0.0 for v in exact.values())
         assert positive >= 10
         for seed in range(1, 6):
-            report = verify_bounds(law, curves, MCConfig(1, 1000, seed))
-            assert len(report.failures) == positive
-            assert all(exact[(int(r.n_label), r.point.B)] > 0.0
-                       for r in report.failures)
+            failures = [r for r in verify_bounds(law, curves, 1000, seed)
+                        if r.status == "FAIL"]
+            assert len(failures) == positive
+            assert all(exact[(r.curve.n, r.point.B)] > 0.0 for r in failures)
 
 
 @st.composite

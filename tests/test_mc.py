@@ -225,22 +225,45 @@ class TestVerifyBounds:
     def test_full_pass(self):
         law = Rademacher()
         n_grid, B_grid = [1, 4, 16], [0.5, 1.0, 2.0]
-        report = verify_bounds(law, self.make_curves(law, n_grid, B_grid),
-                               MCConfig(1, 10 ** 5, 17))
-        assert report.all_pass
-        families = {r.family for r in report.rows}
+        rows = verify_bounds(law, self.make_curves(law, n_grid, B_grid), 10 ** 5, 17)
+        assert all(r.status in ("PASS", "REPORT") for r in rows)
+        families = {r.curve.family for r in rows}
         assert families == {"ExpLevel", "LowerQ1", "LowerCLT"}
-        assert all(r.status == "REPORT" for r in report.rows
-                   if r.family == "LowerCLT")
+        assert all(r.status == "REPORT" for r in rows
+                   if r.curve.family == "LowerCLT")
+
+    def test_rows_are_the_curves_points_in_order(self):
+        law = Rademacher()
+        curves = self.make_curves(law, [1, 4], [2.0, 0.5, 1.0])
+        curves.append(exp_curve(law, (4, 64), [1.0, 0.5]))
+        rows = verify_bounds(law, curves, 1000, 3)
+        assert [(r.curve, r.point) for r in rows] == [
+            (c, pt) for c in curves for pt in c.points]
+        assert all(r.estimate.B == r.point.B for r in rows)
+
+    @pytest.mark.parametrize("trials, confidence", [(0, 0.999), (1000, 1.5)])
+    def test_bad_settings_raise_without_simulating(self, trials, confidence,
+                                                   monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulated an enumerable law")
+
+        monkeypatch.setattr(mc, "empirical_tail", refuse)
+        law = Rademacher()
+        with pytest.raises(ValueError):
+            verify_bounds(law, [exp_curve(law, 4, [0.5])], trials, 1, confidence)
 
     def test_sup_curve_checked_against_worst_n(self):
         law = Rademacher()
         B_grid = [0.5, 1.0]
         curves = [exp_curve(law, n, B_grid) for n in (1, 4)]
         curves.append(exp_curve(law, (1, 64), B_grid))
-        report = verify_bounds(law, curves, MCConfig(1, 10 ** 4, 23))
-        assert report.all_pass
-        assert sorted(report.estimates) == [(n, B) for n in (1, 4) for B in B_grid]
+        rows = verify_bounds(law, curves, 10 ** 4, 23)
+        assert all(r.status == "PASS" for r in rows)
+        fixed, sup_rows = rows[:4], rows[4:]
+        for row in sup_rows:
+            assert row.estimate is max(
+                (r.estimate for r in fixed if r.point.B == row.point.B),
+                key=lambda e: e.ci_lo)
 
     def test_sup_curve_uses_only_grid_n_in_its_range(self):
         # the n = 1 estimate (about 0.5 at B = 0.25) lies outside 16..64
@@ -248,12 +271,12 @@ class TestVerifyBounds:
         B_grid = [0.25, 0.5, 1.0]
         curves = [exp_curve(law, n, B_grid) for n in (1, 16)]
         curves.append(exp_curve(law, (16, 64), B_grid))
-        report = verify_bounds(law, curves, MCConfig(1, 20000, 5))
-        sup_rows = report.rows[6:]
+        rows = verify_bounds(law, curves, 20000, 5)
+        at_16, sup_rows = rows[3:6], rows[6:]
         assert len(sup_rows) == 3
-        for row in sup_rows:
-            assert row.n_label == "sup(16..64)"
-            assert row.estimate is report.estimates[(16, row.point.B)]
+        for row, fixed in zip(sup_rows, at_16):
+            assert row.curve.label == "sup(16..64)"
+            assert row.estimate is fixed.estimate
 
     def test_corrupted_bound_flags_fail(self):
         law = Rademacher()
@@ -261,15 +284,12 @@ class TestVerifyBounds:
         corrupted = BoundCurve(curve.family, curve.n, tuple(
             dataclasses.replace(pt, value=pt.value * 1e-6)
             for pt in curve.points))
-        report = verify_bounds(law, [corrupted], MCConfig(1, 10 ** 4, 29))
-        assert not report.all_pass
-        assert len(report.failures) == 2
+        rows = verify_bounds(law, [corrupted], 10 ** 4, 29)
+        assert [r.status for r in rows] == ["FAIL", "FAIL"]
 
     def test_margins_and_tightness_recorded(self):
         law = Rademacher()
-        report = verify_bounds(law, [exp_curve(law, 4, [0.5])],
-                               MCConfig(1, 10 ** 4, 31))
-        (row,) = report.rows
+        (row,) = verify_bounds(law, [exp_curve(law, 4, [0.5])], 10 ** 4, 31)
         assert row.margin == pytest.approx(row.point.value - row.estimate.ci_lo)
         assert row.tightness == pytest.approx(
             row.point.value / row.estimate.point)
