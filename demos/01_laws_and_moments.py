@@ -4,12 +4,17 @@ Every tail bound in this package is assembled from expectations of a
 centered law: plain Lp moments, the quadratic summaries (sigma^2, w, z),
 and the two-argument log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)).
 This script builds the three workhorse laws and prints those primitives
-next to their closed forms.
+next to their closed forms.  The gaussian's log-MGF is itself a closed
+form, so it is shown beside a DensityLaw of the normal pdf, which goes
+through quadrature.
 """
 
 import math
 
-from selfnorm import DiscreteLaw, Rademacher, StandardGaussian, UniformSymmetric
+import numpy as np
+
+from selfnorm import (DensityLaw, DiscreteLaw, Rademacher, StandardGaussian,
+                      UniformSymmetric)
 
 laws = {
     "rademacher": Rademacher(),
@@ -42,10 +47,13 @@ for name, law in laws.items():
 
 print("\n=== bivariate log-MGF along interesting rays ===")
 gauss = laws["gaussian"]
-print("gaussian, closed form l2 - ln(1+2*l2)/2 + l1^2/(2(1+2*l2)):")
+normal_pdf = DensityLaw(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                        name="normal pdf")
+print("gaussian: closed form l1^2/(2(1+2*l2)) - ln(1+2*l2)/2 + l2 (StandardGaussian)")
+print("next to the quadrature of the normal pdf (DensityLaw):")
 for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.0)]:
-    closed = l2 - 0.5 * math.log(1 + 2 * l2) + l1 ** 2 / (2 * (1 + 2 * l2))
-    print(f"  phi({l1}, {l2}) = {gauss.log_mgf2(l1, l2):.8f}   closed {closed:.8f}")
+    print(f"  phi({l1}, {l2}) = {gauss.log_mgf2(l1, l2):.15f}   "
+          f"quadrature {normal_pdf.log_mgf2(l1, l2):.15f}")
 print(f"  phi(0, -0.5) = {gauss.log_mgf2(0.0, -0.5)}  (diverges at the domain edge)")
 
 rad = laws["rademacher"]

@@ -10,7 +10,11 @@ self-normalized tail event is linearized.
 Density laws are integrated by one vectorized adaptive Gauss-Legendre
 rule (:func:`_integrate`) that works on the integrand's exponent, so
 that huge-but-finite integrands never overflow pointwise; discrete laws,
-empirical samples included, are summed exactly.  A density law reads
+empirical samples included, are summed exactly.  The standard gaussian
+has closed forms for its log-MGF (through the hook ``_log_mgf2``), Lp
+norms, quadratic moments and interval probabilities; its ``expect`` and
+summand Lp norms, and every primitive of a :class:`DensityLaw` with a
+gaussian density, still go through quadrature.  A density law reads
 its density only through ``_log_density``, and every law draws only
 through ``sample``.  A moment whose tail past the probe ladder does not
 decay geometrically, and a plain expectation above ``exp(700)``, raise
@@ -312,13 +316,20 @@ class DistributionModel:
         """Bivariate log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)).
 
         Returns ``+inf`` when the expectation diverges; always 0 at the
-        origin.  For l2 > 0 the integrand peaks near l1/(2*l2), which is
-        passed to the quadrature splitter so that sharply concentrated
-        integrands are resolved.
+        origin.  Laws with a closed form override :meth:`_log_mgf2`, not
+        this method.
         """
         if l1 == 0.0 and l2 == 0.0:
             return 0.0
+        return self._log_mgf2(l1, l2)
 
+    def _log_mgf2(self, l1: float, l2: float) -> float:
+        """The log-MGF away from the origin, by :meth:`_log_expect_exponent`.
+
+        For l2 > 0 the integrand peaks near l1/(2*l2), which is passed to
+        the quadrature splitter so that sharply concentrated integrands
+        are resolved.
+        """
         # the constant l2*sigma^2 is added last, so that the exponent stays
         # of the size of its variation even when l2*sigma^2 is huge
         def t(x):
@@ -522,10 +533,17 @@ class _QuadratureLaw(DistributionModel):
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class StandardGaussian(_QuadratureLaw):
-    """Standard normal law, sigma^2 = 1."""
+    """Standard normal law, sigma^2 = 1.
+
+    The log-MGF, the Lp norms, the quadratic moments and interval
+    probabilities are closed forms; ``expect``, the summand's Lp norms
+    and an interval too narrow for a difference of erf values go
+    through quadrature.
+    """
 
     support = (-math.inf, math.inf)
     symmetric = True
@@ -535,6 +553,42 @@ class StandardGaussian(_QuadratureLaw):
 
     def _log_density(self, x):
         return -0.5 * x * x - _LOG_SQRT_2PI
+
+    def _log_mgf2(self, l1, l2):
+        # E exp(l1*xi - l2*xi^2) = exp(l1^2/(2d))/sqrt(d), d = 1 + 2*l2 > 0
+        d = 1.0 + 2.0 * l2
+        if not d > 0.0:
+            return math.inf
+        return l1 * l1 / (2.0 * d) - 0.5 * math.log1p(2.0 * l2) + l2
+
+    def lp_norm(self, p):
+        # E|xi|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi)
+        if p < 1.0:
+            raise ValueError(f"p must be >= 1, got {p}")
+        return math.exp((0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0))
+                         - 0.5 * math.log(math.pi)) / p)
+
+    def quadratic_moments(self):
+        # E xi^4 = 3, so w = 3 - 2 + 1; odd moments vanish
+        return 1.0, 2.0, 0.0
+
+    def prob_between(self, lo, hi):
+        # past 0.5*sqrt(2) on one side erfc is below 0.48, and elsewhere
+        # erf is below 0.52 or changes sign: neither difference cancels
+        # against a value near 1
+        if lo >= hi:
+            return 0.0
+        a, b = lo * _SQRT_HALF, hi * _SQRT_HALF
+        if a >= 0.5:
+            upper, lower = math.erfc(a), math.erfc(b)
+        elif b <= -0.5:
+            upper, lower = math.erfc(-b), math.erfc(-a)
+        else:
+            upper, lower = math.erf(b), math.erf(a)
+        # a narrow interval cancels in either form: it is integrated
+        if upper - lower < 0.01 * max(abs(upper), abs(lower)):
+            return super().prob_between(lo, hi)
+        return 0.5 * (upper - lower)
 
     def sample(self, rng, size):
         return rng.standard_normal(size)

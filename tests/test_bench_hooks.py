@@ -13,7 +13,7 @@ from selfnorm import cli
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
-from tracer import EXP_CELL, POWER_CELL, PRIMITIVES, SUP_CELL, Tracer
+from tracer import EXP_CELL, LOG_MGF2, POWER_CELL, PRIMITIVES, SUP_CELL, Tracer
 
 ARGVS = [
     ["bound-exp", "--dist", "gaussian", "--n", "1,4", "--n-sup", "1:8",
@@ -58,3 +58,6 @@ def test_tracer_counts_every_layer_and_changes_no_output():
     for name in (*PRIMITIVES, "convex.maximize_concave", "gls.tail_opt",
                  "mc.empirical_tail", "mc.verify_bounds", "cli.main"):
         assert tracer.calls[name] > 0, name
+    # the tracer patches DistributionModel.log_mgf2: a law that overrode
+    # it, not its _log_mgf2 hook, would go uncounted
+    assert tracer.per_law[(LOG_MGF2, "gaussian")][0] > 0

@@ -1,4 +1,10 @@
-"""Law construction, expectations, and log-MGF against closed-form oracles."""
+"""Law construction, expectations, and log-MGF against closed-form oracles.
+
+The standard gaussian's log-MGF, Lp norms, quadratic moments and
+interval probabilities are closed forms themselves, so each gaussian
+oracle check runs on two laws: ``StandardGaussian`` (a pin of its closed
+form) and a ``DensityLaw`` of the normal pdf (the quadrature under test).
+"""
 
 import math
 
@@ -7,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+from selfnorm import distributions
+from selfnorm.bounds import DEFAULT_B_GRID, exp_curve, lower_q1_curve
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DistributionModel,
                                     DivergentError, Rademacher,
                                     StandardGaussian, UniformSymmetric,
@@ -22,6 +30,10 @@ def gauss_log_mgf2(l1, l2):
     return l2 - 0.5 * math.log(1.0 + 2.0 * l2) + l1 * l1 / (2.0 * (1.0 + 2.0 * l2))
 
 
+def normal_pdf(x):
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 @pytest.fixture(scope="module")
 def laws():
     return {
@@ -31,13 +43,19 @@ def laws():
     }
 
 
+@pytest.fixture(scope="module")
+def gaussians(laws):
+    """The closed-form gaussian, and the normal pdf through quadrature."""
+    return laws["gaussian"], DensityLaw(normal_pdf, name="normal pdf")
+
+
 class TestExpect:
     def test_rademacher_square(self, laws):
         assert laws["rademacher"].expect(lambda x: x * x) == 1.0
 
-    def test_gaussian_fourth_moment(self, laws):
-        assert laws["gaussian"].expect(lambda x: x ** 4) == pytest.approx(
-            3.0, rel=1e-9)
+    def test_gaussian_fourth_moment(self, gaussians):
+        for law in gaussians:
+            assert law.expect(lambda x: x ** 4) == pytest.approx(3.0, rel=1e-9)
 
     def test_uniform_fourth_moment(self, laws):
         # closed form a^4/5 with a = sqrt(3)
@@ -95,11 +113,12 @@ class TestLogMgf2:
             assert laws["rademacher"].log_mgf2(l1, l2) == pytest.approx(
                 expected, abs=1e-12)
 
-    def test_gaussian_closed_form(self, laws):
-        for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.1), (0.5, -0.3),
-                       (100.0, 5000.0)]:
-            assert laws["gaussian"].log_mgf2(l1, l2) == pytest.approx(
-                gauss_log_mgf2(l1, l2), rel=1e-8, abs=1e-9)
+    def test_gaussian_closed_form(self, gaussians):
+        for law in gaussians:
+            for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.1), (0.5, -0.3),
+                           (100.0, 5000.0)]:
+                assert law.log_mgf2(l1, l2) == pytest.approx(
+                    gauss_log_mgf2(l1, l2), rel=1e-8, abs=1e-9)
 
     def test_gaussian_divergence(self, laws):
         assert laws["gaussian"].log_mgf2(0.0, -0.5) == math.inf
@@ -115,10 +134,10 @@ class TestLogMgf2:
     @settings(max_examples=30, deadline=None)
     @given(a1=st.floats(-3, 3), a2=st.floats(-0.4, 3),
            b1=st.floats(-3, 3), b2=st.floats(-0.4, 3))
-    def test_gaussian_midpoint_convexity(self, a1, a2, b1, b2):
-        law = StandardGaussian()
-        mid = law.log_mgf2((a1 + b1) / 2, (a2 + b2) / 2)
-        assert mid <= (law.log_mgf2(a1, a2) + law.log_mgf2(b1, b2)) / 2 + 1e-9
+    def test_gaussian_midpoint_convexity(self, gaussians, a1, a2, b1, b2):
+        for law in gaussians:
+            mid = law.log_mgf2((a1 + b1) / 2, (a2 + b2) / 2)
+            assert mid <= (law.log_mgf2(a1, a2) + law.log_mgf2(b1, b2)) / 2 + 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(a1=st.floats(-20, 20), a2=st.floats(-20, 20),
@@ -140,15 +159,17 @@ class TestClosedFormOracles:
     @pytest.mark.parametrize("l1, l2", [
         (0.0, 0.5), (1.0, 1.0), (2.0, 0.1), (0.5, -0.3), (3.0, -0.2),
         (-1.5, 0.7), (100.0, 5000.0), (1e3, 1e3)])
-    def test_gaussian_log_mgf2(self, laws, l1, l2):
-        assert laws["gaussian"].log_mgf2(l1, l2) == pytest.approx(
-            gauss_log_mgf2(l1, l2), rel=1e-13)
+    def test_gaussian_log_mgf2(self, gaussians, l1, l2):
+        for law in gaussians:
+            assert law.log_mgf2(l1, l2) == pytest.approx(
+                gauss_log_mgf2(l1, l2), rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5, 20.0, 64.0, 150.0, 300.0])
-    def test_gaussian_lp_norm(self, laws, p):
+    def test_gaussian_lp_norm(self, gaussians, p):
         expected = math.exp((0.5 * p * math.log(2.0) + math.lgamma((p + 1) / 2)
                              - 0.5 * math.log(math.pi)) / p)
-        assert laws["gaussian"].lp_norm(p) == pytest.approx(expected, rel=1e-13)
+        for law in gaussians:
+            assert law.lp_norm(p) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("a", [SQRT3, 2.5])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5, 20.0, 64.0, 300.0])
@@ -179,13 +200,59 @@ class TestClosedFormOracles:
                 moment()
 
 
+class TestGaussianClosedForms:
+    """StandardGaussian's primitives on the bound paths need no quadrature."""
+
+    def test_bound_paths_never_integrate(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the gaussian went through quadrature")
+
+        monkeypatch.setattr(distributions, "_integrate", no_quadrature)
+        law = StandardGaussian()
+        cells = exp_curve(law, 16, DEFAULT_B_GRID).points
+        assert all(0.0 < pt.value < 1.0 for pt in cells)
+        # at B = 5 the sup row is settled by the Efron certificate, which
+        # reads log_mgf2(0, u)
+        (sup,) = exp_curve(law, (1, 4096), [5.0]).points
+        assert sup.n_star == 1
+        lower = lower_q1_curve(law, DEFAULT_B_GRID).points
+        assert all(0.0 < pt.value < 0.5 for pt in lower)
+
+    def test_log_mgf2_edges(self, laws):
+        law = laws["gaussian"]
+        assert law.log_mgf2(0.0, -0.5) == math.inf
+        # the peak of the integrand sits at x = 5e6: no quadrature needed
+        assert law.log_mgf2(1.0, -0.4999999) == pytest.approx(
+            2500007.2124024457, rel=1e-15)
+        # l2 - ln(1 + 2*l2)/2 = l2^2 + O(l2^3) cancels to its last digits
+        assert law.log_mgf2(0.0, 1e-8) == pytest.approx(1e-16, rel=1e-6, abs=0.0)
+
+    def test_tail_intervals(self, laws):
+        law = laws["gaussian"]
+        expected = 0.5 * (math.erfc(8.0 / math.sqrt(2.0))
+                          - math.erfc(9.0 / math.sqrt(2.0)))
+        assert law.prob_between(8.0, 9.0) == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
+        # too narrow for a difference of erfc values: the density at the
+        # midpoint m times w*(1 + (m^2 - 1)*w^2/24) is exact to O(w^5)
+        for lo, hi in [(6.0, 6.0 + 1e-9), (0.3, 0.3 + 1e-9), (-10.0, -10.0 + 1e-6)]:
+            w = hi - lo
+            m = lo + 0.5 * w
+            expected = (w * math.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
+                        * (1.0 + (m * m - 1.0) * w * w / 24.0))
+            assert law.prob_between(lo, hi) == pytest.approx(
+                expected, rel=1e-12, abs=0.0)
+
+
 class TestQuadraticMoments:
     def test_rademacher(self, laws):
         assert laws["rademacher"].quadratic_moments() == (1.0, 0.0, 0.0)
 
-    def test_gaussian(self, laws):
-        sigma2, w, z = laws["gaussian"].quadratic_moments()
-        assert sigma2 == 1.0
+    def test_gaussian(self, gaussians):
+        closed, quadrature = gaussians
+        assert closed.quadratic_moments() == (1.0, 2.0, 0.0)
+        sigma2, w, z = quadrature.quadratic_moments()
+        assert sigma2 == pytest.approx(1.0, rel=1e-12)
         assert w == pytest.approx(2.0, rel=1e-9)
         assert z == pytest.approx(0.0, abs=1e-9)
 
@@ -212,9 +279,9 @@ class TestSummandMoments:
         for n, B in [(1, 0.5), (4, 2.0), (64, 10.0)]:
             assert laws["rademacher"].summand_variance(n, B) == pytest.approx(n)
 
-    def test_variance_gaussian(self, laws):
-        assert laws["gaussian"].summand_variance(1, 1.0) == pytest.approx(
-            3.0, rel=1e-9)
+    def test_variance_gaussian(self, gaussians):
+        for law in gaussians:
+            assert law.summand_variance(1, 1.0) == pytest.approx(3.0, rel=1e-9)
 
     def test_variance_at_b_zero(self, laws):
         for name in laws:
@@ -367,10 +434,11 @@ class TestSampling:
 
 
 class TestProbBetween:
-    def test_gaussian_interval(self, laws):
+    def test_gaussian_interval(self, gaussians):
         from scipy.stats import norm
-        assert laws["gaussian"].prob_between(0.0, 0.01) == pytest.approx(
-            norm.cdf(0.01) - 0.5, rel=1e-9)
+        for law in gaussians:
+            assert law.prob_between(0.0, 0.01) == pytest.approx(
+                norm.cdf(0.01) - 0.5, rel=1e-9)
 
     def test_discrete_strict_endpoints(self):
         law = DiscreteLaw([(-1.0, 0.5), (1.0, 0.5)])
