@@ -315,13 +315,14 @@ class DistributionModel:
     def log_mgf2(self, l1: float, l2: float) -> float:
         """Bivariate log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)).
 
-        Returns ``+inf`` when the expectation diverges; always 0 at the
-        origin.  Laws with a closed form override :meth:`_log_mgf2`, not
-        this method.
+        Returns ``+inf`` when the expectation diverges, and also where
+        :meth:`_log_mgf2` reads NaN; always 0 at the origin.  Laws with a
+        closed form override :meth:`_log_mgf2`, not this method.
         """
         if l1 == 0.0 and l2 == 0.0:
             return 0.0
-        return self._log_mgf2(l1, l2)
+        v = self._log_mgf2(l1, l2)
+        return math.inf if math.isnan(v) else v
 
     def _log_mgf2(self, l1: float, l2: float) -> float:
         """The log-MGF away from the origin, by :meth:`_log_expect_exponent`.
@@ -342,12 +343,9 @@ class DistributionModel:
         else:
             pts = (0.0,)
         try:
-            v = self._log_expect_exponent(t, pts) + l2 * self.sigma2
+            return self._log_expect_exponent(t, pts) + l2 * self.sigma2
         except DivergentError:
             return math.inf
-        if math.isnan(v):
-            return math.inf
-        return v
 
     def quadratic_moments(self) -> tuple[float, float, float]:
         """(sigma^2, w, z) with w = E(sigma^2 - xi^2)^2 and
@@ -392,7 +390,13 @@ class DistributionModel:
 
 
 class DiscreteLaw(DistributionModel):
-    """Finite atomic law; expectations are exact finite sums."""
+    """Finite atomic law; expectations are exact finite sums.
+
+    The atoms are kept as one canonical table, ``_values`` and
+    ``_probs``: the distinct values in ascending order, each carrying
+    the summed weight of its copies, and no atom of weight 0.  Every
+    reader takes the table as built.
+    """
 
     def __init__(self, atoms: Iterable[tuple[float, float]] | np.ndarray,
                  name: str | None = None):
@@ -400,12 +404,16 @@ class DiscreteLaw(DistributionModel):
                            dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
             raise ValueError("discrete law needs at least one (value, prob) atom")
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        self._values, self._probs = pairs.T.copy()
-        if np.any(self._probs < 0.0):
+        values, probs = pairs.T
+        if not np.all(probs >= 0.0):
             raise ValueError("atom probabilities must be nonnegative")
-        if abs(self._probs.sum() - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"atom probabilities sum to {self._probs.sum()}, not 1")
+        if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
+            raise ValueError(f"atom probabilities sum to {probs.sum()}, not 1")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("atom values must be finite")
+        values, copy_of = np.unique(values, return_inverse=True)
+        probs = np.bincount(copy_of, weights=probs)
+        self._values, self._probs = values[probs > 0.0], probs[probs > 0.0]
         mean = float(np.dot(self._probs, self._values))
         with np.errstate(over="ignore"):  # an inf variance is rejected below
             sigma2 = float(np.dot(self._probs, self._values ** 2))
@@ -414,9 +422,10 @@ class DiscreteLaw(DistributionModel):
         if abs(mean) > _MEAN_TOL * math.sqrt(sigma2):
             raise ValueError(f"law is not centered: mean = {mean}")
         if name is None:
-            name = "discrete:" + ",".join(f"{v:g}:{q:g}" for v, q in pairs)
+            name = "discrete:" + ",".join(
+                f"{v:g}:{q:g}" for v, q in zip(self._values, self._probs))
         super().__init__(sigma2, name)
-        positive = self._values[(self._values > 0.0) & (self._probs > 0.0)]
+        positive = self._values[self._values > 0.0]
         self.min_positive_atom = float(positive.min()) if positive.size else math.inf
         # sorted by value, so mirrored atoms read the same backwards
         self.symmetric = bool(np.array_equal(self._values, -self._values[::-1])
@@ -455,11 +464,10 @@ class DiscreteLaw(DistributionModel):
         exps = _apply(t, self._values)
         b = self._probs
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a = np.where(b == 0.0, -math.inf, exps)
-            a_max = a.max()
-            top = a == a_max
+            a_max = exps.max()
+            top = exps == a_max
             m = np.sum(b * top.astype(float))
-            s = np.sum(b * np.exp(np.where(top, -math.inf, a) - a_max))
+            s = np.sum(b * np.exp(np.where(top, -math.inf, exps) - a_max))
             if s != 0.0:
                 s = s / m
             out = np.log1p(s) + np.log(m) + a_max

@@ -194,23 +194,29 @@ def _exact_tail(dist: DistributionModel, n: int,
     whose count vectors at n number more than ``_EXACT_CAP``.  Each
     count vector is weighted by its multinomial probability, computed
     in log space from a log-factorial table (at n = 1 the vectors are
-    the atoms, with their own probabilities), and its statistic comes
-    from the same ``_stat_from_sums`` as the simulation's.  Tails below
-    the smallest positive double read 0.
+    the atoms of the law's table, with their own probabilities), and
+    its statistic comes from the same ``_stat_from_sums`` as the
+    simulation's.  The sums are formed on the atoms divided by 2^k, k
+    the binary exponent of the largest |atom|, so that no sum of squares
+    overflows, and T is scaled back by 2^-k; both scalings are exact, so
+    T is bit-identical wherever the unscaled sums were finite.  Tails
+    below the smallest positive double read 0.
     """
     if not isinstance(dist, DiscreteLaw):
         return None
-    live = dist._probs > 0.0
-    values, probs = dist._values[live], dist._probs[live]
+    values, probs = dist._values, dist._probs
     if math.comb(n + values.size - 1, values.size - 1) > _EXACT_CAP:
         return None
+    k = math.frexp(np.abs(values).max())[1]
+    values = np.ldexp(values, -k)
     if n == 1:
         # each count vector is one draw, and T(1) = 1/xi: the tail is
         # P(0 < xi < 1/B), with P(0 < xi <= 1/B) at the top of the bracket
         s1, s2, weight = values, values * values, probs
     else:
         s1, s2, weight = _count_vectors(values, probs, n)
-    return _tail_estimates(n, s1, s2, weight, B_grid)
+    t = np.ldexp(_stat_from_sums(math.sqrt(n), s1, s2), -k)
+    return _tail_estimates(n, t, weight, B_grid)
 
 
 def _count_vectors(values: np.ndarray, probs: np.ndarray, n: int):
@@ -244,11 +250,10 @@ def _count_vectors(values: np.ndarray, probs: np.ndarray, n: int):
     return s1, s2, np.exp(log_w)
 
 
-def _tail_estimates(n: int, s1: np.ndarray, s2: np.ndarray, weight: np.ndarray,
+def _tail_estimates(n: int, t: np.ndarray, weight: np.ndarray,
                     B_grid: Sequence[float]) -> list[TailEstimate]:
-    """The exact tail bracket at each B of the outcomes with sums s1, s2
-    of n draws and probabilities ``weight``."""
-    t = _stat_from_sums(math.sqrt(n), s1, s2)
+    """The exact tail bracket at each B of the outcomes of n draws with
+    statistics t and probabilities ``weight``."""
     order = np.argsort(t)
     t = t[order]
     # tail[i]: probability of the vectors from i on, summed from the top

@@ -1,8 +1,10 @@
-"""The package's public names and the parameters of its callables,
-pinned so that the API cannot grow silently."""
+"""The package's public names, the parameters of its callables and the
+public interface of each law, pinned so that the API cannot grow
+silently."""
 
 import importlib
 import inspect
+import math
 import types
 
 import pytest
@@ -86,3 +88,24 @@ def test_callable_parameters():
                                     and issubclass(value, Exception)):
             got[name] = tuple(inspect.signature(value).parameters)
     assert got == PARAMETERS
+
+
+LAW_INTERFACE = {"expect", "lp_norm", "log_mgf2", "quadratic_moments",
+                 "summand_variance", "summand_lp_norm", "prob_between",
+                 "sample", "sigma2", "name", "symmetric", "min_positive_atom"}
+
+
+@pytest.mark.parametrize("spec, extra", [
+    ("rademacher", {"from_sample"}),
+    ("gaussian", {"support"}),
+    ("uniform:a=1.7320508075688772", {"support", "half_width"}),
+    ("discrete:-1:0.6666666666666666,2:0.3333333333333334", {"from_sample"}),
+    ("density", {"support"}),
+])
+def test_law_interface(spec, extra):
+    if spec == "density":
+        law = selfnorm.DensityLaw(lambda x: 0.5 * math.exp(-abs(x)))
+    else:
+        law = selfnorm.parse_distribution(spec)
+    names = {name for name in dir(law) if not name.startswith("_")}
+    assert names == LAW_INTERFACE | extra

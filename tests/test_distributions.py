@@ -227,6 +227,13 @@ class TestGaussianClosedForms:
         # l2 - ln(1 + 2*l2)/2 = l2^2 + O(l2^3) cancels to its last digits
         assert law.log_mgf2(0.0, 1e-8) == pytest.approx(1e-16, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("l1", [0.0, math.inf])
+    def test_log_mgf2_infinite_arguments_read_inf(self, gaussians, l1):
+        # the closed form reads NaN at l2 = inf (-log1p(inf)/2 + inf) and
+        # the public method maps it to +inf, as the quadrature reads
+        for law in gaussians:
+            assert law.log_mgf2(l1, math.inf) == math.inf, law.name
+
     def test_tail_intervals(self, laws):
         law = laws["gaussian"]
         expected = 0.5 * (math.erfc(8.0 / math.sqrt(2.0))
@@ -344,6 +351,8 @@ class TestDiscreteLogSumExp:
             values = rng.normal(size=k)
             values -= np.dot(probs, values)
             law = DiscreteLaw(np.column_stack((values, probs)))
+            # one exponent per atom of the table, which has no zero weight
+            k = law._values.size
             exps = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), k)
             if rng.random() < 0.3:
                 exps[rng.integers(k)] = exps.max()
@@ -395,6 +404,34 @@ class TestConstruction:
         assert law.prob_between(-1.0, 0.0) == pytest.approx(3.0 / 8.0)
         assert law.prob_between(0.0, 1.0) == pytest.approx(2.0 / 8.0)
         assert law.min_positive_atom == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("atoms", [
+        [(-1.0, 0.25), (-1.0, 0.25), (1.0, 0.5)],
+        [(1.0, 0.5), (2.0, 0.0), (-1.0, 0.5)],
+        [(-1.0, 0.5), (1.0, 0.5), (1e100, 0.0)],
+        [(-1.0, 0.5), (1.0, 0.5), (1e200, 0.0)],
+        [(1.0, 0.125), (-1.0, 0.5), (-3.0, 0.0), (1.0, 0.375), (-0.0, 0.0)],
+    ])
+    def test_discrete_table_is_canonical(self, atoms):
+        # repeated values merge and zero weights go: every reader sees the
+        # sign law's table, whatever the spelling
+        law = DiscreteLaw(atoms)
+        assert law._values.tolist() == [-1.0, 1.0]
+        assert law._probs.tolist() == [0.5, 0.5]
+        assert law.name == "discrete:-1:0.5,1:0.5"
+        assert (law.sigma2, law.symmetric, law.min_positive_atom) == (1.0, True, 1.0)
+        assert law.quadratic_moments() == (1.0, 0.0, 0.0)
+        assert law.expect(lambda x: x ** 4) == 1.0
+        assert law.log_mgf2(0.5, 0.25) == Rademacher().log_mgf2(0.5, 0.25)
+
+    @pytest.mark.parametrize("atoms, match", [
+        ([(-1.0, 0.5), (1.0, 0.5), (math.nan, 0.0)], "finite"),
+        ([(-1.0, 0.5), (1.0, 0.5), (math.inf, 0.0)], "finite"),
+        ([(-1.0, 0.5), (1.0, 0.5), (2.0, math.nan)], "nonnegative"),
+    ])
+    def test_discrete_rejects_non_numbers_of_weight_zero(self, atoms, match):
+        with pytest.raises(ValueError, match=match):
+            DiscreteLaw(atoms)
 
     @pytest.mark.parametrize("bad", [[1.0], [1.0, math.nan], [0.0, math.inf]])
     def test_empirical_rejects_bad_samples(self, bad):

@@ -4,6 +4,7 @@ property test of every bound family against the exact tail, and the
 sup-over-n rows and tail certificate against the exact tails of a range."""
 
 import contextlib
+import csv
 import io
 import itertools
 import math
@@ -86,8 +87,9 @@ class TestExactTail:
         law = LAWS[name]
         B_grid = sorted(set(DEFAULT_B_GRID)
                         | {1.0 / v for v in law._values.tolist() if v > 0.0})
-        general = mc._tail_estimates(
-            1, *mc._count_vectors(law._values, law._probs, 1), B_grid)
+        s1, s2, weight = mc._count_vectors(law._values, law._probs, 1)
+        general = mc._tail_estimates(1, mc._stat_from_sums(1.0, s1, s2),
+                                     weight, B_grid)
         for fast, slow in zip(_exact_tail(law, 1, B_grid), general, strict=True):
             assert fast.B == slow.B
             for field in ("point", "ci_lo", "ci_hi"):
@@ -109,6 +111,20 @@ class TestExactTail:
             assert est.point == pytest.approx(law.prob_between(0.0, 1.0 / est.B),
                                               rel=1e-12, abs=0)
             assert est.ci_hi >= closed
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_huge_atoms_scale_exactly(self, n):
+        # the squares of 1e154 overflow: T is formed on atoms scaled by a
+        # power of two, and T(n) of the law is the sign law's T(n)/1e154
+        law = DiscreteLaw([(-1e154, 0.5), (1e154, 0.5)])
+        B_grid = [b * 1e-154 for b in sorted(set(DEFAULT_B_GRID) | set(TIE_B))]
+        signs = _exact_tail(Rademacher(), n, [b * 1e154 for b in B_grid])
+        for big, est in zip(_exact_tail(law, n, B_grid), signs, strict=True):
+            for field in ("point", "ci_lo", "ci_hi"):
+                assert getattr(big, field) == getattr(est, field), (est.B, field)
+        (tiny,) = _exact_tail(law, n, [1e-300])
+        assert tiny.point == pytest.approx(
+            {1: 0.5, 4: 5 / 16, 16: 0.4018096923828125}[n], rel=1e-12, abs=0)
 
     def test_order_of_grid_is_kept(self):
         ests = _exact_tail(Rademacher(), 4, [2.0, 0.25, 1.0])
@@ -170,6 +186,22 @@ class TestExactReferee:
             return buf.getvalue().encode()
 
         assert csv(a) == csv(b)
+
+    @pytest.mark.parametrize("spec", ["discrete:-1:0.25,-1:0.25,1:0.5",
+                                      "discrete:-1:0.5,1:0.5,2:0",
+                                      "discrete:-1:0.5,1:0.5,1e200:0"])
+    def test_spellings_of_the_sign_law_verify_as_signs(self, spec):
+        def rows(dist):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "--dist", dist, "--n", "1,4,16,1024",
+                          "--n-sup", "1:4096", "--trials", "20000"])
+            assert exc.value.code == 0
+            return [row[1:] for row in csv.reader(io.StringIO(buf.getvalue()))]
+
+        assert rows(spec) == rows("rademacher")
+        law = cli.parse_distribution(spec)
+        assert _exact_tail(law, 1024, [1.0]) is not None
 
     @pytest.mark.parametrize("name", ["signs", "skewed3"])
     def test_bound_just_under_exact_fails_on_every_seed(self, name):
