@@ -35,7 +35,7 @@ sample = [2.0, -1.0, 0.5, 2.0, -3.5, 0.5, 0.5]
 emp = DiscreteLaw.from_sample(sample)
 print(f"{sample}: recentered, repeats merged into weighted atoms")
 print(f"  sigma^2 = {emp.sigma2:.6f}   z = {emp.quadratic_moments()[2]:+.6f}   "
-      f"P(0 < xi < 1) = {emp.prob_between(0.0, 1.0):.4f}")
+      f"P(0 < xi < 1) = {emp.q1(1.0):.4f}")
 
 print("\n=== Lp moment curves (nondecreasing in p) ===")
 grid = [1.0, 2.0, 4.0, 8.0, 16.0, 64.0]

@@ -53,7 +53,6 @@ DEFAULT_KR = 0.6379
 DEFAULT_B_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, math.e, 3.0, 5.0, 10.0, 20.0, 50.0)
 
 _THETA_RTOL = 1e-6
-_THETA_TOL = 1e-9
 # share of its two terms charged against the Chernoff exponent for their
 # rounding (4 ulps): they nearly cancel when B*sigma^2 is large against
 # the law's scale (uniform:a=1e6 at B = 50: terms of 5e15 around an
@@ -151,8 +150,7 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
 
     # a theta bracket of relative width 1e-6 leaves an exponent error of
     # order 1e-12 relative: the objective is flat at its maximum
-    theta, exponent = maximize_concave(obj, 0.0, _THETA_TOL,
-                                       x0=_theta_guess(dist, n, B),
+    theta, exponent = maximize_concave(obj, 0.0, x0=_theta_guess(dist, n, B),
                                        rtol=_THETA_RTOL)
     return BoundPoint(B, _tail_value(exponent), exponent, theta)
 
@@ -323,15 +321,10 @@ def power_curve(dist: DistributionModel, n: int | tuple[int, int],
 
 
 def lower_q1_curve(dist: DistributionModel, B_grid: Sequence[float]) -> BoundCurve:
-    """Exact single-observation tail Q_1(B) = P(0 < xi < 1/B).
-
-    For n = 1 the statistic is 1/xi (and 0 when xi = 0), so this is the
-    exact tail probability, hence a lower bound on sup_n Q_n(B).  The
-    interval is open at 1/B: an atom exactly there gives T = B, which
-    does not exceed B.
-    """
-    pts = tuple(BoundPoint(B, dist.prob_between(0.0, 1.0 / B))
-                for B in _sorted_B(B_grid))
+    """Exact single-observation tail Q_1(B) (see
+    :meth:`DistributionModel.q1`) at every B of the grid, sorted: a lower
+    bound on sup_n Q_n(B)."""
+    pts = tuple(BoundPoint(B, dist.q1(B)) for B in _sorted_B(B_grid))
     return BoundCurve(LOWER_Q1, 1, pts)
 
 

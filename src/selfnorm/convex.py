@@ -24,6 +24,8 @@ _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _FIRST_STEP = 1e-8
 _MAX_DOUBLINGS = 64
 _MAX_BRENT_STEPS = 200
+# absolute width at which a Brent bracket stops, added to its rtol*|x|
+_TOL = 1e-9
 _EPS = sys.float_info.epsilon
 
 
@@ -32,7 +34,7 @@ class NotBracketedError(ValueError):
 
 
 def _brent_max(obj: Callable[[float], float], a: float, b: float, c: float,
-               fa: float, fb: float, fc: float, tol: float,
+               fa: float, fb: float, fc: float,
                rtol: float) -> tuple[float, float]:
     """Brent's parabolic-plus-golden search for a maximum on [a, c].
 
@@ -42,7 +44,7 @@ def _brent_max(obj: Callable[[float], float], a: float, b: float, c: float,
     points and falls back to a golden-section step when the fit is not
     usable (a ``-inf`` among the points, a step outside the bracket, or
     one not shrinking fast enough).  Stops once the bracket is narrower
-    than ``tol + rtol*|x|``.  Returns the best (x, obj(x)) seen.
+    than ``1e-9 + rtol*|x|``.  Returns the best (x, obj(x)) seen.
     """
     x, fx = b, fb
     # the bracket ends are the first two runners-up, so the very first
@@ -52,7 +54,7 @@ def _brent_max(obj: Callable[[float], float], a: float, b: float, c: float,
     d = e = c - a
     for _ in range(_MAX_BRENT_STEPS):
         m = 0.5 * (a + c)
-        tol1 = 0.25 * (tol + rtol * abs(x)) + _EPS * abs(x)
+        tol1 = 0.25 * (_TOL + rtol * abs(x)) + _EPS * abs(x)
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (c - a):
             break
@@ -95,7 +97,7 @@ def _brent_max(obj: Callable[[float], float], a: float, b: float, c: float,
 
 
 def maximize_concave(obj: Callable[[float], float], x_lo: float,
-                     tol: float = 1e-9, x0: float | None = None,
+                     x0: float | None = None,
                      rtol: float = 0.0) -> tuple[float, float]:
     """Maximize a concave objective on the ray [x_lo, inf).
 
@@ -104,7 +106,7 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
     the step from ``x_lo`` outward until the objective stops increasing;
     otherwise by halving it towards ``x_lo``.  Brent's parabolic-plus-golden
     search then refines the bracket until it is narrower than
-    ``tol + rtol*|x|``.
+    ``1e-9 + rtol*|x|``.
 
     An evaluation returning ``-inf`` is an ordinary point that loses every
     comparison: it closes a bracket like any decrease, and it blocks the
@@ -134,7 +136,7 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
             c = min(x_lo + step, cap)
             fc = obj(c)
             if fc <= v:
-                return _brent_max(obj, a, x, c, fa, v, fc, tol, rtol)
+                return _brent_max(obj, a, x, c, fa, v, fc, rtol)
             a, fa, x, v = x, v, c, fc
         return x, v
     c, fc = x, v
@@ -142,7 +144,7 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
         step *= 0.5
         x, v = x_lo + step, obj(x_lo + step)
         if v > v_lo:
-            return _brent_max(obj, x_lo, x, c, v_lo, v, fc, tol, rtol)
+            return _brent_max(obj, x_lo, x, c, v_lo, v, fc, rtol)
         c, fc = x, v
     return x_lo, v_lo
 

@@ -12,7 +12,7 @@ rule (:func:`_integrate`) that works on the integrand's exponent, so
 that huge-but-finite integrands never overflow pointwise; discrete laws,
 empirical samples included, are summed exactly.  The standard gaussian
 has closed forms for its log-MGF (through the hook ``_log_mgf2``), Lp
-norms, quadratic moments and interval probabilities; its ``expect`` and
+norms, quadratic moments and single-observation tail; its ``expect`` and
 summand Lp norms, and every primitive of a :class:`DensityLaw` with a
 gaussian density, still go through quadrature.  A density law reads
 its density only through ``_log_density``, and every law draws only
@@ -293,11 +293,23 @@ class DistributionModel:
         """Draws of the law from ``rng``, in an array of shape ``size``."""
         raise NotImplementedError
 
-    def prob_between(self, lo: float, hi: float) -> float:
-        """P(lo < xi < hi), open at both ends (only atoms can tell)."""
+    def _q1(self, hi: float) -> float:
+        """P(0 < xi < hi) for hi = 1/B >= 0, open at both ends."""
         raise NotImplementedError
 
     # -- derived operations ----------------------------------------------
+
+    def q1(self, B: float) -> float:
+        """The single-observation tail Q_1(B) = P(0 < xi < 1/B), B > 0.
+
+        For n = 1 the statistic is 1/xi (and 0 when xi = 0), so this is
+        P(T(1) > B) exactly.  The interval is open at 1/B: an atom
+        exactly there gives T = B, which does not exceed B.  Laws
+        override :meth:`_q1`, not this method.
+        """
+        if not B > 0.0:
+            raise ValueError(f"B must be positive, got {B}")
+        return self._q1(1.0 / B)
 
     def lp_norm(self, p: float) -> float:
         """Classical Lp norm (E|xi|^p)^(1/p), p >= 1."""
@@ -478,8 +490,8 @@ class DiscreteLaw(DistributionModel):
     def sample(self, rng, size):
         return rng.choice(self._values, size=size, p=self._probs)
 
-    def prob_between(self, lo, hi):
-        mask = (self._values > lo) & (self._values < hi)
+    def _q1(self, hi):
+        mask = (self._values > 0.0) & (self._values < hi)
         return float(self._probs[mask].sum())
 
 
@@ -532,9 +544,8 @@ class _QuadratureLaw(DistributionModel):
             raise DivergentError("quadrature lost the integrand's mass")
         return shift + math.log(total)
 
-    def prob_between(self, lo, hi):
-        slo, shi = self.support
-        a, b = max(lo, slo), min(hi, shi)
+    def _q1(self, hi):
+        a, b = max(0.0, self.support[0]), min(hi, self.support[1])
         if a >= b:
             return 0.0
         return self._integrate_density(lambda x: 1.0, a, b, math.sqrt(self.sigma2))
@@ -547,10 +558,8 @@ _SQRT_HALF = math.sqrt(0.5)
 class StandardGaussian(_QuadratureLaw):
     """Standard normal law, sigma^2 = 1.
 
-    The log-MGF, the Lp norms, the quadratic moments and interval
-    probabilities are closed forms; ``expect``, the summand's Lp norms
-    and an interval too narrow for a difference of erf values go
-    through quadrature.
+    The log-MGF, the Lp norms, the quadratic moments and Q_1 are closed
+    forms; ``expect`` and the summand's Lp norms go through quadrature.
     """
 
     support = (-math.inf, math.inf)
@@ -580,23 +589,8 @@ class StandardGaussian(_QuadratureLaw):
         # E xi^4 = 3, so w = 3 - 2 + 1; odd moments vanish
         return 1.0, 2.0, 0.0
 
-    def prob_between(self, lo, hi):
-        # past 0.5*sqrt(2) on one side erfc is below 0.48, and elsewhere
-        # erf is below 0.52 or changes sign: neither difference cancels
-        # against a value near 1
-        if lo >= hi:
-            return 0.0
-        a, b = lo * _SQRT_HALF, hi * _SQRT_HALF
-        if a >= 0.5:
-            upper, lower = math.erfc(a), math.erfc(b)
-        elif b <= -0.5:
-            upper, lower = math.erfc(-b), math.erfc(-a)
-        else:
-            upper, lower = math.erf(b), math.erf(a)
-        # a narrow interval cancels in either form: it is integrated
-        if upper - lower < 0.01 * max(abs(upper), abs(lower)):
-            return super().prob_between(lo, hi)
-        return 0.5 * (upper - lower)
+    def _q1(self, hi):
+        return 0.5 * math.erf(hi * _SQRT_HALF)
 
     def sample(self, rng, size):
         return rng.standard_normal(size)

@@ -48,7 +48,6 @@ _P_START = 2.0
 _P_RTOL = 1e-6
 # the moment-growth norm and tail both search p up to this
 _P_CAP = 1000.0
-_TOL = 1e-9
 # relative rise through the lowest decade of lambda beyond which an
 # MGF-domination ratio counts as unbounded as lambda -> 0: signs against
 # lam^2/2 rise 8e-6 towards their limit 1, while lam^-a rises 10^a - 1
@@ -163,7 +162,7 @@ def _refine(fn: Callable[[float], float], xs, vals: list, i: int) -> float:
     scanned argmax ``xs[i]``; never below the scanned ``vals[i]``."""
     lo, hi = max(i - 1, 0), min(i + 1, len(xs) - 1)
     return _brent_max(fn, xs[lo], xs[i], xs[hi], vals[lo], vals[i], vals[hi],
-                      _TOL, 0.0)[1]
+                      0.0)[1]
 
 
 # -- moment-growth norm and tail ---------------------------------------------
@@ -247,7 +246,7 @@ def _gls_tail_opt(psi: PsiFunction, norm: float,
         finite_ps.append(p)
         return -p * (math.log(den) + log_scale)
 
-    p_best, neg = maximize_concave(neg_exponent, lo, _TOL,
+    p_best, neg = maximize_concave(neg_exponent, lo,
                                    x0=min(max(_P_START, lo), hi), rtol=_P_RTOL)
     # every probe's exponent is at least p_best's, so by convexity a finite
     # probe in (p_best, hi] shows that the exponent at hi is no lower

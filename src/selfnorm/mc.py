@@ -156,20 +156,32 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def empirical_tail(dist: DistributionModel, cfg: MCConfig,
                    B_grid: Sequence[float]) -> list[TailEstimate]:
     """One simulation pass counting exceedances of every B simultaneously;
-    a chunk is one ``dist.sample(rng, (m, n))`` draw, squared in place."""
+    a chunk is one ``dist.sample(rng, (m, n))`` draw, squared in place.
+
+    The sums are formed on the draws times 2^-e, e the nearest integer
+    to log2(sigma), so that no square overflows or flushes to 0 off unit
+    scale, and T is scaled back by 2^-e; both scalings are exact, so the
+    hits are bit-identical wherever no number overflowed or left the
+    normal range.  A law of unit scale (e = 0) skips both.
+    """
     B_arr = np.asarray(list(B_grid), dtype=float)
     order = np.argsort(B_arr, kind="stable")
     B_sorted = B_arr[order]
     chunk = cfg.chunk_size
     num_chunks = -(-cfg.trials // chunk)
     root_n = math.sqrt(cfg.n)
+    e = round(0.5 * math.log2(dist.sigma2))
 
     def run_chunk(k: int) -> np.ndarray:
         # bins[i]: trials whose statistic exceeds exactly the i smallest B
         m = min(chunk, cfg.trials - k * chunk)
         x = dist.sample(_chunk_rng(cfg.seed, k), (m, cfg.n))
+        if e:
+            np.ldexp(x, -e, out=x)
         s = x.sum(axis=-1)
         t = _stat_from_sums(root_n, s, np.multiply(x, x, out=x).sum(axis=-1))
+        if e:
+            t = np.ldexp(t, -e)
         return np.bincount(np.searchsorted(B_sorted, t), minlength=B_arr.size + 1)
 
     with ThreadPoolExecutor(max_workers=worker_count(num_chunks)) as pool:

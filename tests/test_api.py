@@ -50,7 +50,7 @@ PARAMETERS = {
     "invert_monotone": ("f", "y", "x_lo", "x_hi_hint"),
     "lower_clt_curve": ("dist", "B_grid"),
     "lower_q1_curve": ("dist", "B_grid"),
-    "maximize_concave": ("obj", "x_lo", "tol", "x0", "rtol"),
+    "maximize_concave": ("obj", "x_lo", "x0", "rtol"),
     "natural_phi": ("dist",),
     "parse_distribution": ("spec",),
     "power_curve": ("dist", "n", "B_grid", "kr"),
@@ -91,7 +91,7 @@ def test_callable_parameters():
 
 
 LAW_INTERFACE = {"expect", "lp_norm", "log_mgf2", "quadratic_moments",
-                 "summand_variance", "summand_lp_norm", "prob_between",
+                 "summand_variance", "summand_lp_norm", "q1",
                  "sample", "sigma2", "name", "symmetric", "min_positive_atom"}
 
 

@@ -1,19 +1,24 @@
 """The names bench/tracer.py patches: every one must stay a global that
 the library looks up at call time, or the benchmark's per-layer counts
-silently read 0."""
+silently read 0; and bench/worker.py's parallel speedup, which no
+workload reaches until one simulates at n = 256."""
 
 import contextlib
 import io
+import math
 import os
 import sys
 
 import pytest
 
 from selfnorm import cli
+from selfnorm.distributions import UniformSymmetric
+from selfnorm.mc import THREADS_ENV, MCConfig
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
 from tracer import EXP_CELL, LOG_MGF2, POWER_CELL, PRIMITIVES, SUP_CELL, Tracer
+from worker import parallel_speedup
 
 ARGVS = [
     ["bound-exp", "--dist", "gaussian", "--n", "1,4", "--n-sup", "1:8",
@@ -61,3 +66,14 @@ def test_tracer_counts_every_layer_and_changes_no_output():
     # the tracer patches DistributionModel.log_mgf2: a law that overrode
     # it, not its _log_mgf2 hook, would go uncounted
     assert tracer.per_law[(LOG_MGF2, "gaussian")][0] > 0
+
+
+@pytest.mark.parametrize("saved", [None, "3"])
+def test_parallel_speedup_restores_the_thread_cap(monkeypatch, saved):
+    if saved is None:
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV, saved)
+    ratio = parallel_speedup((UniformSymmetric(1.0), MCConfig(4, 2000, 1), [0.5]))
+    assert math.isfinite(ratio) and ratio > 0.0
+    assert os.environ.get(THREADS_ENV) == saved

@@ -27,17 +27,17 @@ CAP = 1e-8 * 2.0 ** 63
 
 class TestMaximizeConcave:
     def test_parabola(self):
-        x, v = maximize_concave(lambda x: -((x - 1.0) ** 2), 0.0, 1e-9)
+        x, v = maximize_concave(lambda x: -((x - 1.0) ** 2), 0.0)
         assert abs(x - 1.0) <= 1e-8
         assert abs(v) <= 1e-8
 
     def test_lncosh_objective(self):
-        _, v = maximize_concave(lambda x: 0.5 * x - lncosh(x), 0.0, 1e-9)
+        _, v = maximize_concave(lambda x: 0.5 * x - lncosh(x), 0.0)
         assert v == pytest.approx(0.13081203594113697, abs=1e-9)
 
     def test_unbounded_linear(self):
         # still rising at the cap: the cap is the best point evaluated
-        assert maximize_concave(lambda x: x, 0.0, 1e-9) == (CAP, CAP)
+        assert maximize_concave(lambda x: x, 0.0) == (CAP, CAP)
 
     def test_barrier_inside_ray(self):
         # domain ends at x = 1; maximum of x*3 - x^2/(1-x) sits inside
@@ -46,12 +46,12 @@ class TestMaximizeConcave:
                 return -math.inf
             return 3.0 * x - x * x / (1.0 - x)
 
-        x, v = maximize_concave(obj, 0.0, 1e-9)
+        x, v = maximize_concave(obj, 0.0)
         assert 0.0 < x < 1.0
         assert v > 0.0
 
     def test_maximum_at_origin(self):
-        x, v = maximize_concave(lambda x: -x, 0.0, 1e-9)
+        x, v = maximize_concave(lambda x: -x, 0.0)
         assert v == pytest.approx(0.0, abs=1e-8)
 
 
@@ -60,12 +60,12 @@ class TestMaximizeConcave:
         def obj(x):
             return -math.inf if x <= 1.0 else -((x - 3.0) ** 2)
 
-        x, v = maximize_concave(obj, 1.0, 1e-9, x0=2.0)
+        x, v = maximize_concave(obj, 1.0, x0=2.0)
         assert abs(x - 3.0) <= 1e-6
         assert v == pytest.approx(0.0, abs=1e-10)
 
     def test_nowhere_finite_returns_origin(self):
-        assert maximize_concave(lambda x: -math.inf, 0.0, 1e-9, x0=1.0) == (
+        assert maximize_concave(lambda x: -math.inf, 0.0, x0=1.0) == (
             0.0, -math.inf)
 
 
@@ -84,14 +84,14 @@ class TestMaximizeConcaveStart:
 
     def test_start_far_above_maximum(self):
         obj, calls = self.counted(lambda x: -((x - 1.0) ** 2))
-        x, v = maximize_concave(obj, 0.0, 1e-9, x0=1e6)
+        x, v = maximize_concave(obj, 0.0, x0=1e6)
         assert abs(x - 1.0) <= 1e-8
         assert abs(v) <= 1e-15
         assert len(calls) <= 40
 
     def test_start_far_below_maximum(self):
         obj, calls = self.counted(lambda x: -((x - 1.0) ** 2))
-        x, v = maximize_concave(obj, 0.0, 1e-9, x0=1e-6)
+        x, v = maximize_concave(obj, 0.0, x0=1e-6)
         assert abs(x - 1.0) <= 1e-8
         assert len(calls) <= 40
 
@@ -102,7 +102,7 @@ class TestMaximizeConcaveStart:
                 return -math.inf
             return 3.0 * x - x * x / (1.0 - x)
 
-        x, v = maximize_concave(obj, 0.0, 1e-9, x0=50.0)
+        x, v = maximize_concave(obj, 0.0, x0=50.0)
         assert x == pytest.approx(0.5, abs=1e-8)
         assert v == pytest.approx(1.0, abs=1e-12)
 
@@ -113,26 +113,27 @@ class TestMaximizeConcaveStart:
                 return -math.inf
             return -((x - 2.0) ** 2) + 4.0
 
-        x, v = maximize_concave(obj, 0.0, 1e-9, x0=1.0)
+        x, v = maximize_concave(obj, 0.0, x0=1.0)
         assert x == pytest.approx(2.0, abs=1e-8)
         assert v == pytest.approx(4.0, abs=1e-12)
 
     def test_linear_objective_from_start_is_unbounded(self):
-        assert maximize_concave(lambda x: 0.5 * x, 0.0, 1e-9, x0=3.0) == (
+        assert maximize_concave(lambda x: 0.5 * x, 0.0, x0=3.0) == (
             CAP, 0.5 * CAP)
-        assert maximize_concave(lambda x: 0.5 * x, 0.0, 1e-9, x0=1e300) == (
+        assert maximize_concave(lambda x: 0.5 * x, 0.0, x0=1e300) == (
             CAP, 0.5 * CAP)
 
     def test_relative_tolerance(self):
-        # stops on a bracket of relative width rtol, long before tol = 0
+        # stops on a bracket of relative width rtol (1e-6 * 1e4 = 1e-2),
+        # which dominates the absolute width 1e-9
         obj, calls = self.counted(lambda x: 1e4 * math.log(x) - x)
-        x, v = maximize_concave(obj, 1e-300, 0.0, x0=3e3, rtol=1e-6)
+        x, v = maximize_concave(obj, 1e-300, x0=3e3, rtol=1e-6)
         assert x == pytest.approx(1e4, rel=1e-6)
         assert v == pytest.approx(1e4 * math.log(1e4) - 1e4, rel=1e-14)
         assert len(calls) <= 20
 
     def test_start_at_origin_falls_back_to_default(self):
-        x, v = maximize_concave(lambda x: -((x - 1.0) ** 2), 0.0, 1e-9, x0=0.0)
+        x, v = maximize_concave(lambda x: -((x - 1.0) ** 2), 0.0, x0=0.0)
         assert abs(x - 1.0) <= 1e-8
 
 
@@ -147,7 +148,7 @@ class TestBrentBracketEdge:
 
         a, c = 0.5, 2.0
         b = c if sign > 0 else a
-        x, v = _brent_max(obj, a, b, c, obj(a), obj(b), obj(c), 1e-10, 0.0)
+        x, v = _brent_max(obj, a, b, c, obj(a), obj(b), obj(c), 0.0)
         assert x == b
         assert v == obj(b)
 
@@ -156,8 +157,7 @@ class TestBrentBracketEdge:
         def obj(x):
             return -((x - 1.9) ** 2)
 
-        x, v = _brent_max(obj, 1.0, 2.0, 2.0, obj(1.0), obj(2.0), obj(2.0),
-                          1e-10, 0.0)
+        x, v = _brent_max(obj, 1.0, 2.0, 2.0, obj(1.0), obj(2.0), obj(2.0), 0.0)
         assert x == pytest.approx(1.9, abs=1e-8)
         assert v >= obj(2.0)
 

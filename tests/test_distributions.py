@@ -1,7 +1,7 @@
 """Law construction, expectations, and log-MGF against closed-form oracles.
 
 The standard gaussian's log-MGF, Lp norms, quadratic moments and
-interval probabilities are closed forms themselves, so each gaussian
+single-observation tail are closed forms themselves, so each gaussian
 oracle check runs on two laws: ``StandardGaussian`` (a pin of its closed
 form) and a ``DensityLaw`` of the normal pdf (the quadrature under test).
 """
@@ -234,21 +234,17 @@ class TestGaussianClosedForms:
         for law in gaussians:
             assert law.log_mgf2(l1, math.inf) == math.inf, law.name
 
-    def test_tail_intervals(self, laws):
-        law = laws["gaussian"]
-        expected = 0.5 * (math.erfc(8.0 / math.sqrt(2.0))
-                          - math.erfc(9.0 / math.sqrt(2.0)))
-        assert law.prob_between(8.0, 9.0) == pytest.approx(
-            expected, rel=1e-12, abs=0.0)
-        # too narrow for a difference of erfc values: the density at the
-        # midpoint m times w*(1 + (m^2 - 1)*w^2/24) is exact to O(w^5)
-        for lo, hi in [(6.0, 6.0 + 1e-9), (0.3, 0.3 + 1e-9), (-10.0, -10.0 + 1e-6)]:
-            w = hi - lo
-            m = lo + 0.5 * w
-            expected = (w * math.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
-                        * (1.0 + (m * m - 1.0) * w * w / 24.0))
-            assert law.prob_between(lo, hi) == pytest.approx(
-                expected, rel=1e-12, abs=0.0)
+    def test_q1_against_scipy(self, gaussians):
+        from scipy.stats import norm
+        # 0.5 - sf(1/B) does not cancel for 1/B >= 1, and cdf(1/B) - 0.5
+        # loses at most 1e-16 absolute below that
+        for law in gaussians:
+            for B in (0.01, 0.125, 0.5, 1.0):
+                assert law.q1(B) == pytest.approx(
+                    0.5 - norm.sf(1.0 / B), rel=1e-12, abs=0.0), (law.name, B)
+            for B in (math.e, 10.0, 100.0):
+                assert law.q1(B) == pytest.approx(
+                    norm.cdf(1.0 / B) - 0.5, rel=1e-12, abs=0.0), (law.name, B)
 
 
 class TestQuadraticMoments:
@@ -401,8 +397,9 @@ class TestConstruction:
         law = DiscreteLaw.from_sample([3.0, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 2.0])
         # mean 0.75: atoms -1.75, -0.75 (x3), 0.25 (x2), 1.25, 2.25
         assert law.name == "empirical"
-        assert law.prob_between(-1.0, 0.0) == pytest.approx(3.0 / 8.0)
-        assert law.prob_between(0.0, 1.0) == pytest.approx(2.0 / 8.0)
+        assert law.expect(lambda x: (x > -1.0) & (x < 0.0)) == pytest.approx(
+            3.0 / 8.0)
+        assert law.q1(1.0) == pytest.approx(2.0 / 8.0)
         assert law.min_positive_atom == pytest.approx(0.25)
 
     @pytest.mark.parametrize("atoms", [
@@ -471,20 +468,28 @@ class TestSampling:
 
 
 class TestProbBetween:
+    """Q_1(B) = q1(B), the probability between 0 and 1/B."""
+
     def test_gaussian_interval(self, gaussians):
         from scipy.stats import norm
         for law in gaussians:
-            assert law.prob_between(0.0, 0.01) == pytest.approx(
-                norm.cdf(0.01) - 0.5, rel=1e-9)
+            assert law.q1(100.0) == pytest.approx(norm.cdf(0.01) - 0.5, rel=1e-9)
 
     def test_discrete_strict_endpoints(self):
         law = DiscreteLaw([(-1.0, 0.5), (1.0, 0.5)])
-        assert law.prob_between(0.0, 1.0) == 0.0
-        assert law.prob_between(0.0, 1.0 + 1e-12) == 0.5
+        assert law.q1(1.0) == 0.0
+        assert law.q1(1.0 / (1.0 + 1e-12)) == 0.5
 
     def test_empirical_fraction(self):
         law = DiscreteLaw.from_sample([-3.0, -1.0, 1.0, 3.0])
-        assert law.prob_between(0.0, 2.0) == 0.25
+        assert law.q1(0.5) == 0.25
+
+    @pytest.mark.parametrize("B", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_rejects_b_that_is_not_positive(self, laws, gaussians, B):
+        # the gaussian's closed form reads a negative probability at B < 0
+        for law in (*laws.values(), *gaussians, DiscreteLaw.from_sample([-1.0, 2.0])):
+            with pytest.raises(ValueError, match="B must be positive"):
+                law.q1(B)
 
 
 class TestParseGrammar:

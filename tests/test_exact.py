@@ -78,8 +78,7 @@ class TestExactTail:
         law = DiscreteLaw.from_sample(np.random.default_rng(5).standard_normal(3000))
         for B in (0.25, 1.0, 5.0):
             (est,) = _exact_tail(law, 1, [B])
-            assert est.point == pytest.approx(law.prob_between(0.0, 1.0 / B),
-                                              rel=1e-12, abs=0)
+            assert est.point == pytest.approx(law.q1(B), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("name", ["signs", "skewed2", "lazy3", "skewed3"])
     def test_single_draw_path_matches_enumeration(self, name):
@@ -108,8 +107,7 @@ class TestExactTail:
         for est in ests:
             closed = law._probs[(law._values > 0.0)
                                 & (law._values <= 1.0 / est.B)].sum()
-            assert est.point == pytest.approx(law.prob_between(0.0, 1.0 / est.B),
-                                              rel=1e-12, abs=0)
+            assert est.point == pytest.approx(law.q1(est.B), rel=1e-12, abs=0)
             assert est.ci_hi >= closed
 
     @pytest.mark.parametrize("n", [1, 4, 16])

@@ -110,6 +110,17 @@ class TestEmpiricalTail:
         threaded = [e.hits for e in empirical_tail(law, cfg, [0.5, 1.5])]
         assert serial == threaded
 
+    @pytest.mark.parametrize("k, n", [(511, 16), (-530, 1)])
+    def test_hits_do_not_depend_on_scale(self, k, n):
+        # T of the law on [-2^k, 2^k] is 2^-k times T on [-1, 1], draw by
+        # draw; unscaled, the squares overflow at 2^511 and flush to 0
+        # at 2^-530
+        cfg = MCConfig(n=n, trials=2000, seed=1)
+        (unit,) = empirical_tail(UniformSymmetric(1.0), cfg, [0.5])
+        (wide,) = empirical_tail(UniformSymmetric(math.ldexp(1.0, k)), cfg,
+                                 [math.ldexp(0.5, -k)])
+        assert wide.hits == unit.hits
+
     def test_seed_changes_stream(self):
         law = StandardGaussian()
         a = empirical_tail(law, MCConfig(2, 20000, 1), [0.5])[0].hits
