@@ -55,8 +55,8 @@ _GL_NODES = 32
 # the running total, widened by the rounding of exponents near |shift|
 _PIECE_TOL = 1e-13
 _EXPONENT_NOISE = 64.0 * sys.float_info.epsilon
-# bisections per round, and rounds: a kink costs one piece per round
-_MAX_SPLIT = 64
+# open pieces after a round, and rounds: a kink costs one piece per round
+_MAX_OPEN = 1024
 _MAX_ROUNDS = 60
 # the largest share of the total that an extrapolated tail, or the error
 # left after the last round, may carry
@@ -188,16 +188,17 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     halves.  A piece whose two values differ by more than ``_PIECE_TOL``
     of the running total (plus the rounding of exponents near
     ``|shift|``) is bisected, its halves keeping their one-panel values;
-    all pieces of a round go through one call of ``fn``, and at most
-    ``_MAX_SPLIT`` are bisected per round.  ``shift`` follows the largest
-    exponent seen, so no node overflows.
+    all pieces of a round go through one call of ``fn``.  The last round
+    is round ``_MAX_ROUNDS``, or the first that leaves more than
+    ``_MAX_OPEN`` pieces open: it accepts every piece if their summed
+    error is within ``_UNRESOLVED_TOL`` of the total.  ``shift`` follows
+    the largest exponent seen, so no node overflows.
     """
     u, w = _gauss_legendre()
     u2 = np.concatenate((0.5 * u, 0.5 + 0.5 * u))
     origin = np.arange(len(a))
     acc = np.zeros(len(a))  # accepted value per piece
     one = None  # one-panel values, known for halves of a bisected piece
-    carried = None  # open pieces left over by the split cap
     shift = -math.inf
     for rnd in range(_MAX_ROUNDS):
         width = b - a
@@ -213,8 +214,6 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
             acc *= rescale
             if one is not None:
                 one = one * rescale
-            if carried is not None:
-                carried[3:] = [c * rescale for c in carried[3:]]
             shift = float(peak)
         vals = s * np.exp(e - shift) if shift > -math.inf else np.zeros(e.shape)
         if one is None:
@@ -222,29 +221,21 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
             vals = vals[:, _GL_NODES:]
         left = 0.5 * width * (vals[:, :_GL_NODES] @ w)
         right = 0.5 * width * (vals[:, _GL_NODES:] @ w)
-        if carried is not None:
-            a, b, origin, one, left, right = (np.concatenate(pair) for pair in zip(
-                (a, b, origin, one, left, right), carried))
         both = left + right
         err = np.abs(both - one)
         scale = np.abs(acc).sum() + np.abs(both).sum()
-        done = err <= (_PIECE_TOL + _EXPONENT_NOISE * abs(shift)) * scale
-        if rnd == _MAX_ROUNDS - 1:
+        open_ = err > (_PIECE_TOL + _EXPONENT_NOISE * abs(shift)) * scale
+        if rnd == _MAX_ROUNDS - 1 or np.count_nonzero(open_) > _MAX_OPEN:
             if err.sum() > _UNRESOLVED_TOL * scale:
                 raise DivergentError("quadrature did not converge")
-            done[:] = True
-        np.add.at(acc, origin[done], both[done])
-        open_ = np.nonzero(~done)[0]
-        if not open_.size:
+            open_[:] = False
+        np.add.at(acc, origin[~open_], both[~open_])
+        if not open_.any():
             break
-        open_ = open_[np.argsort(-err[open_], kind="stable")]
-        split, rest = open_[:_MAX_SPLIT], open_[_MAX_SPLIT:]
-        carried = ([arr[rest] for arr in (a, b, origin, one, left, right)]
-                   if rest.size else None)
-        mid = 0.5 * (a[split] + b[split])
-        a, b = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
-        origin = np.tile(origin[split], 2)
-        one = np.concatenate((left[split], right[split]))
+        mid = 0.5 * (a[open_] + b[open_])
+        a, b = np.concatenate((a[open_], mid)), np.concatenate((mid, b[open_]))
+        origin = np.tile(origin[open_], 2)
+        one = np.concatenate((left[open_], right[open_]))
     return shift, acc
 
 

@@ -120,7 +120,7 @@ def natural_phi(dist) -> Callable[[float], float]:
 def _try_positive(fn: Callable[[float], float], x: float) -> float | None:
     try:
         v = fn(x)
-    except (ArithmeticError, NotBracketedError):
+    except ArithmeticError:
         return None
     if not math.isfinite(v) or v <= 0.0:
         return None

@@ -103,11 +103,16 @@ def self_normalized_stat(x: np.ndarray) -> np.ndarray:
 
     A zero denominator forces a zero numerator (all draws are 0), and
     defining the statistic as 0 there leaves every event {T > B}, B > 0,
-    untouched.
+    untouched.  The sums are formed on each row times 2^-k, k the binary
+    exponent of the row's largest |x|, so that no square overflows or
+    flushes to 0, and T is scaled back by 2^-k; both scalings are exact.
     """
     x = np.asarray(x, dtype=float)
-    return _stat_from_sums(math.sqrt(x.shape[-1]), x.sum(axis=-1),
-                           (x * x).sum(axis=-1))
+    k = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))[1]
+    x = np.ldexp(x, -k)
+    t = _stat_from_sums(math.sqrt(x.shape[-1]), x.sum(axis=-1),
+                        (x * x).sum(axis=-1))
+    return np.ldexp(t, -k[..., 0])
 
 
 def _stat_from_sums(root_n: float, num, den) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The names bench/tracer.py patches: every one must stay a global that
 the library looks up at call time, or the benchmark's per-layer counts
-silently read 0; and bench/worker.py's parallel speedup, which no
-workload reaches until one simulates at n = 256."""
+silently read 0; bench/worker.py's parallel speedup, which no workload
+reaches until one simulates at n = 256; and bench/check.py's verdict on
+every workload's outputs, which the benchmark refuses when it fails."""
 
 import contextlib
 import io
@@ -15,8 +16,11 @@ from selfnorm import cli
 from selfnorm.distributions import UniformSymmetric
 from selfnorm.mc import THREADS_ENV, MCConfig
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench"))
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+sys.path.insert(0, BENCH)
+import check
+import workloads
 from tracer import EXP_CELL, LOG_MGF2, POWER_CELL, PRIMITIVES, SUP_CELL, Tracer
 from worker import parallel_speedup
 
@@ -33,10 +37,10 @@ ARGVS = [
 ]
 
 
-def run_all() -> list[tuple[str, int]]:
+def run_all(argvs=ARGVS) -> list[tuple[str, int]]:
     """Stdout and exit status of each command, run through cli.main."""
     out = []
-    for argv in ARGVS:
+    for argv in argvs:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -77,3 +81,11 @@ def test_parallel_speedup_restores_the_thread_cap(monkeypatch, saved):
     ratio = parallel_speedup((UniformSymmetric(1.0), MCConfig(4, 2000, 1), [0.5]))
     assert math.isfinite(ratio) and ratio > 0.0
     assert os.environ.get(THREADS_ENV) == saved
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_outputs_pass_the_benchmark_check(workload):
+    outputs, exits = zip(*run_all(workloads.commands(workload, 1)))
+    with open(os.path.join(BENCH, "reference", f"{workload}.csv")) as fh:
+        result = check.compare(fh.read(), list(outputs), list(exits))
+    assert result["correct"] and result["failed"] == 0, result["problems"]

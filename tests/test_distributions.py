@@ -441,6 +441,66 @@ class TestConstruction:
         assert law.sigma2 == 1.0
 
 
+def counted(pdf):
+    """pdf, and a one-element list that counts its calls."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return pdf(x)
+
+    return fn, calls
+
+
+def histogram(bins):
+    """Bin edges, heights and pdf of the histogram on [-4.5, 4.5] of
+    2*10^5 standard normal draws and their negatives."""
+    x = np.random.default_rng(3).standard_normal(200_000)
+    edges = np.linspace(-4.5, 4.5, bins + 1)
+    counts, _ = np.histogram(np.concatenate((x, -x)), edges)
+    heights = counts / counts.sum() / np.diff(edges)
+
+    def pdf(t):
+        i = np.searchsorted(edges, t, side="right") - 1
+        return np.where((i >= 0) & (i < bins), heights[np.clip(i, 0, bins - 1)], 0.0)
+
+    return edges, heights, pdf
+
+
+class TestIntegratorBudget:
+    """Every open piece is bisected each round; a round that leaves more
+    than ``_MAX_OPEN`` open is the last one."""
+
+    def test_many_bins_build_to_the_exact_bin_sums(self):
+        edges, heights, pdf = histogram(400)
+        law = DensityLaw(pdf, support=(-4.5, 4.5))
+        lo, hi = edges[:-1], edges[1:]
+        sigma2 = float(np.sum(heights * (hi ** 3 - lo ** 3) / 3.0))
+        # Q_1(5) = P(0 < xi < 0.2): each bin's overlap with (0, 0.2)
+        overlap = np.clip(np.minimum(hi, 0.2) - np.maximum(lo, 0.0), 0.0, None)
+        assert law.sigma2 == pytest.approx(sigma2, rel=0.0, abs=1e-10)
+        assert law.q1(5.0) == pytest.approx(float(np.sum(heights * overlap)),
+                                            rel=0.0, abs=1e-10)
+
+    def test_too_many_open_pieces_fail_at_the_budget(self):
+        # 3000 jumps keep more than _MAX_OPEN pieces open long before the
+        # last of the _MAX_ROUNDS rounds
+        pdf, calls = counted(histogram(3000)[2])
+        with pytest.raises(DivergentError, match="did not converge"):
+            DensityLaw(pdf, support=(-4.5, 4.5))
+        assert calls[0] <= 21
+
+    def test_noisy_integrand_stops_at_the_budget(self):
+        # the exponent at the peak near x = 5e6 is the difference of two
+        # terms of ~1.25e13: its rounding never meets the piece test
+        pdf, calls = counted(normal_pdf)
+        law = DensityLaw(pdf)
+        calls[0] = 0
+        assert law.log_mgf2(1.0, -0.4999999) == math.inf
+        # one probe call, then one call per round
+        assert calls[0] <= 21
+
+
 class TestSampling:
     def test_rademacher_support(self, laws):
         x = laws["rademacher"].sample(np.random.default_rng(0), 1000)

@@ -39,6 +39,14 @@ class TestStatistic:
         x = np.ones((5, 4))
         assert self_normalized_stat(x).shape == (5,)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_off_unit_scale(self, scale):
+        # T(a*x) = T(x)/a, where x^2 flushes to 0 or overflows unscaled
+        got = self_normalized_stat(np.array([scale, scale]))
+        assert got == pytest.approx(math.sqrt(2.0) / scale, rel=1e-15, abs=0.0)
+        rows = self_normalized_stat(np.array([[scale, scale], [1.0, -0.5]]))
+        assert rows.tolist() == [got, self_normalized_stat(np.array([1.0, -0.5]))]
+
 
 class TestClopperPearson:
     def test_degenerate_ends(self):
