@@ -22,8 +22,6 @@ from .bounds import (
     lower_clt_curve,
     lower_q1_curve,
     power_curve,
-    rosenthal_psi,
-    sum_cgf,
 )
 from .convex import NotBracketedError, fenchel, invert_monotone, maximize_concave
 from .distributions import (
@@ -49,9 +47,7 @@ from .gls import (
 )
 from .mc import (
     MCConfig,
-    clopper_pearson,
     empirical_tail,
-    self_normalized_stat,
     verify_bounds,
 )
 

@@ -40,8 +40,6 @@ __all__ = [
     "lower_clt_curve",
     "lower_q1_curve",
     "power_curve",
-    "rosenthal_psi",
-    "sum_cgf",
 ]
 
 EXP_LEVEL = "ExpLevel"
@@ -102,23 +100,17 @@ class BoundCurve:
 # -- exponential level -------------------------------------------------------
 
 
-def sum_cgf(dist: DistributionModel, n: int, B: float, theta: float) -> float:
-    """ln E exp(theta * mean of the n linearized summands).
-
-    Equals n * log_mgf2(theta/sqrt(n), B*theta/n); ``+inf`` propagates
-    from the log-MGF when the expectation diverges.
-    """
-    return n * dist.log_mgf2(theta / math.sqrt(n), B * theta / n)
-
-
 def _theta_guess(dist: DistributionModel, n: int, B: float) -> float:
     """The maximizer n*B*sigma^2/V of the Gaussian-regime objective.
 
-    V is the variance of the linearized summand; when its quadratic
-    moments diverge or it is not positive, the finite start B is used.
+    V = n*sigma^2 + 2*B*sqrt(n)*z + B^2*w is the variance of the
+    linearized summand sqrt(n)*xi + B*(sigma^2 - xi^2), from the law's
+    quadratic moments; when they diverge or V is not positive, the
+    finite start B is used.
     """
     try:
-        var = dist.summand_variance(n, B)
+        s2, w, z = dist.quadratic_moments()
+        var = n * s2 + 2.0 * B * math.sqrt(n) * z + B * B * w
     except ArithmeticError:
         var = 0.0
     return n * B * dist.sigma2 / var if var > 0.0 else B
@@ -145,7 +137,9 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
     target = B * dist.sigma2
 
     def obj(theta: float) -> float:
-        gain, cgf = theta * target, sum_cgf(dist, n, B, theta)
+        # ln E exp(theta * mean of the n summands); +inf where it diverges
+        gain = theta * target
+        cgf = n * dist.log_mgf2(theta / math.sqrt(n), B * theta / n)
         return gain - cgf - _CANCEL_ROUNDING * (abs(gain) + abs(cgf))
 
     # a theta bracket of relative width 1e-6 leaves an exponent error of

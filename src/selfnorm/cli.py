@@ -46,10 +46,6 @@ CSV_COLUMNS = ("dist", "n", "B", "family", "value", "optimizer",
 
 COMMANDS = ("bound-exp", "bound-power", "bound-lower", "mc", "verify", "gls")
 
-_BOUND_FAMILIES = {"bound-exp": (bd.EXP_LEVEL,),
-                   "bound-power": (bd.POWER_LEVEL,),
-                   "bound-lower": (bd.LOWER_Q1, bd.LOWER_CLT)}
-
 
 class ConfigError(ValueError):
     """Bad configuration; reported with the offending key."""
@@ -179,7 +175,8 @@ _OPTIONS = {
           "comma-separated thresholds ('e' allowed)"),
     "n-sup": ("", _n_range, "lo:hi range for sup-over-n rows"),
     "trials": ("100000", _positive_int, "simulation trials per sample size"),
-    "seed": ("1", _checked(int), "simulation seed"),
+    "seed": ("1", _checked(int, lambda v: v >= 0, ">= 0"),
+             "simulation seed, an integer >= 0"),
     "kr": (str(bd.DEFAULT_KR), _positive_real, "Rosenthal constant"),
     "confidence": ("0.999", _checked(float, lambda v: 0.0 < v < 1.0,
                                      "strictly between 0 and 1"),
@@ -303,24 +300,22 @@ def _write_pretty(rows: list[dict]) -> str:
 # -- command bodies ------------------------------------------------------------
 
 
-def _curves(config: RunConfig, dist,
-            families: tuple[str, ...]) -> list[bd.BoundCurve]:
-    """Every curve of the families, upper bounds at each grid n and then
-    over the sup range."""
+def _curves(config: RunConfig, dist) -> list[bd.BoundCurve]:
+    """The curves of the command, in row order: ExpLevel (bound-exp,
+    verify), then PowerLevel (bound-power, verify), each at every grid n
+    and then over the sup range; then LowerQ1 and LowerCLT (bound-lower,
+    and verify when n = 1 is on the grid)."""
+    command, B_grid = config.command, config.B_grid
     ns: list[int | tuple[int, int]] = list(config.n_grid)
     if config.n_sup_range is not None:
         ns.append(config.n_sup_range)
     curves = []
-    for family in families:
-        if family == bd.EXP_LEVEL:
-            curves += [bd.exp_curve(dist, n, config.B_grid) for n in ns]
-        elif family == bd.POWER_LEVEL:
-            curves += [bd.power_curve(dist, n, config.B_grid, config.kr_constant)
-                       for n in ns]
-        elif family == bd.LOWER_Q1:
-            curves.append(bd.lower_q1_curve(dist, config.B_grid))
-        else:
-            curves.append(bd.lower_clt_curve(dist, config.B_grid))
+    if command in ("bound-exp", "verify"):
+        curves += [bd.exp_curve(dist, n, B_grid) for n in ns]
+    if command in ("bound-power", "verify"):
+        curves += [bd.power_curve(dist, n, B_grid, config.kr_constant) for n in ns]
+    if command == "bound-lower" or (command == "verify" and 1 in config.n_grid):
+        curves += [bd.lower_q1_curve(dist, B_grid), bd.lower_clt_curve(dist, B_grid)]
     return curves
 
 
@@ -366,10 +361,7 @@ def _fail_line(row: mcmod.VerificationRow) -> str:
 
 
 def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
-    families = (bd.EXP_LEVEL, bd.POWER_LEVEL)
-    if 1 in config.n_grid:
-        families += (bd.LOWER_Q1, bd.LOWER_CLT)
-    curves = _curves(config, dist, families)
+    curves = _curves(config, dist)
     verified = mcmod.verify_bounds(dist, curves, config.trials, config.seed,
                                    config.confidence)
     failures = [r for r in verified if r.status == "FAIL"]
@@ -407,9 +399,8 @@ def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     dist = config.distribution
     all_pass = True
-    if config.command in _BOUND_FAMILIES:
-        curves = _curves(config, dist, _BOUND_FAMILIES[config.command])
-        rows = _curve_rows(config, dist, curves)
+    if config.command in ("bound-exp", "bound-power", "bound-lower"):
+        rows = _curve_rows(config, dist, _curves(config, dist))
     elif config.command == "mc":
         rows = _mc_rows(config, dist)
     elif config.command == "verify":

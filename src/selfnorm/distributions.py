@@ -36,7 +36,6 @@ __all__ = [
     "DiscreteLaw",
     "DistributionModel",
     "DivergentError",
-    "OVERFLOW_LIMIT",
     "Rademacher",
     "StandardGaussian",
     "UniformSymmetric",
@@ -353,20 +352,15 @@ class DistributionModel:
     def quadratic_moments(self) -> tuple[float, float, float]:
         """(sigma^2, w, z) with w = E(sigma^2 - xi^2)^2 and
         z = E(sigma^2*xi - xi^3), which is -E xi^3 for a centered law and
-        makes :meth:`summand_variance` an exact variance; z vanishes for
-        laws symmetric about 0."""
+        makes n*sigma^2 + 2*B*sqrt(n)*z + B^2*w the exact variance of the
+        linearized summand sqrt(n)*xi + B*(sigma^2 - xi^2); z vanishes
+        for laws symmetric about 0."""
         if "qm" not in self._moment_cache:
             s2 = self.sigma2
             w = self.expect(lambda x: (s2 - x * x) ** 2)
             z = self.expect(lambda x: s2 * x - x ** 3)
             self._moment_cache["qm"] = (s2, max(w, 0.0), z)
         return self._moment_cache["qm"]
-
-    def summand_variance(self, n: int, B: float) -> float:
-        """n*sigma^2 + 2*B*sqrt(n)*z + B^2*w, the variance of the
-        linearized summand sqrt(n)*xi + B*(sigma^2 - xi^2)."""
-        s2, w, z = self.quadratic_moments()
-        return n * s2 + 2.0 * B * math.sqrt(n) * z + B * B * w
 
     def summand_lp_norm(self, n: int, B: float, p: float) -> float:
         """Lp norm of the linearized summand xi + B*(sigma^2 - xi^2)/sqrt(n)."""

@@ -34,9 +34,7 @@ from .distributions import DiscreteLaw, DistributionModel
 
 __all__ = [
     "MCConfig",
-    "clopper_pearson",
     "empirical_tail",
-    "self_normalized_stat",
     "verify_bounds",
     "worker_count",
 ]
@@ -57,7 +55,8 @@ _SUM_REL = 1e-9
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Simulation plan: sample size n, trial count, seed, CI level."""
+    """Simulation plan: sample size n, trial count, seed (an integer
+    >= 0), CI level."""
 
     n: int
     trials: int
@@ -67,6 +66,8 @@ class MCConfig:
     def __post_init__(self):
         if self.n < 1 or self.trials < 1:
             raise ValueError("n and trials must both be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0,1), got {self.confidence}")
 
@@ -154,7 +155,7 @@ def worker_count(num_chunks: int) -> int:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, chunk_index])
+    ss = np.random.SeedSequence([seed, chunk_index])
     return np.random.Generator(np.random.Philox(ss))
 
 

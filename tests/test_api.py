@@ -5,6 +5,8 @@ silently."""
 import importlib
 import inspect
 import math
+import pathlib
+import re
 import types
 
 import pytest
@@ -17,12 +19,11 @@ PUBLIC_NAMES = [
     "LOWER_CLT", "LOWER_Q1", "MCConfig",
     "NotBracketedError", "POWER_LEVEL", "PsiFunction",
     "Rademacher", "StandardGaussian", "UniformSymmetric",
-    "bphi_norm", "bphi_tail_bound", "clopper_pearson", "degenerate_psi",
+    "bphi_norm", "bphi_tail_bound", "degenerate_psi",
     "empirical_tail", "exp_curve", "fenchel", "gls_norm", "gls_tail_bound",
     "invert_monotone", "lower_clt_curve", "lower_q1_curve", "maximize_concave",
     "natural_phi", "parse_distribution", "power_curve", "power_phi",
-    "power_psi", "rosenthal_psi", "self_normalized_stat", "sum_cgf",
-    "verify_bounds",
+    "power_psi", "verify_bounds",
 ]
 
 # parameter names of every exported callable but the two exceptions,
@@ -40,7 +41,6 @@ PARAMETERS = {
     "UniformSymmetric": ("half_width",),
     "bphi_norm": ("law_mgf", "phi"),
     "bphi_tail_bound": ("phi", "norm", "u"),
-    "clopper_pearson": ("hits", "trials", "confidence"),
     "degenerate_psi": ("r",),
     "empirical_tail": ("dist", "cfg", "B_grid"),
     "exp_curve": ("dist", "n", "B_grid"),
@@ -56,9 +56,6 @@ PARAMETERS = {
     "power_curve": ("dist", "n", "B_grid", "kr"),
     "power_phi": ("m",),
     "power_psi": ("m",),
-    "rosenthal_psi": ("dist", "n", "B", "kr"),
-    "self_normalized_stat": ("x",),
-    "sum_cgf": ("dist", "n", "B", "theta"),
     "verify_bounds": ("dist", "curves", "trials", "seed", "confidence"),
 }
 
@@ -69,8 +66,26 @@ def test_package_names():
     names = sorted(name for name, value in vars(selfnorm).items()
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 36
     assert names == sorted(PUBLIC_NAMES)
+
+
+def test_every_package_name_is_read_outside_its_module():
+    # a name that only its own module reads need not be public: each must
+    # appear in the CLI, in a demo or in another module of the package
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sources = {path.stem: path.read_text()
+               for path in (root / "src" / "selfnorm").glob("*.py")
+               if path.stem != "__init__"}
+    demos = [path.read_text() for path in (root / "demos").glob("*.py")]
+    unread = []
+    for name in PUBLIC_NAMES:
+        home, = [m for m in MODULES
+                 if name in importlib.import_module(f"selfnorm.{m}").__all__]
+        readers = [text for m, text in sources.items() if m != home] + demos
+        if not any(re.search(rf"\b{name}\b", text) for text in readers):
+            unread.append(name)
+    assert unread == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -91,7 +106,7 @@ def test_callable_parameters():
 
 
 LAW_INTERFACE = {"expect", "lp_norm", "log_mgf2", "quadratic_moments",
-                 "summand_variance", "summand_lp_norm", "q1",
+                 "summand_lp_norm", "q1",
                  "sample", "sigma2", "name", "symmetric", "min_positive_atom"}
 
 

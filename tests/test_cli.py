@@ -183,6 +183,21 @@ class TestCommands:
             assert rows[0]["family"] == norm_fam
             assert {r["family"] for r in rows[1:]} == {tail_fam}
 
+    def test_gls_single_point_support_is_the_first_moment(self, capsys):
+        # r = 1 leaves the norm's p grid one point: GlsNorm is E|xi|, and
+        # the tail is Markov's norm/B above e*norm, 1 at or below it
+        status = run(make_config("gls", distribution="gaussian",
+                                 B_grid=[2.0, 3.0, 10.0],
+                                 family="psi:degenerate:r=1"))
+        assert status == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (rows[0]["family"], rows[0]["value"]) == ("GlsNorm",
+                                                        "0.797884560802865")
+        norm = math.sqrt(2.0 / math.pi)
+        tails = [float(r["value"]) for r in rows[1:]]
+        assert tails[0] == 1.0
+        assert tails[1:] == pytest.approx([norm / 3.0, norm / 10.0], rel=1e-14)
+
     def test_bphi_norm_scales_with_sigma(self, capsys):
         # the norm of xi/sigma against lam^2/2, times sigma: the same
         # ratio for every half width, the widest included, and never
@@ -592,6 +607,22 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_run_rejects_a_command_outside_the_list(self):
+        with pytest.raises(ConfigError) as exc:
+            run(make_config("bound-bogus"))
+        assert exc.value.key == "command"
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_seed_exit_two(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--dist", "gaussian", "--n", "4", "--B", "1",
+                  "--trials", "100", "--seed", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("selfnorm: configuration error: seed:")
 
     @pytest.mark.parametrize("family", [
         "psi:power:m=-1",

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from selfnorm import distributions
-from selfnorm.bounds import DEFAULT_B_GRID, exp_curve, lower_q1_curve
+from selfnorm.bounds import DEFAULT_B_GRID, _theta_guess, exp_curve, lower_q1_curve
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DistributionModel,
                                     DivergentError, Rademacher,
                                     StandardGaussian, UniformSymmetric,
@@ -278,18 +278,24 @@ class TestQuadraticMoments:
 
 
 class TestSummandMoments:
+    # the quadratic moments give the variance V of the linearized summand
+    # sqrt(n)*xi + B*(sigma^2 - xi^2), read through the ExpLevel start
+    # n*B*sigma^2/V
     def test_variance_rademacher(self, laws):
+        # V = n
         for n, B in [(1, 0.5), (4, 2.0), (64, 10.0)]:
-            assert laws["rademacher"].summand_variance(n, B) == pytest.approx(n)
+            assert _theta_guess(laws["rademacher"], n, B) == pytest.approx(B)
 
     def test_variance_gaussian(self, gaussians):
+        # V = 3 at n = B = 1
         for law in gaussians:
-            assert law.summand_variance(1, 1.0) == pytest.approx(3.0, rel=1e-9)
+            assert _theta_guess(law, 1, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-9)
 
     def test_variance_at_b_zero(self, laws):
+        # V tends to 7*sigma^2 as B -> 0, so the start tends to B
+        B = 1e-9
         for name in laws:
-            law = laws[name]
-            assert law.summand_variance(7, 0.0) == pytest.approx(7 * law.sigma2)
+            assert _theta_guess(laws[name], 7, B) == pytest.approx(B, rel=1e-9)
 
     def test_variance_exact_convention_matches_direct_variance(self):
         # asymmetric law with sigma != 1: z = E(sigma^2*xi - xi^3)
@@ -297,13 +303,12 @@ class TestSummandMoments:
         law = DiscreteLaw([(-1.0, 0.8), (4.0, 0.2)])
         n, B = 3, 0.7
         s2 = law.sigma2
-        mean_eta = 0.0
         var_direct = law.expect(
-            lambda x: (math.sqrt(n) * x + B * (s2 - x * x)) ** 2) - mean_eta
+            lambda x: (math.sqrt(n) * x + B * (s2 - x * x)) ** 2)
         ex_eta = law.expect(lambda x: math.sqrt(n) * x + B * (s2 - x * x))
         var_direct -= ex_eta ** 2
-        assert law.summand_variance(n, B) == pytest.approx(
-            var_direct, rel=1e-9)
+        assert _theta_guess(law, n, B) == pytest.approx(
+            n * B * s2 / var_direct, rel=1e-9)
 
     def test_lp_rademacher_constant(self, laws):
         for n, B, p in [(1, 1.0, 2.0), (9, 4.0, 3.5), (64, 0.3, 1.0)]:

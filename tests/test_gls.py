@@ -181,6 +181,17 @@ class TestBphiNorm:
         with pytest.raises(DivergentError):
             bphi_norm(lambda lam: lam * lam / 2.0, lncosh)
 
+    def test_mgf_beyond_the_majorant_range(self):
+        # log1p(|lam|) never reaches lam^2/2 once lam is large
+        with pytest.raises(DivergentError, match="majorant range exceeded"):
+            bphi_norm(lambda lam: lam * lam / 2.0,
+                      lambda lam: math.log1p(abs(lam)))
+
+    def test_divergent_log_mgf(self):
+        with pytest.raises(DivergentError, match="log-MGF diverges"):
+            bphi_norm(lambda lam: math.inf if abs(lam) > 1.0 else lam * lam / 2.0,
+                      power_phi(2.0))
+
     def test_builtin_laws_dominated_tails(self):
         # norm then tail must dominate the true two-sided tail max
         phi2 = lambda lam: lam * lam / 2.0

@@ -135,6 +135,14 @@ class TestEmpiricalTail:
         b = empirical_tail(law, MCConfig(2, 20000, 2), [0.5])[0].hits
         assert a != b
 
+    def test_seeds_apart_by_2_64_draw_different_streams(self):
+        # seeds below 2^64 keep their streams; 2^64 + 1 is not seed 1
+        law = UniformSymmetric(math.sqrt(3.0))
+        hits = [empirical_tail(law, MCConfig(4, 2000, seed), [0.5])[0].hits
+                for seed in (1, 2 ** 64 + 1)]
+        assert hits[0] == 647
+        assert hits[1] != hits[0]
+
     def test_ci_width_scales_with_trials(self):
         # quadrupling the trial count should halve the interval width,
         # up to 25% stochastic slack
@@ -297,6 +305,12 @@ class TestVerifyBounds:
             assert row.curve.label == "sup(16..64)"
             assert row.estimate is fixed.estimate
 
+    def test_unknown_family_raises(self):
+        law = Rademacher()
+        curve = BoundCurve("Bogus", 4, exp_curve(law, 4, [0.5]).points)
+        with pytest.raises(ValueError, match="unknown bound family 'Bogus'"):
+            verify_bounds(law, [curve], 10 ** 3, 1)
+
     def test_corrupted_bound_flags_fail(self):
         law = Rademacher()
         curve = exp_curve(law, 4, [0.5, 1.0])
@@ -322,6 +336,11 @@ class TestMCConfig:
             MCConfig(n=1, trials=0, seed=1)
         with pytest.raises(ValueError):
             MCConfig(n=1, trials=10, seed=1, confidence=1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            MCConfig(n=1, trials=10, seed=-1)
+        assert MCConfig(n=1, trials=10, seed=0).seed == 0
 
     def test_chunk_size_from_n(self):
         assert [MCConfig(n, 10, 1).chunk_size for n in (1, 3, 2 ** 18, 10 ** 6)] \
