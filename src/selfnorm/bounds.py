@@ -201,7 +201,7 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
       u = c/n and g(u) = log_mgf2(0, u) - u*sigma^2.  As g is convex
       with g(0) = 0, g(u)/u grows with u, so the bound is non-increasing
       in n; it tends to exp(-B^2*sigma^2/2).
-    * Rosenthal, for B >= e: for p >= 1 the norm
+    * Rosenthal, for any law: for p >= 1 the norm
       ``|xi + c*(sigma^2 - xi^2)|_p`` is convex in c, as the norm of a
       function affine in c.  Every n >= N has c = B/sqrt(n) in
       (0, B/sqrt(N)], so the PowerLevel generator at n is at most the
@@ -209,8 +209,7 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
       that pointwise max dominates every PowerLevel cell past N at the
       Rosenthal constant ``kr``.  It is the cells' own generator, so it
       is valid exactly where they are, and a change to that generator's
-      p range applies to both.
-    * Otherwise 0, the bound 1.
+      p range applies to both.  It reads 1 where B*sigma^2 <= e.
     """
     exponent = 0.0
     if dist.symmetric:
@@ -221,12 +220,10 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
         exponent = max(exponent, -c * g / u)
         if exponent >= enough:
             return exponent
-    if B >= math.e:
-        psi_N = rosenthal_psi(dist, N, B, kr)
-        psi_inf = rosenthal_psi(dist, N, 0.0, kr)
-        psi = PsiFunction(lambda p: max(psi_N(p), psi_inf(p)), lo_open=True)
-        exponent = max(exponent, _gls_tail_opt(psi, 1.0, B * dist.sigma2)[2])
-    return exponent
+    psi_N = rosenthal_psi(dist, N, B, kr)
+    psi_inf = rosenthal_psi(dist, N, 0.0, kr)
+    psi = PsiFunction(lambda p: max(psi_N(p), psi_inf(p)))
+    return max(exponent, _gls_tail_opt(psi, 1.0, B * dist.sigma2)[2])
 
 
 # -- power level --------------------------------------------------------------
@@ -238,14 +235,14 @@ def rosenthal_psi(dist: DistributionModel, n: int, B: float,
 
     By Rosenthal's inequality the sqrt(n)-normalized sum of the
     linearized summands has moment-growth norm at most 1 against this
-    generator.  Support is (1, inf); a p where the summand moment
-    diverges raises, and the tail search treats it as a barrier.
+    generator.  p = 1, where p/ln p divides by 0, and a p where the
+    summand moment diverges raise; the tail search treats both as barriers.
     """
 
     def fn(p: float) -> float:
         return kr * (p / math.log(p)) * dist.summand_lp_norm(n, B, p)
 
-    return PsiFunction(fn, lo_open=True)
+    return PsiFunction(fn)
 
 
 def _power_tail_point(dist: DistributionModel, n: int, B: float,

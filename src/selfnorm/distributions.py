@@ -187,11 +187,12 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     halves.  A piece whose two values differ by more than ``_PIECE_TOL``
     of the running total (plus the rounding of exponents near
     ``|shift|``) is bisected, its halves keeping their one-panel values;
-    all pieces of a round go through one call of ``fn``.  The last round
-    is round ``_MAX_ROUNDS``, or the first that leaves more than
-    ``_MAX_OPEN`` pieces open: it accepts every piece if their summed
-    error is within ``_UNRESOLVED_TOL`` of the total.  ``shift`` follows
-    the largest exponent seen, so no node overflows.
+    all pieces of a round go through one call of ``fn``.  Round
+    ``_MAX_ROUNDS`` accepts every piece if their summed error is within
+    ``_UNRESOLVED_TOL`` of the total.  A round leaving over ``_MAX_OPEN``
+    pieces open always raises: each error is above ``_PIECE_TOL`` of the
+    total, so their sum passes 1.024e-10 > ``_UNRESOLVED_TOL``.
+    ``shift`` follows the largest exponent seen, so no node overflows.
     """
     u, w = _gauss_legendre()
     u2 = np.concatenate((0.5 * u, 0.5 + 0.5 * u))

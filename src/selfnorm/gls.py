@@ -60,16 +60,15 @@ _DOUBLING = 20
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """Moment-growth generator p -> psi(p) > 0 on an interval of p.
+    """Moment-growth generator p -> psi(p) > 0 on [1, b].
 
-    ``fn`` must be positive and finite on (1, b); ``lo_open`` marks a
-    generator that blows up at p = 1 itself (the Rosenthal transform
-    does).
+    A p where ``fn`` raises ArithmeticError or is not positive and
+    finite is a barrier of every search, as at p = 1 for the Rosenthal
+    generator, whose p/ln p divides by 0 there.
     """
 
     fn: Callable[[float], float]
     b: float = math.inf
-    lo_open: bool = False
 
     def __call__(self, p: float) -> float:
         return self.fn(p)
@@ -128,11 +127,10 @@ def _try_positive(fn: Callable[[float], float], x: float) -> float | None:
 
 
 def _support(psi: PsiFunction) -> tuple[float, float]:
-    lo = 1.0 + 1e-6 if psi.lo_open else 1.0
     hi = min(psi.b, _P_CAP)
-    if hi < lo:
-        raise ValueError(f"empty generator support [{lo}, {hi}]")
-    return lo, hi
+    if hi < 1.0:
+        raise ValueError(f"empty generator support [1, {hi}]")
+    return 1.0, hi
 
 
 def _support_grid(psi: PsiFunction) -> list[float]:
@@ -221,9 +219,10 @@ def _gls_tail_opt(psi: PsiFunction, norm: float,
     (capped at p = 1000).  It is for the Rosenthal generator (ln E|X|^p
     is convex by Lyapunov, and so is p*ln(p/ln p)), for p^(1/m) and for
     the degenerate generator, whose exponent is linear.  The search
-    starts at p = 2 and stops on a p bracket of ``1e-9 + 1e-6*p``; a p
-    where psi diverges or overflows, and any p above the support, is a
-    ``-inf`` barrier, and a generator finite nowhere gives 1.  The top of
+    starts at p = 2, or at the top of the support if lower, and stops on
+    a p bracket of ``1e-9 + 1e-6*p``; a p where psi is undefined,
+    diverges or overflows, and any p above the support, is a ``-inf``
+    barrier, and a generator finite nowhere gives 1.  The top of
     the support is evaluated exactly as well, since a linear exponent has
     its minimum there, unless a finite probe above the search's best p
     already rules it out.
@@ -246,8 +245,8 @@ def _gls_tail_opt(psi: PsiFunction, norm: float,
         finite_ps.append(p)
         return -p * (math.log(den) + log_scale)
 
-    p_best, neg = maximize_concave(neg_exponent, lo,
-                                   x0=min(max(_P_START, lo), hi), rtol=_P_RTOL)
+    p_best, neg = maximize_concave(neg_exponent, lo, x0=min(_P_START, hi),
+                                   rtol=_P_RTOL)
     # every probe's exponent is at least p_best's, so by convexity a finite
     # probe in (p_best, hi] shows that the exponent at hi is no lower
     if not any(p > p_best for p in finite_ps):

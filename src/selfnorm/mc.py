@@ -155,7 +155,9 @@ def worker_count(num_chunks: int) -> int:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence([seed, chunk_index])
+    # low seed word, chunk, high seed words: SeedSequence pads with zero
+    # words, so a seed below 2^32 keeps the stream of [seed, chunk_index]
+    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, chunk_index, seed >> 32])
     return np.random.Generator(np.random.Philox(ss))
 
 

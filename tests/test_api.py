@@ -35,7 +35,7 @@ PARAMETERS = {
     "DiscreteLaw": ("atoms", "name"),
     "DistributionModel": ("sigma2", "name"),
     "MCConfig": ("n", "trials", "seed", "confidence"),
-    "PsiFunction": ("fn", "b", "lo_open"),
+    "PsiFunction": ("fn", "b"),
     "Rademacher": (),
     "StandardGaussian": (),
     "UniformSymmetric": ("half_width",),

@@ -437,7 +437,8 @@ class TestCertifiedSup:
         Rademacher(), StandardGaussian(), UniformSymmetric(SQRT3),
         DiscreteLaw([(-2.0, 0.25), (0.0, 0.5), (2.0, 0.25)])])
     def test_efron_non_increasing_in_N(self, law):
-        # below B = e the certificate is the Efron bound alone
+        # Efron, and Rosenthal too where B*sigma^2 > e (the three-atom
+        # law, sigma^2 = 2, at B = 2.5)
         assert law.symmetric
         for B in (0.5, 1.0, 2.5):
             tails = [_tail_value(_tail_certificate(law, N, B))
@@ -471,10 +472,21 @@ class TestCertifiedSup:
             assert tail >= _power_tail_point(law, n, B).value, n
 
     def test_asymmetric_small_B_without_certificate(self):
-        law = DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)])
+        # unit variance: B*sigma^2 = 2 < e, where Rosenthal reads 1
+        law = DiscreteLaw([(-math.sqrt(0.5), 2 / 3), (math.sqrt(2.0), 1 / 3)])
+        assert law.sigma2 == pytest.approx(1.0, rel=1e-15)
         assert _tail_certificate(law, 64, 2.0) == 0.0
         (pt,) = exp_curve(law, (1, 4096), [2.0]).points
         assert pt.value == 1.0 and pt.n_star is None
+
+    def test_asymmetric_law_certified_below_e_when_wide(self):
+        # sigma^2 = 2: B*sigma^2 = 4 > e, so Rosenthal applies at B = 2
+        law = DiscreteLaw([(-1.0, 2 / 3), (2.0, 1 / 3)])
+        exponent = _tail_certificate(law, 64, 2.0)
+        assert exponent == pytest.approx(1.339939275042, rel=1e-12)
+        (pt,) = exp_curve(law, (1, 4096), [2.0]).points
+        assert pt.value == pytest.approx(0.261861569630, rel=1e-11)
+        assert pt.value == _tail_value(exponent) and pt.n_star is None
 
 
 class TestRosenthalPsi:
@@ -632,6 +644,24 @@ class TestPowerTailOptimizer:
         assert pt.arg_star < 500.0
         assert len(ps) == len(set(ps))
         assert 2.0 in ps and 1000.0 not in ps
+
+    def test_no_moment_call_near_p_equal_one(self, monkeypatch):
+        # p = 1 is a barrier of p/ln p itself: neither a cell nor the
+        # certificate spends a moment evaluation next to it
+        ps = []
+        for law in (Rademacher(), StandardGaussian(), UniformSymmetric(SQRT3)):
+            lp_norm = law.summand_lp_norm
+
+            def recorded(n, B, p, *args, lp_norm=lp_norm, **kwargs):
+                ps.append(p)
+                return lp_norm(n, B, p, *args, **kwargs)
+
+            monkeypatch.setattr(law, "summand_lp_norm", recorded)
+            for n in (1, 16, 256):
+                for B in (3.0, 20.0):
+                    _power_tail_point(law, n, B)
+                    _tail_certificate(law, n, B)
+        assert ps and min(ps) >= 1.01
 
     def test_heavy_tail_works_around_divergence(self):
         # the summand moments end at p = 2.5, a barrier of the search; the

@@ -643,6 +643,38 @@ class TestMain:
         (line,) = captured.err.splitlines()
         assert line.startswith("selfnorm: configuration error: family:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gls", "--dist", "gaussian"],
+         "family: the gls command needs --family"),
+        (["bound-exp", "--dist", "gaussian", "--n-sup", "5"],
+         "n-sup: expected lo:hi, got '5'"),
+        (["gls", "--dist", "gaussian", "--family", "psi:power:r=2"],
+         "family: expected 'm=<real>' in 'psi:power:r=2'"),
+        (["bound-exp", "--dist", "gaussian", "--B", ","], "B: grid is empty"),
+        (["bound-exp", "--config", "{tmp}/bad.cfg"],
+         "config: line 2: expected key=value, got 'bogus line'"),
+        (["bound-exp", "--config", "{tmp}/missing.cfg"],
+         "config: cannot read '{tmp}/missing.cfg': "),
+        (["bound-exp", "--dist", "discrete:1:0.5:3"],
+         "dist: bad atom '1:0.5:3' in 'discrete:1:0.5:3'"),
+        (["bound-exp", "--dist", "uniform:a=-1"],
+         "dist: half width must be positive, got -1.0"),
+        (["bound-exp", "--dist", "discrete:0:1"],
+         "dist: discrete law is degenerate at 0"),
+        (["gls", "--dist", "gaussian", "--family", "phi:power:m=0"],
+         "family: power majorant needs m > 0, got 0.0"),
+    ])
+    def test_input_check_one_stderr_line(self, argv, message, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_text("dist=rademacher\nbogus line\n")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("selfnorm: configuration error: "
+                               + message.format(tmp=tmp_path))
+
     # one bad value per option key, accepted by argparse as a plain string
     BAD_VALUES = {
         "dist": "uniform:a=bogus", "n": "0", "B": "-1", "n-sup": "9:2",

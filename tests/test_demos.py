@@ -19,7 +19,9 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    out = subprocess.run([sys.executable, str(demo)], capture_output=True,
+    # the repository's warning policy: a RuntimeWarning is an error
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          str(demo)], capture_output=True,
                          text=True, timeout=300,
                          env={**os.environ, "PYTHONPATH": SRC})
     assert out.returncode == 0, out.stderr

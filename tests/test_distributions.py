@@ -100,6 +100,10 @@ class TestLpNorm:
     def test_p_below_one_rejected(self, laws):
         with pytest.raises(ValueError):
             laws["gaussian"].lp_norm(0.5)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            UniformSymmetric(1.0).lp_norm(0.5)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            UniformSymmetric(1.0).summand_lp_norm(4, 1.0, 0.5)
 
 
 class TestLogMgf2:
@@ -373,6 +377,10 @@ class TestConstruction:
     def test_discrete_rejects_off_center(self):
         with pytest.raises(ValueError, match="not centered"):
             DiscreteLaw([(0.0, 0.5), (1.0, 0.5)])
+
+    def test_discrete_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            DiscreteLaw([])
 
     def test_discrete_rejects_bad_probs(self):
         with pytest.raises(ValueError, match="sum"):

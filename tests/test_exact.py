@@ -254,7 +254,9 @@ class TestExactSup:
     """Sup rows and the tail certificate against the largest exact tail
     of a range: each must bound every n it stands for."""
 
-    B_GRID = (math.e, 5.0, 20.0)
+    # below e the certificate is Rosenthal's only where B*sigma^2 > e:
+    # skewed2 (sigma^2 = 2), rare9 (9) and lazy3 (2.4)
+    B_GRID = (1.5, 2.0, math.e, 5.0, 20.0)
 
     @pytest.mark.parametrize("law, M", [
         (SKEWED, 2000),

@@ -111,6 +111,8 @@ class TestGlsTailBound:
             gls_tail_bound(power_psi(2.0), 0.0, 1.0)
         with pytest.raises(ValueError):
             gls_tail_bound(power_psi(2.0), 1.0, -1.0)
+        with pytest.raises(ValueError, match="empty generator support"):
+            gls_tail_bound(PsiFunction(lambda p: 1.0, b=0.5), 1.0, 3.0)
 
 
 class TestGlsNorm:
@@ -229,6 +231,10 @@ class TestBphiTailBound:
 
     def test_zero_threshold(self):
         assert bphi_tail_bound(power_phi(2.0), 1.0, 0.0) == 1.0
+
+    def test_rejects_negative_threshold(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bphi_tail_bound(power_phi(2.0), 1.0, -1.0)
 
     def test_nonincreasing_in_u(self):
         us = np.linspace(0.0, 10.0, 50)

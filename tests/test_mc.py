@@ -143,6 +143,12 @@ class TestEmpiricalTail:
         assert hits[0] == 647
         assert hits[1] != hits[0]
 
+    def test_seeds_apart_by_2_32_draw_different_chunk_streams(self):
+        # the chunk index never aliases a seed's higher 32-bit word
+        a = mc._chunk_rng(2 ** 32 + 5, 0).random(8)
+        b = mc._chunk_rng(5, 1).random(8)
+        assert not np.array_equal(a, b)
+
     def test_ci_width_scales_with_trials(self):
         # quadrupling the trial count should halve the interval width,
         # up to 25% stochastic slack
