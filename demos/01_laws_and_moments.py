@@ -4,8 +4,9 @@ Every tail bound in this package is assembled from expectations of a
 centered law: plain Lp moments, the quadratic summaries (sigma^2, w, z),
 and the two-argument log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)).
 This script builds the three workhorse laws and prints those primitives
-next to their closed forms.  The gaussian's log-MGF is itself a closed
-form, so it is shown beside a DensityLaw of the normal pdf, which goes
+next to their closed forms.  The gaussian's and the uniform's log-MGFs
+are closed forms themselves, so each is shown beside a DensityLaw of its
+density (the normal pdf, the box on [-sqrt 3, sqrt 3]), which goes
 through quadrature.
 """
 
@@ -55,6 +56,15 @@ for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.0)]:
     print(f"  phi({l1}, {l2}) = {gauss.log_mgf2(l1, l2):.15f}   "
           f"quadrature {normal_pdf.log_mgf2(l1, l2):.15f}")
 print(f"  phi(0, -0.5) = {gauss.log_mgf2(0.0, -0.5)}  (diverges at the domain edge)")
+
+unif = laws["uniform(sqrt 3)"]
+a = unif.half_width
+box = DensityLaw(lambda x: 0.5 / a, support=(-a, a), name="box")
+print("uniform: closed form through erfc for l2 >= 0 (UniformSymmetric)")
+print("next to the quadrature of the box density (DensityLaw):")
+for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.0), (30.0, 2.0)]:
+    print(f"  phi({l1}, {l2}) = {unif.log_mgf2(l1, l2):.15f}   "
+          f"quadrature {box.log_mgf2(l1, l2):.15f}")
 
 rad = laws["rademacher"]
 print("sign law: the quadratic slot is inert because sigma^2 - xi^2 = 0:")

@@ -11,12 +11,13 @@ Density laws are integrated by one vectorized adaptive Gauss-Legendre
 rule (:func:`_integrate`) that works on the integrand's exponent, so
 that huge-but-finite integrands never overflow pointwise; discrete laws,
 empirical samples included, are summed exactly.  The standard gaussian
-has closed forms for its log-MGF (through the hook ``_log_mgf2``), Lp
-norms, quadratic moments and single-observation tail; its ``expect`` and
-summand Lp norms, and every primitive of a :class:`DensityLaw` with a
-gaussian density, still go through quadrature.  A density law reads
-its density only through ``_log_density``, and every law draws only
-through ``sample``.  A moment whose tail past the probe ladder does not
+and the symmetric uniform have closed forms for their log-MGFs (through
+the hook ``_log_mgf2``; the uniform's for l2 >= 0, through ``erfc``),
+Lp norms, quadratic moments and single-observation tails; their
+``expect`` and summand Lp norms, and every primitive of a
+:class:`DensityLaw` with a gaussian or box density, still go through
+quadrature.  A density law reads its density only through
+``_log_density``, and every law draws only through ``sample``.  A moment whose tail past the probe ladder does not
 decay geometrically, and a plain expectation above ``exp(700)``, raise
 :class:`DivergentError`; callers that need an extended-real answer (the
 log-MGF) map that onto ``+inf``.
@@ -60,6 +61,8 @@ _MAX_ROUNDS = 60
 # the largest share of the total that an extrapolated tail, or the error
 # left after the last round, may carry
 _UNRESOLVED_TOL = 1e-10
+# breakpoints around a log-MGF integrand's peak, in its standard deviations
+_PEAK_STEPS = (-32.0, -8.0, -2.0, -1.0, 1.0, 2.0, 8.0, 32.0)
 
 
 class DivergentError(ArithmeticError):
@@ -330,9 +333,14 @@ class DistributionModel:
     def _log_mgf2(self, l1: float, l2: float) -> float:
         """The log-MGF away from the origin, by :meth:`_log_expect_exponent`.
 
-        For l2 > 0 the integrand peaks near l1/(2*l2), which is passed to
-        the quadrature splitter so that sharply concentrated integrands
-        are resolved.
+        For l2 > 0 the integrand peaks near l1/(2*l2) with standard
+        deviation ``width = 1/sqrt(2*l2)``.  The peak and ``center +
+        k*width``, k = +-1, +-2, +-8, +-32, go to the quadrature splitter.
+        With only ``center +- width``, the piece from there to the next
+        ladder probe can be far wider than the peak: its tail falls
+        between the nodes of both the 1- and the 2-panel rule, the two
+        agree, and the piece is accepted short of up to a third of the
+        mass.
         """
         # the constant l2*sigma^2 is added last, so that the exponent stays
         # of the size of its variation even when l2*sigma^2 is huge
@@ -342,7 +350,7 @@ class DistributionModel:
         if l2 > 0.0:
             center = l1 / (2.0 * l2)
             width = 1.0 / math.sqrt(2.0 * l2)
-            pts = (0.0, center - width, center, center + width)
+            pts = (0.0, center, *(center + k * width for k in _PEAK_STEPS))
         else:
             pts = (0.0,)
         try:
@@ -582,8 +590,79 @@ class StandardGaussian(_QuadratureLaw):
         return rng.standard_normal(size)
 
 
+_LOG_HALF_SQRT_PI = math.log(0.5 * math.sqrt(math.pi))
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# Veltkamp's splitting constant 2^27 + 1 for doubles
+_SPLIT = 134217729.0
+
+
+def _erfcx(x: float) -> float:
+    """The scaled complementary error function exp(x^2)*erfc(x), x >= 0.
+
+    Below 26 it is ``erfc(x)*exp(x^2)``, with x^2 split exactly into hi
+    and lo parts (Veltkamp): the exponential of the rounded square alone
+    would be off by up to 6e-14 relative near 26.  From 26 on, where
+    erfc nears the subnormals, it is the asymptotic series (Abramowitz &
+    Stegun 7.1.23) to its eighth term; the first term left out is below
+    2e-19 of the sum.
+    """
+    if x < 26.0:
+        t = _SPLIT * x
+        xh = t - (t - x)
+        xl = x - xh
+        hi = x * x
+        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+        return math.erfc(x) * math.exp(hi) * math.exp(lo)
+    return _INV_SQRT_PI / x * _erfcx_series(x)
+
+
+def _erfcx_series(x: float) -> float:
+    """``x*sqrt(pi)*erfcx(x)`` for x >= 26 by the asymptotic series; 1 at
+    x = inf."""
+    v = 0.5 / (x * x)
+    return 1.0 - v * (1.0 - 3.0 * v * (1.0 - 5.0 * v * (1.0 - 7.0 * v * (
+        1.0 - 9.0 * v * (1.0 - 11.0 * v * (1.0 - 13.0 * v))))))
+
+
+def _log_k(g: float, h: float, L: float) -> float:
+    """ln K, with K the integral of exp(-g*y - h*y^2) over [0, L];
+    g, h, L >= 0.
+
+    Where the exponent stays within 1 of 0 the 32-node Gauss-Legendre
+    rule is exact to rounding; for h = 0 K is ``-expm1(-g*L)/g``;
+    otherwise K is the gaussian integral (Abramowitz & Stegun 7.1.1)
+    ``sqrt(pi)/(2*sqrt(h)) * (erfcx(t0) - erfcx(t1)*exp(-(g*L + h*L^2)))``,
+    t0 = g/(2*sqrt(h)) and t1 = t0 + sqrt(h)*L, whose second term is at
+    most 1/e of the first.  From t0 = 26 on, both erfcx values are
+    series over ``t*sqrt(pi)``, and ``t0*sqrt(h) = g/2`` takes h out of
+    the prefactor, so that a t0 past the largest float still reads
+    ``K = 1/g``.
+    """
+    top = g * L + h * L * L
+    if top <= 1.0:
+        if not L > 0.0:
+            return -math.inf
+        u, w = _gauss_legendre()
+        s = float(w @ np.exp(-(g * L) * u - (h * L * L) * (u * u)))
+        return math.log(L) + math.log(s)
+    if h == 0.0:
+        return math.log(-math.expm1(-g * L)) - math.log(g)
+    rh = math.sqrt(h)
+    t0 = g / (2.0 * rh)
+    if t0 < 26.0:
+        return (_LOG_HALF_SQRT_PI - 0.5 * math.log(h)
+                + math.log(_erfcx(t0) - _erfcx(t0 + rh * L) * math.exp(-top)))
+    tail = g / (g + 2.0 * h * L) * _erfcx_series(t0 + rh * L) * math.exp(-top)
+    return math.log(_erfcx_series(t0) - tail) - math.log(g)
+
+
 class UniformSymmetric(_QuadratureLaw):
-    """Uniform law on [-a, a]; sigma^2 = a^2/3."""
+    """Uniform law on [-a, a]; sigma^2 = a^2/3.
+
+    The log-MGF for l2 >= 0, the Lp norms, the quadratic moments and Q_1
+    are closed forms; ``expect``, the summand's Lp norms and the log-MGF
+    for l2 < 0 go through quadrature.
+    """
 
     symmetric = True
 
@@ -597,6 +676,43 @@ class UniformSymmetric(_QuadratureLaw):
 
     def _log_density(self, x):
         return np.where(np.abs(x) <= self.half_width, self._log_height, -math.inf)
+
+    def _log_mgf2(self, l1, l2):
+        # E exp(l1*xi - l2*xi^2) is a truncated gaussian integral; the law
+        # is symmetric, so l1 enters through |l1|
+        if l2 < 0.0:
+            return super()._log_mgf2(l1, l2)
+        if not (math.isfinite(l1) and math.isfinite(l2)):
+            return math.inf
+        a, b = self.half_width, abs(l1)
+        if b < 2.0 * a * l2:
+            # the exponent b*x - l2*x^2 peaks at m inside the support
+            m = b / (2.0 * l2)
+            near, far = _log_k(0.0, l2, a - m), _log_k(0.0, l2, a + m)
+            log_e = l2 * m * m + far + math.log1p(math.exp(near - far))
+        else:
+            # it peaks at x = a or beyond: integrate y = a - x over [0, 2a]
+            log_e = a * b - a * a * l2 + _log_k(b - 2.0 * a * l2, l2, 2.0 * a)
+        # by Jensen the log-MGF is at least 0, which rounding near the
+        # origin can miss by 1e-16; a NaN of overflowing terms passes on,
+        # and log_mgf2 reads it as +inf
+        value = log_e + self._log_height + l2 * self.sigma2
+        return 0.0 if value < 0.0 else value
+
+    def lp_norm(self, p):
+        # E|xi|^p = a^p/(p + 1)
+        if p < 1.0:
+            raise ValueError(f"p must be >= 1, got {p}")
+        return self.half_width / (p + 1.0) ** (1.0 / p)
+
+    def quadratic_moments(self):
+        # w = E xi^4 - sigma^4 = a^4/5 - a^4/9, written without the
+        # cancellation; odd moments vanish
+        a2 = self.half_width * self.half_width
+        return self.sigma2, 4.0 * a2 * a2 / 45.0, 0.0
+
+    def _q1(self, hi):
+        return min(hi, self.half_width) / (2.0 * self.half_width)
 
     def sample(self, rng, size):
         return rng.uniform(-self.half_width, self.half_width, size)

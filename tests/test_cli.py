@@ -468,11 +468,21 @@ class TestMain:
         assert out.stdout.strip() == "[]"
 
     def test_builtin_laws_leave_scipy_unloaded(self):
+        # building and bounding a built-in law loads no SciPy module at all,
+        # scipy.special included
         src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
-        code = ("import sys, selfnorm.cli\n"
+        code = ("import contextlib, io, sys\n"
+                "from selfnorm.cli import main\n"
                 "from selfnorm.distributions import parse_distribution\n"
                 "for spec in ('rademacher', 'gaussian', 'uniform:a=2'):\n"
                 "    parse_distribution(spec)\n"
+                "    for argv in (['bound-exp', '--n', '16', '--n-sup', '1:64'],\n"
+                "                 ['bound-power', '--n', '16']):\n"
+                "        with contextlib.redirect_stdout(io.StringIO()):\n"
+                "            try:\n"
+                "                main([*argv, '--dist', spec])\n"
+                "            except SystemExit as exc:\n"
+                "                assert exc.code == 0, (argv, spec, exc.code)\n"
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,

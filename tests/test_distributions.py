@@ -4,6 +4,8 @@ The standard gaussian's log-MGF, Lp norms, quadratic moments and
 single-observation tail are closed forms themselves, so each gaussian
 oracle check runs on two laws: ``StandardGaussian`` (a pin of its closed
 form) and a ``DensityLaw`` of the normal pdf (the quadrature under test).
+The uniform's checks likewise run on ``UniformSymmetric`` and a box
+``DensityLaw`` of the same half width.
 """
 
 import math
@@ -47,6 +49,22 @@ def laws():
 def gaussians(laws):
     """The closed-form gaussian, and the normal pdf through quadrature."""
     return laws["gaussian"], DensityLaw(normal_pdf, name="normal pdf")
+
+
+@pytest.fixture(scope="module")
+def uniforms():
+    """By half width a: the closed-form uniform on [-a, a], and its box
+    density through quadrature."""
+    pairs = {}
+
+    def pair(a):
+        if a not in pairs:
+            pairs[a] = (UniformSymmetric(a),
+                        DensityLaw(lambda x: 0.5 / a, support=(-a, a),
+                                   name=f"box a={a:g}"))
+        return pairs[a]
+
+    return pair
 
 
 class TestExpect:
@@ -177,9 +195,19 @@ class TestClosedFormOracles:
 
     @pytest.mark.parametrize("a", [SQRT3, 2.5])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5, 20.0, 64.0, 300.0])
-    def test_uniform_lp_norm(self, a, p):
-        assert UniformSymmetric(a).lp_norm(p) == pytest.approx(
-            a / (p + 1.0) ** (1.0 / p), rel=1e-13)
+    def test_uniform_lp_norm(self, uniforms, a, p):
+        for law in uniforms(a):
+            assert law.lp_norm(p) == pytest.approx(
+                a / (p + 1.0) ** (1.0 / p), rel=1e-13), law.name
+
+    @pytest.mark.parametrize("s", [1e4, 1e8, 1e11])
+    def test_sharp_peak_keeps_its_tails(self, gaussians, uniforms, s):
+        # the integrand of log_mgf2(s, s) peaks at 1/2 with a standard
+        # deviation of 1/sqrt(2s); the quadrature once lost up to a third
+        # of its mass between the nodes of the piece past one deviation
+        for closed, quadrature in (gaussians, uniforms(SQRT3)):
+            assert quadrature.log_mgf2(s, s) == pytest.approx(
+                closed.log_mgf2(s, s), rel=1e-13), (quadrature.name, s)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.5])
     def test_t5_lp_norm(self, p):
@@ -251,6 +279,122 @@ class TestGaussianClosedForms:
                     norm.cdf(1.0 / B) - 0.5, rel=1e-12, abs=0.0), (law.name, B)
 
 
+def uniform_branch_points(a):
+    """(l1, l2) points that reach each branch of the closed-form uniform
+    log-MGF on [-a, a]; ``_log_k(g, h, L)`` integrates exp(-g*y - h*y^2)
+    over [0, L]."""
+    return {
+        # peak inside at a/2: erfcx on both sides; Gauss-Legendre on both
+        "inside": (10.0 / a, 10.0 / a ** 2),
+        "inside, g*L + h*L^2 <= 1": (0.1 / a, 0.1 / a ** 2),
+        # the far side's sqrt(h)*L = 150 takes erfcx's asymptotic series
+        "inside, sharp": (1e4 / a, 1e4 / a ** 2),
+        # peak at the edge: g = 2/a, then t0 = 30 in the asymptotic series
+        "edge": (4.0 / a, 1.0 / a ** 2),
+        "edge, asymptotic t0": (62.0 / a, 1.0 / a ** 2),
+        "edge, g*L + h*L^2 <= 1": (0.22 / a, 0.1 / a ** 2),
+        # h = 0: the expm1 form, and the Gauss-Legendre rule near 0
+        "h = 0": (3.0 / a, 0.0),
+        "h = 0, g*L <= 1": (0.1 / a, 0.0),
+        # l1 = 0: the peak at the centre
+        "l1 = 0": (0.0, 5.0 / a ** 2),
+        "l1 = 0, h*L^2 <= 1": (0.0, 0.1 / a ** 2),
+    }
+
+
+class TestUniformClosedForms:
+    """UniformSymmetric's log-MGF for l2 >= 0, Lp norms, quadratic
+    moments and Q_1 are closed forms; the box DensityLaw is their oracle."""
+
+    @pytest.mark.parametrize("a", [0.01, SQRT3, 1e3])
+    def test_log_mgf2_branches_match_quadrature(self, uniforms, a):
+        closed, box = uniforms(a)
+        for branch, (l1, l2) in uniform_branch_points(a).items():
+            for sign in (1.0, -1.0):
+                assert closed.log_mgf2(sign * l1, l2) == pytest.approx(
+                    box.log_mgf2(sign * l1, l2), rel=1e-13), (a, branch, sign)
+
+    def test_branch_points_reach_every_branch(self, monkeypatch):
+        # each case of _log_k, and both sides of erfcx, is taken
+        seen = set()
+        log_k, erfcx = distributions._log_k, distributions._erfcx
+
+        def spy_k(g, h, L):
+            if g * L + h * L * L <= 1.0:
+                seen.add("quadrature")
+            else:
+                seen.add("expm1" if h == 0.0 else "erfcx")
+            return log_k(g, h, L)
+
+        def spy_erfcx(x):
+            seen.add("series" if x >= 26.0 else "erfc")
+            return erfcx(x)
+
+        monkeypatch.setattr(distributions, "_log_k", spy_k)
+        monkeypatch.setattr(distributions, "_erfcx", spy_erfcx)
+        law = UniformSymmetric(SQRT3)
+        for l1, l2 in uniform_branch_points(SQRT3).values():
+            law.log_mgf2(l1, l2)
+        assert seen == {"quadrature", "expm1", "erfcx", "series", "erfc"}
+
+    @pytest.mark.parametrize("l1, l2", [(0.3, 0.0), (2.0, 0.5), (40.0, 3.0),
+                                        (1e-9, 1e-9), (1e6, 1e3)])
+    def test_log_mgf2_symmetric_in_l1(self, laws, l1, l2):
+        law = laws["uniform"]
+        assert law.log_mgf2(-l1, l2) == law.log_mgf2(l1, l2)
+
+    @pytest.mark.parametrize("l1, l2", [(0.0, -0.5), (1.0, -2.0), (-3.0, -0.01),
+                                        (20.0, -40.0)])
+    def test_negative_l2_matches_quadrature(self, uniforms, l1, l2):
+        closed, box = uniforms(SQRT3)
+        assert closed.log_mgf2(l1, l2) == pytest.approx(
+            box.log_mgf2(l1, l2), rel=1e-13)
+
+    @pytest.mark.parametrize("a", [0.01, SQRT3, 1e3])
+    def test_log_mgf2_is_nonnegative(self, a):
+        # by Jensen, ln E exp(l1*xi) >= l1*E xi = 0; near l1 = 0 the
+        # value is l1^2*sigma^2/2, below the rounding of its terms
+        law = UniformSymmetric(a)
+        for l1 in np.geomspace(1e-12, 1e6, 91) / a:
+            assert law.log_mgf2(l1, 0.0) >= 0.0, l1
+            assert law.log_mgf2(-l1, 0.0) >= 0.0, l1
+
+    @pytest.mark.parametrize("l1, l2", [(math.inf, 0.0), (-math.inf, 1.0),
+                                        (0.0, math.inf), (1.0, math.inf),
+                                        (math.inf, math.inf)])
+    def test_log_mgf2_infinite_arguments_read_inf(self, laws, l1, l2):
+        assert laws["uniform"].log_mgf2(l1, l2) == math.inf
+
+    @pytest.mark.parametrize("l1, l2", [(1e150, 5e-324), (1e300, 1e-20)])
+    def test_log_mgf2_far_edge_peak(self, l1, l2):
+        # erfcx's argument g/(2*sqrt(l2)) passes the largest float; the
+        # quadratic slot is then negligible against l1
+        law = UniformSymmetric(1.0)
+        assert law.log_mgf2(l1, l2) == pytest.approx(law.log_mgf2(l1, 0.0),
+                                                     rel=1e-15)
+
+    def test_bound_paths_never_integrate(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the uniform went through quadrature")
+
+        monkeypatch.setattr(distributions, "_integrate", no_quadrature)
+        law = UniformSymmetric(SQRT3)
+        cells = exp_curve(law, 16, DEFAULT_B_GRID).points
+        assert all(0.0 < pt.value < 1.0 for pt in cells)
+        # the Efron certificate, log_mgf2(0, u), settles the sup row at B = 5
+        (sup,) = exp_curve(law, (1, 4096), [5.0]).points
+        assert sup.n_star == 1
+        lower = lower_q1_curve(law, DEFAULT_B_GRID).points
+        assert all(0.0 < pt.value <= 0.5 for pt in lower)
+
+    def test_q1(self, uniforms):
+        # P(0 < xi < 1/B) = min(1/B, a)/(2a)
+        for law in uniforms(2.0):
+            for B in (0.01, 0.5, 1.0, 3.0, 100.0):
+                assert law.q1(B) == pytest.approx(
+                    min(1.0 / B, 2.0) / 4.0, rel=1e-13), (law.name, B)
+
+
 class TestQuadraticMoments:
     def test_rademacher(self, laws):
         assert laws["rademacher"].quadratic_moments() == (1.0, 0.0, 0.0)
@@ -263,11 +407,13 @@ class TestQuadraticMoments:
         assert w == pytest.approx(2.0, rel=1e-9)
         assert z == pytest.approx(0.0, abs=1e-9)
 
-    def test_uniform(self, laws):
-        sigma2, w, z = laws["uniform"].quadratic_moments()
-        assert sigma2 == pytest.approx(1.0, rel=1e-12)
-        assert w == pytest.approx(0.8, rel=1e-9)
-        assert z == pytest.approx(0.0, abs=1e-9)
+    def test_uniform(self, uniforms):
+        # w = a^4/5 - a^4/9 = 0.8 at a = sqrt(3)
+        for law in uniforms(SQRT3):
+            sigma2, w, z = law.quadratic_moments()
+            assert sigma2 == pytest.approx(1.0, rel=1e-12)
+            assert w == pytest.approx(0.8, rel=1e-9)
+            assert z == pytest.approx(0.0, abs=1e-9)
 
     def test_z_is_minus_third_moment(self):
         # with E xi = 0 the odd cross term E(sigma^2*xi - xi^3) is -E xi^3
