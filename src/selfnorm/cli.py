@@ -17,8 +17,11 @@ Output is CSV (columns fixed, floats at 15 significant digits, ``inf``
 for infinities, absent fields empty, a field holding a comma quoted) or
 an aligned-column pretty table.  A row's bound columns are the fields
 of its :class:`~selfnorm.bounds.BoundPoint`, blank on a row without one.
-Configuration may come from flags or a flat key=value file via
-``--config``; flags win on conflict.  The ``SELFNORM_THREADS``
+One parser reads the command and every option, so each command takes
+the same flags; ``--family`` is for ``gls`` only, and on any other
+command it is a configuration error (exit 2).  Configuration may come
+from flags or a flat key=value file via ``--config``; flags win on
+conflict.  The ``SELFNORM_THREADS``
 environment variable caps simulation worker threads.
 """
 
@@ -165,7 +168,7 @@ def _gls_family(text: str) -> tuple[str, Callable] | None:
 
 # key -> (default text, parser, help), in RunConfig field order; every
 # value goes through its parser, whether it is a flag, a file line or the
-# default.  --family exists on gls only.
+# default.  The --family flag is for gls only.
 _OPTIONS = {
     "dist": ("", parse_distribution,
              "rademacher | gaussian | uniform:a=<real> | discrete:v1:p1,... | "
@@ -212,6 +215,9 @@ def _read_config_file(path: str) -> dict:
 
 def build_config(command: str, flags: dict) -> RunConfig:
     """Merge flags over config-file values over built-in defaults."""
+    if command != "gls" and flags.get("family") is not None:
+        raise ConfigError("family", f"--family is for the gls command only, "
+                                    f"not {command}")
     file_vals = _read_config_file(flags["config"]) if flags.get("config") else {}
     values = []
     for key, (default, parse, _) in _OPTIONS.items():
@@ -235,13 +241,10 @@ def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfnorm",
         description="Tail bounds for self-normalized sums, verified by simulation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        for key, (_, _, help_text) in _OPTIONS.items():
-            if key != "family" or cmd == "gls":
-                p.add_argument(f"--{key}", help=help_text)
-        p.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("command", choices=COMMANDS)
+    for key, (_, _, help_text) in _OPTIONS.items():
+        parser.add_argument(f"--{key}", help=help_text)
+    parser.add_argument("--config", help="flat key=value config file")
     return parser
 
 

@@ -63,6 +63,9 @@ _MAX_ROUNDS = 60
 _UNRESOLVED_TOL = 1e-10
 # breakpoints around a log-MGF integrand's peak, in its standard deviations
 _PEAK_STEPS = (-32.0, -8.0, -2.0, -1.0, 1.0, 2.0, 8.0, 32.0)
+# a largest exponent below this keeps the shifted exponents finite: their
+# exact values stay above -max_float - 2^969, which rounds to -max_float
+_SHIFT_SAFE = math.ldexp(1.0, 969)
 
 
 class DivergentError(ArithmeticError):
@@ -87,6 +90,44 @@ def _apply(fn, x: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(fn(v)) for v in x.ravel()]).reshape(x.shape)
+
+
+def _log_sum_exp(exps: np.ndarray, b: np.ndarray) -> float:
+    """ln sum(b * exp(exps)) for positive weights b.
+
+    The algorithm of scipy.special.logsumexp (SciPy 1.17), bit for bit,
+    without the cost of importing scipy.special: the largest terms are
+    summed apart, as m, and the rest enter through log1p(s/m).  Both sums
+    are ``np.add.reduce`` over the products SciPy sums, so their pairwise
+    grouping is the same.  Below ``_SHIFT_SAFE`` the shifted exponents
+    cannot overflow, and the scalar steps run in Python floats, which
+    never warn, so that path needs no ``errstate``.  For a larger or
+    non-finite largest exponent, or a result that is not finite, the same
+    algorithm runs under ``errstate`` and ends, as SciPy does, in the
+    direct ``ln sum(b * exp(exps))`` where it is not finite.
+    """
+    a_max = exps.max()
+    if -math.inf < a_max < _SHIFT_SAFE:
+        top = exps == a_max
+        m = float(np.add.reduce(b * top))
+        e = np.exp(exps - a_max)
+        e[top] = 0.0
+        s = float(np.add.reduce(b * e))
+        if s != 0.0:
+            s = s / m
+        out = float(np.log1p(s)) + float(np.log(m)) + float(a_max)
+        if math.isfinite(out):
+            return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = exps == a_max
+        m = np.sum(b * top.astype(float))
+        s = np.sum(b * np.exp(np.where(top, -math.inf, exps) - a_max))
+        if s != 0.0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(b * np.exp(exps)))
+    return float(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,7 +364,8 @@ class DistributionModel:
 
         Returns ``+inf`` when the expectation diverges, and also where
         :meth:`_log_mgf2` reads NaN; always 0 at the origin.  Laws with a
-        closed form override :meth:`_log_mgf2`, not this method.
+        closed form or an exact sum override :meth:`_log_mgf2`, not this
+        method.
         """
         if l1 == 0.0 and l2 == 0.0:
             return 0.0
@@ -377,7 +419,11 @@ class DistributionModel:
             raise ValueError(f"p must be >= 1, got {p}")
         if B == 0.0:
             return self.lp_norm(p)
-        c = B / math.sqrt(n)
+        return math.exp(self._log_summand_moment(B / math.sqrt(n), p) / p)
+
+    def _log_summand_moment(self, c: float, p: float) -> float:
+        """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0, by
+        :meth:`_log_expect_exponent`."""
         s2 = self.sigma2
 
         def t(x):
@@ -388,8 +434,7 @@ class DistributionModel:
         disc = math.sqrt(1.0 + 4.0 * c * c * s2)
         roots = ((1.0 - disc) / (2.0 * c), (1.0 + disc) / (2.0 * c))
         scale = math.sqrt(max(2.0 * p * s2, s2))
-        log_moment = self._log_expect_exponent(t, (0.0, *roots, -scale, scale))
-        return math.exp(log_moment / p)
+        return self._log_expect_exponent(t, (0.0, *roots, -scale, scale))
 
 
 # -- discrete laws ---------------------------------------------------------
@@ -401,7 +446,9 @@ class DiscreteLaw(DistributionModel):
     The atoms are kept as one canonical table, ``_values`` and
     ``_probs``: the distinct values in ascending order, each carrying
     the summed weight of its copies, and no atom of weight 0.  Every
-    reader takes the table as built.
+    reader takes the table as built.  The log-MGF and summand exponents
+    are built from the squares ``_squares`` with the float operations of
+    the generic route, and summed by :func:`_log_sum_exp`.
     """
 
     def __init__(self, atoms: Iterable[tuple[float, float]] | np.ndarray,
@@ -422,7 +469,8 @@ class DiscreteLaw(DistributionModel):
         self._values, self._probs = values[probs > 0.0], probs[probs > 0.0]
         mean = float(np.dot(self._probs, self._values))
         with np.errstate(over="ignore"):  # an inf variance is rejected below
-            sigma2 = float(np.dot(self._probs, self._values ** 2))
+            squares = self._values * self._values
+            sigma2 = float(np.dot(self._probs, squares))
         if sigma2 <= 0.0:
             raise ValueError("discrete law is degenerate at 0")
         if abs(mean) > _MEAN_TOL * math.sqrt(sigma2):
@@ -431,6 +479,10 @@ class DiscreteLaw(DistributionModel):
             name = "discrete:" + ",".join(
                 f"{v:g}:{q:g}" for v, q in zip(self._values, self._probs))
         super().__init__(sigma2, name)
+        # finite, now that the variance is
+        self._squares = squares
+        self._max_abs = max(-float(self._values[0]), float(self._values[-1]))
+        self._max_square = self._max_abs * self._max_abs
         positive = self._values[self._values > 0.0]
         self.min_positive_atom = float(positive.min()) if positive.size else math.inf
         # sorted by value, so mirrored atoms read the same backwards
@@ -464,22 +516,30 @@ class DiscreteLaw(DistributionModel):
         return _guard_finite(total, "discrete expectation")
 
     def _log_expect_exponent(self, t, breakpoints):
-        # the algorithm of scipy.special.logsumexp (SciPy 1.17), bit for bit,
-        # without the cost of importing scipy.special: the largest terms are
-        # summed apart, as m, and the rest enter through log1p(s/m)
-        exps = _apply(t, self._values)
-        b = self._probs
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a_max = exps.max()
-            top = exps == a_max
-            m = np.sum(b * top.astype(float))
-            s = np.sum(b * np.exp(np.where(top, -math.inf, exps) - a_max))
-            if s != 0.0:
-                s = s / m
-            out = np.log1p(s) + np.log(m) + a_max
-            if not np.isfinite(out):
-                out = np.log(np.sum(b * np.exp(exps)))
-        return float(out)
+        return _log_sum_exp(t(self._values), self._probs)
+
+    def _log_mgf2(self, l1, l2):
+        # the float operations of the generic exponent l1*x - l2*(x*x), so
+        # the bits are the same; errstate only where a product can overflow
+        if abs(l1) * self._max_abs + abs(l2) * self._max_square < math.inf:
+            exps = l1 * self._values - l2 * self._squares
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                exps = l1 * self._values - l2 * self._squares
+        v = _log_sum_exp(exps, self._probs) + l2 * self.sigma2
+        if math.isfinite(v):
+            return v
+        # l2*(sigma^2 - x^2) per atom stays finite where l2*x^2 or
+        # l2*sigma^2 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            exps = l1 * self._values + l2 * (self.sigma2 - self._squares)
+        return _log_sum_exp(exps, self._probs)
+
+    def _log_summand_moment(self, c, p):
+        # the float operations of the generic exponent
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exps = p * np.log(np.abs(self._values + c * (self.sigma2 - self._squares)))
+        return _log_sum_exp(exps, self._probs)
 
     def sample(self, rng, size):
         return rng.choice(self._values, size=size, p=self._probs)

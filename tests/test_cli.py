@@ -1,6 +1,5 @@
 """Command-line surface: parsing, CSV contract, exit codes, determinism."""
 
-import argparse
 import csv
 import io
 import math
@@ -468,21 +467,27 @@ class TestMain:
         assert out.stdout.strip() == "[]"
 
     def test_builtin_laws_leave_scipy_unloaded(self):
-        # building and bounding a built-in law loads no SciPy module at all,
-        # scipy.special included
+        # building, bounding and verifying a built-in law loads no SciPy
+        # module at all, scipy.special included; the atomic laws' exact sums
+        # run without it
         src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
         code = ("import contextlib, io, sys\n"
                 "from selfnorm.cli import main\n"
                 "from selfnorm.distributions import parse_distribution\n"
+                "runs = [['verify', '--dist', 'rademacher', '--n', '1,4,16'],\n"
+                "        ['bound-power', '--n', '16', '--dist',\n"
+                "         'discrete:-1:0.6666666666666666,2:0.3333333333333334']]\n"
                 "for spec in ('rademacher', 'gaussian', 'uniform:a=2'):\n"
                 "    parse_distribution(spec)\n"
-                "    for argv in (['bound-exp', '--n', '16', '--n-sup', '1:64'],\n"
-                "                 ['bound-power', '--n', '16']):\n"
-                "        with contextlib.redirect_stdout(io.StringIO()):\n"
-                "            try:\n"
-                "                main([*argv, '--dist', spec])\n"
-                "            except SystemExit as exc:\n"
-                "                assert exc.code == 0, (argv, spec, exc.code)\n"
+                "    runs += [['bound-exp', '--n', '16', '--n-sup', '1:64',\n"
+                "              '--dist', spec],\n"
+                "             ['bound-power', '--n', '16', '--dist', spec]]\n"
+                "for argv in runs:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        try:\n"
+                "            main(argv)\n"
+                "        except SystemExit as exc:\n"
+                "            assert exc.code == 0, (argv, exc.code)\n"
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
@@ -713,13 +718,26 @@ class TestMain:
         assert lines[1] == [line]
         assert line.startswith(f"selfnorm: configuration error: {key}:")
 
-    def test_flags_per_command(self):
-        (sub,) = [a for a in _make_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-        common = {"-h", "--help", "--dist", "--n", "--B", "--n-sup", "--trials",
-                  "--seed", "--kr", "--confidence", "--output", "--format",
-                  "--config"}
-        assert set(sub.choices) == set(COMMANDS)
-        for command, parser in sub.choices.items():
-            flags = {s for a in parser._actions for s in a.option_strings}
-            assert flags == common | ({"--family"} if command == "gls" else set())
+    def test_flags_per_command(self, capsys):
+        # one parser: the command is a positional choice, each option a flag
+        # of every command; --family on a command other than gls is a
+        # configuration error
+        parser = _make_parser()
+        (positional,) = [a for a in parser._actions if not a.option_strings]
+        assert positional.dest == "command"
+        assert tuple(positional.choices) == COMMANDS
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags == {"-h", "--help", "--dist", "--n", "--B", "--n-sup",
+                         "--trials", "--seed", "--kr", "--confidence", "--output",
+                         "--format", "--family", "--config"}
+        for command in COMMANDS:
+            if command == "gls":
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--dist", "rademacher", "--family", "phi:natural"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "selfnorm: configuration error: family: --family is for the "
+                f"gls command only, not {command}"]

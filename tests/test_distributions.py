@@ -8,7 +8,9 @@ The uniform's checks likewise run on ``UniformSymmetric`` and a box
 ``DensityLaw`` of the same half width.
 """
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from selfnorm import distributions
-from selfnorm.bounds import DEFAULT_B_GRID, _theta_guess, exp_curve, lower_q1_curve
+from selfnorm.bounds import (DEFAULT_B_GRID, _theta_guess, exp_curve,
+                             lower_q1_curve, power_curve)
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DistributionModel,
                                     DivergentError, Rademacher,
                                     StandardGaussian, UniformSymmetric,
@@ -513,6 +516,107 @@ class TestDiscreteLogSumExp:
             want = float(logsumexp(exps, b=law._probs))
             assert got == want or (math.isnan(got) and math.isnan(want)), \
                 (exps, law._probs)
+
+    @staticmethod
+    def random_table(rng, k):
+        probs = rng.random(k) * (rng.random(k) > 0.15)
+        probs[:2] += 0.1
+        probs /= probs.sum()
+        values = rng.normal(size=k)
+        values -= np.dot(probs, values)
+        return DiscreteLaw(np.column_stack((values, probs)))
+
+    def test_bit_identical_to_scipy_past_eight_atoms(self):
+        # NumPy's pairwise sum groups its terms differently from 8 terms on
+        rng = np.random.default_rng(11)
+        specials = (math.inf, -math.inf, math.nan)
+        for _ in range(1000):
+            law = self.random_table(rng, int(rng.integers(20, 301)))
+            k = law._values.size
+            assert k >= 9
+            exps = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), k)
+            for _ in range(int(rng.integers(0, 4))):
+                exps[rng.integers(k)] = exps.max()
+            if rng.random() < 0.1:
+                exps[rng.integers(k)] = specials[rng.integers(3)]
+            got = law._log_expect_exponent(lambda x: exps, ())
+            want = float(logsumexp(exps, b=law._probs))
+            assert got == want or (math.isnan(got) and math.isnan(want)), \
+                (exps, law._probs)
+
+    def test_extreme_exponents_bit_identical_to_scipy(self):
+        # exponents whose spread, or whose shifted sum, passes the largest
+        # float, and weights whose ratio does: SciPy's values, no warning
+        big = sys.float_info.max
+        exps = (math.inf, -math.inf, math.nan, 0.0, -5.0, 710.0, big, -big,
+                1e300, math.ldexp(1.0, 969), 1e292)
+        for k in (1, 2, 3):
+            for b in (np.full(k, 1.0 / k), np.array([1e-310] + [0.5] * (k - 1))):
+                for row in itertools.product(exps, repeat=k):
+                    e = np.array(row)
+                    got = distributions._log_sum_exp(e, b)
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        want = float(logsumexp(e, b=b))
+                    assert got == want or (math.isnan(got) and math.isnan(want)), \
+                        (row, b)
+
+    def test_moments_bit_identical_to_generic_route(self):
+        # the atomic hooks reproduce the generic exponents, summed by SciPy
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            law = self.random_table(rng, int(rng.integers(2, 301)))
+            x, b, s2 = law._values, law._probs, law.sigma2
+            l1, l2 = rng.normal(0.0, 3.0), rng.normal(0.0, 3.0)
+            want = float(logsumexp(l1 * x - l2 * (x * x), b=b)) + l2 * s2
+            assert law.log_mgf2(l1, l2) == want
+            assert DistributionModel._log_mgf2(law, l1, l2) == want
+            p = rng.uniform(1.0, 8.0)
+            want = math.exp(float(logsumexp(p * np.log(np.abs(x)), b=b)) / p)
+            assert law.lp_norm(p) == want
+            n, B = int(rng.integers(1, 300)), rng.uniform(0.1, 20.0)
+            c = B / math.sqrt(n)
+            with np.errstate(divide="ignore"):
+                exps = p * np.log(np.abs(x + c * (s2 - x * x)))
+            want = math.exp(float(logsumexp(exps, b=b)) / p)
+            assert law.summand_lp_norm(n, B, p) == want
+            assert math.exp(DistributionModel._log_summand_moment(law, c, p) / p) \
+                == want
+
+    @pytest.mark.parametrize("spec", [
+        "rademacher", "discrete:-1:0.6666666666666666,2:0.3333333333333334",
+        "from_sample"])
+    def test_curves_bit_identical_to_generic_route(self, spec, monkeypatch):
+        def law():
+            if spec == "from_sample":
+                draws = np.random.default_rng(7).exponential(size=300)
+                return DiscreteLaw.from_sample(draws)
+            return parse_distribution(spec)
+
+        def curves(dist):
+            return [make(dist, n, DEFAULT_B_GRID)
+                    for make in (exp_curve, power_curve) for n in (16, (1, 64))]
+
+        lean = curves(law())
+        # the generic route: the base class's exponents, summed by SciPy
+        monkeypatch.setattr(DiscreteLaw, "_log_mgf2", DistributionModel._log_mgf2)
+        monkeypatch.setattr(DiscreteLaw, "_log_summand_moment",
+                            DistributionModel._log_summand_moment)
+        monkeypatch.setattr(DiscreteLaw, "_log_expect_exponent",
+                            lambda self, t, breakpoints: float(
+                                logsumexp(t(self._values), b=self._probs)))
+        assert curves(law()) == lean
+
+    def test_overflowing_exponents(self):
+        # l1*x and l2*x^2 overflow at these arguments; no warning, and the
+        # per-atom exponent l1*x + l2*(sigma^2 - x^2) decides what l2*x^2
+        # and l2*sigma^2 leave undefined
+        law = DiscreteLaw([(-1e10, 0.5), (1e10, 0.5)])
+        assert law.log_mgf2(1e300, 0.0) == math.inf
+        assert law.log_mgf2(-1e300, 0.0) == math.inf
+        assert law.log_mgf2(0.0, 1e300) == 0.0
+        assert law.log_mgf2(0.0, -1e300) == 0.0
+        assert law.log_mgf2(1e300, 1e300) == math.inf
+        assert law.log_mgf2(1.0, 1e300) == pytest.approx(1e10 - math.log(2.0))
 
 
 class TestConstruction:
