@@ -45,10 +45,20 @@ from .gls import (
     power_phi,
     power_psi,
 )
-from .mc import (
-    MCConfig,
-    empirical_tail,
-    verify_bounds,
-)
 
 __version__ = "0.1.0"
+
+# the Monte Carlo referee's names, resolved from selfnorm.mc on first use:
+# the bound commands never simulate, so they need not import it
+_MC_NAMES = ("MCConfig", "empirical_tail", "verify_bounds")
+
+
+def __getattr__(name: str):
+    if name in _MC_NAMES:
+        from . import mc
+        return getattr(mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MC_NAMES})

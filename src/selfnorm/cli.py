@@ -19,10 +19,12 @@ an aligned-column pretty table.  A row's bound columns are the fields
 of its :class:`~selfnorm.bounds.BoundPoint`, blank on a row without one.
 One parser reads the command and every option, so each command takes
 the same flags; ``--family`` is for ``gls`` only, and on any other
-command it is a configuration error (exit 2).  Configuration may come
-from flags or a flat key=value file via ``--config``; flags win on
-conflict.  The ``SELFNORM_THREADS``
-environment variable caps simulation worker threads.
+command it is a configuration error (exit 2), as is a ``family=`` line
+in a ``--config`` file.  Configuration may come from flags or a flat
+key=value file via ``--config``; flags win on conflict.  The
+``SELFNORM_THREADS`` environment variable caps simulation worker
+threads.  Only ``mc`` and ``verify`` import the referee,
+:mod:`selfnorm.mc`, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import bounds as bd
 from . import gls as gl
-from . import mc as mcmod
 from .distributions import DistributionModel, DivergentError, parse_distribution
+
+if TYPE_CHECKING:  # the referee is imported by the commands that use it
+    from . import mc as mcmod
 
 __all__ = ["ConfigError", "RunConfig", "build_config", "main", "run"]
 
@@ -168,7 +172,7 @@ def _gls_family(text: str) -> tuple[str, Callable] | None:
 
 # key -> (default text, parser, help), in RunConfig field order; every
 # value goes through its parser, whether it is a flag, a file line or the
-# default.  The --family flag is for gls only.
+# default.  The family key, as a flag or a file line, is for gls only.
 _OPTIONS = {
     "dist": ("", parse_distribution,
              "rademacher | gaussian | uniform:a=<real> | discrete:v1:p1,... | "
@@ -219,6 +223,9 @@ def build_config(command: str, flags: dict) -> RunConfig:
         raise ConfigError("family", f"--family is for the gls command only, "
                                     f"not {command}")
     file_vals = _read_config_file(flags["config"]) if flags.get("config") else {}
+    if command != "gls" and "family" in file_vals:
+        raise ConfigError("family", f"family= in a config file is for the gls "
+                                    f"command only, not {command}")
     values = []
     for key, (default, parse, _) in _OPTIONS.items():
         raw = flags.get(key.replace("-", "_"))
@@ -230,6 +237,7 @@ def build_config(command: str, flags: dict) -> RunConfig:
             raise ConfigError(key, str(exc)) from None
     config = RunConfig(command, *values)
     if command in ("mc", "verify"):
+        from . import mc as mcmod
         try:  # checks SELFNORM_THREADS before any bound or simulation
             mcmod.worker_count(1)
         except ValueError as exc:
@@ -346,6 +354,7 @@ def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
 
 
 def _mc_rows(config: RunConfig, dist) -> list[dict]:
+    from . import mc as mcmod
     ests = mcmod._estimates(dist, config.n_grid, config.B_grid, config.trials,
                             config.seed, config.confidence)
     return [_row(dist.name, str(n), "MC", est=est, B=B)
@@ -364,6 +373,7 @@ def _fail_line(row: mcmod.VerificationRow) -> str:
 
 
 def _verify_rows(config: RunConfig, dist) -> tuple[list[dict], bool]:
+    from . import mc as mcmod
     curves = _curves(config, dist)
     verified = mcmod.verify_bounds(dist, curves, config.trials, config.seed,
                                    config.confidence)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,6 +190,10 @@ def empirical_tail(dist: DistributionModel, cfg: MCConfig,
         if e:
             t = np.ldexp(t, -e)
         return np.bincount(np.searchsorted(B_sorted, t), minlength=B_arr.size + 1)
+
+    # imported on the first simulation: concurrent.futures brings in
+    # logging and queue, which a command that does not simulate never uses
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=worker_count(num_chunks)) as pool:
         bins = sum(pool.map(run_chunk, range(num_chunks)))

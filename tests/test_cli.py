@@ -1,5 +1,6 @@
 """Command-line surface: parsing, CSV contract, exit codes, determinism."""
 
+import ast
 import csv
 import io
 import math
@@ -41,6 +42,28 @@ def spy_on_simulation(monkeypatch) -> list:
 
     monkeypatch.setattr(mc, "empirical_tail", spy)
     return calls
+
+
+def modules_after(runs: list[list[str]], prelude: str = "") -> set[str]:
+    """The modules loaded in a fresh interpreter on this package's sources
+    once it has imported the CLI, run ``prelude`` and passed each argv of
+    ``runs`` to ``main`` (each must exit with status 0)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
+    code = ("import contextlib, io, sys\n"
+            "from selfnorm.cli import main\n"
+            "from selfnorm.distributions import parse_distribution\n"
+            f"{prelude}\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            assert exc.code == 0, (argv, exc.code)\n"
+            "print(sorted(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return set(ast.literal_eval(out.stdout))
 
 
 def read_rows(path):
@@ -447,71 +470,50 @@ class TestMain:
         assert outputs[0] == outputs[1]
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
-        code = "import sys, selfnorm.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert "scipy.stats" not in modules_after([])
 
     def test_atomic_law_leaves_quadrature_unloaded(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
-        code = ("import sys, selfnorm.cli\n"
-                "from selfnorm.distributions import parse_distribution\n"
-                "parse_distribution('rademacher')\n"
-                "print([m for m in ('scipy.integrate', 'scipy.optimize')\n"
-                "       if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "[]"
+        loaded = modules_after([], "parse_distribution('rademacher')")
+        assert loaded & {"scipy.integrate", "scipy.optimize"} == set()
 
     def test_builtin_laws_leave_scipy_unloaded(self):
         # building, bounding and verifying a built-in law loads no SciPy
         # module at all, scipy.special included; the atomic laws' exact sums
         # run without it
-        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
-        code = ("import contextlib, io, sys\n"
-                "from selfnorm.cli import main\n"
-                "from selfnorm.distributions import parse_distribution\n"
-                "runs = [['verify', '--dist', 'rademacher', '--n', '1,4,16'],\n"
-                "        ['bound-power', '--n', '16', '--dist',\n"
-                "         'discrete:-1:0.6666666666666666,2:0.3333333333333334']]\n"
-                "for spec in ('rademacher', 'gaussian', 'uniform:a=2'):\n"
-                "    parse_distribution(spec)\n"
-                "    runs += [['bound-exp', '--n', '16', '--n-sup', '1:64',\n"
-                "              '--dist', spec],\n"
-                "             ['bound-power', '--n', '16', '--dist', spec]]\n"
-                "for argv in runs:\n"
-                "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                "        try:\n"
-                "            main(argv)\n"
-                "        except SystemExit as exc:\n"
-                "            assert exc.code == 0, (argv, exc.code)\n"
-                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "[]"
+        runs = [["verify", "--dist", "rademacher", "--n", "1,4,16"],
+                ["bound-power", "--n", "16", "--dist",
+                 "discrete:-1:0.6666666666666666,2:0.3333333333333334"]]
+        for spec in ("rademacher", "gaussian", "uniform:a=2"):
+            runs += [["bound-exp", "--n", "16", "--n-sup", "1:64", "--dist", spec],
+                     ["bound-power", "--n", "16", "--dist", spec]]
+        loaded = modules_after(runs, "for spec in ('rademacher', 'gaussian', "
+                                     "'uniform:a=2'):\n"
+                                     "    parse_distribution(spec)")
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
     def test_density_law_bounds_leave_quadrature_unloaded(self):
         # density-law moments come from the package's own Gauss-Legendre
         # rule: bounding a density law loads no SciPy quadrature or optimizer
-        src = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
-        code = ("import contextlib, io, sys\n"
-                "from selfnorm.cli import main\n"
-                "for cmd in ('bound-exp', 'bound-power'):\n"
-                "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                "        try:\n"
-                "            main([cmd, '--dist', 'gaussian'])\n"
-                "        except SystemExit as exc:\n"
-                "            assert exc.code == 0, exc.code\n"
-                "print([m for m in ('scipy.integrate', 'scipy.optimize')\n"
-                "       if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "[]"
+        loaded = modules_after([[cmd, "--dist", "gaussian"]
+                                for cmd in ("bound-exp", "bound-power")])
+        assert loaded & {"scipy.integrate", "scipy.optimize"} == set()
+
+    @pytest.mark.parametrize("runs, expected", [
+        ([], set()),
+        ([["bound-exp", "--dist", "gaussian", "--n", "16", "--n-sup", "1:64"],
+          ["bound-power", "--dist", "uniform:a=2", "--n", "16"],
+          ["bound-lower", "--dist", "rademacher"],
+          ["gls", "--dist", "gaussian", "--family", "psi:power:m=2"]], set()),
+        # an exact verdict on signs simulates nothing: no thread pool
+        ([["verify", "--dist", "rademacher", "--n", "1,4,16"]], {"selfnorm.mc"}),
+        ([["verify", "--dist", "uniform:a=2", "--n", "1,4", "--trials", "2000"]],
+         {"selfnorm.mc", "concurrent.futures", "logging", "queue"}),
+    ], ids=["import", "bounds", "exact-verify", "simulating-verify"])
+    def test_referee_and_thread_pool_load_on_first_use(self, runs, expected):
+        # the referee module and the pool's concurrent.futures (with its
+        # logging and queue) are imported only by a command that uses them
+        watched = {"selfnorm.mc", "concurrent.futures", "logging", "queue"}
+        assert modules_after(runs) & watched == expected
 
     def test_generator_overflow_is_silent(self):
         # psi(p) = p^(1e300) overflows at every p > 1: a barrier of the
@@ -717,6 +719,34 @@ class TestMain:
         (line,) = lines[0]
         assert lines[1] == [line]
         assert line.startswith(f"selfnorm: configuration error: {key}:")
+
+    @pytest.mark.parametrize("family", ["phi:natural", "psi:bogus:r=1"])
+    def test_family_config_key_is_for_gls_only(self, family, tmp_path, capsys):
+        # a family= line in a --config file is rejected off gls the way the
+        # flag is, whether or not its value parses; gls reads it as the flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dist=rademacher\nfamily={family}\n")
+        for command in COMMANDS:
+            if command == "gls":
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg)])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "selfnorm: configuration error: family: family= in a config "
+                f"file is for the gls command only, not {command}"]
+        cfg.write_text("dist=gaussian\nB=3\nfamily=phi:power:m=2\n")
+        outputs = []
+        for extra in (["--config", str(cfg)],
+                      ["--dist", "gaussian", "--B", "3", "--family", "phi:power:m=2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["gls", *extra])
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == "" and "BphiTail" in outputs[0].out
 
     def test_flags_per_command(self, capsys):
         # one parser: the command is a positional choice, each option a flag
