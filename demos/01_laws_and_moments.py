@@ -2,7 +2,8 @@
 
 Every tail bound in this package is assembled from expectations of a
 centered law: plain Lp moments, the quadratic summaries (sigma^2, w, z),
-and the two-argument log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)).
+and the two-argument log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)),
+defined for l2 >= 0, the only quadratic slots the bounds use.
 This script builds the three workhorse laws and prints those primitives
 next to their closed forms.  The gaussian's and the uniform's log-MGFs
 are closed forms themselves, so each is shown beside a DensityLaw of its
@@ -55,12 +56,13 @@ print("next to the quadrature of the normal pdf (DensityLaw):")
 for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.0)]:
     print(f"  phi({l1}, {l2}) = {gauss.log_mgf2(l1, l2):.15f}   "
           f"quadrature {normal_pdf.log_mgf2(l1, l2):.15f}")
-print(f"  phi(0, -0.5) = {gauss.log_mgf2(0.0, -0.5)}  (diverges at the domain edge)")
+print(f"  phi(0, 1e-8) = {gauss.log_mgf2(0.0, 1e-8):.3e}  "
+      "(l2^2 to leading order; log1p keeps it)")
 
 unif = laws["uniform(sqrt 3)"]
 a = unif.half_width
 box = DensityLaw(lambda x: 0.5 / a, support=(-a, a), name="box")
-print("uniform: closed form through erfc for l2 >= 0 (UniformSymmetric)")
+print("uniform: closed form through erfc (UniformSymmetric)")
 print("next to the quadrature of the box density (DensityLaw):")
 for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.0), (30.0, 2.0)]:
     print(f"  phi({l1}, {l2}) = {unif.log_mgf2(l1, l2):.15f}   "
@@ -68,8 +70,8 @@ for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.0), (30.0, 2.0)]:
 
 rad = laws["rademacher"]
 print("sign law: the quadratic slot is inert because sigma^2 - xi^2 = 0:")
-for l2 in (-3.0, 0.0, 7.0):
-    print(f"  phi(0.8, {l2:+.0f}) = {rad.log_mgf2(0.8, l2):.8f}   "
+for l2 in (0.0, 3.0, 7.0):
+    print(f"  phi(0.8, {l2:.0f}) = {rad.log_mgf2(0.8, l2):.8f}   "
           f"ln cosh 0.8 = {math.log(math.cosh(0.8)):.8f}")
 
 print("\n=== the linearized summand xi + B*(sigma^2 - xi^2)/sqrt(n) ===")

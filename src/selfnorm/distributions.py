@@ -3,22 +3,23 @@
 A :class:`DistributionModel` represents the common law of i.i.d. centered
 variables with finite positive variance.  Everything downstream consumes a
 law only through expectations: plain moments, the bivariate log-MGF
-``ln E exp(l1*xi + l2*(sigma^2 - xi^2))``, and the Lp norms of the
-shifted summand ``xi + B*(sigma^2 - xi^2)/sqrt(n)`` that appears once the
-self-normalized tail event is linearized.
+``ln E exp(l1*xi + l2*(sigma^2 - xi^2))`` at l2 >= 0, and the Lp norms
+of the shifted summand ``xi + B*(sigma^2 - xi^2)/sqrt(n)`` that appears
+once the self-normalized tail event is linearized.  Each primitive
+checks its domain on the base class; laws override only its hook.
 
 Density laws are integrated by one vectorized adaptive Gauss-Legendre
 rule (:func:`_integrate`) that works on the integrand's exponent, so
 that huge-but-finite integrands never overflow pointwise; discrete laws,
 empirical samples included, are summed exactly.  The standard gaussian
-and the symmetric uniform have closed forms for their log-MGFs (through
-the hook ``_log_mgf2``; the uniform's for l2 >= 0, through ``erfc``),
-Lp norms, quadratic moments and single-observation tails; their
-``expect`` and summand Lp norms, and every primitive of a
-:class:`DensityLaw` with a gaussian or box density, still go through
-quadrature.  A density law reads its density only through
-``_log_density``, and every law draws only through ``sample``.  A moment whose tail past the probe ladder does not
-decay geometrically, and a plain expectation above ``exp(700)``, raise
+and the symmetric uniform have closed forms for their log-MGFs (the
+uniform's through ``erfc``), Lp norms, quadratic moments and
+single-observation tails; their ``expect`` and summand Lp norms, and
+every primitive of a :class:`DensityLaw` with a gaussian or box density,
+still go through quadrature.  A density law reads its density only
+through ``_log_density``, and every law draws only through ``sample``.
+A moment whose tail past the probe ladder does not decay geometrically,
+and a plain expectation above ``exp(700)``, raise
 :class:`DivergentError`; callers that need an extended-real answer (the
 log-MGF) map that onto ``+inf``.
 """
@@ -347,9 +348,14 @@ class DistributionModel:
         return self._q1(1.0 / B)
 
     def lp_norm(self, p: float) -> float:
-        """Classical Lp norm (E|xi|^p)^(1/p), p >= 1."""
+        """Classical Lp norm (E|xi|^p)^(1/p), p >= 1; laws override
+        :meth:`_lp_norm`, not this method."""
         if p < 1.0:
             raise ValueError(f"p must be >= 1, got {p}")
+        return self._lp_norm(p)
+
+    def _lp_norm(self, p: float) -> float:
+        """The Lp norm, by :meth:`_log_expect_exponent`."""
         scale = math.sqrt(self.sigma2 * p)
 
         def t(x):
@@ -360,13 +366,15 @@ class DistributionModel:
         return math.exp(log_moment / p)
 
     def log_mgf2(self, l1: float, l2: float) -> float:
-        """Bivariate log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)).
+        """Bivariate log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)), l2 >= 0.
 
-        Returns ``+inf`` when the expectation diverges, and also where
-        :meth:`_log_mgf2` reads NaN; always 0 at the origin.  Laws with a
-        closed form or an exact sum override :meth:`_log_mgf2`, not this
-        method.
+        Raises ``ValueError`` for l2 < 0 or NaN.  Returns ``+inf`` when the
+        expectation diverges, and also where :meth:`_log_mgf2` reads NaN;
+        always 0 at the origin.  Laws with a closed form or an exact sum
+        override :meth:`_log_mgf2`, not this method.
         """
+        if not l2 >= 0.0:
+            raise ValueError(f"l2 must be >= 0, got {l2}")
         if l1 == 0.0 and l2 == 0.0:
             return 0.0
         v = self._log_mgf2(l1, l2)
@@ -375,9 +383,10 @@ class DistributionModel:
     def _log_mgf2(self, l1: float, l2: float) -> float:
         """The log-MGF away from the origin, by :meth:`_log_expect_exponent`.
 
-        For l2 > 0 the integrand peaks near l1/(2*l2) with standard
-        deviation ``width = 1/sqrt(2*l2)``.  The peak and ``center +
-        k*width``, k = +-1, +-2, +-8, +-32, go to the quadrature splitter.
+        At l2 = 0 the one breakpoint is 0.  For l2 > 0 the integrand
+        peaks near l1/(2*l2) with standard deviation ``width =
+        1/sqrt(2*l2)``.  The peak and ``center + k*width``, k = +-1, +-2,
+        +-8, +-32, go to the quadrature splitter.
         With only ``center +- width``, the piece from there to the next
         ladder probe can be far wider than the peak: its tail falls
         between the nodes of both the 1- and the 2-panel rule, the two
@@ -415,9 +424,8 @@ class DistributionModel:
 
     def summand_lp_norm(self, n: int, B: float, p: float) -> float:
         """Lp norm of the linearized summand xi + B*(sigma^2 - xi^2)/sqrt(n)."""
-        if p < 1.0:
-            raise ValueError(f"p must be >= 1, got {p}")
-        if B == 0.0:
+        # lp_norm also rejects p < 1
+        if B == 0.0 or p < 1.0:
             return self.lp_norm(p)
         return math.exp(self._log_summand_moment(B / math.sqrt(n), p) / p)
 
@@ -626,16 +634,11 @@ class StandardGaussian(_QuadratureLaw):
         return -0.5 * x * x - _LOG_SQRT_2PI
 
     def _log_mgf2(self, l1, l2):
-        # E exp(l1*xi - l2*xi^2) = exp(l1^2/(2d))/sqrt(d), d = 1 + 2*l2 > 0
-        d = 1.0 + 2.0 * l2
-        if not d > 0.0:
-            return math.inf
-        return l1 * l1 / (2.0 * d) - 0.5 * math.log1p(2.0 * l2) + l2
+        # E exp(l1*xi - l2*xi^2) = exp(l1^2/(2d))/sqrt(d), d = 1 + 2*l2 >= 1
+        return l1 * l1 / (2.0 + 4.0 * l2) - 0.5 * math.log1p(2.0 * l2) + l2
 
-    def lp_norm(self, p):
+    def _lp_norm(self, p):
         # E|xi|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi)
-        if p < 1.0:
-            raise ValueError(f"p must be >= 1, got {p}")
         return math.exp((0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0))
                          - 0.5 * math.log(math.pi)) / p)
 
@@ -719,16 +722,16 @@ def _log_k(g: float, h: float, L: float) -> float:
 class UniformSymmetric(_QuadratureLaw):
     """Uniform law on [-a, a]; sigma^2 = a^2/3.
 
-    The log-MGF for l2 >= 0, the Lp norms, the quadratic moments and Q_1
-    are closed forms; ``expect``, the summand's Lp norms and the log-MGF
-    for l2 < 0 go through quadrature.
+    The log-MGF, the Lp norms, the quadratic moments and Q_1 are closed
+    forms; ``expect`` and the summand's Lp norms go through quadrature.
     """
 
     symmetric = True
 
     def __init__(self, half_width: float):
         if not (half_width > 0.0 and math.isfinite(half_width)):
-            raise ValueError(f"half width must be positive, got {half_width}")
+            raise ValueError(
+                f"half width must be positive and finite, got {half_width}")
         self.half_width = float(half_width)
         self.support = (-self.half_width, self.half_width)
         self._log_height = -math.log(2.0 * self.half_width)
@@ -740,8 +743,6 @@ class UniformSymmetric(_QuadratureLaw):
     def _log_mgf2(self, l1, l2):
         # E exp(l1*xi - l2*xi^2) is a truncated gaussian integral; the law
         # is symmetric, so l1 enters through |l1|
-        if l2 < 0.0:
-            return super()._log_mgf2(l1, l2)
         if not (math.isfinite(l1) and math.isfinite(l2)):
             return math.inf
         a, b = self.half_width, abs(l1)
@@ -759,10 +760,8 @@ class UniformSymmetric(_QuadratureLaw):
         value = log_e + self._log_height + l2 * self.sigma2
         return 0.0 if value < 0.0 else value
 
-    def lp_norm(self, p):
+    def _lp_norm(self, p):
         # E|xi|^p = a^p/(p + 1)
-        if p < 1.0:
-            raise ValueError(f"p must be >= 1, got {p}")
         return self.half_width / (p + 1.0) ** (1.0 / p)
 
     def quadratic_moments(self):

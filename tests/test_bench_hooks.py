@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from selfnorm import cli
-from selfnorm.distributions import UniformSymmetric
+from selfnorm.distributions import DistributionModel, UniformSymmetric
 from selfnorm.mc import THREADS_ENV, MCConfig
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -21,7 +21,8 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, BENCH)
 import check
 import workloads
-from tracer import EXP_CELL, LOG_MGF2, POWER_CELL, PRIMITIVES, SUP_CELL, Tracer
+from tracer import (EXP_CELL, LOG_MGF2, POWER_CELL, PRIMITIVES, SUP_CELL,
+                    Tracer, _law_classes)
 from worker import parallel_speedup
 
 ARGVS = [
@@ -70,6 +71,17 @@ def test_tracer_counts_every_layer_and_changes_no_output():
     # the tracer patches DistributionModel.log_mgf2: a law that overrode
     # it, not its _log_mgf2 hook, would go uncounted
     assert tracer.per_law[(LOG_MGF2, "gaussian")][0] > 0
+
+
+def test_laws_override_hooks_not_primitives():
+    # the tracer patches DistributionModel, and each primitive checks its
+    # domain there: a law overrides the primitive's hook, never the
+    # primitive
+    laws = [law for law in _law_classes() if law is not DistributionModel]
+    assert len(laws) >= 6
+    for law in laws:
+        for name in ("log_mgf2", "lp_norm", "summand_lp_norm", "q1"):
+            assert name not in vars(law), (law.__name__, name)
 
 
 @pytest.mark.parametrize("saved", [None, "3"])

@@ -152,10 +152,12 @@ class TestSumCgf:
         expected = 1.0 - 0.5 * math.log(3.0) + 1.0 / 6.0
         assert sum_cgf(gauss, 1, 1.0, 1.0) == pytest.approx(expected, rel=1e-9)
 
-    def test_divergence_propagates(self, gauss):
-        # theta large enough that B*theta/n crosses the MGF domain: never
-        # happens for positive B, so force it with a negative quadratic slot
-        assert gauss.log_mgf2(0.0, -1.0) == math.inf
+    def test_divergence_propagates(self):
+        # the t5 law has no MGF: its log-MGF at l1 != 0 reads +inf, and so
+        # does the sum's cumulant built from it
+        t5 = DensityLaw(t5_density)
+        assert t5.log_mgf2(0.5, 0.0) == math.inf
+        assert sum_cgf(t5, 4, 0.0, 1.0) == math.inf
 
 
 class TestExpTailBound:

@@ -675,11 +675,13 @@ class TestMain:
         (["bound-exp", "--dist", "discrete:1:0.5:3"],
          "dist: bad atom '1:0.5:3' in 'discrete:1:0.5:3'"),
         (["bound-exp", "--dist", "uniform:a=-1"],
-         "dist: half width must be positive, got -1.0"),
+         "dist: half width must be positive and finite, got -1.0"),
         (["bound-exp", "--dist", "discrete:0:1"],
          "dist: discrete law is degenerate at 0"),
         (["gls", "--dist", "gaussian", "--family", "phi:power:m=0"],
          "family: power majorant needs m > 0, got 0.0"),
+        (["bound-exp", "--dist", "uniform:a=inf"],
+         "dist: half width must be positive and finite, got inf"),
     ])
     def test_input_check_one_stderr_line(self, argv, message, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("dist=rademacher\nbogus line\n")
