@@ -358,6 +358,18 @@ class TestUniformClosedForms:
         law = laws["uniform"]
         assert law.log_mgf2(-l1, l2) == law.log_mgf2(l1, l2)
 
+    @pytest.mark.parametrize("l1, l2", [(0.0, -0.5), (1.0, -2.0), (-3.0, -0.01),
+                                        (20.0, -40.0)])
+    def test_negative_l2_matches_quadrature(self, uniforms, l1, l2):
+        # l2 < 0 is outside the domain: the closed form and the box density
+        # refuse it alike, and agree to the last digits at -l2
+        closed, box = uniforms(SQRT3)
+        for law in (closed, box):
+            with pytest.raises(ValueError, match="l2 must be >= 0"):
+                law.log_mgf2(l1, l2)
+        assert closed.log_mgf2(l1, -l2) == pytest.approx(
+            box.log_mgf2(l1, -l2), rel=1e-13)
+
     @pytest.mark.parametrize("a", [0.01, SQRT3, 1e3])
     def test_log_mgf2_is_nonnegative(self, a):
         # by Jensen, ln E exp(l1*xi) >= l1*E xi = 0; near l1 = 0 the
