@@ -19,6 +19,7 @@ CLI's rows, and rejects a B that is not positive and finite.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -167,8 +168,6 @@ def _sup_scan(dist: DistributionModel, point_fn: Callable[[int], BoundPoint],
     * the 64 cells are spent: the certificate itself, which exceeds
       every cell, is reported, with no ``n_star``.
     """
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"bad range [{n_lo}, {n_hi}]")
     best, best_n = None, n_lo
     n, check = n_lo, n_lo + 1
     while n <= n_hi:
@@ -274,7 +273,16 @@ def _curve(family: str, dist: DistributionModel, n: int | tuple[int, int],
            kr: float = DEFAULT_KR) -> BoundCurve:
     """point_fn at n, or its sup over the range n, at every B of the
     ascending grid.  Q_n(B) never rises with B, so a point above its
-    predecessor takes the predecessor's value and objective instead."""
+    predecessor takes the predecessor's value and objective instead.  An
+    n that is not an integer >= 1 or a (lo, hi) pair of them with lo <= hi
+    raises ``ValueError``."""
+    try:
+        lo, hi = map(operator.index, n if isinstance(n, tuple) else (n, n))
+    except (TypeError, ValueError):
+        lo = hi = 0
+    if not 1 <= lo <= hi:
+        raise ValueError(f"n must be an integer >= 1 or a (lo, hi) range of "
+                         f"them with lo <= hi, got {n!r}")
     pts = []
     for B in B_grid:
         pt = (_sup_scan(dist, lambda m: point_fn(m, B), B, *n, kr)

@@ -1,25 +1,17 @@
 """Centered probability laws and the moment machinery behind every bound.
 
 A :class:`DistributionModel` represents the common law of i.i.d. centered
-variables with finite positive variance.  Everything downstream consumes a
-law only through expectations: plain moments, the bivariate log-MGF
-``ln E exp(l1*xi + l2*(sigma^2 - xi^2))`` at l2 >= 0, and the Lp norms
-of the shifted summand ``xi + B*(sigma^2 - xi^2)/sqrt(n)`` that appears
-once the self-normalized tail event is linearized.  Each primitive
-checks its domain on the base class; laws override only its hook.
-
-Density laws are integrated by one vectorized adaptive Gauss-Legendre
-rule (:func:`_integrate`) that works on the integrand's exponent, so
-that huge-but-finite integrands never overflow pointwise; discrete laws,
-empirical samples included, are summed exactly.  The standard gaussian
-and the symmetric uniform have closed forms for their log-MGFs (the
-uniform's through ``erfc``), Lp norms, quadratic moments and
-single-observation tails; their ``expect`` and summand Lp norms, and
-every primitive of a :class:`DensityLaw` with a gaussian or box density,
-still go through quadrature.  A density law reads its density only
-through ``_log_density``, and every law draws only through ``sample``.
-A moment whose tail past the probe ladder does not decay geometrically,
-and a plain expectation above ``exp(700)``, raise
+variables with finite positive variance, and the bounds read it only
+through the moment primitives of its hook table.  :class:`DiscreteLaw`,
+empirical samples included, supplies every hook as an exact sum, and
+density laws as integrals by one vectorized adaptive Gauss-Legendre rule
+(:func:`_integrate`) that works on the integrand's exponent, so that
+huge-but-finite integrands never overflow pointwise.  The standard
+gaussian and the symmetric uniform override the hooks they have closed
+forms for.  A density law reads its density only through
+``_log_density``, and every law draws only through ``sample``.  A moment
+whose tail past the probe ladder does not decay geometrically, and a
+quadratic moment or density integral above ``exp(700)``, raise
 :class:`DivergentError`; callers that need an extended-real answer (the
 log-MGF) map that onto ``+inf``.
 """
@@ -285,7 +277,16 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 class DistributionModel:
-    """Base class for centered laws.  Immutable after construction."""
+    """Base class for centered laws.  Immutable after construction.
+
+    Each moment primitive checks its domain here, then calls its hook::
+
+        q1(B)                     _q1(1/B)
+        lp_norm(p)                _lp_norm(p)
+        log_mgf2(l1, l2)          _log_mgf2(l1, l2), away from the origin
+        quadratic_moments()       _quadratic_moments(), once per law
+        summand_lp_norm(n, B, p)  _log_summand_moment(B/sqrt(n), p), B > 0
+    """
 
     sigma2: float
     name: str
@@ -301,77 +302,35 @@ class DistributionModel:
             raise ValueError(f"variance must be finite and positive, got {sigma2}")
         self.sigma2 = float(sigma2)
         self.name = name
-        self._moment_cache: dict = {}
-
-    # -- primitive operations supplied by subclasses ---------------------
-
-    def expect(self, g: Callable[[float], float]) -> float:
-        """E g(xi), to about 1e-13 relative for smooth integrands.
-
-        Raises :class:`DivergentError` when the expectation does not
-        converge or exceeds the overflow guard.
-        """
-        raise NotImplementedError
-
-    def _log_expect_exponent(self, t: Callable[[float], float],
-                             breakpoints: Sequence[float]) -> float:
-        """ln E exp(t(xi)), computed entirely at exponent level.
-
-        Exact log-sum-exp for atomic laws; for density laws the
-        integrand exponent is shifted by its maximum before quadrature,
-        so values like ``E |xi|^900`` or an MGF of size
-        ``exp(5000)`` come out as ordinary floats on the log scale.
-        Genuine divergence still raises :class:`DivergentError`.
-        """
-        raise NotImplementedError
+        self._qm: tuple[float, float, float] | None = None
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws of the law from ``rng``, in an array of shape ``size``."""
         raise NotImplementedError
-
-    def _q1(self, hi: float) -> float:
-        """P(0 < xi < hi) for hi = 1/B >= 0, open at both ends."""
-        raise NotImplementedError
-
-    # -- derived operations ----------------------------------------------
 
     def q1(self, B: float) -> float:
         """The single-observation tail Q_1(B) = P(0 < xi < 1/B), B > 0.
 
         For n = 1 the statistic is 1/xi (and 0 when xi = 0), so this is
         P(T(1) > B) exactly.  The interval is open at 1/B: an atom
-        exactly there gives T = B, which does not exceed B.  Laws
-        override :meth:`_q1`, not this method.
+        exactly there gives T = B, which does not exceed B.
         """
         if not B > 0.0:
             raise ValueError(f"B must be positive, got {B}")
         return self._q1(1.0 / B)
 
     def lp_norm(self, p: float) -> float:
-        """Classical Lp norm (E|xi|^p)^(1/p), p >= 1; laws override
-        :meth:`_lp_norm`, not this method."""
+        """Classical Lp norm (E|xi|^p)^(1/p), p >= 1."""
         if p < 1.0:
             raise ValueError(f"p must be >= 1, got {p}")
         return self._lp_norm(p)
-
-    def _lp_norm(self, p: float) -> float:
-        """The Lp norm, by :meth:`_log_expect_exponent`."""
-        scale = math.sqrt(self.sigma2 * p)
-
-        def t(x):
-            with np.errstate(divide="ignore"):
-                return p * np.log(np.abs(x))
-
-        log_moment = self._log_expect_exponent(t, (0.0, -scale, scale))
-        return math.exp(log_moment / p)
 
     def log_mgf2(self, l1: float, l2: float) -> float:
         """Bivariate log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)), l2 >= 0.
 
         Raises ``ValueError`` for l2 < 0 or NaN.  Returns ``+inf`` when the
         expectation diverges, and also where :meth:`_log_mgf2` reads NaN;
-        always 0 at the origin.  Laws with a closed form or an exact sum
-        override :meth:`_log_mgf2`, not this method.
+        always 0 at the origin.
         """
         if not l2 >= 0.0:
             raise ValueError(f"l2 must be >= 0, got {l2}")
@@ -380,47 +339,15 @@ class DistributionModel:
         v = self._log_mgf2(l1, l2)
         return math.inf if math.isnan(v) else v
 
-    def _log_mgf2(self, l1: float, l2: float) -> float:
-        """The log-MGF away from the origin, by :meth:`_log_expect_exponent`.
-
-        At l2 = 0 the one breakpoint is 0.  For l2 > 0 the integrand
-        peaks near l1/(2*l2) with standard deviation ``width =
-        1/sqrt(2*l2)``.  The peak and ``center + k*width``, k = +-1, +-2,
-        +-8, +-32, go to the quadrature splitter.
-        With only ``center +- width``, the piece from there to the next
-        ladder probe can be far wider than the peak: its tail falls
-        between the nodes of both the 1- and the 2-panel rule, the two
-        agree, and the piece is accepted short of up to a third of the
-        mass.
-        """
-        # the constant l2*sigma^2 is added last, so that the exponent stays
-        # of the size of its variation even when l2*sigma^2 is huge
-        def t(x):
-            return l1 * x - l2 * (x * x)
-
-        if l2 > 0.0:
-            center = l1 / (2.0 * l2)
-            width = 1.0 / math.sqrt(2.0 * l2)
-            pts = (0.0, center, *(center + k * width for k in _PEAK_STEPS))
-        else:
-            pts = (0.0,)
-        try:
-            return self._log_expect_exponent(t, pts) + l2 * self.sigma2
-        except DivergentError:
-            return math.inf
-
     def quadratic_moments(self) -> tuple[float, float, float]:
-        """(sigma^2, w, z) with w = E(sigma^2 - xi^2)^2 and
-        z = E(sigma^2*xi - xi^3), which is -E xi^3 for a centered law and
-        makes n*sigma^2 + 2*B*sqrt(n)*z + B^2*w the exact variance of the
-        linearized summand sqrt(n)*xi + B*(sigma^2 - xi^2); z vanishes
-        for laws symmetric about 0."""
-        if "qm" not in self._moment_cache:
-            s2 = self.sigma2
-            w = self.expect(lambda x: (s2 - x * x) ** 2)
-            z = self.expect(lambda x: s2 * x - x ** 3)
-            self._moment_cache["qm"] = (s2, max(w, 0.0), z)
-        return self._moment_cache["qm"]
+        """(sigma^2, w, z) with w = E(sigma^2 - xi^2)^2 and z = E(sigma^2*xi
+        - xi^3), which is -E xi^3 for a centered law and makes n*sigma^2 +
+        2*B*sqrt(n)*z + B^2*w the exact variance of the linearized summand
+        sqrt(n)*xi + B*(sigma^2 - xi^2); z vanishes for laws symmetric
+        about 0.  Raises :class:`DivergentError` where w or z diverges."""
+        if self._qm is None:
+            self._qm = self._quadratic_moments()
+        return self._qm
 
     def summand_lp_norm(self, n: int, B: float, p: float) -> float:
         """Lp norm of the linearized summand xi + B*(sigma^2 - xi^2)/sqrt(n)."""
@@ -429,34 +356,19 @@ class DistributionModel:
             return self.lp_norm(p)
         return math.exp(self._log_summand_moment(B / math.sqrt(n), p) / p)
 
-    def _log_summand_moment(self, c: float, p: float) -> float:
-        """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0, by
-        :meth:`_log_expect_exponent`."""
-        s2 = self.sigma2
-
-        def t(x):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return p * np.log(np.abs(x + c * (s2 - x * x)))
-
-        # kinks of |summand|^p sit at the roots of the quadratic
-        disc = math.sqrt(1.0 + 4.0 * c * c * s2)
-        roots = ((1.0 - disc) / (2.0 * c), (1.0 + disc) / (2.0 * c))
-        scale = math.sqrt(max(2.0 * p * s2, s2))
-        return self._log_expect_exponent(t, (0.0, *roots, -scale, scale))
-
 
 # -- discrete laws ---------------------------------------------------------
 
 
 class DiscreteLaw(DistributionModel):
-    """Finite atomic law; expectations are exact finite sums.
+    """Finite atomic law; every hook is an exact finite sum.
 
     The atoms are kept as one canonical table, ``_values`` and
     ``_probs``: the distinct values in ascending order, each carrying
     the summed weight of its copies, and no atom of weight 0.  Every
-    reader takes the table as built.  The log-MGF and summand exponents
-    are built from the squares ``_squares`` with the float operations of
-    the generic route, and summed by :func:`_log_sum_exp`.
+    reader takes the table as built.  The exponents of the log-MGF and Lp
+    norms are built from the squares ``_squares`` with the float operations
+    of :class:`_QuadratureLaw`'s, and summed by :func:`_log_sum_exp`.
     """
 
     def __init__(self, atoms: Iterable[tuple[float, float]] | np.ndarray,
@@ -518,17 +430,14 @@ class DiscreteLaw(DistributionModel):
         values, counts = np.unique(arr - arr.mean(), return_counts=True)
         return cls(np.column_stack((values, counts / arr.size)), name=name)
 
-    def expect(self, g):
-        vals = _apply(g, self._values)
-        total = float(np.dot(self._probs, vals))
-        return _guard_finite(total, "discrete expectation")
-
-    def _log_expect_exponent(self, t, breakpoints):
-        return _log_sum_exp(t(self._values), self._probs)
+    def _lp_norm(self, p):
+        with np.errstate(divide="ignore"):
+            exps = p * np.log(np.abs(self._values))
+        return math.exp(_log_sum_exp(exps, self._probs) / p)
 
     def _log_mgf2(self, l1, l2):
-        # the float operations of the generic exponent l1*x - l2*(x*x), so
-        # the bits are the same; errstate only where a product can overflow
+        # the exponent l1*x - l2*(x*x) of the quadrature route, so the
+        # bits are the same; errstate only where a product can overflow
         if abs(l1) * self._max_abs + abs(l2) * self._max_square < math.inf:
             exps = l1 * self._values - l2 * self._squares
         else:
@@ -543,8 +452,15 @@ class DiscreteLaw(DistributionModel):
             exps = l1 * self._values + l2 * (self.sigma2 - self._squares)
         return _log_sum_exp(exps, self._probs)
 
+    def _quadratic_moments(self):
+        x, s2 = self._values, self.sigma2
+        # atoms far past sigma overflow the products: the guard raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = float(np.dot(self._probs, (s2 - self._squares) ** 2))
+            z = float(np.dot(self._probs, s2 * x - x ** 3))
+        return s2, _guard_finite(w, "moment w"), _guard_finite(z, "moment z")
+
     def _log_summand_moment(self, c, p):
-        # the float operations of the generic exponent
         with np.errstate(divide="ignore", invalid="ignore"):
             exps = p * np.log(np.abs(self._values + c * (self.sigma2 - self._squares)))
         return _log_sum_exp(exps, self._probs)
@@ -568,7 +484,7 @@ class Rademacher(DiscreteLaw):
 
 
 class _QuadratureLaw(DistributionModel):
-    """Laws given by a density: every expectation goes through
+    """Laws given by a density: every hook integrates by
     :func:`_integrate`, with the probe ladder in units of sigma."""
 
     support: tuple[float, float]
@@ -578,21 +494,25 @@ class _QuadratureLaw(DistributionModel):
         raise NotImplementedError
 
     def _integrate_density(self, g, lo, hi, scale):
-        """The integral of density * g over [lo, hi]."""
+        """The integral of density * g over [lo, hi], g taking arrays."""
 
         def fn(x):
             with np.errstate(divide="ignore", over="ignore"):
-                f = np.exp(self._log_density(x)) * _apply(g, x)
+                f = np.exp(self._log_density(x)) * g(x)
                 return np.log(np.abs(f)), np.sign(f)
 
         shift, total = _integrate(fn, lo, hi, scale)
         with np.errstate(over="ignore"):
             return _guard_finite(float(np.exp(shift) * total), "expectation")
 
-    def expect(self, g):
-        return self._integrate_density(g, *self.support, math.sqrt(self.sigma2))
-
     def _log_expect_exponent(self, t, breakpoints):
+        """ln E exp(t(xi)), computed entirely at exponent level.
+
+        The integrand exponent is shifted by its maximum before
+        quadrature, so values like ``E |xi|^900`` or an MGF of size
+        ``exp(5000)`` come out as ordinary floats on the log scale.
+        Genuine divergence still raises :class:`DivergentError`.
+        """
         def fn(x):
             with np.errstate(invalid="ignore", over="ignore"):
                 return self._log_density(x) + t(x), 1.0
@@ -607,10 +527,70 @@ class _QuadratureLaw(DistributionModel):
         return shift + math.log(total)
 
     def _q1(self, hi):
+        # a centered law's support straddles 0, and hi = 1/B > 0
         a, b = max(0.0, self.support[0]), min(hi, self.support[1])
-        if a >= b:
-            return 0.0
         return self._integrate_density(lambda x: 1.0, a, b, math.sqrt(self.sigma2))
+
+    def _lp_norm(self, p: float) -> float:
+        """The Lp norm, by :meth:`_log_expect_exponent`."""
+        scale = math.sqrt(self.sigma2 * p)
+
+        def t(x):
+            with np.errstate(divide="ignore"):
+                return p * np.log(np.abs(x))
+
+        log_moment = self._log_expect_exponent(t, (0.0, -scale, scale))
+        return math.exp(log_moment / p)
+
+    def _log_mgf2(self, l1: float, l2: float) -> float:
+        """The log-MGF away from the origin, by :meth:`_log_expect_exponent`.
+
+        At l2 = 0 the one breakpoint is 0.  For l2 > 0 the integrand
+        peaks near l1/(2*l2) with standard deviation ``width =
+        1/sqrt(2*l2)``.  The peak and ``center + k*width``, k = +-1, +-2,
+        +-8, +-32, go to the quadrature splitter.
+        With only ``center +- width``, the piece from there to the next
+        ladder probe can be far wider than the peak: its tail falls
+        between the nodes of both the 1- and the 2-panel rule, the two
+        agree, and the piece is accepted short of up to a third of the
+        mass.
+        """
+        # the constant l2*sigma^2 is added last, so that the exponent stays
+        # of the size of its variation even when l2*sigma^2 is huge
+        def t(x):
+            return l1 * x - l2 * (x * x)
+
+        if l2 > 0.0:
+            center = l1 / (2.0 * l2)
+            width = 1.0 / math.sqrt(2.0 * l2)
+            pts = (0.0, center, *(center + k * width for k in _PEAK_STEPS))
+        else:
+            pts = (0.0,)
+        try:
+            return self._log_expect_exponent(t, pts) + l2 * self.sigma2
+        except DivergentError:
+            return math.inf
+
+    def _quadratic_moments(self):
+        s2 = self.sigma2
+        w, z = (self._integrate_density(g, *self.support, math.sqrt(s2))
+                for g in (lambda x: (s2 - x * x) ** 2, lambda x: s2 * x - x ** 3))
+        return s2, w, z
+
+    def _log_summand_moment(self, c: float, p: float) -> float:
+        """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0, by
+        :meth:`_log_expect_exponent`."""
+        s2 = self.sigma2
+
+        def t(x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return p * np.log(np.abs(x + c * (s2 - x * x)))
+
+        # kinks of |summand|^p sit at the roots of the quadratic
+        disc = math.sqrt(1.0 + 4.0 * c * c * s2)
+        roots = ((1.0 - disc) / (2.0 * c), (1.0 + disc) / (2.0 * c))
+        scale = math.sqrt(max(2.0 * p * s2, s2))
+        return self._log_expect_exponent(t, (0.0, *roots, -scale, scale))
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -621,7 +601,7 @@ class StandardGaussian(_QuadratureLaw):
     """Standard normal law, sigma^2 = 1.
 
     The log-MGF, the Lp norms, the quadratic moments and Q_1 are closed
-    forms; ``expect`` and the summand's Lp norms go through quadrature.
+    forms; the summand's Lp norms go through quadrature.
     """
 
     support = (-math.inf, math.inf)
@@ -642,7 +622,7 @@ class StandardGaussian(_QuadratureLaw):
         return math.exp((0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0))
                          - 0.5 * math.log(math.pi)) / p)
 
-    def quadratic_moments(self):
+    def _quadratic_moments(self):
         # E xi^4 = 3, so w = 3 - 2 + 1; odd moments vanish
         return 1.0, 2.0, 0.0
 
@@ -723,7 +703,7 @@ class UniformSymmetric(_QuadratureLaw):
     """Uniform law on [-a, a]; sigma^2 = a^2/3.
 
     The log-MGF, the Lp norms, the quadratic moments and Q_1 are closed
-    forms; ``expect`` and the summand's Lp norms go through quadrature.
+    forms; the summand's Lp norms go through quadrature.
     """
 
     symmetric = True
@@ -764,7 +744,7 @@ class UniformSymmetric(_QuadratureLaw):
         # E|xi|^p = a^p/(p + 1)
         return self.half_width / (p + 1.0) ** (1.0 / p)
 
-    def quadratic_moments(self):
+    def _quadratic_moments(self):
         # w = E xi^4 - sigma^4 = a^4/5 - a^4/9, written without the
         # cancellation; odd moments vanish
         a2 = self.half_width * self.half_width
@@ -854,9 +834,17 @@ def parse_distribution(spec: str) -> DistributionModel:
         return DiscreteLaw(atoms, name=spec)
     if spec.startswith("empirical:"):
         path = spec[len("empirical:"):]
+        samples = []
         try:
             with open(path) as fh:
-                samples = [float(line) for line in fh if line.strip()]
+                for lineno, line in enumerate(fh, 1):
+                    try:
+                        if line.strip():
+                            samples.append(float(line))
+                    except ValueError:
+                        where = f"sample file {path!r}, line {lineno}"
+                        raise ValueError(f"{where}: expected a number, "
+                                         f"got {line.strip()!r}") from None
         except OSError as exc:
             raise ValueError(f"cannot read sample file {path!r}: {exc}") from None
         return DiscreteLaw.from_sample(samples, name=spec)

@@ -54,8 +54,8 @@ _SUM_REL = 1e-9
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Simulation plan: sample size n, trial count, seed (an integer
-    >= 0), CI level."""
+    """Simulation plan: sample size n, trial count, seed (integers,
+    n and trials >= 1 and seed >= 0), CI level."""
 
     n: int
     trials: int
@@ -63,6 +63,9 @@ class MCConfig:
     confidence: float = 0.999
 
     def __post_init__(self):
+        ints = (self.n, self.trials, self.seed)
+        if not all(isinstance(v, (int, np.integer)) for v in ints):
+            raise ValueError(f"n, trials and seed must be integers, got {ints}")
         if self.n < 1 or self.trials < 1:
             raise ValueError("n and trials must both be >= 1")
         if self.seed < 0:

@@ -119,7 +119,7 @@ def test_callable_parameters():
     assert got == PARAMETERS
 
 
-LAW_INTERFACE = {"expect", "lp_norm", "log_mgf2", "quadratic_moments",
+LAW_INTERFACE = {"lp_norm", "log_mgf2", "quadratic_moments",
                  "summand_lp_norm", "q1",
                  "sample", "sigma2", "name", "symmetric", "min_positive_atom"}
 

@@ -76,12 +76,18 @@ def test_tracer_counts_every_layer_and_changes_no_output():
 def test_laws_override_hooks_not_primitives():
     # the tracer patches DistributionModel, and each primitive checks its
     # domain there: a law overrides the primitive's hook, never the
-    # primitive
+    # primitive, and the base class holds no backend code
     laws = [law for law in _law_classes() if law is not DistributionModel]
     assert len(laws) >= 6
+    hooks = {"q1": "_q1", "lp_norm": "_lp_norm", "log_mgf2": "_log_mgf2",
+             "quadratic_moments": "_quadratic_moments",
+             "summand_lp_norm": "_log_summand_moment"}
     for law in laws:
-        for name in ("log_mgf2", "lp_norm", "summand_lp_norm", "q1"):
+        for name, hook in hooks.items():
             assert name not in vars(law), (law.__name__, name)
+            assert hasattr(law, hook), (law.__name__, hook)
+    for name in (*hooks.values(), "expect", "_log_expect_exponent"):
+        assert not hasattr(DistributionModel, name), name
 
 
 @pytest.mark.parametrize("saved", [None, "3"])

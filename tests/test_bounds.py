@@ -215,6 +215,16 @@ class TestExpTailBound:
                                    match="B must be positive and finite"):
                     build([3.0, B])
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, "4", (0, 8), (5, 2), (1.0, 8),
+                                   (1, 2, 3), [1, 8]])
+    def test_rejects_bad_sample_size(self, rad, gauss, n):
+        # one check of both forms of n, for both upper-bound families; at
+        # n = 0 the sign law read 0 and the gaussian divided by zero
+        for build in (exp_curve, power_curve):
+            for law in (rad, gauss):
+                with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                    build(law, n, [1.0, 5.0])
+
 
 class TestExpTailOptimizer:
     """The ExpLevel optimizer: oracle agreement, cost, and its fallbacks."""

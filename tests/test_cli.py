@@ -383,6 +383,17 @@ class TestMain:
         assert exc.value.code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_overflowing_quadratic_moments_print_nothing(self, capsys):
+        # w of these atoms overflows: the ExpLevel start falls back to B,
+        # with no RuntimeWarning (an error under the test policy)
+        with pytest.raises(SystemExit) as exc:
+            main(["bound-exp", "--dist", "discrete:-1e100:0.3,1e100:0.3,0:0.4",
+                  "--n", "4", "--B", "1e-120"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].endswith(",4,1e-120,ExpLevel,1,0,0,,,,,")
+
     def test_verify_through_main(self, tmp_path, capsys):
         out = tmp_path / "ok.csv"
         with pytest.raises(SystemExit) as exc:
@@ -682,9 +693,12 @@ class TestMain:
          "family: power majorant needs m > 0, got 0.0"),
         (["bound-exp", "--dist", "uniform:a=inf"],
          "dist: half width must be positive and finite, got inf"),
+        (["bound-exp", "--dist", "empirical:{tmp}/bad.txt"],
+         "dist: sample file '{tmp}/bad.txt', line 4: expected a number, got 'abc'"),
     ])
     def test_input_check_one_stderr_line(self, argv, message, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("dist=rademacher\nbogus line\n")
+        (tmp_path / "bad.txt").write_text("0.5\n\n-1.25\nabc\n2\n")
         with pytest.raises(SystemExit) as exc:
             main([a.format(tmp=tmp_path) for a in argv])
         assert exc.value.code == 2

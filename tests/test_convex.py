@@ -64,6 +64,11 @@ class TestMaximizeConcave:
         assert abs(x - 3.0) <= 1e-6
         assert v == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("v_lo", [math.inf, math.nan])
+    def test_origin_must_be_below_inf(self, v_lo):
+        with pytest.raises(ValueError, match="below \\+inf at the ray origin"):
+            maximize_concave(lambda x: v_lo if x == 0.0 else -x, 0.0)
+
     def test_nowhere_finite_returns_origin(self):
         assert maximize_concave(lambda x: -math.inf, 0.0, x0=1.0) == (
             0.0, -math.inf)
@@ -219,6 +224,12 @@ class TestInvertMonotone:
     def test_never_reached_raises(self):
         with pytest.raises(NotBracketedError):
             invert_monotone(lambda x: 1.0 - 1.0 / (1.0 + x), 2.0, 0.0, 1.0)
+
+    def test_never_reached_before_overflow(self):
+        # from a hint this far out the doubling passes 1e300 within its
+        # 200 steps
+        with pytest.raises(NotBracketedError, match="before overflow"):
+            invert_monotone(lambda x: 1.0 - 1.0 / (1.0 + x), 2.0, 0.0, 1e299)
 
     def test_at_origin(self):
         assert invert_monotone(lambda x: x * x, 0.0, 0.0, 1.0) == 0.0

@@ -1,4 +1,4 @@
-"""Law construction, expectations, and log-MGF against closed-form oracles.
+"""Law construction and the moment primitives against closed-form oracles.
 
 The standard gaussian's log-MGF, Lp norms, quadratic moments and
 single-observation tail are closed forms themselves, so each gaussian
@@ -23,7 +23,7 @@ from selfnorm.bounds import (DEFAULT_B_GRID, _theta_guess, exp_curve,
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DistributionModel,
                                     DivergentError, Rademacher,
                                     StandardGaussian, UniformSymmetric,
-                                    parse_distribution)
+                                    _QuadratureLaw, parse_distribution)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -66,31 +66,6 @@ def uniforms():
         return pairs[a]
 
     return pair
-
-
-class TestExpect:
-    def test_rademacher_square(self, laws):
-        assert laws["rademacher"].expect(lambda x: x * x) == 1.0
-
-    def test_gaussian_fourth_moment(self, gaussians):
-        for law in gaussians:
-            assert law.expect(lambda x: x ** 4) == pytest.approx(3.0, rel=1e-9)
-
-    def test_uniform_fourth_moment(self, laws):
-        # closed form a^4/5 with a = sqrt(3)
-        assert laws["uniform"].expect(lambda x: x ** 4) == pytest.approx(
-            SQRT3 ** 4 / 5.0, rel=1e-9)
-
-    def test_discrete_matches_exact_sum(self):
-        law = DiscreteLaw([(-2.0, 0.25), (0.0, 0.25), (1.0, 0.5)])
-        expected = 0.25 * math.sin(-2.0) + 0.25 * math.sin(0.0) + 0.5 * math.sin(1.0)
-        assert law.expect(math.sin) == expected
-
-    def test_divergent_raises(self):
-        # normalized density 2/(pi*(1+x^2)^2): variance 1, fourth moment infinite
-        heavy = DensityLaw(lambda x: 2.0 / (math.pi * (1.0 + x * x) ** 2))
-        with pytest.raises(DivergentError):
-            heavy.expect(lambda x: x ** 4)
 
 
 class TestLpNorm:
@@ -453,7 +428,7 @@ class TestQuadraticMoments:
         # with E xi = 0 the odd cross term E(sigma^2*xi - xi^3) is -E xi^3
         law = DiscreteLaw([(-1.0, 0.8), (4.0, 0.2)])
         _, _, z = law.quadratic_moments()
-        assert z == pytest.approx(-law.expect(lambda x: x ** 3))
+        assert z == pytest.approx(-(0.8 * (-1.0) ** 3 + 0.2 * 4.0 ** 3))
 
     def test_divergent_fourth_moment(self):
         heavy = DensityLaw(lambda x: 2.0 / (math.pi * (1.0 + x * x) ** 2))
@@ -487,10 +462,10 @@ class TestSummandMoments:
         law = DiscreteLaw([(-1.0, 0.8), (4.0, 0.2)])
         n, B = 3, 0.7
         s2 = law.sigma2
-        var_direct = law.expect(
-            lambda x: (math.sqrt(n) * x + B * (s2 - x * x)) ** 2)
-        ex_eta = law.expect(lambda x: math.sqrt(n) * x + B * (s2 - x * x))
-        var_direct -= ex_eta ** 2
+        eta = [(math.sqrt(n) * x + B * (s2 - x * x), q)
+               for x, q in [(-1.0, 0.8), (4.0, 0.2)]]
+        ex_eta = sum(q * e for e, q in eta)
+        var_direct = sum(q * e * e for e, q in eta) - ex_eta ** 2
         assert _theta_guess(law, n, B) == pytest.approx(
             n * B * s2 / var_direct, rel=1e-9)
 
@@ -511,13 +486,12 @@ class TestSummandMoments:
 
     @pytest.mark.parametrize("name", ["gaussian", "uniform"])
     def test_p2_identity_against_expect(self, laws, name):
-        # |summand|_2^2 = sigma^2 + 2*B*z'/sqrt(n) + B^2*w/n, z' = E xi(s2-xi^2)
+        # |summand|_2^2 = sigma^2 + 2*B*z/sqrt(n) + B^2*w/n, z = E xi(s2-xi^2):
+        # closed-form quadratic moments against the integrated summand norm
         law = laws[name]
         n, B = 5, 1.7
-        s2 = law.sigma2
-        zp = law.expect(lambda x: x * (s2 - x * x))
-        w = law.expect(lambda x: (s2 - x * x) ** 2)
-        expected = s2 + 2 * B * zp / math.sqrt(n) + B * B * w / n
+        s2, w, z = law.quadratic_moments()
+        expected = s2 + 2 * B * z / math.sqrt(n) + B * B * w / n
         assert law.summand_lp_norm(n, B, 2.0) ** 2 == pytest.approx(
             expected, rel=1e-9)
 
@@ -543,7 +517,7 @@ class TestDiscreteLogSumExp:
                 exps[rng.integers(k)] = exps.max()
             if rng.random() < 0.1:
                 exps[rng.integers(k)] = specials[rng.integers(3)]
-            got = law._log_expect_exponent(lambda x: exps, ())
+            got = distributions._log_sum_exp(exps, law._probs)
             want = float(logsumexp(exps, b=law._probs))
             assert got == want or (math.isnan(got) and math.isnan(want)), \
                 (exps, law._probs)
@@ -570,7 +544,7 @@ class TestDiscreteLogSumExp:
                 exps[rng.integers(k)] = exps.max()
             if rng.random() < 0.1:
                 exps[rng.integers(k)] = specials[rng.integers(3)]
-            got = law._log_expect_exponent(lambda x: exps, ())
+            got = distributions._log_sum_exp(exps, law._probs)
             want = float(logsumexp(exps, b=law._probs))
             assert got == want or (math.isnan(got) and math.isnan(want)), \
                 (exps, law._probs)
@@ -592,7 +566,8 @@ class TestDiscreteLogSumExp:
                         (row, b)
 
     def test_moments_bit_identical_to_generic_route(self):
-        # the atomic hooks reproduce the generic exponents, summed by SciPy
+        # the atomic hooks reproduce the quadrature hooks' exponents,
+        # summed by SciPy
         rng = np.random.default_rng(5)
         for _ in range(300):
             law = self.random_table(rng, int(rng.integers(2, 301)))
@@ -600,7 +575,6 @@ class TestDiscreteLogSumExp:
             l1, l2 = rng.normal(0.0, 3.0), abs(rng.normal(0.0, 3.0))
             want = float(logsumexp(l1 * x - l2 * (x * x), b=b)) + l2 * s2
             assert law.log_mgf2(l1, l2) == want
-            assert DistributionModel._log_mgf2(law, l1, l2) == want
             p = rng.uniform(1.0, 8.0)
             want = math.exp(float(logsumexp(p * np.log(np.abs(x)), b=b)) / p)
             assert law.lp_norm(p) == want
@@ -610,8 +584,6 @@ class TestDiscreteLogSumExp:
                 exps = p * np.log(np.abs(x + c * (s2 - x * x)))
             want = math.exp(float(logsumexp(exps, b=b)) / p)
             assert law.summand_lp_norm(n, B, p) == want
-            assert math.exp(DistributionModel._log_summand_moment(law, c, p) / p) \
-                == want
 
     @pytest.mark.parametrize("spec", [
         "rademacher", "discrete:-1:0.6666666666666666,2:0.3333333333333334",
@@ -628,13 +600,13 @@ class TestDiscreteLogSumExp:
                     for make in (exp_curve, power_curve) for n in (16, (1, 64))]
 
         lean = curves(law())
-        # the generic route: the base class's exponents, summed by SciPy
-        monkeypatch.setattr(DiscreteLaw, "_log_mgf2", DistributionModel._log_mgf2)
-        monkeypatch.setattr(DiscreteLaw, "_log_summand_moment",
-                            DistributionModel._log_summand_moment)
+        # the quadrature hooks' exponents on the atoms, summed by SciPy
+        for hook in ("_lp_norm", "_log_mgf2", "_log_summand_moment"):
+            monkeypatch.setattr(DiscreteLaw, hook, getattr(_QuadratureLaw, hook))
         monkeypatch.setattr(DiscreteLaw, "_log_expect_exponent",
                             lambda self, t, breakpoints: float(
-                                logsumexp(t(self._values), b=self._probs)))
+                                logsumexp(t(self._values), b=self._probs)),
+                            raising=False)
         assert curves(law()) == lean
 
     def test_overflowing_exponents(self):
@@ -680,7 +652,7 @@ class TestConstruction:
 
     def test_empirical_recenters(self):
         law = DiscreteLaw.from_sample([1.0, 2.0, 3.0, 6.0])
-        assert law.expect(lambda x: x) == pytest.approx(0.0, abs=1e-12)
+        assert np.dot(law._probs, law._values) == pytest.approx(0.0, abs=1e-12)
         assert law.sigma2 == pytest.approx(np.var([1.0, 2.0, 3.0, 6.0]))
 
     def test_empirical_rejects_constant(self):
@@ -691,8 +663,9 @@ class TestConstruction:
         law = DiscreteLaw.from_sample([3.0, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 2.0])
         # mean 0.75: atoms -1.75, -0.75 (x3), 0.25 (x2), 1.25, 2.25
         assert law.name == "empirical"
-        assert law.expect(lambda x: (x > -1.0) & (x < 0.0)) == pytest.approx(
-            3.0 / 8.0)
+        assert law._values.tolist() == pytest.approx(
+            [-1.75, -0.75, 0.25, 1.25, 2.25])
+        assert law._probs.tolist() == pytest.approx([0.125, 0.375, 0.25, 0.125, 0.125])
         assert law.q1(1.0) == pytest.approx(2.0 / 8.0)
         assert law.min_positive_atom == pytest.approx(0.25)
 
@@ -712,7 +685,7 @@ class TestConstruction:
         assert law.name == "discrete:-1:0.5,1:0.5"
         assert (law.sigma2, law.symmetric, law.min_positive_atom) == (1.0, True, 1.0)
         assert law.quadratic_moments() == (1.0, 0.0, 0.0)
-        assert law.expect(lambda x: x ** 4) == 1.0
+        assert law.lp_norm(4.0) == 1.0
         assert law.log_mgf2(0.5, 0.25) == Rademacher().log_mgf2(0.5, 0.25)
 
     @pytest.mark.parametrize("atoms, match", [

@@ -232,6 +232,11 @@ class TestBphiTailBound:
     def test_zero_threshold(self):
         assert bphi_tail_bound(power_phi(2.0), 1.0, 0.0) == 1.0
 
+    def test_zero_norm(self):
+        # a variable of norm 0 is 0: it never reaches a positive threshold
+        for u in (1e-300, 1.0, 50.0):
+            assert bphi_tail_bound(power_phi(2.0), 0.0, u) == 0.0
+
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError, match="nonnegative"):
             bphi_tail_bound(power_phi(2.0), 1.0, -1.0)

@@ -343,6 +343,15 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(n=1, trials=10, seed=1, confidence=1.5)
 
+    @pytest.mark.parametrize("field", ["n", "trials", "seed"])
+    def test_integer_fields(self, field):
+        # a float n or trials passed and then failed inside the simulation
+        args = {"n": 4, "trials": 100, "seed": 1, field: 2.5}
+        with pytest.raises(ValueError, match="n, trials and seed must be integers"):
+            MCConfig(**args)
+        args[field] = np.int64(3)
+        assert getattr(MCConfig(**args), field) == 3
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             MCConfig(n=1, trials=10, seed=-1)
