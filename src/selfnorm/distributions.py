@@ -8,12 +8,14 @@ density laws as integrals by one vectorized adaptive Gauss-Legendre rule
 (:func:`_integrate`) that works on the integrand's exponent, so that
 huge-but-finite integrands never overflow pointwise.  The standard
 gaussian and the symmetric uniform override the hooks they have closed
-forms for.  A density law reads its density only through
-``_log_density``, and every law draws only through ``sample``.  A moment
-whose tail past the probe ladder does not decay geometrically, and a
-quadratic moment or density integral above ``exp(700)``, raise
-:class:`DivergentError`; callers that need an extended-real answer (the
-log-MGF) map that onto ``+inf``.
+forms for.  A density law's summand moments at one ``c = B/sqrt(n)``
+share one quadrature table (:class:`_SummandTable`), so the p search of
+a PowerLevel cell refines its pieces once.  A density law reads its
+density only through ``_log_density``, and every law draws only through
+``sample``.  A moment whose tail past the probe ladder does not decay
+geometrically, and a quadratic moment or density integral above
+``exp(700)``, raise :class:`DivergentError`; callers that need an
+extended-real answer (the log-MGF) map that onto ``+inf``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +61,8 @@ _PEAK_STEPS = (-32.0, -8.0, -2.0, -1.0, 1.0, 2.0, 8.0, 32.0)
 # a largest exponent below this keeps the shifted exponents finite: their
 # exact values stay above -max_float - 2^969, which rounds to -max_float
 _SHIFT_SAFE = math.ldexp(1.0, 969)
+# the p at which the summand table of a density law is refined
+_P_REF = 1.5
 
 
 class DivergentError(ArithmeticError):
@@ -163,44 +167,63 @@ def _gauss_legendre():
     return u, w
 
 
+def _probes(lo: float, hi: float, scale: float,
+            breakpoints: Sequence[float]) -> np.ndarray:
+    """The probes of :func:`_integrate`: the ladder ``0, +-scale*2^k``
+    (k = -10..100), the breakpoints and the finite ends, within [lo, hi]."""
+    pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
+    return pts[(pts >= lo) & (pts <= hi) & (np.abs(pts) <= scale * _LADDER[-1])]
+
+
+def _window(probes: np.ndarray, e: np.ndarray, lo: float,
+            hi: float) -> tuple[int, int] | None:
+    """The indices of the first and last probe that :func:`_integrate`
+    integrates between, for the exponent e at the probes: the probes where
+    e is within 800 of its largest value, and one more on each side.
+    None where e is -inf at every probe.  When [lo, hi] goes on past an
+    end of the probes, a peak of e at that end means divergence, and so
+    does a peak at +inf: both raise :class:`DivergentError`."""
+    e = np.where(np.isnan(e), -math.inf, e)
+    i0, last = int(np.argmax(e)), len(probes) - 1
+    top = e[i0]
+    if top == -math.inf:
+        return None
+    if (top == math.inf or (i0 == 0 and probes[0] > lo)
+            or (i0 == last and probes[-1] < hi)):
+        raise DivergentError("integrand diverges at its peak")
+    # past the window the integrand is below exp(-800) of the peak at
+    # every probe
+    rel = np.nonzero(e >= top - 800.0)[0]
+    return max(rel[0] - 1, 0), min(rel[-1] + 1, last)
+
+
 def _integrate(fn, lo: float, hi: float, scale: float,
                breakpoints: Sequence[float] = ()) -> tuple[float, float]:
     """The integral of ``s * exp(e)`` over [lo, hi], where ``(e, s) =
     fn(x)`` for an array x.  Returns ``(shift, total)``; the integral is
     ``exp(shift) * total``.
 
-    The probes are the ladder ``0, +-scale*2^k`` (k = -10..100), the
-    breakpoints and the finite ends, within [lo, hi].  Only the window of
-    probes where e is within 800 of its largest probe value is
-    integrated, piece by piece between consecutive probes (see
-    :func:`_adapt`).  When [lo, hi] goes on past an end of the ladder, a
-    peak of e at that end means divergence; a window reaching it adds
-    the geometric tail ``r/(1 - r)`` times the last octave, r the ratio
-    of the last two octaves, and that tail must stay below
-    ``_UNRESOLVED_TOL`` of the total, else the integral counts as divergent.
+    Only the :func:`_window` of the :func:`_probes` is integrated, piece
+    by piece between consecutive probes (see :func:`_adapt`).  A window
+    reaching an end of the ladder short of lo or hi adds the geometric
+    tail ``r/(1 - r)`` times the last octave, r the ratio of the last two
+    octaves, and that tail must stay below ``_UNRESOLVED_TOL`` of the
+    total, else the integral counts as divergent.
     """
-    pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
-    probes = pts[(pts >= lo) & (pts <= hi) & (np.abs(pts) <= scale * _LADDER[-1])]
+    probes = _probes(lo, hi, scale, breakpoints)
     with np.errstate(invalid="ignore", over="ignore"):
         e = np.asarray(fn(probes)[0], dtype=float)
-    e = np.where(np.isnan(e), -math.inf, e)
-    i0, last = int(np.argmax(e)), len(probes) - 1
-    top = e[i0]
-    if top == -math.inf:
+    window = _window(probes, e, lo, hi)
+    if window is None:
         return -math.inf, 0.0
-    open_lo, open_hi = probes[0] > lo, probes[-1] < hi
-    if top == math.inf or (i0 == 0 and open_lo) or (i0 == last and open_hi):
-        raise DivergentError("integrand diverges at its peak")
-    # past the window the integrand is below exp(-800) of the peak at
-    # every probe
-    rel = np.nonzero(e >= top - 800.0)[0]
-    i_lo, i_hi = max(rel[0] - 1, 0), min(rel[-1] + 1, last)
+    i_lo, i_hi = window
     edges = probes[i_lo:i_hi + 1]
-    shift, acc = _adapt(fn, edges[:-1], edges[1:])
+    shift, acc, _, _ = _adapt(fn, edges[:-1], edges[1:])
     total = float(acc.sum())
     span = np.abs(edges).max()
-    for is_open, dist in ((open_lo and i_lo == 0, -edges[1:]),
-                          (open_hi and i_hi == last, edges[:-1])):
+    last = len(probes) - 1
+    for is_open, dist in ((i_lo == 0 and probes[0] > lo, -edges[1:]),
+                          (i_hi == last and probes[-1] < hi, edges[:-1])):
         if not is_open:
             continue
         # the last two octaves: [span/2, span] and [span/4, span/2] out
@@ -216,17 +239,21 @@ def _integrate(fn, lo: float, hi: float, scale: float,
     return shift, total
 
 
-def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+def _adapt(fn, a: np.ndarray, b: np.ndarray,
+           first: tuple | None = None) -> tuple[float, np.ndarray, np.ndarray,
+                                                np.ndarray]:
     """Adaptive Gauss-Legendre integrals of ``s * exp(e - shift)`` over
-    the pieces [a_i, b_i]; returns ``shift`` and the value of each piece.
+    the pieces [a_i, b_i]; returns ``shift``, the value of each piece, and
+    the ends a and b of the pieces it accepted.
 
     Each piece is integrated by the 32-node rule on one panel and on two
     halves.  A piece whose two values differ by more than ``_PIECE_TOL``
     of the running total (plus the rounding of exponents near
     ``|shift|``) is bisected, its halves keeping their one-panel values;
-    all pieces of a round go through one call of ``fn``.  Round
-    ``_MAX_ROUNDS`` accepts every piece if their summed error is within
-    ``_UNRESOLVED_TOL`` of the total.  A round leaving over ``_MAX_OPEN``
+    all pieces of a round go through one call of ``fn``, except that
+    ``first``, when given, is what ``fn`` returns at the first round's
+    nodes.  Round ``_MAX_ROUNDS`` accepts every piece if their summed
+    error is within ``_UNRESOLVED_TOL`` of the total.  A round leaving over ``_MAX_OPEN``
     pieces open always raises: each error is above ``_PIECE_TOL`` of the
     total, so their sum passes 1.024e-10 > ``_UNRESOLVED_TOL``.
     ``shift`` follows the largest exponent seen, so no node overflows.
@@ -235,12 +262,15 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     u2 = np.concatenate((0.5 * u, 0.5 + 0.5 * u))
     origin = np.arange(len(a))
     acc = np.zeros(len(a))  # accepted value per piece
+    done_a, done_b = [], []  # the accepted pieces of each round
     one = None  # one-panel values, known for halves of a bisected piece
     shift = -math.inf
     for rnd in range(_MAX_ROUNDS):
         width = b - a
-        nodes = u2 if one is not None else np.concatenate((u, u2))
-        e, s = fn(a[:, None] + width[:, None] * nodes)
+        if first is None:
+            nodes = u2 if one is not None else np.concatenate((u, u2))
+            first = fn(a[:, None] + width[:, None] * nodes)
+        (e, s), first = first, None
         if np.isnan(e).any():
             raise DivergentError("integrand is not a number")
         peak = e.max(initial=-math.inf)
@@ -266,14 +296,18 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
             if err.sum() > _UNRESOLVED_TOL * scale:
                 raise DivergentError("quadrature did not converge")
             open_[:] = False
-        np.add.at(acc, origin[~open_], both[~open_])
+        keep = ~open_
+        np.add.at(acc, origin[keep], both[keep])
+        done_a.append(a[keep])
+        done_b.append(b[keep])
         if not open_.any():
             break
-        mid = 0.5 * (a[open_] + b[open_])
-        a, b = np.concatenate((a[open_], mid)), np.concatenate((mid, b[open_]))
-        origin = np.tile(origin[open_], 2)
+        a, b, origin = a[open_], b[open_], origin[open_]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        origin = np.concatenate((origin, origin))
         one = np.concatenate((left[open_], right[open_]))
-    return shift, acc
+    return shift, acc, np.concatenate(done_a), np.concatenate(done_b)
 
 
 class DistributionModel:
@@ -285,7 +319,9 @@ class DistributionModel:
         lp_norm(p)                _lp_norm(p)
         log_mgf2(l1, l2)          _log_mgf2(l1, l2), away from the origin
         quadratic_moments()       _quadratic_moments(), once per law
-        summand_lp_norm(n, B, p)  _log_summand_moment(B/sqrt(n), p), B > 0
+        summand_lp_norm(n, B, p)  _log_summand_moment(B/sqrt(n), p), B > 0;
+                                  a density law keeps the table of the
+                                  last c, and each p is one pass over it
     """
 
     sigma2: float
@@ -485,9 +521,12 @@ class Rademacher(DiscreteLaw):
 
 class _QuadratureLaw(DistributionModel):
     """Laws given by a density: every hook integrates by
-    :func:`_integrate`, with the probe ladder in units of sigma."""
+    :func:`_integrate`, with the probe ladder in units of sigma, the
+    summand moments through one :class:`_SummandTable` per c."""
 
     support: tuple[float, float]
+    # the summand table of the last c asked for, as (c, table or None)
+    _summand_memo: tuple = (None, None)
 
     def _log_density(self, x):
         """The log-density at every point of the array x."""
@@ -505,6 +544,15 @@ class _QuadratureLaw(DistributionModel):
         with np.errstate(over="ignore"):
             return _guard_finite(float(np.exp(shift) * total), "expectation")
 
+    def _exponent_fn(self, t):
+        """The integrand of E exp(t(xi)), for :func:`_integrate`."""
+
+        def fn(x):
+            with np.errstate(invalid="ignore", over="ignore"):
+                return self._log_density(x) + t(x), 1.0
+
+        return fn
+
     def _log_expect_exponent(self, t, breakpoints):
         """ln E exp(t(xi)), computed entirely at exponent level.
 
@@ -513,12 +561,8 @@ class _QuadratureLaw(DistributionModel):
         ``exp(5000)`` come out as ordinary floats on the log scale.
         Genuine divergence still raises :class:`DivergentError`.
         """
-        def fn(x):
-            with np.errstate(invalid="ignore", over="ignore"):
-                return self._log_density(x) + t(x), 1.0
-
-        shift, total = _integrate(fn, *self.support, math.sqrt(self.sigma2),
-                                  breakpoints)
+        shift, total = _integrate(self._exponent_fn(t), *self.support,
+                                  math.sqrt(self.sigma2), breakpoints)
         if total <= 0.0:
             # the expectation of a positive integrand is positive: a zero
             # total means the quadrature missed the mass (at a jump of the
@@ -577,20 +621,113 @@ class _QuadratureLaw(DistributionModel):
                 for g in (lambda x: (s2 - x * x) ** 2, lambda x: s2 * x - x ** 3))
         return s2, w, z
 
+    def _log_abs_summand(self, c, x):
+        """ln|x + c*(sigma^2 - x^2)| at the array x."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.log(np.abs(x + c * (self.sigma2 - x * x)))
+
     def _log_summand_moment(self, c: float, p: float) -> float:
-        """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0, by
-        :meth:`_log_expect_exponent`."""
-        s2 = self.sigma2
+        """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0.
+
+        From the :class:`_SummandTable` at c, kept in a one-slot memo; a
+        p the table misses goes through :meth:`_log_expect_exponent`.
+        """
+        if self._summand_memo[0] != c:
+            self._summand_memo = (c, _SummandTable.build(self, c))
+        table = self._summand_memo[1]
 
         def t(x):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return p * np.log(np.abs(x + c * (s2 - x * x)))
+            return p * self._log_abs_summand(c, x)
 
-        # kinks of |summand|^p sit at the roots of the quadratic
-        disc = math.sqrt(1.0 + 4.0 * c * c * s2)
-        roots = ((1.0 - disc) / (2.0 * c), (1.0 + disc) / (2.0 * c))
-        scale = math.sqrt(max(2.0 * p * s2, s2))
-        return self._log_expect_exponent(t, (0.0, *roots, -scale, scale))
+        if table is not None:
+            value = table.log_moment(p, self._exponent_fn(t))
+            if value is not None:
+                return value
+        return self._log_expect_exponent(t, _summand_breakpoints(self.sigma2, c, p))
+
+
+def _summand_breakpoints(s2: float, c: float, p: float) -> tuple[float, ...]:
+    """Breakpoints for E|xi + c*(s2 - xi^2)|^p: 0, the roots of the
+    summand, where |summand|^p has its kinks, and +-sqrt(max(2p, 1)*s2)."""
+    disc = math.sqrt(1.0 + 4.0 * c * c * s2)
+    roots = ((1.0 - disc) / (2.0 * c), (1.0 + disc) / (2.0 * c))
+    scale = math.sqrt(max(2.0 * p * s2, s2))
+    return (0.0, *roots, -scale, scale)
+
+
+class _SummandTable(NamedTuple):
+    """The quadrature of ln E|xi + c*(sigma^2 - xi^2)|^p for one density
+    law and one c, reused at every p.
+
+    The pieces are those :func:`_adapt` accepts for the exponent at
+    ``_P_REF``, over :func:`_integrate`'s window at ``_P_REF``, so that
+    the pieces next to the roots of the summand come out refined.  The
+    table keeps the parts ``(A, L)`` of the exponent ``A + p*L``, the
+    log-density and ln|summand|, at the probes and at the 96 first-round
+    nodes of each piece.  A query at p finds the window at p from the
+    probes, then runs :func:`_adapt` over the pieces with ``A + p*L`` as
+    its first round: a piece that fails the piece test at p is bisected,
+    as ever.
+    """
+
+    support: tuple[float, float]
+    probes: np.ndarray
+    probe_parts: tuple[np.ndarray, np.ndarray]
+    span: tuple[int, int]  # the window at _P_REF, as indices of probes
+    pieces: tuple[np.ndarray, np.ndarray]
+    parts: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def build(cls, law: _QuadratureLaw, c: float) -> _SummandTable | None:
+        """The table at c; None where the moment at ``_P_REF`` diverges,
+        or its window reaches an open end of the ladder, where
+        :func:`_integrate` extrapolates the tail."""
+        lo, hi = law.support
+        probes = _probes(lo, hi, math.sqrt(law.sigma2),
+                         _summand_breakpoints(law.sigma2, c, _P_REF))
+        probe_parts = cls._parts(law, c, probes)
+        try:
+            span = _window(probes, cls._exponent(probe_parts, _P_REF), lo, hi)
+            if (span is None or (span[0] == 0 and probes[0] > lo)
+                    or (span[1] == len(probes) - 1 and probes[-1] < hi)):
+                return None
+            edges = probes[span[0]:span[1] + 1]
+            fn = law._exponent_fn(lambda x: _P_REF * law._log_abs_summand(c, x))
+            a, b = _adapt(fn, edges[:-1], edges[1:])[2:]
+        except DivergentError:
+            return None
+        u, _ = _gauss_legendre()
+        x = a[:, None] + (b - a)[:, None] * np.concatenate((u, 0.5 * u, 0.5 + 0.5 * u))
+        return cls(law.support, probes, probe_parts, span, (a, b),
+                   cls._parts(law, c, x))
+
+    def log_moment(self, p: float, fn) -> float | None:
+        """ln E|summand|^p, fn giving its exponent for :func:`_adapt`;
+        None where the window at p leaves the table's span, and where
+        the quadrature diverges or reads no mass."""
+        try:
+            window = _window(self.probes, self._exponent(self.probe_parts, p),
+                             *self.support)
+            if (window is None or window[0] < self.span[0]
+                    or window[1] > self.span[1]):
+                return None
+            shift, acc, _, _ = _adapt(fn, *self.pieces,
+                                      first=(self._exponent(self.parts, p), 1.0))
+        except DivergentError:
+            return None
+        total = float(acc.sum())
+        return shift + math.log(total) if total > 0.0 else None
+
+    @staticmethod
+    def _parts(law, c, x):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return law._log_density(x), law._log_abs_summand(c, x)
+
+    @staticmethod
+    def _exponent(parts, p):
+        A, L = parts
+        with np.errstate(invalid="ignore", over="ignore"):
+            return A + p * L
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -838,13 +975,18 @@ def parse_distribution(spec: str) -> DistributionModel:
         try:
             with open(path) as fh:
                 for lineno, line in enumerate(fh, 1):
+                    text = line.strip()
+                    if not text:
+                        continue
                     try:
-                        if line.strip():
-                            samples.append(float(line))
+                        value = float(text)
                     except ValueError:
-                        where = f"sample file {path!r}, line {lineno}"
-                        raise ValueError(f"{where}: expected a number, "
-                                         f"got {line.strip()!r}") from None
+                        value = None
+                    if value is None or not math.isfinite(value):
+                        kind = "a number" if value is None else "a finite number"
+                        raise ValueError(f"sample file {path!r}, line {lineno}: "
+                                         f"expected {kind}, got {text!r}")
+                    samples.append(value)
         except OSError as exc:
             raise ValueError(f"cannot read sample file {path!r}: {exc}") from None
         return DiscreteLaw.from_sample(samples, name=spec)

@@ -695,10 +695,14 @@ class TestMain:
          "dist: half width must be positive and finite, got inf"),
         (["bound-exp", "--dist", "empirical:{tmp}/bad.txt"],
          "dist: sample file '{tmp}/bad.txt', line 4: expected a number, got 'abc'"),
+        (["bound-exp", "--dist", "empirical:{tmp}/nan.txt"],
+         "dist: sample file '{tmp}/nan.txt', line 3: expected a finite number, "
+         "got 'nan'"),
     ])
     def test_input_check_one_stderr_line(self, argv, message, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("dist=rademacher\nbogus line\n")
         (tmp_path / "bad.txt").write_text("0.5\n\n-1.25\nabc\n2\n")
+        (tmp_path / "nan.txt").write_text("1\n\nnan\n2\n")
         with pytest.raises(SystemExit) as exc:
             main([a.format(tmp=tmp_path) for a in argv])
         assert exc.value.code == 2

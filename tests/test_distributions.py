@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from selfnorm import distributions
-from selfnorm.bounds import (DEFAULT_B_GRID, _theta_guess, exp_curve,
-                             lower_q1_curve, power_curve)
+from selfnorm.bounds import (DEFAULT_B_GRID, _power_tail_point, _theta_guess,
+                             exp_curve, lower_q1_curve, power_curve)
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DistributionModel,
                                     DivergentError, Rademacher,
                                     StandardGaussian, UniformSymmetric,
@@ -496,6 +496,77 @@ class TestSummandMoments:
             expected, rel=1e-9)
 
 
+SUMMAND_LAWS = {
+    "gaussian": StandardGaussian,
+    "uniform:a=1.7320508075688772": lambda: UniformSymmetric(1.7320508075688772),
+    "uniform:a=0.01": lambda: UniformSymmetric(0.01),
+    "shifted exponential": lambda: DensityLaw(
+        lambda x: np.exp(-(x + 1.0)), support=(-1.0, math.inf)),
+}
+
+
+class TestSummandTable:
+    """A density law's summand moments at one c come from one quadrature
+    table, built at p = 1.5 and reused at every p; a p whose window
+    leaves the table, and a law whose window reaches an open end of the
+    ladder, go through _integrate."""
+
+    CS = (0.05, 0.25, 0.75, 5.0)
+    PS = (1.01, 1.1, 1.5, 1.9, 2.0, 2.05, 3.0, 9.0, 30.0, 200.0, 1000.0)
+
+    @pytest.mark.parametrize("name", sorted(SUMMAND_LAWS))
+    def test_agrees_with_the_untabled_route(self, name, monkeypatch):
+        integrate, integrals = counted(distributions._integrate)
+        monkeypatch.setattr(distributions, "_integrate", integrate)
+        law = SUMMAND_LAWS[name]()
+        tabled = {(c, p): law._log_summand_moment(c, p)
+                  for c in self.CS for p in self.PS}
+        # the table serves all but at most one p per c
+        assert integrals[0] <= len(self.CS)
+        monkeypatch.setattr(distributions._SummandTable, "build",
+                            classmethod(lambda cls, law, c: None))
+        law = SUMMAND_LAWS[name]()
+        # log-moments within 1e-11: the moments agree to 1e-11 relative
+        for (c, p), value in tabled.items():
+            assert value == pytest.approx(law._log_summand_moment(c, p),
+                                          rel=0.0, abs=1e-11), (c, p)
+
+    @pytest.mark.parametrize("name", sorted(SUMMAND_LAWS))
+    def test_value_independent_of_call_order(self, name):
+        n, B, p = 16, 3.0, 1.9
+        fresh = SUMMAND_LAWS[name]().summand_lp_norm(n, B, p)
+        law = SUMMAND_LAWS[name]()
+        for other in (2.0, 30.0, 1.1):
+            law.summand_lp_norm(n, B, other)
+        assert law.summand_lp_norm(n, B, p) == fresh
+        law.summand_lp_norm(4, B, p)
+        assert law.summand_lp_norm(n, B, p) == fresh
+
+    def test_extrapolated_tail_goes_to_the_integrator(self, monkeypatch):
+        # at p = 1.5 the t5 summand's window reaches the end of the ladder,
+        # where _integrate extrapolates the tail: no table, and every p
+        # integrates
+        integrate, integrals = counted(distributions._integrate)
+        monkeypatch.setattr(distributions, "_integrate", integrate)
+        t5 = DensityLaw(t5_density)
+        calls = integrals[0]
+        assert math.isfinite(t5.summand_lp_norm(16, 5.0, 2.0))
+        with pytest.raises(DivergentError):
+            t5.summand_lp_norm(16, 5.0, 2.6)
+        assert integrals[0] - calls == 2
+
+    def test_power_cell_integrates_at_most_twice(self, monkeypatch):
+        # a PowerLevel cell asks for 11 summand moments at one c: one
+        # table, and at most one p past it, where each used to integrate
+        integrate, integrals = counted(distributions._integrate)
+        monkeypatch.setattr(distributions, "_integrate", integrate)
+        summand, moments = counted(DistributionModel.summand_lp_norm)
+        monkeypatch.setattr(DistributionModel, "summand_lp_norm", summand)
+        _power_tail_point(StandardGaussian(), 16, 3.0)
+        assert moments[0] == 11
+        assert integrals[0] <= 2
+
+
 class TestDiscreteLogSumExp:
     def test_bit_identical_to_scipy(self):
         # the port must reproduce scipy.special.logsumexp bit for bit: a
@@ -565,7 +636,7 @@ class TestDiscreteLogSumExp:
                     assert got == want or (math.isnan(got) and math.isnan(want)), \
                         (row, b)
 
-    def test_moments_bit_identical_to_generic_route(self):
+    def test_hooks_equal_scipy_sums_of_quadrature_exponents(self):
         # the atomic hooks reproduce the quadrature hooks' exponents,
         # summed by SciPy
         rng = np.random.default_rng(5)
@@ -588,7 +659,7 @@ class TestDiscreteLogSumExp:
     @pytest.mark.parametrize("spec", [
         "rademacher", "discrete:-1:0.6666666666666666,2:0.3333333333333334",
         "from_sample"])
-    def test_curves_bit_identical_to_generic_route(self, spec, monkeypatch):
+    def test_curves_unchanged_by_scipy_quadrature_hooks(self, spec, monkeypatch):
         def law():
             if spec == "from_sample":
                 draws = np.random.default_rng(7).exponential(size=300)
@@ -600,13 +671,19 @@ class TestDiscreteLogSumExp:
                     for make in (exp_curve, power_curve) for n in (16, (1, 64))]
 
         lean = curves(law())
-        # the quadrature hooks' exponents on the atoms, summed by SciPy
-        for hook in ("_lp_norm", "_log_mgf2", "_log_summand_moment"):
-            monkeypatch.setattr(DiscreteLaw, hook, getattr(_QuadratureLaw, hook))
+        # the quadrature hooks' exponents on the atoms, summed by SciPy;
+        # the summand moment's is p times the quadrature's ln|summand|
+        # (a density law's table only caches its integration)
+        for hook in ("_lp_norm", "_log_mgf2", "_log_abs_summand"):
+            monkeypatch.setattr(DiscreteLaw, hook, getattr(_QuadratureLaw, hook),
+                                raising=False)
         monkeypatch.setattr(DiscreteLaw, "_log_expect_exponent",
                             lambda self, t, breakpoints: float(
                                 logsumexp(t(self._values), b=self._probs)),
                             raising=False)
+        monkeypatch.setattr(DiscreteLaw, "_log_summand_moment",
+                            lambda self, c, p: self._log_expect_exponent(
+                                lambda x: p * self._log_abs_summand(c, x), ()))
         assert curves(law()) == lean
 
     def test_overflowing_exponents(self):
@@ -708,15 +785,15 @@ class TestConstruction:
         assert law.sigma2 == 1.0
 
 
-def counted(pdf):
-    """pdf, and a one-element list that counts its calls."""
+def counted(fn):
+    """fn, and a one-element list that counts its calls."""
     calls = [0]
 
-    def fn(x):
+    def wrapper(*args):
         calls[0] += 1
-        return pdf(x)
+        return fn(*args)
 
-    return fn, calls
+    return wrapper, calls
 
 
 def histogram(bins):
