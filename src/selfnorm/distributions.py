@@ -9,10 +9,11 @@ density laws as integrals by one vectorized adaptive Gauss-Legendre rule
 huge-but-finite integrands never overflow pointwise.  The standard
 gaussian and the symmetric uniform override the hooks they have closed
 forms for.  A density law's summand moments at one ``c = B/sqrt(n)``
-share one quadrature table (:class:`_SummandTable`), so the p search of
-a PowerLevel cell refines its pieces once.  A density law reads its
-density only through ``_log_density``, and every law draws only through
-``sample``.  A moment whose tail past the probe ladder does not decay
+are integrated over one plan, a memo of the probes and pieces of one
+:func:`_integrate` call, so the p search of a PowerLevel cell refines
+its pieces once.  A density law reads its density only through
+``_log_density``, and every law draws only through ``sample``.  A
+moment whose tail past the probe ladder does not decay
 geometrically, and a quadratic moment or density integral above
 ``exp(700)``, raise :class:`DivergentError`; callers that need an
 extended-real answer (the log-MGF) map that onto ``+inf``.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -61,7 +62,7 @@ _PEAK_STEPS = (-32.0, -8.0, -2.0, -1.0, 1.0, 2.0, 8.0, 32.0)
 # a largest exponent below this keeps the shifted exponents finite: their
 # exact values stay above -max_float - 2^969, which rounds to -max_float
 _SHIFT_SAFE = math.ldexp(1.0, 969)
-# the p at which the summand table of a density law is refined
+# the p at which the summand plan of a density law is refined
 _P_REF = 1.5
 
 
@@ -167,63 +168,65 @@ def _gauss_legendre():
     return u, w
 
 
-def _probes(lo: float, hi: float, scale: float,
-            breakpoints: Sequence[float]) -> np.ndarray:
-    """The probes of :func:`_integrate`: the ladder ``0, +-scale*2^k``
-    (k = -10..100), the breakpoints and the finite ends, within [lo, hi]."""
-    pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
-    return pts[(pts >= lo) & (pts <= hi) & (np.abs(pts) <= scale * _LADDER[-1])]
-
-
-def _window(probes: np.ndarray, e: np.ndarray, lo: float,
-            hi: float) -> tuple[int, int] | None:
-    """The indices of the first and last probe that :func:`_integrate`
-    integrates between, for the exponent e at the probes: the probes where
-    e is within 800 of its largest value, and one more on each side.
-    None where e is -inf at every probe.  When [lo, hi] goes on past an
-    end of the probes, a peak of e at that end means divergence, and so
-    does a peak at +inf: both raise :class:`DivergentError`."""
-    e = np.where(np.isnan(e), -math.inf, e)
-    i0, last = int(np.argmax(e)), len(probes) - 1
-    top = e[i0]
-    if top == -math.inf:
-        return None
-    if (top == math.inf or (i0 == 0 and probes[0] > lo)
-            or (i0 == last and probes[-1] < hi)):
-        raise DivergentError("integrand diverges at its peak")
-    # past the window the integrand is below exp(-800) of the peak at
-    # every probe
-    rel = np.nonzero(e >= top - 800.0)[0]
-    return max(rel[0] - 1, 0), min(rel[-1] + 1, last)
-
-
 def _integrate(fn, lo: float, hi: float, scale: float,
-               breakpoints: Sequence[float] = ()) -> tuple[float, float]:
+               breakpoints: Sequence[float] = (), table: tuple | None = None,
+               plan: bool = False):
     """The integral of ``s * exp(e)`` over [lo, hi], where ``(e, s) =
     fn(x)`` for an array x.  Returns ``(shift, total)``; the integral is
     ``exp(shift) * total``.
 
-    Only the :func:`_window` of the :func:`_probes` is integrated, piece
-    by piece between consecutive probes (see :func:`_adapt`).  A window
-    reaching an end of the ladder short of lo or hi adds the geometric
-    tail ``r/(1 - r)`` times the last octave, r the ratio of the last two
-    octaves, and that tail must stay below ``_UNRESOLVED_TOL`` of the
-    total, else the integral counts as divergent.
+    The probes are the ladder ``0, +-scale*2^k`` (k = -10..100), the
+    breakpoints and the finite ends, within [lo, hi].  Only the window of
+    probes where e is within 800 of its largest probe value, and one more
+    on each side, is integrated, piece by piece between consecutive
+    probes (see :func:`_adapt`).  When [lo, hi] goes on past an end of
+    the ladder, a peak of e at that end means divergence; a window
+    reaching it adds the geometric tail ``r/(1 - r)`` times the last
+    octave, r the ratio of the last two octaves, and that tail must stay
+    below ``_UNRESOLVED_TOL`` of the total, else the integral counts as
+    divergent.
+
+    ``plan=True`` returns, in place of the integral, its plan ``(probes,
+    window, pieces)``: the window as indices of the probes, and the ends
+    ``(a, b)`` of the pieces that :func:`_adapt` accepted over it; None
+    where e is -inf at every probe.  ``table = (probes, window, pieces, e,
+    first)`` integrates fn over such a plan, made for another exponent:
+    e is fn's exponent at the probes, and ``first`` what fn returns at
+    the 96 first-round nodes of each piece.  Its window is found on the
+    plan's probes and must lie within the plan's window, else the plan
+    cannot integrate fn and :class:`DivergentError` is raised; the
+    plan's pieces are then integrated in place of the window's.
     """
-    probes = _probes(lo, hi, scale, breakpoints)
-    with np.errstate(invalid="ignore", over="ignore"):
-        e = np.asarray(fn(probes)[0], dtype=float)
-    window = _window(probes, e, lo, hi)
-    if window is None:
-        return -math.inf, 0.0
-    i_lo, i_hi = window
-    edges = probes[i_lo:i_hi + 1]
-    shift, acc, _, _ = _adapt(fn, edges[:-1], edges[1:])
+    if table is None:
+        pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
+        probes = pts[(pts >= lo) & (pts <= hi) & (np.abs(pts) <= scale * _LADDER[-1])]
+        with np.errstate(invalid="ignore", over="ignore"):
+            e = np.asarray(fn(probes)[0], dtype=float)
+    else:
+        probes, window, pieces, e, first = table
+    e = np.where(np.isnan(e), -math.inf, e)
+    i0, last = int(np.argmax(e)), len(probes) - 1
+    top = e[i0]
+    if top == -math.inf:
+        return None if plan else (-math.inf, 0.0)
+    open_lo, open_hi = probes[0] > lo, probes[-1] < hi
+    if top == math.inf or (i0 == 0 and open_lo) or (i0 == last and open_hi):
+        raise DivergentError("integrand diverges at its peak")
+    # past the window the integrand is below exp(-800) of the peak at
+    # every probe
+    rel = np.nonzero(e >= top - 800.0)[0]
+    i_lo, i_hi = max(rel[0] - 1, 0), min(rel[-1] + 1, last)
+    if table is None:
+        pieces, first = (probes[i_lo:i_hi], probes[i_lo + 1:i_hi + 1]), None
+    elif i_lo < window[0] or i_hi > window[1]:
+        raise DivergentError("integrand's window leaves the plan")
+    shift, acc, accepted = _adapt(fn, *pieces, first)
+    if plan:
+        return probes, (i_lo, i_hi), accepted
     total = float(acc.sum())
-    span = np.abs(edges).max()
-    last = len(probes) - 1
-    for is_open, dist in ((i_lo == 0 and probes[0] > lo, -edges[1:]),
-                          (i_hi == last and probes[-1] < hi, edges[:-1])):
+    span = scale * _LADDER[-1]  # where an open side's window ends
+    a, b = pieces
+    for is_open, dist in ((open_lo and i_lo == 0, -b), (open_hi and i_hi == last, a)):
         if not is_open:
             continue
         # the last two octaves: [span/2, span] and [span/4, span/2] out
@@ -240,11 +243,10 @@ def _integrate(fn, lo: float, hi: float, scale: float,
 
 
 def _adapt(fn, a: np.ndarray, b: np.ndarray,
-           first: tuple | None = None) -> tuple[float, np.ndarray, np.ndarray,
-                                                np.ndarray]:
+           first: tuple | None = None) -> tuple[float, np.ndarray, tuple]:
     """Adaptive Gauss-Legendre integrals of ``s * exp(e - shift)`` over
     the pieces [a_i, b_i]; returns ``shift``, the value of each piece, and
-    the ends a and b of the pieces it accepted.
+    the ends ``(a, b)`` of the pieces it accepted.
 
     Each piece is integrated by the 32-node rule on one panel and on two
     halves.  A piece whose two values differ by more than ``_PIECE_TOL``
@@ -253,9 +255,10 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray,
     all pieces of a round go through one call of ``fn``, except that
     ``first``, when given, is what ``fn`` returns at the first round's
     nodes.  Round ``_MAX_ROUNDS`` accepts every piece if their summed
-    error is within ``_UNRESOLVED_TOL`` of the total.  A round leaving over ``_MAX_OPEN``
-    pieces open always raises: each error is above ``_PIECE_TOL`` of the
-    total, so their sum passes 1.024e-10 > ``_UNRESOLVED_TOL``.
+    error is within ``_UNRESOLVED_TOL`` of the total.  A round leaving
+    over ``_MAX_OPEN`` pieces open always raises: each error is above
+    ``_PIECE_TOL`` of the total, so their sum passes 1.024e-10 >
+    ``_UNRESOLVED_TOL``.
     ``shift`` follows the largest exponent seen, so no node overflows.
     """
     u, w = _gauss_legendre()
@@ -307,7 +310,7 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray,
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
         origin = np.concatenate((origin, origin))
         one = np.concatenate((left[open_], right[open_]))
-    return shift, acc, np.concatenate(done_a), np.concatenate(done_b)
+    return shift, acc, (np.concatenate(done_a), np.concatenate(done_b))
 
 
 class DistributionModel:
@@ -320,8 +323,9 @@ class DistributionModel:
         log_mgf2(l1, l2)          _log_mgf2(l1, l2), away from the origin
         quadratic_moments()       _quadratic_moments(), once per law
         summand_lp_norm(n, B, p)  _log_summand_moment(B/sqrt(n), p), B > 0;
-                                  a density law keeps the table of the
-                                  last c, and each p is one pass over it
+                                  a density law keeps the quadrature plan
+                                  of the last c, and integrates each p
+                                  over it
     """
 
     sigma2: float
@@ -522,10 +526,10 @@ class Rademacher(DiscreteLaw):
 class _QuadratureLaw(DistributionModel):
     """Laws given by a density: every hook integrates by
     :func:`_integrate`, with the probe ladder in units of sigma, the
-    summand moments through one :class:`_SummandTable` per c."""
+    summand moments over one :meth:`_summand_plan` per c."""
 
     support: tuple[float, float]
-    # the summand table of the last c asked for, as (c, table or None)
+    # the summand plan of the last c asked for, as (c, plan or None)
     _summand_memo: tuple = (None, None)
 
     def _log_density(self, x):
@@ -553,8 +557,9 @@ class _QuadratureLaw(DistributionModel):
 
         return fn
 
-    def _log_expect_exponent(self, t, breakpoints):
-        """ln E exp(t(xi)), computed entirely at exponent level.
+    def _log_expect_exponent(self, t, breakpoints, table=None):
+        """ln E exp(t(xi)), computed entirely at exponent level; ``table``
+        as for :func:`_integrate`.
 
         The integrand exponent is shifted by its maximum before
         quadrature, so values like ``E |xi|^900`` or an MGF of size
@@ -562,7 +567,7 @@ class _QuadratureLaw(DistributionModel):
         Genuine divergence still raises :class:`DivergentError`.
         """
         shift, total = _integrate(self._exponent_fn(t), *self.support,
-                                  math.sqrt(self.sigma2), breakpoints)
+                                  math.sqrt(self.sigma2), breakpoints, table)
         if total <= 0.0:
             # the expectation of a positive integrand is positive: a zero
             # total means the quadrature missed the mass (at a jump of the
@@ -626,23 +631,54 @@ class _QuadratureLaw(DistributionModel):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.log(np.abs(x + c * (self.sigma2 - x * x)))
 
+    def _summand_plan(self, c):
+        """The quadrature of the summand moments at c, shared by every p:
+        the plan of :func:`_integrate` for the exponent at ``_P_REF``, so
+        that the pieces next to the roots of the summand come out refined,
+        and the parts ``(A, L)`` of the exponent ``A + p*L``, the
+        log-density and ln|summand|, at its probes and at the 96
+        first-round nodes of each piece.  None where the moment at
+        ``_P_REF`` diverges or reads no mass."""
+        fn = self._exponent_fn(lambda x: _P_REF * self._log_abs_summand(c, x))
+        try:
+            plan = _integrate(fn, *self.support, math.sqrt(self.sigma2),
+                              _summand_breakpoints(self.sigma2, c, _P_REF),
+                              plan=True)
+        except DivergentError:
+            return None
+        if plan is None:
+            return None
+        probes, _, (a, b) = plan
+        u, _ = _gauss_legendre()
+        nodes = a[:, None] + (b - a)[:, None] * np.concatenate(
+            (u, 0.5 * u, 0.5 + 0.5 * u))
+        with np.errstate(invalid="ignore", over="ignore"):
+            parts = [(self._log_density(x), self._log_abs_summand(c, x))
+                     for x in (probes, nodes)]
+        return plan, parts
+
     def _log_summand_moment(self, c: float, p: float) -> float:
         """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0.
 
-        From the :class:`_SummandTable` at c, kept in a one-slot memo; a
-        p the table misses goes through :meth:`_log_expect_exponent`.
+        Over the :meth:`_summand_plan` of c, kept in a one-slot memo; a p
+        the plan cannot integrate, or whose integral over it diverges,
+        goes over fresh probes.
         """
         if self._summand_memo[0] != c:
-            self._summand_memo = (c, _SummandTable.build(self, c))
-        table = self._summand_memo[1]
+            self._summand_memo = (c, self._summand_plan(c))
+        memo = self._summand_memo[1]
 
         def t(x):
             return p * self._log_abs_summand(c, x)
 
-        if table is not None:
-            value = table.log_moment(p, self._exponent_fn(t))
-            if value is not None:
-                return value
+        if memo is not None:
+            plan, parts = memo
+            with np.errstate(invalid="ignore", over="ignore"):
+                e, first = (A + p * L for A, L in parts)
+            try:
+                return self._log_expect_exponent(t, (), (*plan, e, (first, 1.0)))
+            except DivergentError:
+                pass
         return self._log_expect_exponent(t, _summand_breakpoints(self.sigma2, c, p))
 
 
@@ -653,81 +689,6 @@ def _summand_breakpoints(s2: float, c: float, p: float) -> tuple[float, ...]:
     roots = ((1.0 - disc) / (2.0 * c), (1.0 + disc) / (2.0 * c))
     scale = math.sqrt(max(2.0 * p * s2, s2))
     return (0.0, *roots, -scale, scale)
-
-
-class _SummandTable(NamedTuple):
-    """The quadrature of ln E|xi + c*(sigma^2 - xi^2)|^p for one density
-    law and one c, reused at every p.
-
-    The pieces are those :func:`_adapt` accepts for the exponent at
-    ``_P_REF``, over :func:`_integrate`'s window at ``_P_REF``, so that
-    the pieces next to the roots of the summand come out refined.  The
-    table keeps the parts ``(A, L)`` of the exponent ``A + p*L``, the
-    log-density and ln|summand|, at the probes and at the 96 first-round
-    nodes of each piece.  A query at p finds the window at p from the
-    probes, then runs :func:`_adapt` over the pieces with ``A + p*L`` as
-    its first round: a piece that fails the piece test at p is bisected,
-    as ever.
-    """
-
-    support: tuple[float, float]
-    probes: np.ndarray
-    probe_parts: tuple[np.ndarray, np.ndarray]
-    span: tuple[int, int]  # the window at _P_REF, as indices of probes
-    pieces: tuple[np.ndarray, np.ndarray]
-    parts: tuple[np.ndarray, np.ndarray]
-
-    @classmethod
-    def build(cls, law: _QuadratureLaw, c: float) -> _SummandTable | None:
-        """The table at c; None where the moment at ``_P_REF`` diverges,
-        or its window reaches an open end of the ladder, where
-        :func:`_integrate` extrapolates the tail."""
-        lo, hi = law.support
-        probes = _probes(lo, hi, math.sqrt(law.sigma2),
-                         _summand_breakpoints(law.sigma2, c, _P_REF))
-        probe_parts = cls._parts(law, c, probes)
-        try:
-            span = _window(probes, cls._exponent(probe_parts, _P_REF), lo, hi)
-            if (span is None or (span[0] == 0 and probes[0] > lo)
-                    or (span[1] == len(probes) - 1 and probes[-1] < hi)):
-                return None
-            edges = probes[span[0]:span[1] + 1]
-            fn = law._exponent_fn(lambda x: _P_REF * law._log_abs_summand(c, x))
-            a, b = _adapt(fn, edges[:-1], edges[1:])[2:]
-        except DivergentError:
-            return None
-        u, _ = _gauss_legendre()
-        x = a[:, None] + (b - a)[:, None] * np.concatenate((u, 0.5 * u, 0.5 + 0.5 * u))
-        return cls(law.support, probes, probe_parts, span, (a, b),
-                   cls._parts(law, c, x))
-
-    def log_moment(self, p: float, fn) -> float | None:
-        """ln E|summand|^p, fn giving its exponent for :func:`_adapt`;
-        None where the window at p leaves the table's span, and where
-        the quadrature diverges or reads no mass."""
-        try:
-            window = _window(self.probes, self._exponent(self.probe_parts, p),
-                             *self.support)
-            if (window is None or window[0] < self.span[0]
-                    or window[1] > self.span[1]):
-                return None
-            shift, acc, _, _ = _adapt(fn, *self.pieces,
-                                      first=(self._exponent(self.parts, p), 1.0))
-        except DivergentError:
-            return None
-        total = float(acc.sum())
-        return shift + math.log(total) if total > 0.0 else None
-
-    @staticmethod
-    def _parts(law, c, x):
-        with np.errstate(invalid="ignore", over="ignore"):
-            return law._log_density(x), law._log_abs_summand(c, x)
-
-    @staticmethod
-    def _exponent(parts, p):
-        A, L = parts
-        with np.errstate(invalid="ignore", over="ignore"):
-            return A + p * L
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -698,6 +698,11 @@ class TestMain:
         (["bound-exp", "--dist", "empirical:{tmp}/nan.txt"],
          "dist: sample file '{tmp}/nan.txt', line 3: expected a finite number, "
          "got 'nan'"),
+        pytest.param(
+            ["bound-lower", "--dist", "gaussian", "--B", "1", "--output", "/dev/full"],
+            "output: cannot write '/dev/full': No space left on device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                     reason="needs /dev/full")),
     ])
     def test_input_check_one_stderr_line(self, argv, message, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("dist=rademacher\nbogus line\n")

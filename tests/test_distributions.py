@@ -506,25 +506,52 @@ SUMMAND_LAWS = {
 
 
 class TestSummandTable:
-    """A density law's summand moments at one c come from one quadrature
-    table, built at p = 1.5 and reused at every p; a p whose window
-    leaves the table, and a law whose window reaches an open end of the
-    ladder, go through _integrate."""
+    """A density law's summand moments at one c are integrated over one
+    plan, built at p = 1.5 and reused at every p: one build per c, and a
+    fresh probe ladder only for a p whose window leaves the plan, or
+    whose integral over it diverges."""
 
     CS = (0.05, 0.25, 0.75, 5.0)
     PS = (1.01, 1.1, 1.5, 1.9, 2.0, 2.05, 3.0, 9.0, 30.0, 200.0, 1000.0)
 
+    @staticmethod
+    def integrations(monkeypatch):
+        """Record each _integrate call as (kind, error): kind 'plan' for a
+        build, 'table' for a query over a plan, 'fresh' for a probe
+        ladder of its own; error the DivergentError's message, or None."""
+        log = []
+        integrate = distributions._integrate
+
+        def recorded(fn, lo, hi, scale, breakpoints=(), table=None, plan=False):
+            kind = "plan" if plan else "fresh" if table is None else "table"
+            try:
+                out = integrate(fn, lo, hi, scale, breakpoints, table, plan)
+            except DivergentError as exc:
+                log.append((kind, str(exc)))
+                raise
+            log.append((kind, None))
+            return out
+
+        monkeypatch.setattr(distributions, "_integrate", recorded)
+        return log
+
+    @staticmethod
+    def untabled(monkeypatch):
+        monkeypatch.setattr(_QuadratureLaw, "_summand_plan", lambda self, c: None)
+
     @pytest.mark.parametrize("name", sorted(SUMMAND_LAWS))
     def test_agrees_with_the_untabled_route(self, name, monkeypatch):
-        integrate, integrals = counted(distributions._integrate)
-        monkeypatch.setattr(distributions, "_integrate", integrate)
+        log = self.integrations(monkeypatch)
         law = SUMMAND_LAWS[name]()
-        tabled = {(c, p): law._log_summand_moment(c, p)
-                  for c in self.CS for p in self.PS}
-        # the table serves all but at most one p per c
-        assert integrals[0] <= len(self.CS)
-        monkeypatch.setattr(distributions._SummandTable, "build",
-                            classmethod(lambda cls, law, c: None))
+        tabled = {}
+        for c in self.CS:
+            del log[:]
+            tabled.update({(c, p): law._log_summand_moment(c, p) for p in self.PS})
+            kinds = [kind for kind, _ in log]
+            # one build, and at most one p whose window leaves the plan
+            assert kinds.count("plan") == 1, c
+            assert kinds.count("fresh") <= 1, c
+        self.untabled(monkeypatch)
         law = SUMMAND_LAWS[name]()
         # log-moments within 1e-11: the moments agree to 1e-11 relative
         for (c, p), value in tabled.items():
@@ -542,29 +569,54 @@ class TestSummandTable:
         law.summand_lp_norm(4, B, p)
         assert law.summand_lp_norm(n, B, p) == fresh
 
-    def test_extrapolated_tail_goes_to_the_integrator(self, monkeypatch):
-        # at p = 1.5 the t5 summand's window reaches the end of the ladder,
-        # where _integrate extrapolates the tail: no table, and every p
-        # integrates
-        integrate, integrals = counted(distributions._integrate)
-        monkeypatch.setattr(distributions, "_integrate", integrate)
+    def test_extrapolated_tail_is_tabled(self, monkeypatch):
+        # at p = 1.5 the t5 summand's window reaches the end of the ladder:
+        # the plan's pieces get _integrate's tail extrapolation too
         t5 = DensityLaw(t5_density)
-        calls = integrals[0]
-        assert math.isfinite(t5.summand_lp_norm(16, 5.0, 2.0))
+        log = self.integrations(monkeypatch)
+        cs, ps = (0.05, 0.25, 0.75, 1.25, 5.0), (1.01, 1.1, 1.5, 1.9, 2.0, 2.05)
+        tabled = {(c, p): t5._log_summand_moment(c, p) for c in cs for p in ps}
+        assert log == ([("plan", None)] + [("table", None)] * len(ps)) * len(cs)
+        # E|summand|^p is infinite from p = 2.5 on
         with pytest.raises(DivergentError):
             t5.summand_lp_norm(16, 5.0, 2.6)
-        assert integrals[0] - calls == 2
+        self.untabled(monkeypatch)
+        t5 = DensityLaw(t5_density)
+        for (c, p), value in tabled.items():
+            assert value == pytest.approx(t5._log_summand_moment(c, p),
+                                          rel=0.0, abs=1e-11), (c, p)
 
-    def test_power_cell_integrates_at_most_twice(self, monkeypatch):
+    @pytest.mark.parametrize("density, support", [
+        (lambda x: np.exp(-(x + 1.0)), (-1.0, math.inf)),
+        (lambda x: np.exp(-math.sqrt(2.0) * np.abs(x)) / math.sqrt(2.0),
+         (-math.inf, math.inf)),
+    ], ids=["shifted exponential", "laplace"])
+    def test_divergent_query_goes_over_fresh_probes(self, density, support,
+                                                    monkeypatch):
+        # E|summand|^500 at c = 1/4 exhausts the bisection budget over the
+        # plan; the fresh route then raises, as it does untabled
+        law = DensityLaw(density, support=support)
+        log = self.integrations(monkeypatch)
+        with pytest.raises(DivergentError, match="did not converge"):
+            law.summand_lp_norm(16, 1.0, 500.0)
+        assert log == [("plan", None), ("table", "quadrature did not converge"),
+                       ("fresh", "quadrature did not converge")]
+        self.untabled(monkeypatch)
+        with pytest.raises(DivergentError, match="did not converge"):
+            DensityLaw(density, support=support).summand_lp_norm(16, 1.0, 500.0)
+
+    def test_power_cell_probes_at_most_twice(self, monkeypatch):
         # a PowerLevel cell asks for 11 summand moments at one c: one
-        # table, and at most one p past it, where each used to integrate
-        integrate, integrals = counted(distributions._integrate)
-        monkeypatch.setattr(distributions, "_integrate", integrate)
+        # build, and at most one fresh ladder past it, where each p used to
+        # probe and integrate afresh
+        log = self.integrations(monkeypatch)
         summand, moments = counted(DistributionModel.summand_lp_norm)
         monkeypatch.setattr(DistributionModel, "summand_lp_norm", summand)
         _power_tail_point(StandardGaussian(), 16, 3.0)
         assert moments[0] == 11
-        assert integrals[0] <= 2
+        kinds = [kind for kind, _ in log]
+        assert kinds.count("plan") == 1
+        assert kinds.count("fresh") <= 1
 
 
 class TestDiscreteLogSumExp:
@@ -849,6 +901,30 @@ class TestIntegratorBudget:
             distributions._integrate(fn, -math.inf, math.inf, 1.0, (0.0,))
         # one probe call, then one call per round
         assert calls[0] <= 21
+
+    @staticmethod
+    def power_pdf(a):
+        """(1 - a)/2 * |x|^-a on (-1, 1), 0 at x = 0: mass 1, and sigma^2 =
+        (1 - a)/(3 - a).  Its singularity at 0 halves a piece each round."""
+
+        def pdf(x):
+            with np.errstate(divide="ignore"):
+                return np.where(x == 0.0, 0.0, 0.5 * (1.0 - a) * np.abs(x) ** -a)
+
+        return counted(pdf)
+
+    def test_last_round_accepts_a_small_summed_error(self):
+        pdf, calls = self.power_pdf(0.6)
+        law = DensityLaw(pdf, support=(-1.0, 1.0))
+        assert law.sigma2 == pytest.approx(1.0 / 6.0, rel=0.0, abs=3e-17)
+        # the mass took one probe call and all _MAX_ROUNDS rounds
+        assert calls[0] > 1 + distributions._MAX_ROUNDS
+
+    def test_last_round_fails_a_large_summed_error(self):
+        pdf, calls = self.power_pdf(0.7)
+        with pytest.raises(DivergentError, match="did not converge"):
+            DensityLaw(pdf, support=(-1.0, 1.0))
+        assert calls[0] == 1 + distributions._MAX_ROUNDS
 
 
 class TestSampling:
