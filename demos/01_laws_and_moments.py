@@ -2,7 +2,7 @@
 
 Every tail bound in this package is assembled from expectations of a
 centered law: plain Lp moments, the quadratic summaries (sigma^2, w, z),
-and the two-argument log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)),
+and the two-argument log-MGF K(l1, l2) = ln E exp(l1*xi - l2*xi^2),
 defined for l2 >= 0, the only quadratic slots the bounds use.
 This script builds the three workhorse laws and prints those primitives
 next to their closed forms.  The gaussian's and the uniform's log-MGFs
@@ -51,12 +51,12 @@ print("\n=== bivariate log-MGF along interesting rays ===")
 gauss = laws["gaussian"]
 normal_pdf = DensityLaw(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
                         name="normal pdf")
-print("gaussian: closed form l1^2/(2(1+2*l2)) - ln(1+2*l2)/2 + l2 (StandardGaussian)")
+print("gaussian: closed form l1^2/(2(1+2*l2)) - ln(1+2*l2)/2 (StandardGaussian)")
 print("next to the quadrature of the normal pdf (DensityLaw):")
 for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.0)]:
     print(f"  phi({l1}, {l2}) = {gauss.log_mgf2(l1, l2):.15f}   "
           f"quadrature {normal_pdf.log_mgf2(l1, l2):.15f}")
-print(f"  phi(0, 1e-8) = {gauss.log_mgf2(0.0, 1e-8):.3e}  "
+print(f"  phi(0, 1e-8) + 1e-8 = {gauss.log_mgf2(0.0, 1e-8) + 1e-8:.3e}  "
       "(l2^2 to leading order; log1p keeps it)")
 
 unif = laws["uniform(sqrt 3)"]
@@ -69,10 +69,10 @@ for l1, l2 in [(0.0, 0.5), (1.0, 1.0), (2.0, 0.0), (30.0, 2.0)]:
           f"quadrature {box.log_mgf2(l1, l2):.15f}")
 
 rad = laws["rademacher"]
-print("sign law: the quadratic slot is inert because sigma^2 - xi^2 = 0:")
+print("sign law: xi^2 = 1, so K = ln cosh(l1) - l2:")
 for l2 in (0.0, 3.0, 7.0):
     print(f"  phi(0.8, {l2:.0f}) = {rad.log_mgf2(0.8, l2):.8f}   "
-          f"ln cosh 0.8 = {math.log(math.cosh(0.8)):.8f}")
+          f"ln cosh 0.8 - {l2:.0f} = {math.log(math.cosh(0.8)) - l2:.8f}")
 
 print("\n=== the linearized summand xi + B*(sigma^2 - xi^2)/sqrt(n) ===")
 print("its Lp norms drive the moment-level bound; at B=0 they reduce to |xi|_p")

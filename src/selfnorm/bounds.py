@@ -5,15 +5,17 @@ For i.i.d. centered xi with variance sigma^2, the statistic is
 ``Q_n(B) = P(T(n) > B)`` together with its supremum over n.  The event
 linearizes exactly:
 
-    T(n) > B  <=>  mean of (sqrt(n)*xi_i + B*(sigma^2 - xi_i^2)) > B*sigma^2,
+    T(n) > B  <=>  sum of (sqrt(n)*xi_i - B*xi_i^2) > 0
+              <=>  mean of (sqrt(n)*xi_i + B*(sigma^2 - xi_i^2)) > B*sigma^2.
 
-so every bound here is a bound on the mean of n i.i.d. centered summands.
-Two upper-bound families are provided (an optimized-exponent Chernoff
-bound and a Rosenthal-moment bound valid for B >= e), plus two lower
-bounds (the exact single-observation tail and the limiting normal tail,
-the latter report-only).  Each builder returns a curve of
-:class:`BoundPoint` cells, whose fields are the bound columns of the
-CLI's rows, and rejects a B that is not positive and finite.
+Two upper-bound families are provided: an optimized-exponent Chernoff
+bound on the first form, which holds no sigma^2, and a Rosenthal-moment
+bound, valid for B >= e, on the second, the mean of n i.i.d. centered
+summands.  Two lower bounds go with them (the exact single-observation
+tail and the limiting normal tail, the latter report-only).  Each
+builder returns a curve of :class:`BoundPoint` cells, whose fields are
+the bound columns of the CLI's rows, and rejects a B that is not
+positive and finite.
 """
 
 from __future__ import annotations
@@ -52,11 +54,8 @@ DEFAULT_KR = 0.6379
 DEFAULT_B_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, math.e, 3.0, 5.0, 10.0, 20.0, 50.0)
 
 _THETA_RTOL = 1e-6
-# share of its two terms charged against the Chernoff exponent for their
-# rounding (4 ulps): they nearly cancel when B*sigma^2 is large against
-# the law's scale (uniform:a=1e6 at B = 50: terms of 5e15 around an
-# exponent of 18)
-_CANCEL_ROUNDING = 4.0 * sys.float_info.epsilon
+# share of the Chernoff exponent charged for its rounding (4 ulps)
+_EXPONENT_ROUNDING = 4.0 * sys.float_info.epsilon
 # cells a sup over n evaluates before it settles for its tail certificate;
 # a power of two, so that the last checkpoint falls right after them
 _SUP_CELLS = 64
@@ -101,33 +100,24 @@ class BoundCurve:
 # -- exponential level -------------------------------------------------------
 
 
-def _theta_guess(dist: DistributionModel, n: int, B: float) -> float:
-    """The maximizer n*B*sigma^2/V of the Gaussian-regime objective.
-
-    V = n*sigma^2 + 2*B*sqrt(n)*z + B^2*w is the variance of the
-    linearized summand sqrt(n)*xi + B*(sigma^2 - xi^2), from the law's
-    quadratic moments; when they diverge or V is not positive, the
-    finite start B is used.
-    """
-    try:
-        s2, w, z = dist.quadratic_moments()
-        var = n * s2 + 2.0 * B * math.sqrt(n) * z + B * B * w
-    except ArithmeticError:
-        var = 0.0
-    return n * B * dist.sigma2 / var if var > 0.0 else B
-
-
 def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
     """Optimized-exponent upper bound on Q_n(B).
 
-    ``exp(-sup_{theta>=0} [theta*B*sigma^2 - cgf(theta)])``; the
-    conjugate is evaluated at B*sigma^2, the exact threshold of the
-    linearized event.  Every theta gives a valid bound, and the exponent
-    is at least its value 0 at theta = 0.  The value is 0 without a
-    search when the event is impossible for an atomic law whose smallest
-    positive atom is m, once B > sqrt(n)/m.  When the objective still
-    grows at the search cap, the bound is read there, as at any other
-    theta.
+    The event is exactly ``sum(sqrt(n)*xi_i - B*xi_i^2) > 0``, so its
+    Chernoff bound is ``exp(-sup_{theta>=0} -n*K(theta/sqrt(n),
+    B*theta/n))`` with K the law's :meth:`log_mgf2`; no sigma^2 enters.
+    Every theta gives a valid bound, and the exponent is at least its
+    value 0 at theta = 0.  The search starts at theta = B.  The value is
+    0 without a search when the event is impossible for an atomic law
+    whose smallest positive atom is m, once B > sqrt(n)/m.  When the
+    objective still grows at the search cap, the bound is read there, as
+    at any other theta.
+
+    No cell of a possible event reads 0: K reads -inf at finite
+    arguments only where l2*sigma^2 overflows and the law's own value
+    underflows too.  Of the laws only an atomic one can, where every
+    atom's l1*x - l2*x^2 is -inf, and a possible event keeps that of its
+    smallest positive atom finite.
     """
     # T(n) > 0 needs sum xi > 0, and sum xi <= sum over the positive terms
     # of xi <= sum xi^2/m, so T(n) <= sqrt(n)/m, attained by n draws of m:
@@ -135,18 +125,16 @@ def _exp_tail_point(dist: DistributionModel, n: int, B: float) -> BoundPoint:
     # of T on the safe side)
     if B * dist.min_positive_atom > math.sqrt(n) * (1.0 + 1e-12):
         return BoundPoint(B, 0.0, math.inf, math.inf)
-    target = B * dist.sigma2
 
     def obj(theta: float) -> float:
-        # ln E exp(theta * mean of the n summands); +inf where it diverges
-        gain = theta * target
+        # -ln E exp(theta * sum of the n summands, over n); -inf where it
+        # diverges, and 0.0, not -0.0, at theta = 0
         cgf = n * dist.log_mgf2(theta / math.sqrt(n), B * theta / n)
-        return gain - cgf - _CANCEL_ROUNDING * (abs(gain) + abs(cgf))
+        return 0.0 - cgf - _EXPONENT_ROUNDING * abs(cgf)
 
     # a theta bracket of relative width 1e-6 leaves an exponent error of
     # order 1e-12 relative: the objective is flat at its maximum
-    theta, exponent = maximize_concave(obj, 0.0, x0=_theta_guess(dist, n, B),
-                                       rtol=_THETA_RTOL)
+    theta, exponent = maximize_concave(obj, 0.0, x0=B, rtol=_THETA_RTOL)
     return BoundPoint(B, _tail_value(exponent), exponent, theta)
 
 
@@ -196,10 +184,10 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
     * Efron (1969; de la Pena, Lai and Shao, Self-Normalized Processes,
       2009, ch. 2), for symmetric laws: given the |xi_i|, the signs are
       fair coins, so Hoeffding's inequality gives
-      ``Q_n(B) <= (E exp(-u*xi^2))^n = exp(c*g(u)/u)`` with c = B^2/2,
-      u = c/n and g(u) = log_mgf2(0, u) - u*sigma^2.  As g is convex
-      with g(0) = 0, g(u)/u grows with u, so the bound is non-increasing
-      in n; it tends to exp(-B^2*sigma^2/2).
+      ``Q_n(B) <= (E exp(-u*xi^2))^n = exp(c*K(0, u)/u)`` with
+      c = B^2/2, u = c/n and K the law's :meth:`log_mgf2`.  As K(0, .)
+      is convex with K(0, 0) = 0, K(0, u)/u grows with u, so the bound is
+      non-increasing in n; it tends to exp(-B^2*sigma^2/2).
     * Rosenthal, for any law: for p >= 1 the norm
       ``|xi + c*(sigma^2 - xi^2)|_p`` is convex in c, as the norm of a
       function affine in c.  Every n >= N has c = B/sqrt(n) in
@@ -214,9 +202,8 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
     if dist.symmetric:
         c = 0.5 * B * B
         u = c / N
-        g = dist.log_mgf2(0.0, u) - u * dist.sigma2
-        # in this form the sign law gets exactly c: g(u)/u is -1
-        exponent = max(exponent, -c * g / u)
+        # in this form the sign law gets exactly c: K(0, u)/u is -1
+        exponent = max(exponent, -c * dist.log_mgf2(0.0, u) / u)
         if exponent >= enough:
             return exponent
     psi_N = rosenthal_psi(dist, N, B, kr)

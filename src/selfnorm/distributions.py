@@ -70,6 +70,11 @@ class DivergentError(ArithmeticError):
     """An expectation failed to converge or exceeded the overflow guard."""
 
 
+class _PlanMiss(DivergentError):
+    """The integrand's window leaves the plan that :func:`_integrate` was
+    given: the plan cannot integrate it, but fresh probes may."""
+
+
 def _guard_finite(value: float, what: str) -> float:
     if not math.isfinite(value) or abs(value) > OVERFLOW_LIMIT:
         raise DivergentError(f"{what} exceeded the overflow guard or diverged")
@@ -194,8 +199,8 @@ def _integrate(fn, lo: float, hi: float, scale: float,
     e is fn's exponent at the probes, and ``first`` what fn returns at
     the 96 first-round nodes of each piece.  Its window is found on the
     plan's probes and must lie within the plan's window, else the plan
-    cannot integrate fn and :class:`DivergentError` is raised; the
-    plan's pieces are then integrated in place of the window's.
+    cannot integrate fn and :class:`_PlanMiss` is raised; the plan's
+    pieces are then integrated in place of the window's.
     """
     if table is None:
         pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
@@ -219,7 +224,7 @@ def _integrate(fn, lo: float, hi: float, scale: float,
     if table is None:
         pieces, first = (probes[i_lo:i_hi], probes[i_lo + 1:i_hi + 1]), None
     elif i_lo < window[0] or i_hi > window[1]:
-        raise DivergentError("integrand's window leaves the plan")
+        raise _PlanMiss("integrand's window leaves the plan")
     shift, acc, accepted = _adapt(fn, *pieces, first)
     if plan:
         return probes, (i_lo, i_hi), accepted
@@ -320,7 +325,8 @@ class DistributionModel:
 
         q1(B)                     _q1(1/B)
         lp_norm(p)                _lp_norm(p)
-        log_mgf2(l1, l2)          _log_mgf2(l1, l2), away from the origin
+        log_mgf2(l1, l2)          _log_mgf2(l1, l2), at finite arguments
+                                  away from the origin
         quadratic_moments()       _quadratic_moments(), once per law
         summand_lp_norm(n, B, p)  _log_summand_moment(B/sqrt(n), p), B > 0;
                                   a density law keeps the quadrature plan
@@ -366,18 +372,25 @@ class DistributionModel:
         return self._lp_norm(p)
 
     def log_mgf2(self, l1: float, l2: float) -> float:
-        """Bivariate log-MGF ln E exp(l1*xi + l2*(sigma^2 - xi^2)), l2 >= 0.
+        """Bivariate log-MGF K(l1, l2) = ln E exp(l1*xi - l2*xi^2), l2 >= 0.
 
         Raises ``ValueError`` for l2 < 0 or NaN.  Returns ``+inf`` when the
-        expectation diverges, and also where :meth:`_log_mgf2` reads NaN;
-        always 0 at the origin.
+        expectation diverges, at an infinite argument, and where
+        :meth:`_log_mgf2` reads NaN; always 0 at the origin.  By Jensen
+        K >= l1*E xi - l2*sigma^2 = -l2*sigma^2, and a value below that
+        floor, which rounding can give, reads the floor: raising K only
+        loosens a bound, so that is safe also for a law whose mean is off
+        0 by rounding.
         """
         if not l2 >= 0.0:
             raise ValueError(f"l2 must be >= 0, got {l2}")
         if l1 == 0.0 and l2 == 0.0:
             return 0.0
+        if not (math.isfinite(l1) and math.isfinite(l2)):
+            return math.inf
         v = self._log_mgf2(l1, l2)
-        return math.inf if math.isnan(v) else v
+        floor = 0.0 - l2 * self.sigma2  # +0.0, not -0.0, at l2 = 0
+        return math.inf if math.isnan(v) else max(floor, v)
 
     def quadratic_moments(self) -> tuple[float, float, float]:
         """(sigma^2, w, z) with w = E(sigma^2 - xi^2)^2 and z = E(sigma^2*xi
@@ -483,13 +496,6 @@ class DiscreteLaw(DistributionModel):
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 exps = l1 * self._values - l2 * self._squares
-        v = _log_sum_exp(exps, self._probs) + l2 * self.sigma2
-        if math.isfinite(v):
-            return v
-        # l2*(sigma^2 - x^2) per atom stays finite where l2*x^2 or
-        # l2*sigma^2 overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            exps = l1 * self._values + l2 * (self.sigma2 - self._squares)
         return _log_sum_exp(exps, self._probs)
 
     def _quadratic_moments(self):
@@ -592,7 +598,8 @@ class _QuadratureLaw(DistributionModel):
         return math.exp(log_moment / p)
 
     def _log_mgf2(self, l1: float, l2: float) -> float:
-        """The log-MGF away from the origin, by :meth:`_log_expect_exponent`.
+        """K = ln E exp(l1*xi - l2*xi^2) at finite arguments away from the
+        origin, by :meth:`_log_expect_exponent`.
 
         At l2 = 0 the one breakpoint is 0.  For l2 > 0 the integrand
         peaks near l1/(2*l2) with standard deviation ``width =
@@ -604,8 +611,7 @@ class _QuadratureLaw(DistributionModel):
         agree, and the piece is accepted short of up to a third of the
         mass.
         """
-        # the constant l2*sigma^2 is added last, so that the exponent stays
-        # of the size of its variation even when l2*sigma^2 is huge
+
         def t(x):
             return l1 * x - l2 * (x * x)
 
@@ -616,7 +622,7 @@ class _QuadratureLaw(DistributionModel):
         else:
             pts = (0.0,)
         try:
-            return self._log_expect_exponent(t, pts) + l2 * self.sigma2
+            return self._log_expect_exponent(t, pts)
         except DivergentError:
             return math.inf
 
@@ -661,8 +667,8 @@ class _QuadratureLaw(DistributionModel):
         """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0.
 
         Over the :meth:`_summand_plan` of c, kept in a one-slot memo; a p
-        the plan cannot integrate, or whose integral over it diverges,
-        goes over fresh probes.
+        whose window leaves the plan goes over fresh probes, and any other
+        divergence over the plan raises.
         """
         if self._summand_memo[0] != c:
             self._summand_memo = (c, self._summand_plan(c))
@@ -677,7 +683,7 @@ class _QuadratureLaw(DistributionModel):
                 e, first = (A + p * L for A, L in parts)
             try:
                 return self._log_expect_exponent(t, (), (*plan, e, (first, 1.0)))
-            except DivergentError:
+            except _PlanMiss:
                 pass
         return self._log_expect_exponent(t, _summand_breakpoints(self.sigma2, c, p))
 
@@ -712,8 +718,11 @@ class StandardGaussian(_QuadratureLaw):
         return -0.5 * x * x - _LOG_SQRT_2PI
 
     def _log_mgf2(self, l1, l2):
-        # E exp(l1*xi - l2*xi^2) = exp(l1^2/(2d))/sqrt(d), d = 1 + 2*l2 >= 1
-        return l1 * l1 / (2.0 + 4.0 * l2) - 0.5 * math.log1p(2.0 * l2) + l2
+        # E exp(l1*xi - l2*xi^2) = exp(l1^2/(2d))/sqrt(d), d = 1 + 2*l2 >= 1;
+        # where 2*l2 overflows, d is 2*l2 to the last bit
+        log_d = (math.log1p(2.0 * l2) if l2 < 0.5 * sys.float_info.max
+                 else math.log(2.0) + math.log(l2))
+        return l1 * l1 / (2.0 + 4.0 * l2) - 0.5 * log_d
 
     def _lp_norm(self, p):
         # E|xi|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi)
@@ -821,8 +830,6 @@ class UniformSymmetric(_QuadratureLaw):
     def _log_mgf2(self, l1, l2):
         # E exp(l1*xi - l2*xi^2) is a truncated gaussian integral; the law
         # is symmetric, so l1 enters through |l1|
-        if not (math.isfinite(l1) and math.isfinite(l2)):
-            return math.inf
         a, b = self.half_width, abs(l1)
         if b < 2.0 * a * l2:
             # the exponent b*x - l2*x^2 peaks at m inside the support
@@ -832,11 +839,8 @@ class UniformSymmetric(_QuadratureLaw):
         else:
             # it peaks at x = a or beyond: integrate y = a - x over [0, 2a]
             log_e = a * b - a * a * l2 + _log_k(b - 2.0 * a * l2, l2, 2.0 * a)
-        # by Jensen the log-MGF is at least 0, which rounding near the
-        # origin can miss by 1e-16; a NaN of overflowing terms passes on,
-        # and log_mgf2 reads it as +inf
-        value = log_e + self._log_height + l2 * self.sigma2
-        return 0.0 if value < 0.0 else value
+        # a NaN of overflowing terms passes on, and log_mgf2 reads it as +inf
+        return log_e + self._log_height
 
     def _lp_norm(self, p):
         # E|xi|^p = a^p/(p + 1)

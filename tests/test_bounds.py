@@ -23,8 +23,8 @@ SQRT3 = math.sqrt(3.0)
 
 
 def sum_cgf(law, n, B, theta):
-    """ln E exp(theta * mean of the n linearized summands), as the ExpLevel
-    objective forms it from the law's log-MGF."""
+    """n*K(theta/sqrt(n), B*theta/n) = ln E exp(theta/n * sum(sqrt(n)*xi_i -
+    B*xi_i^2)), whose negative the ExpLevel objective maximizes."""
     return n * law.log_mgf2(theta / math.sqrt(n), B * theta / n)
 
 
@@ -146,10 +146,10 @@ class TestSumCgf:
     def test_rademacher_closed_form(self, rad):
         for n, B, th in [(4, 1.0, 0.8), (16, 2.0, 3.0), (1, 0.5, 1.2)]:
             assert sum_cgf(rad, n, B, th) == pytest.approx(
-                n * lncosh(th / math.sqrt(n)), rel=1e-12)
+                n * lncosh(th / math.sqrt(n)) - B * th, rel=1e-12)
 
     def test_gaussian_value(self, gauss):
-        expected = 1.0 - 0.5 * math.log(3.0) + 1.0 / 6.0
+        expected = 1.0 / 6.0 - 0.5 * math.log(3.0)
         assert sum_cgf(gauss, 1, 1.0, 1.0) == pytest.approx(expected, rel=1e-9)
 
     def test_divergence_propagates(self):
@@ -185,14 +185,15 @@ class TestExpTailBound:
                 expected, rel=1e-6)
 
     def test_conjugate_threshold_uses_variance_scale(self):
-        # sigma^2 = 4/3 here: the exponent must be the conjugate at B*sigma^2
+        # sigma^2 = 4/3 here: sup -n*K, the exponent, is the conjugate at
+        # B*sigma^2 of the cgf of the summands sqrt(n)*xi + B*(sigma^2 -
+        # xi^2), whose sigma^2 terms cancel
         law = UniformSymmetric(2.0)
         n, B = 3, 1.5
         pt = _exp_tail_point(law, n, B)
-        target = B * law.sigma2
 
         def neg(th):
-            return -(th * target - sum_cgf(law, n, B, th))
+            return sum_cgf(law, n, B, th)
 
         r = minimize_scalar(neg, bounds=(1e-9, 50.0), method="bounded",
                             options={"xatol": 1e-12})
@@ -249,11 +250,9 @@ class TestExpTailOptimizer:
                 if pt.value == 0.0:
                     continue
                 finite_calls.append(calls[0])
-                target = B * law.sigma2
 
                 def neg(th):
-                    c = sum_cgf(law, n, B, th)
-                    return math.inf if c == math.inf else c - th * target
+                    return sum_cgf(law, n, B, th)
 
                 r = minimize_scalar(
                     neg, bounds=(0.0, 2.0 * pt.arg_star + 1.0),
@@ -281,8 +280,8 @@ class TestExpTailOptimizer:
             assert 0.0 <= pt.value <= 1.0, pt
 
     def test_heavy_tail_reaches_interior_maximum(self):
-        # fourth moment infinite: the start falls back to theta = B, and a
-        # spurious quadrature failure near theta = 0 must not end the search
+        # fourth moment infinite: a spurious quadrature failure near
+        # theta = 0 must not end the search from theta = B
         def density(x):
             return 2.0 / (math.pi * (1.0 + x * x) ** 2)
 
@@ -294,15 +293,67 @@ class TestExpTailOptimizer:
         l1, l2 = theta / math.sqrt(n), B * theta / n
 
         def integrand(x):
-            return density(x) * math.exp(l1 * x + l2 * (law.sigma2 - x * x))
+            return density(x) * math.exp(l1 * x - l2 * x * x)
 
         peak = l1 / (2.0 * l2)
         mgf = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                   for a, b in ((-math.inf, 0.0), (0.0, peak), (peak, math.inf)))
         assert sum_cgf(law, n, B, theta) == pytest.approx(n * math.log(mgf),
                                                           rel=1e-8)
-        assert pt.objective == pytest.approx(
-            theta * B * law.sigma2 - n * math.log(mgf), rel=1e-8)
+        assert pt.objective == pytest.approx(-n * math.log(mgf), rel=1e-8)
+
+
+class TestExpTailScale:
+    """T(a*xi) = T(xi)/a, and the exponent -n*K holds no sigma^2: an
+    ExpLevel cell reads B*sigma alone, at any scale of the law."""
+
+    @pytest.mark.parametrize("a", [0.01, SQRT3, 1e3, 1e6])
+    def test_uniform_cells_depend_on_a_times_B(self, a):
+        for n in (1, 16, 256):
+            scaled = exp_curve(UniformSymmetric(a), n, DEFAULT_B_GRID).points
+            unit = exp_curve(UniformSymmetric(1.0), n,
+                             [a * B for B in DEFAULT_B_GRID]).points
+            for p, q in zip(scaled, unit):
+                assert p.value == pytest.approx(q.value, rel=1e-12), (n, p.B)
+                # an exponent near 0 keeps n times the rounding of K near
+                # 0, which is of order 1e-16 absolute
+                assert p.objective == pytest.approx(q.objective, rel=1e-12,
+                                                    abs=n * 1e-15), (n, p.B)
+
+    # sup over theta of -n*K for the uniform on [-a, a], with K from its
+    # erf form and the maximum from a root of the derivative, in 80-digit
+    # mpmath, to 60 digits
+    @pytest.mark.parametrize("a, B, n, exponent", [
+        (SQRT3, 5e7, 4,
+         70.2041934203269900724945550060909715747545592703724093637948),
+        (SQRT3, 5e7, 64,
+         1034.54425561355884155450716855080894448240893112784587729327),
+        (1e6, 50.0, 4,
+         68.0069688429907709214544076042771840837896577415696015817979),
+        (1e6, 50.0, 64,
+         999.388662376179335137864810121788344626970506667000952781319),
+    ])
+    def test_exponent_at_large_B_sigma(self, a, B, n, exponent):
+        # B*sigma = 5e7 at a = sqrt(3), and 2.9e7 at a = 1e6; the charge
+        # for rounding keeps the exponent at or below the true one
+        pt = _exp_tail_point(UniformSymmetric(a), n, B)
+        assert pt.objective == pytest.approx(exponent, rel=1e-12)
+        assert pt.objective <= exponent
+
+    def test_possible_event_at_huge_threshold_reads_positive(self):
+        # l2 = B*theta/n and l2*sigma^2 overflow within the theta search:
+        # they read +inf, a barrier, and never a K of -inf that would read 0
+        eps = 1e-9
+        # the smallest positive atom 1e-300 keeps T(1) > B possible
+        tiny = DiscreteLaw([(-1.0, 0.5), (1.0, 0.5 - eps), (1e-300, eps)])
+        cells = [(StandardGaussian(), 1e300), (StandardGaussian(), 1e308),
+                 (UniformSymmetric(1e150), 1e200), (tiny, 5e299)]
+        for law, B in cells:
+            for n in (1, 16):
+                pt = _exp_tail_point(law, n, B)
+                assert 0.0 < pt.value < 1.0, (law.name, n)
+                assert pt.objective < math.inf, (law.name, n)
+        assert _exp_tail_point(tiny, 1, 5e299).value >= tiny.q1(5e299)
 
 
 class TestExpTailSupport:

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from selfnorm import distributions
-from selfnorm.bounds import (DEFAULT_B_GRID, _power_tail_point, _theta_guess,
-                             exp_curve, lower_q1_curve, power_curve)
+from selfnorm.bounds import (DEFAULT_B_GRID, _power_tail_point, exp_curve,
+                             lower_q1_curve, power_curve)
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, DistributionModel,
                                     DivergentError, Rademacher,
                                     StandardGaussian, UniformSymmetric,
@@ -29,8 +29,8 @@ SQRT3 = math.sqrt(3.0)
 
 
 def gauss_log_mgf2(l1, l2):
-    # closed form for the standard normal at l2 > -1/2
-    return l2 - 0.5 * math.log(1.0 + 2.0 * l2) + l1 * l1 / (2.0 * (1.0 + 2.0 * l2))
+    # ln E exp(l1*xi - l2*xi^2) for the standard normal at l2 > -1/2
+    return -0.5 * math.log(1.0 + 2.0 * l2) + l1 * l1 / (2.0 * (1.0 + 2.0 * l2))
 
 
 def normal_pdf(x):
@@ -105,9 +105,11 @@ class TestLogMgf2:
     def test_zero_at_origin(self, laws, name):
         assert laws[name].log_mgf2(0.0, 0.0) == 0.0
 
-    def test_rademacher_ignores_quadratic_slot(self, laws):
+    def test_rademacher_quadratic_slot_is_minus_l2(self, laws):
+        # xi^2 = 1 on both atoms: K(l1, l2) = ln cosh(l1) - l2
         for l1, l2 in [(0.3, 5.0), (0.7, 0.0), (2.0, 13.0), (-1.1, 2.0)]:
-            expected = abs(l1) + math.log1p(math.exp(-2 * abs(l1))) - math.log(2)
+            expected = (abs(l1) + math.log1p(math.exp(-2 * abs(l1))) - math.log(2)
+                        - l2)
             assert laws["rademacher"].log_mgf2(l1, l2) == pytest.approx(
                 expected, abs=1e-12)
 
@@ -245,14 +247,23 @@ class TestGaussianClosedForms:
             law.log_mgf2(0.0, -0.5)
         # the peak of the integrand sits at x = 5e6: no quadrature needed
         assert law.log_mgf2(1e7, 0.5) == pytest.approx(
-            2.5e13 + 0.5 - 0.5 * math.log(2.0), rel=1e-15)
-        # l2 - ln(1 + 2*l2)/2 = l2^2 + O(l2^3) cancels to its last digits
-        assert law.log_mgf2(0.0, 1e-8) == pytest.approx(1e-16, rel=1e-6, abs=0.0)
+            2.5e13 - 0.5 * math.log(2.0), rel=1e-15)
+        # -ln(1 + 2*l2)/2 = -l2 + l2^2 + O(l2^3): log1p keeps the l2^2
+        # term, which ln(1 + 2*l2) would round away
+        assert law.log_mgf2(0.0, 1e-8) == pytest.approx(-1e-8 + 1e-16,
+                                                         rel=1e-15, abs=0.0)
+
+    def test_log_mgf2_where_2_l2_overflows(self, laws):
+        # d = 1 + 2*l2 is 2*l2 to the last bit: -ln(2*l2)/2, not -inf
+        law = laws["gaussian"]
+        for l2 in (1e308, sys.float_info.max):
+            assert law.log_mgf2(3.0, l2) == pytest.approx(
+                -0.5 * (math.log(2.0) + math.log(l2)), rel=1e-15)
 
     @pytest.mark.parametrize("l1", [0.0, math.inf])
     def test_log_mgf2_infinite_arguments_read_inf(self, gaussians, l1):
-        # the closed form reads NaN at l2 = inf (-log1p(inf)/2 + inf) and
-        # the public method maps it to +inf, as the quadrature reads
+        # an infinite argument reads +inf in the public method, before
+        # either hook is called
         for law in gaussians:
             assert law.log_mgf2(l1, math.inf) == math.inf, law.name
 
@@ -383,7 +394,8 @@ class TestUniformClosedForms:
         assert all(0.0 < pt.value <= 0.5 for pt in lower)
 
     def test_log_mgf2_never_integrates(self, monkeypatch):
-        # one closed-form route at every l2 >= 0, 0 and inf included
+        # one closed-form route at every l2 >= 0, 0 and inf included; each
+        # value is at least the Jensen floor -l2*sigma^2
         def no_quadrature(*args, **kwargs):
             raise AssertionError("the uniform went through quadrature")
 
@@ -394,7 +406,8 @@ class TestUniformClosedForms:
                            (5.0, 0.0), (1e300, 0.0), (math.inf, 0.0),
                            (0.0, math.inf), (1.0, math.inf)]:
                 for sign in (1.0, -1.0):
-                    assert law.log_mgf2(sign * l1, l2) >= 0.0, (a, l1, l2)
+                    assert law.log_mgf2(sign * l1, l2) >= -l2 * law.sigma2, \
+                        (a, l1, l2)
 
     def test_q1(self, uniforms):
         # P(0 < xi < 1/B) = min(1/B, a)/(2a)
@@ -436,25 +449,33 @@ class TestQuadraticMoments:
             heavy.quadratic_moments()
 
 
+def summand_variance(law, n, B):
+    """n*s2 + 2*B*sqrt(n)*z + B^2*w from the law's quadratic moments: the
+    variance of the linearized summand sqrt(n)*xi + B*(sigma^2 - xi^2)."""
+    s2, w, z = law.quadratic_moments()
+    return n * s2 + 2.0 * B * math.sqrt(n) * z + B * B * w
+
+
 class TestSummandMoments:
     # the quadratic moments give the variance V of the linearized summand
-    # sqrt(n)*xi + B*(sigma^2 - xi^2), read through the ExpLevel start
-    # n*B*sigma^2/V
+    # sqrt(n)*xi + B*(sigma^2 - xi^2)
     def test_variance_rademacher(self, laws):
         # V = n
         for n, B in [(1, 0.5), (4, 2.0), (64, 10.0)]:
-            assert _theta_guess(laws["rademacher"], n, B) == pytest.approx(B)
+            assert summand_variance(laws["rademacher"], n, B) == pytest.approx(n)
 
     def test_variance_gaussian(self, gaussians):
         # V = 3 at n = B = 1
         for law in gaussians:
-            assert _theta_guess(law, 1, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-9)
+            assert summand_variance(law, 1, 1.0) == pytest.approx(3.0, rel=1e-9)
 
     def test_variance_at_b_zero(self, laws):
-        # V tends to 7*sigma^2 as B -> 0, so the start tends to B
+        # V tends to n*sigma^2 as B -> 0
         B = 1e-9
         for name in laws:
-            assert _theta_guess(laws[name], 7, B) == pytest.approx(B, rel=1e-9)
+            law = laws[name]
+            assert summand_variance(law, 7, B) == pytest.approx(
+                7 * law.sigma2, rel=1e-9)
 
     def test_variance_exact_convention_matches_direct_variance(self):
         # asymmetric law with sigma != 1: z = E(sigma^2*xi - xi^3)
@@ -466,8 +487,7 @@ class TestSummandMoments:
                for x, q in [(-1.0, 0.8), (4.0, 0.2)]]
         ex_eta = sum(q * e for e, q in eta)
         var_direct = sum(q * e * e for e, q in eta) - ex_eta ** 2
-        assert _theta_guess(law, n, B) == pytest.approx(
-            n * B * s2 / var_direct, rel=1e-9)
+        assert summand_variance(law, n, B) == pytest.approx(var_direct, rel=1e-9)
 
     def test_lp_rademacher_constant(self, laws):
         for n, B, p in [(1, 1.0, 2.0), (9, 4.0, 3.5), (64, 0.3, 1.0)]:
@@ -508,8 +528,7 @@ SUMMAND_LAWS = {
 class TestSummandTable:
     """A density law's summand moments at one c are integrated over one
     plan, built at p = 1.5 and reused at every p: one build per c, and a
-    fresh probe ladder only for a p whose window leaves the plan, or
-    whose integral over it diverges."""
+    fresh probe ladder only for a p whose window leaves the plan."""
 
     CS = (0.05, 0.25, 0.75, 5.0)
     PS = (1.01, 1.1, 1.5, 1.9, 2.0, 2.05, 3.0, 9.0, 30.0, 200.0, 1000.0)
@@ -591,16 +610,15 @@ class TestSummandTable:
         (lambda x: np.exp(-math.sqrt(2.0) * np.abs(x)) / math.sqrt(2.0),
          (-math.inf, math.inf)),
     ], ids=["shifted exponential", "laplace"])
-    def test_divergent_query_goes_over_fresh_probes(self, density, support,
-                                                    monkeypatch):
+    def test_divergent_query_raises_over_the_plan(self, density, support,
+                                                 monkeypatch):
         # E|summand|^500 at c = 1/4 exhausts the bisection budget over the
-        # plan; the fresh route then raises, as it does untabled
+        # plan, which raises with no fresh probes, as the untabled route does
         law = DensityLaw(density, support=support)
         log = self.integrations(monkeypatch)
         with pytest.raises(DivergentError, match="did not converge"):
             law.summand_lp_norm(16, 1.0, 500.0)
-        assert log == [("plan", None), ("table", "quadrature did not converge"),
-                       ("fresh", "quadrature did not converge")]
+        assert log == [("plan", None), ("table", "quadrature did not converge")]
         self.untabled(monkeypatch)
         with pytest.raises(DivergentError, match="did not converge"):
             DensityLaw(density, support=support).summand_lp_norm(16, 1.0, 500.0)
@@ -690,14 +708,15 @@ class TestDiscreteLogSumExp:
 
     def test_hooks_equal_scipy_sums_of_quadrature_exponents(self):
         # the atomic hooks reproduce the quadrature hooks' exponents,
-        # summed by SciPy
+        # summed by SciPy; the log-MGF is raised to the Jensen floor
+        # -l2*sigma^2 where rounding leaves it below
         rng = np.random.default_rng(5)
         for _ in range(300):
             law = self.random_table(rng, int(rng.integers(2, 301)))
             x, b, s2 = law._values, law._probs, law.sigma2
             l1, l2 = rng.normal(0.0, 3.0), abs(rng.normal(0.0, 3.0))
-            want = float(logsumexp(l1 * x - l2 * (x * x), b=b)) + l2 * s2
-            assert law.log_mgf2(l1, l2) == want
+            want = float(logsumexp(l1 * x - l2 * (x * x), b=b))
+            assert law.log_mgf2(l1, l2) == max(-l2 * s2, want)
             p = rng.uniform(1.0, 8.0)
             want = math.exp(float(logsumexp(p * np.log(np.abs(x)), b=b)) / p)
             assert law.lp_norm(p) == want
@@ -739,16 +758,16 @@ class TestDiscreteLogSumExp:
         assert curves(law()) == lean
 
     def test_overflowing_exponents(self):
-        # l1*x and l2*x^2 overflow at these arguments; no warning, and the
-        # per-atom exponent l1*x + l2*(sigma^2 - x^2) decides what l2*x^2
-        # and l2*sigma^2 leave undefined
+        # l1*x and l2*x^2 overflow at these arguments, with no warning:
+        # K = -l2*1e20 + O(1e10) is below -max_float, and so is the Jensen
+        # floor -l2*sigma^2
         law = DiscreteLaw([(-1e10, 0.5), (1e10, 0.5)])
         assert law.log_mgf2(1e300, 0.0) == math.inf
         assert law.log_mgf2(-1e300, 0.0) == math.inf
-        assert law.log_mgf2(0.0, 1e300) == 0.0
+        assert law.log_mgf2(0.0, 1e300) == -math.inf
         assert law.log_mgf2(1e300, 1e300) == math.inf
-        assert law.log_mgf2(1.0, 1e300) == pytest.approx(1e10 - math.log(2.0))
-        assert law.log_mgf2(-1.0, 1e300) == pytest.approx(1e10 - math.log(2.0))
+        assert law.log_mgf2(1.0, 1e300) == -math.inf
+        assert law.log_mgf2(-1.0, 1e300) == -math.inf
 
 
 class TestConstruction:
