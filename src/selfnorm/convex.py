@@ -113,9 +113,11 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
     parabolic step.  A ``-inf`` between ``x_lo`` and a finite value
     therefore never ends the search.  The best point evaluated is
     returned, so the value is never below ``obj(x_lo)``: if the objective
-    still increases at the cap ``x_lo + 1e-8 * 2**63``, that is
-    ``(cap, obj(cap))``; if no probe down to ``x_lo + 1e-8`` beats
-    ``obj(x_lo)``, it is the origin ``(x_lo, obj(x_lo))``.
+    still increases at the cap ``x_lo + step * 2**63``, 63 doublings past
+    the start step (the largest float where that overflows, so a finite
+    start never returns an infinite x), that is ``(cap, obj(cap))``; if
+    no probe down to ``x_lo + 1e-8`` beats ``obj(x_lo)``, it is the
+    origin ``(x_lo, obj(x_lo))``.
 
     ``obj(x_lo)`` must not be ``+inf`` or NaN.  A ``-inf`` there is a
     barrier like any other; when no probe is finite, ``(x_lo, -inf)`` is
@@ -124,11 +126,12 @@ def maximize_concave(obj: Callable[[float], float], x_lo: float,
     v_lo = obj(x_lo)
     if v_lo == math.inf or math.isnan(v_lo):
         raise ValueError("objective must be below +inf at the ray origin")
-    cap = x_lo + _FIRST_STEP * 2.0 ** (_MAX_DOUBLINGS - 1)
     step = _FIRST_STEP
     if x0 is not None and math.isfinite(x0) and x0 > x_lo:
-        step = min(x0 - x_lo, 0.5 * (cap - x_lo))
-    x, v = x_lo + step, obj(x_lo + step)
+        step = min(x0 - x_lo, sys.float_info.max)
+    cap = min(x_lo + step * 2.0 ** (_MAX_DOUBLINGS - 1), sys.float_info.max)
+    x = min(x_lo + step, cap)
+    v = obj(x)
     if v > v_lo:
         a, fa = x_lo, v_lo
         while x < cap:

@@ -5,17 +5,17 @@ variables with finite positive variance, and the bounds read it only
 through the moment primitives of its hook table.  :class:`DiscreteLaw`,
 empirical samples included, supplies every hook as an exact sum, and
 density laws as integrals by one vectorized adaptive Gauss-Legendre rule
-(:func:`_integrate`) that works on the integrand's exponent, so that
-huge-but-finite integrands never overflow pointwise.  The standard
-gaussian and the symmetric uniform override the hooks they have closed
-forms for.  A density law's summand moments at one ``c = B/sqrt(n)``
-are integrated over one plan, a memo of the probes and pieces of one
-:func:`_integrate` call, so the p search of a PowerLevel cell refines
-its pieces once.  A density law reads its density only through
-``_log_density``, and every law draws only through ``sample``.  A
-moment whose tail past the probe ladder does not decay
-geometrically, and a quadratic moment or density integral above
-``exp(700)``, raise :class:`DivergentError`; callers that need an
+(:func:`_integrate`) of ``s * exp(ln density + e)``, every integrand
+kept in log space, so that huge-but-finite integrands never overflow
+pointwise.  The standard gaussian and the symmetric uniform override
+the hooks they have closed forms for.  A density law's summand moments
+at one ``c = B/sqrt(n)`` are integrated over one plan, the probes and
+pieces that one :func:`_integrate` call returns with its value, so the
+p search of a PowerLevel cell refines its pieces once.  A density law
+reads its density only through ``_log_density``, and every law draws
+only through ``sample``.  A moment whose tail past the probe ladder does
+not decay geometrically, and a quadratic moment or density integral
+above ``exp(700)``, raise :class:`DivergentError`; callers that need an
 extended-real answer (the log-MGF) map that onto ``+inf``.
 """
 
@@ -173,12 +173,18 @@ def _gauss_legendre():
     return u, w
 
 
+def _first_round() -> np.ndarray:
+    """The node fractions of a piece's first round in :func:`_adapt`: the
+    32-node rule on the piece, then on each half (the last 64 alone)."""
+    u, _ = _gauss_legendre()
+    return np.concatenate((u, 0.5 * u, 0.5 + 0.5 * u))
+
+
 def _integrate(fn, lo: float, hi: float, scale: float,
-               breakpoints: Sequence[float] = (), table: tuple | None = None,
-               plan: bool = False):
+               breakpoints: Sequence[float] = (), table: tuple | None = None):
     """The integral of ``s * exp(e)`` over [lo, hi], where ``(e, s) =
-    fn(x)`` for an array x.  Returns ``(shift, total)``; the integral is
-    ``exp(shift) * total``.
+    fn(x)`` for an array x.  Returns ``(shift, total, plan)``; the
+    integral is ``exp(shift) * total``.
 
     The probes are the ladder ``0, +-scale*2^k`` (k = -10..100), the
     breakpoints and the finite ends, within [lo, hi].  Only the window of
@@ -191,13 +197,13 @@ def _integrate(fn, lo: float, hi: float, scale: float,
     below ``_UNRESOLVED_TOL`` of the total, else the integral counts as
     divergent.
 
-    ``plan=True`` returns, in place of the integral, its plan ``(probes,
-    window, pieces)``: the window as indices of the probes, and the ends
-    ``(a, b)`` of the pieces that :func:`_adapt` accepted over it; None
-    where e is -inf at every probe.  ``table = (probes, window, pieces, e,
-    first)`` integrates fn over such a plan, made for another exponent:
-    e is fn's exponent at the probes, and ``first`` what fn returns at
-    the 96 first-round nodes of each piece.  Its window is found on the
+    ``plan = (probes, window, pieces)`` holds the probes, the window as
+    indices of them, and the ends ``(a, b)`` of the pieces that
+    :func:`_adapt` accepted over it; where e is -inf at every probe the
+    result is ``(-inf, 0.0, None)``.  ``table = (probes, window, pieces,
+    e, first)`` integrates fn over the plan of another exponent: e is
+    fn's exponent at the probes, and ``first`` what fn returns at the
+    :func:`_first_round` nodes of each piece.  Its window is found on the
     plan's probes and must lie within the plan's window, else the plan
     cannot integrate fn and :class:`_PlanMiss` is raised; the plan's
     pieces are then integrated in place of the window's.
@@ -205,15 +211,14 @@ def _integrate(fn, lo: float, hi: float, scale: float,
     if table is None:
         pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
         probes = pts[(pts >= lo) & (pts <= hi) & (np.abs(pts) <= scale * _LADDER[-1])]
-        with np.errstate(invalid="ignore", over="ignore"):
-            e = np.asarray(fn(probes)[0], dtype=float)
+        e = np.asarray(fn(probes)[0], dtype=float)
     else:
         probes, window, pieces, e, first = table
     e = np.where(np.isnan(e), -math.inf, e)
     i0, last = int(np.argmax(e)), len(probes) - 1
     top = e[i0]
     if top == -math.inf:
-        return None if plan else (-math.inf, 0.0)
+        return -math.inf, 0.0, None
     open_lo, open_hi = probes[0] > lo, probes[-1] < hi
     if top == math.inf or (i0 == 0 and open_lo) or (i0 == last and open_hi):
         raise DivergentError("integrand diverges at its peak")
@@ -226,8 +231,6 @@ def _integrate(fn, lo: float, hi: float, scale: float,
     elif i_lo < window[0] or i_hi > window[1]:
         raise _PlanMiss("integrand's window leaves the plan")
     shift, acc, accepted = _adapt(fn, *pieces, first)
-    if plan:
-        return probes, (i_lo, i_hi), accepted
     total = float(acc.sum())
     span = scale * _LADDER[-1]  # where an open side's window ends
     a, b = pieces
@@ -244,7 +247,7 @@ def _integrate(fn, lo: float, hi: float, scale: float,
         if not abs(tail) <= _UNRESOLVED_TOL * np.abs(acc).sum():
             raise DivergentError("integrand tail does not decay")
         total += tail
-    return shift, total
+    return shift, total, (probes, (i_lo, i_hi), accepted)
 
 
 def _adapt(fn, a: np.ndarray, b: np.ndarray,
@@ -254,20 +257,21 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray,
     the ends ``(a, b)`` of the pieces it accepted.
 
     Each piece is integrated by the 32-node rule on one panel and on two
-    halves.  A piece whose two values differ by more than ``_PIECE_TOL``
-    of the running total (plus the rounding of exponents near
-    ``|shift|``) is bisected, its halves keeping their one-panel values;
-    all pieces of a round go through one call of ``fn``, except that
-    ``first``, when given, is what ``fn`` returns at the first round's
-    nodes.  Round ``_MAX_ROUNDS`` accepts every piece if their summed
-    error is within ``_UNRESOLVED_TOL`` of the total.  A round leaving
-    over ``_MAX_OPEN`` pieces open always raises: each error is above
-    ``_PIECE_TOL`` of the total, so their sum passes 1.024e-10 >
-    ``_UNRESOLVED_TOL``.
+    halves, at the :func:`_first_round` nodes.  A piece whose two values
+    differ by more than ``_PIECE_TOL`` of the running total (plus the
+    rounding of exponents near ``|shift|``) is bisected, its halves
+    keeping their one-panel values; all pieces of a round go through one
+    call of ``fn``, except that ``first``, when given, is what ``fn``
+    returns at the first round's nodes.  A NaN exponent, or a ``+inf``
+    one, raises :class:`DivergentError`.  Round ``_MAX_ROUNDS`` accepts
+    every piece if their summed error is within ``_UNRESOLVED_TOL`` of
+    the total.  A round leaving over ``_MAX_OPEN`` pieces open always
+    raises: each error is above ``_PIECE_TOL`` of the total, so their
+    sum passes 1.024e-10 > ``_UNRESOLVED_TOL``.
     ``shift`` follows the largest exponent seen, so no node overflows.
     """
-    u, w = _gauss_legendre()
-    u2 = np.concatenate((0.5 * u, 0.5 + 0.5 * u))
+    _, w = _gauss_legendre()
+    nodes = _first_round()
     origin = np.arange(len(a))
     acc = np.zeros(len(a))  # accepted value per piece
     done_a, done_b = [], []  # the accepted pieces of each round
@@ -276,8 +280,8 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray,
     for rnd in range(_MAX_ROUNDS):
         width = b - a
         if first is None:
-            nodes = u2 if one is not None else np.concatenate((u, u2))
-            first = fn(a[:, None] + width[:, None] * nodes)
+            first = fn(a[:, None]
+                       + width[:, None] * nodes[0 if one is None else _GL_NODES:])
         (e, s), first = first, None
         if np.isnan(e).any():
             raise DivergentError("integrand is not a number")
@@ -484,9 +488,8 @@ class DiscreteLaw(DistributionModel):
         return cls(np.column_stack((values, counts / arr.size)), name=name)
 
     def _lp_norm(self, p):
-        with np.errstate(divide="ignore"):
-            exps = p * np.log(np.abs(self._values))
-        return math.exp(_log_sum_exp(exps, self._probs) / p)
+        # the summand at c = 0 is the atom itself, bit for bit
+        return math.exp(self._log_summand_moment(0.0, p) / p)
 
     def _log_mgf2(self, l1, l2):
         # the exponent l1*x - l2*(x*x) of the quadrature route, so the
@@ -530,9 +533,11 @@ class Rademacher(DiscreteLaw):
 
 
 class _QuadratureLaw(DistributionModel):
-    """Laws given by a density: every hook integrates by
-    :func:`_integrate`, with the probe ladder in units of sigma, the
-    summand moments over one :meth:`_summand_plan` per c."""
+    """Laws given by a density: every hook integrates, by :meth:`_integral`,
+    ``s * exp(_log_density(x) + e)`` with ``(e, s)`` from the caller, the
+    probe ladder in units of sigma, and the summand moments over one
+    :meth:`_summand_plan` per c.  :meth:`_log_expect_exponent` reads a
+    log-moment, :meth:`_integrate_density` a signed expectation."""
 
     support: tuple[float, float]
     # the summand plan of the last c asked for, as (c, plan or None)
@@ -542,26 +547,27 @@ class _QuadratureLaw(DistributionModel):
         """The log-density at every point of the array x."""
         raise NotImplementedError
 
+    def _integral(self, g, lo, hi, scale, breakpoints=(), table=None):
+        """:func:`_integrate` of ``s * exp(_log_density(x) + e)`` over
+        [lo, hi], where ``(e, s) = g(x)``."""
+
+        def fn(x):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                e, s = g(x)
+                return self._log_density(x) + e, s
+
+        return _integrate(fn, lo, hi, scale, breakpoints, table)
+
     def _integrate_density(self, g, lo, hi, scale):
         """The integral of density * g over [lo, hi], g taking arrays."""
 
-        def fn(x):
-            with np.errstate(divide="ignore", over="ignore"):
-                f = np.exp(self._log_density(x)) * g(x)
-                return np.log(np.abs(f)), np.sign(f)
+        def signed(x):
+            v = g(x)
+            return np.log(np.abs(v)), np.sign(v)
 
-        shift, total = _integrate(fn, lo, hi, scale)
+        shift, total, _ = self._integral(signed, lo, hi, scale)
         with np.errstate(over="ignore"):
             return _guard_finite(float(np.exp(shift) * total), "expectation")
-
-    def _exponent_fn(self, t):
-        """The integrand of E exp(t(xi)), for :func:`_integrate`."""
-
-        def fn(x):
-            with np.errstate(invalid="ignore", over="ignore"):
-                return self._log_density(x) + t(x), 1.0
-
-        return fn
 
     def _log_expect_exponent(self, t, breakpoints, table=None):
         """ln E exp(t(xi)), computed entirely at exponent level; ``table``
@@ -572,8 +578,8 @@ class _QuadratureLaw(DistributionModel):
         ``exp(5000)`` come out as ordinary floats on the log scale.
         Genuine divergence still raises :class:`DivergentError`.
         """
-        shift, total = _integrate(self._exponent_fn(t), *self.support,
-                                  math.sqrt(self.sigma2), breakpoints, table)
+        shift, total, _ = self._integral(lambda x: (t(x), 1.0), *self.support,
+                                         math.sqrt(self.sigma2), breakpoints, table)
         if total <= 0.0:
             # the expectation of a positive integrand is positive: a zero
             # total means the quadrature missed the mass (at a jump of the
@@ -589,12 +595,8 @@ class _QuadratureLaw(DistributionModel):
     def _lp_norm(self, p: float) -> float:
         """The Lp norm, by :meth:`_log_expect_exponent`."""
         scale = math.sqrt(self.sigma2 * p)
-
-        def t(x):
-            with np.errstate(divide="ignore"):
-                return p * np.log(np.abs(x))
-
-        log_moment = self._log_expect_exponent(t, (0.0, -scale, scale))
+        log_moment = self._log_expect_exponent(lambda x: p * np.log(np.abs(x)),
+                                               (0.0, -scale, scale))
         return math.exp(log_moment / p)
 
     def _log_mgf2(self, l1: float, l2: float) -> float:
@@ -611,10 +613,6 @@ class _QuadratureLaw(DistributionModel):
         agree, and the piece is accepted short of up to a third of the
         mass.
         """
-
-        def t(x):
-            return l1 * x - l2 * (x * x)
-
         if l2 > 0.0:
             center = l1 / (2.0 * l2)
             width = 1.0 / math.sqrt(2.0 * l2)
@@ -622,7 +620,7 @@ class _QuadratureLaw(DistributionModel):
         else:
             pts = (0.0,)
         try:
-            return self._log_expect_exponent(t, pts)
+            return self._log_expect_exponent(lambda x: l1 * x - l2 * (x * x), pts)
         except DivergentError:
             return math.inf
 
@@ -639,25 +637,22 @@ class _QuadratureLaw(DistributionModel):
 
     def _summand_plan(self, c):
         """The quadrature of the summand moments at c, shared by every p:
-        the plan of :func:`_integrate` for the exponent at ``_P_REF``, so
-        that the pieces next to the roots of the summand come out refined,
-        and the parts ``(A, L)`` of the exponent ``A + p*L``, the
-        log-density and ln|summand|, at its probes and at the 96
-        first-round nodes of each piece.  None where the moment at
-        ``_P_REF`` diverges or reads no mass."""
-        fn = self._exponent_fn(lambda x: _P_REF * self._log_abs_summand(c, x))
+        the plan of the moment at ``_P_REF``, so that the pieces next to
+        the roots of the summand come out refined, and the parts ``(A,
+        L)`` of the exponent ``A + p*L``, the log-density and
+        ln|summand|, at its probes and at the :func:`_first_round` nodes
+        of each piece.  None where the moment at ``_P_REF`` diverges, its
+        tail included, or reads no mass."""
         try:
-            plan = _integrate(fn, *self.support, math.sqrt(self.sigma2),
-                              _summand_breakpoints(self.sigma2, c, _P_REF),
-                              plan=True)
+            plan = self._integral(lambda x: (_P_REF * self._log_abs_summand(c, x), 1.0),
+                                  *self.support, math.sqrt(self.sigma2),
+                                  _summand_breakpoints(self.sigma2, c, _P_REF))[2]
         except DivergentError:
             return None
         if plan is None:
             return None
         probes, _, (a, b) = plan
-        u, _ = _gauss_legendre()
-        nodes = a[:, None] + (b - a)[:, None] * np.concatenate(
-            (u, 0.5 * u, 0.5 + 0.5 * u))
+        nodes = a[:, None] + (b - a)[:, None] * _first_round()
         with np.errstate(invalid="ignore", over="ignore"):
             parts = [(self._log_density(x), self._log_abs_summand(c, x))
                      for x in (probes, nodes)]

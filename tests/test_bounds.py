@@ -417,12 +417,13 @@ class TestExpTailSupport:
     def test_cap_without_support_argument(self):
         # T(1) = 1/xi is -1 or 1/2 here, so T(1) > B is impossible for this
         # B, but it lies inside the support rule's rounding margin: the
-        # objective still grows at the cap, and the bound is read there
+        # objective still grows at the cap, 63 doublings past the start
+        # theta = B, and the bound is read there
         law = DiscreteLaw([(-1.0, 0.6666666666666666), (2.0, 0.3333333333333334)])
         B = 0.5 * (1.0 + 5e-13)
         assert atomic_brute_tail(law, 1, B) == 0.0
         pt = _exp_tail_point(law, 1, B)
-        assert pt.arg_star == 1e-8 * 2.0 ** 63
+        assert pt.arg_star == B * 2.0 ** 63
         assert math.isfinite(pt.objective)
         assert 0.0 < pt.value < 1.0
         assert pt.value == pytest.approx(math.exp(-pt.objective), rel=1e-12)

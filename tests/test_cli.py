@@ -384,8 +384,8 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
 
     def test_overflowing_quadratic_moments_print_nothing(self, capsys):
-        # w of these atoms overflows: the ExpLevel start falls back to B,
-        # with no RuntimeWarning (an error under the test policy)
+        # atoms of +-1e100 at B = 1e-120 print value 1, with no
+        # RuntimeWarning (an error under the test policy)
         with pytest.raises(SystemExit) as exc:
             main(["bound-exp", "--dist", "discrete:-1e100:0.3,1e100:0.3,0:0.4",
                   "--n", "4", "--B", "1e-120"])

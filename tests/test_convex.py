@@ -1,6 +1,7 @@
 """Conjugation and search primitives against closed forms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,10 +124,14 @@ class TestMaximizeConcaveStart:
         assert v == pytest.approx(4.0, abs=1e-12)
 
     def test_linear_objective_from_start_is_unbounded(self):
+        # the cap is 63 doublings past the start step, and the largest
+        # float where that overflows
+        cap = 3.0 * 2.0 ** 63
         assert maximize_concave(lambda x: 0.5 * x, 0.0, x0=3.0) == (
-            CAP, 0.5 * CAP)
+            cap, 0.5 * cap)
+        big = sys.float_info.max
         assert maximize_concave(lambda x: 0.5 * x, 0.0, x0=1e300) == (
-            CAP, 0.5 * CAP)
+            big, 0.5 * big)
 
     def test_relative_tolerance(self):
         # stops on a bracket of relative width rtol (1e-6 * 1e4 = 1e-2),

@@ -448,6 +448,13 @@ class TestQuadraticMoments:
         with pytest.raises(DivergentError):
             heavy.quadratic_moments()
 
+    def test_overflowing_atoms_raise(self):
+        # (sigma^2 - x^2)^2 overflows at x = +-1e100: w is past the guard,
+        # which raises, with no warning
+        law = parse_distribution("discrete:-1e100:0.3,1e100:0.3,0:0.4")
+        with pytest.raises(DivergentError, match="moment w exceeded"):
+            law.quadratic_moments()
+
 
 def summand_variance(law, n, B):
     """n*s2 + 2*B*sqrt(n)*z + B^2*w from the law's quadratic moments: the
@@ -536,22 +543,31 @@ class TestSummandTable:
     @staticmethod
     def integrations(monkeypatch):
         """Record each _integrate call as (kind, error): kind 'plan' for a
-        build, 'table' for a query over a plan, 'fresh' for a probe
-        ladder of its own; error the DivergentError's message, or None."""
-        log = []
-        integrate = distributions._integrate
+        build, the call made inside _summand_plan, 'table' for a query over
+        a plan, 'fresh' for a probe ladder of its own; error the
+        DivergentError's message, or None."""
+        log, building = [], []
+        integrate, summand_plan = distributions._integrate, _QuadratureLaw._summand_plan
 
-        def recorded(fn, lo, hi, scale, breakpoints=(), table=None, plan=False):
-            kind = "plan" if plan else "fresh" if table is None else "table"
+        def recorded(fn, lo, hi, scale, breakpoints=(), table=None):
+            kind = "plan" if building else "fresh" if table is None else "table"
             try:
-                out = integrate(fn, lo, hi, scale, breakpoints, table, plan)
+                out = integrate(fn, lo, hi, scale, breakpoints, table)
             except DivergentError as exc:
                 log.append((kind, str(exc)))
                 raise
             log.append((kind, None))
             return out
 
+        def plan(self, c):
+            building.append(c)
+            try:
+                return summand_plan(self, c)
+            finally:
+                building.pop()
+
         monkeypatch.setattr(distributions, "_integrate", recorded)
+        monkeypatch.setattr(_QuadratureLaw, "_summand_plan", plan)
         return log
 
     @staticmethod
@@ -622,6 +638,21 @@ class TestSummandTable:
         self.untabled(monkeypatch)
         with pytest.raises(DivergentError, match="did not converge"):
             DensityLaw(density, support=support).summand_lp_norm(16, 1.0, 500.0)
+
+    def test_mass_between_the_probes_gets_no_plan(self):
+        # all the mass lies in bumps at |x| = 1 and 1.5, found by the probe
+        # at 1 when the law is built, but missed by every probe of the
+        # summand plan (sigma = 1.2754, the roots and +-sqrt(3)*sigma):
+        # there is no plan, and the moment raises rather than reading 0
+        def pdf(x):
+            return (np.where(np.abs(np.abs(x) - 1.0) <= 1e-3, 125.0, 0.0)
+                    + np.where(np.abs(np.abs(x) - 1.5) <= 0.1, 1.25, 0.0))
+
+        law = DensityLaw(pdf)
+        assert law.sigma2 == pytest.approx(0.5 + 0.5 * (2.25 + 0.01 / 3.0))
+        assert law._summand_plan(1.0) is None
+        with pytest.raises(DivergentError, match="lost the integrand's mass"):
+            law._log_summand_moment(1.0, 1.5)
 
     def test_power_cell_probes_at_most_twice(self, monkeypatch):
         # a PowerLevel cell asks for 11 summand moments at one c: one
@@ -944,6 +975,50 @@ class TestIntegratorBudget:
         with pytest.raises(DivergentError, match="did not converge"):
             DensityLaw(pdf, support=(-1.0, 1.0))
         assert calls[0] == 1 + distributions._MAX_ROUNDS
+
+
+class TestIntegratorEdges:
+    """What the integrator reads where the integrand has no mass, no
+    number, or no finite value."""
+
+    def test_no_mass_at_any_probe_reads_zero(self):
+        # the gap law has no mass in (0, 1/3), and every probe there reads
+        # -inf: Q_1(3) is 0
+        gap = DensityLaw(lambda x: np.where((np.abs(x) >= 1) & (np.abs(x) <= 2),
+                                            0.5, 0.0), support=(-2.0, 2.0))
+        assert gap.q1(3.0) == 0.0
+        assert distributions._integrate(
+            lambda x: (np.full(x.shape, -math.inf), 1.0), 0.0, 1.0, 1.0) == (
+            -math.inf, 0.0, None)
+
+    def test_empty_last_octaves_add_no_tail(self):
+        # finite at the probe 2^99, so the window reaches the ladder's open
+        # end, but 0 on both of the last octaves: no tail, where the ratio
+        # of the two octaves would read 0/0
+        def fn(x):
+            return np.where((x <= 1.0) | (x == 2.0 ** 99), 0.0, -math.inf), 1.0
+
+        shift, total, _ = distributions._integrate(fn, 0.0, math.inf, 1.0)
+        assert shift == 0.0
+        assert total == pytest.approx(1.0, rel=1e-14)
+
+    def test_density_that_reads_nan_raises(self):
+        # the semicircle of radius 3/4 on a wider support: sqrt reads NaN
+        # past 3/4, at the nodes of the pieces out to the probe at 1
+        r = 0.75
+        with pytest.raises(DivergentError, match="not a number"):
+            DensityLaw(lambda x: 2.0 / (math.pi * r * r) * np.sqrt(r * r - x * x),
+                       support=(-2.0, 2.0))
+
+    def test_infinite_exponent_at_a_node_raises(self):
+        # +inf at a node of the piece [1/2, 1], at none of the probes
+        node = 0.5 + 0.5 * distributions._first_round()[3]
+
+        def fn(x):
+            return np.where(x == node, math.inf, 0.0), 1.0
+
+        with pytest.raises(DivergentError, match="integrand diverges$"):
+            distributions._integrate(fn, 0.0, 1.0, 1.0)
 
 
 class TestSampling:
