@@ -11,9 +11,11 @@ pointwise.  The standard gaussian and the symmetric uniform override
 the hooks they have closed forms for.  A density law's summand moments
 at one ``c = B/sqrt(n)`` are integrated over one plan, the probes and
 pieces that one :func:`_integrate` call returns with its value, so the
-p search of a PowerLevel cell refines its pieces once.  A density law
-reads its density only through ``_log_density``, and every law draws
-only through ``sample``.  A moment whose tail past the probe ladder does
+p search of a PowerLevel cell refines its pieces once.  Every law draws
+only through ``sample``, and a density law reads its density only
+through ``_log_density``, except in ``DensityLaw.sample``: SciPy's PINV
+setup calls the pdf on thousands of scalars, and through the log it runs
+about ten times slower.  A moment whose tail past the probe ladder does
 not decay geometrically, and a quadratic moment or density integral
 above ``exp(700)``, raise :class:`DivergentError`; callers that need an
 extended-real answer (the log-MGF) map that onto ``+inf``.
@@ -101,36 +103,31 @@ def _log_sum_exp(exps: np.ndarray, b: np.ndarray) -> float:
     The algorithm of scipy.special.logsumexp (SciPy 1.17), bit for bit,
     without the cost of importing scipy.special: the largest terms are
     summed apart, as m, and the rest enter through log1p(s/m).  Both sums
-    are ``np.add.reduce`` over the products SciPy sums, so their pairwise
-    grouping is the same.  Below ``_SHIFT_SAFE`` the shifted exponents
-    cannot overflow, and the scalar steps run in Python floats, which
-    never warn, so that path needs no ``errstate``.  For a larger or
-    non-finite largest exponent, or a result that is not finite, the same
-    algorithm runs under ``errstate`` and ends, as SciPy does, in the
-    direct ``ln sum(b * exp(exps))`` where it is not finite.
+    are ``np.add.reduce`` over SciPy's products, so they group alike, and
+    the scalar steps run in Python floats, which never warn.  Only the
+    shift ``exps - a_max`` can overflow, from ``_SHIFT_SAFE`` on.  Where
+    the largest exponent or the result is not finite (a top atom of
+    subnormal weight overflows s/m), SciPy's direct sum is the value.
     """
-    a_max = exps.max()
-    if -math.inf < a_max < _SHIFT_SAFE:
+    a_max = float(exps.max())
+    if math.isfinite(a_max):
         top = exps == a_max
         m = float(np.add.reduce(b * top))
-        e = np.exp(exps - a_max)
+        if a_max < _SHIFT_SAFE:
+            shifted = exps - a_max
+        else:
+            with np.errstate(over="ignore"):
+                shifted = exps - a_max
+        e = np.exp(shifted)
         e[top] = 0.0
         s = float(np.add.reduce(b * e))
         if s != 0.0:
             s = s / m
-        out = float(np.log1p(s)) + float(np.log(m)) + float(a_max)
+        out = float(np.log1p(s)) + float(np.log(m)) + a_max
         if math.isfinite(out):
             return out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = exps == a_max
-        m = np.sum(b * top.astype(float))
-        s = np.sum(b * np.exp(np.where(top, -math.inf, exps) - a_max))
-        if s != 0.0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(b * np.exp(exps)))
-    return float(out)
+        return float(np.log(np.sum(b * np.exp(exps))))
 
 
 @functools.lru_cache(maxsize=None)

@@ -222,18 +222,21 @@ def _exact_tail(dist: DistributionModel, n: int,
     in log space from a log-factorial table (at n = 1 the vectors are
     the atoms of the law's table, with their own probabilities), and
     its statistic comes from the same ``_stat_from_sums`` as the
-    simulation's.  The sums are formed on the atoms divided by 2^k, k
-    the binary exponent of the largest |atom|, so that no sum of squares
-    overflows, and T is scaled back by 2^-k; both scalings are exact, so
-    T is bit-identical wherever the unscaled sums were finite.  Tails
-    below the smallest positive double read 0.
+    simulation's.  The sums are formed on the atoms times 2^-k, and T is
+    scaled back by 2^-k, both exactly.  k is the centre of the nonzero
+    |atoms|' binary exponents, so that every square stays normal, raised
+    as far as n squares of the largest atom need to stay finite: a table
+    wider than about 2^1022 still flushes its smallest squares to 0.
+    Tails below the smallest positive double read 0.
     """
     if not isinstance(dist, DiscreteLaw):
         return None
     values, probs = dist._values, dist._probs
     if math.comb(n + values.size - 1, values.size - 1) > _EXACT_CAP:
         return None
-    k = math.frexp(np.abs(values).max())[1]
+    mags = np.abs(values[values != 0.0])
+    top, bottom = math.frexp(mags.max())[1], math.frexp(mags.min())[1]
+    k = max((top + bottom) // 2, top - (1022 - n.bit_length()) // 2)
     values = np.ldexp(values, -k)
     if n == 1:
         # each count vector is one draw, and T(1) = 1/xi: the tail is

@@ -723,12 +723,14 @@ class TestDiscreteLogSumExp:
 
     def test_extreme_exponents_bit_identical_to_scipy(self):
         # exponents whose spread, or whose shifted sum, passes the largest
-        # float, and weights whose ratio does: SciPy's values, no warning
+        # float, and weights whose ratio does (a top atom of weight 5e-324
+        # overflows s/m): SciPy's values, NaN for NaN, no warning
         big = sys.float_info.max
         exps = (math.inf, -math.inf, math.nan, 0.0, -5.0, 710.0, big, -big,
-                1e300, math.ldexp(1.0, 969), 1e292)
+                1e300, math.ldexp(1.0, 969), 1e292, 1e308, -1e308)
         for k in (1, 2, 3):
-            for b in (np.full(k, 1.0 / k), np.array([1e-310] + [0.5] * (k - 1))):
+            for b in (np.full(k, 1.0 / k), np.array([1e-310] + [0.5] * (k - 1)),
+                      np.array([5e-324] + [0.5] * (k - 1))):
                 for row in itertools.product(exps, repeat=k):
                     e = np.array(row)
                     got = distributions._log_sum_exp(e, b)

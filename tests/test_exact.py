@@ -124,6 +124,17 @@ class TestExactTail:
         assert tiny.point == pytest.approx(
             {1: 0.5, 4: 5 / 16, 16: 0.4018096923828125}[n], rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_atom_keeps_its_square(self, n):
+        # scaled by the largest atom alone, the square of 1e-300 flushes
+        # to 0 and T reads 0; only n draws of it reach T = sqrt(n)*1e300
+        law = DiscreteLaw([(-1.0, 0.5), (1.0, 0.499999999), (1e-300, 1e-9)])
+        t, weight = brute_force(law, n)
+        for est in _exact_tail(law, n, [1e299, 5e299]):
+            want = weight[t > est.B].sum()
+            assert want == pytest.approx(1e-9 ** n, rel=1e-12, abs=0)
+            assert est.point == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_order_of_grid_is_kept(self):
         ests = _exact_tail(Rademacher(), 4, [2.0, 0.25, 1.0])
         assert [e.B for e in ests] == [2.0, 0.25, 1.0]
