@@ -394,10 +394,11 @@ def _gls_rows(config: RunConfig, dist) -> list[dict]:
             norm = gl.gls_norm(dist.lp_norm, gen)
         else:
             names, tail_fn = ("BphiNorm", "BphiTail"), gl.bphi_tail_bound
+            # natural_phi's norm is 1, rounded up as every norm; any other is
             # sigma times the norm of xi/sigma, whose scale the lambda grid fits
             sigma = math.sqrt(dist.sigma2)
-            norm = sigma * gl.bphi_norm(lambda lam: dist.log_mgf2(lam / sigma, 0.0),
-                                        gen)
+            norm = gl._NORM_ROUND_UP if family == "phi:natural" else sigma * \
+                gl.bphi_norm(lambda lam: dist.log_mgf2(lam / sigma, 0.0), gen)
     except DivergentError as exc:
         raise ConfigError("family", f"no finite norm of {dist.name} against "
                                     f"{family!r}: {exc}") from None

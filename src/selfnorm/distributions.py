@@ -345,6 +345,8 @@ class DistributionModel:
     symmetric: bool = False
 
     def __init__(self, sigma2: float, name: str):
+        if sigma2 == 0.0:  # each law rejects a point mass at 0 itself
+            raise ValueError(f"variance of {name} underflows to 0")
         if not (sigma2 > 0.0 and math.isfinite(sigma2)):
             raise ValueError(f"variance must be finite and positive, got {sigma2}")
         self.sigma2 = float(sigma2)
@@ -445,7 +447,7 @@ class DiscreteLaw(DistributionModel):
         with np.errstate(over="ignore"):  # an inf variance is rejected below
             squares = self._values * self._values
             sigma2 = float(np.dot(self._probs, squares))
-        if sigma2 <= 0.0:
+        if not self._values.any():
             raise ValueError("discrete law is degenerate at 0")
         if abs(mean) > _MEAN_TOL * math.sqrt(sigma2):
             raise ValueError(f"law is not centered: mean = {mean}")
@@ -682,10 +684,10 @@ class _QuadratureLaw(DistributionModel):
 
 def _summand_breakpoints(s2: float, c: float, p: float) -> tuple[float, ...]:
     """Breakpoints for E|xi + c*(s2 - xi^2)|^p: 0, the roots of the
-    summand, where |summand|^p has its kinks, and +-sqrt(max(2p, 1)*s2)."""
+    summand, where |summand|^p has its kinks, and +-sqrt(2p*s2), p >= 1."""
     disc = math.sqrt(1.0 + 4.0 * c * c * s2)
     roots = ((1.0 - disc) / (2.0 * c), (1.0 + disc) / (2.0 * c))
-    scale = math.sqrt(max(2.0 * p * s2, s2))
+    scale = math.sqrt(2.0 * p * s2)
     return (0.0, *roots, -scale, scale)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +55,9 @@ _BOTTOM_RISE = 1e-2
 # fewest of them over which lambda at least doubles (10^(20/64) = 2.05)
 _PER_DECADE = 64
 _DOUBLING = 20
+# factor every MGF-domination norm is rounded up by, so that a Chernoff
+# tail that meets the exact tail does not read below it
+_NORM_ROUND_UP = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,16 +103,11 @@ def power_phi(m: float) -> Callable[[float], float]:
 def natural_phi(dist) -> Callable[[float], float]:
     """Symmetrized log-MGF of a law, max over both signs of the argument.
 
-    Evaluations are memoized: norm and conjugate searches revisit the
-    same arguments, and each evaluation of a density law costs a
-    quadrature.
+    The law's own MGF-domination norm against it is 1: tau = 1 dominates
+    both signs, and for tau < 1 convexity with phi(0) = 0 gives
+    phi(tau*lam) <= tau*phi(lam) < phi(lam) wherever phi(lam) > 0.
     """
-
-    @lru_cache(maxsize=65536)
-    def fn(lam: float) -> float:
-        return max(dist.log_mgf2(lam, 0.0), dist.log_mgf2(-lam, 0.0))
-
-    return fn
+    return lambda lam: max(dist.log_mgf2(lam, 0.0), dist.log_mgf2(-lam, 0.0))
 
 
 # -- grid helpers ------------------------------------------------------------
@@ -325,9 +322,8 @@ def bphi_norm(law_mgf: Callable[[float], float],
         if i_best == 0:
             sup = max(sup, 2.0 * vals[_DOUBLING] - vals[2 * _DOUBLING])
         best = max(best, sup)
-    # grid suprema err low; round up so tails built on this norm stay
-    # valid even when the Chernoff exponent is exactly tight
-    return best * (1.0 + 1e-9)
+    # grid suprema err low
+    return best * _NORM_ROUND_UP
 
 
 def bphi_tail_bound(phi: Callable[[float], float], norm: float, u: float) -> float:

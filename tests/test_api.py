@@ -2,6 +2,7 @@
 public interface of each law, pinned so that the API cannot grow
 silently."""
 
+import ast
 import importlib
 import inspect
 import math
@@ -99,6 +100,26 @@ def test_every_package_name_is_read_outside_its_module():
         readers = [text for m, text in sources.items() if m != home] + demos
         if not any(re.search(rf"\b{name}\b", text) for text in readers):
             unread.append(name)
+    assert unread == []
+
+
+def test_every_import_is_read():
+    # an import that its module never reads is dead; __init__ imports
+    # only to re-export, so it is left out
+    unread = []
+    for path in pathlib.Path(selfnorm.__file__).parent.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{path.stem}: {name}" for name in names if name not in read]
     assert unread == []
 
 

@@ -16,7 +16,7 @@ import selfnorm
 from selfnorm import mc
 from selfnorm.cli import (COMMANDS, CSV_COLUMNS, ConfigError, RunConfig,
                           _gls_family, _make_parser, build_config, main, run)
-from selfnorm.distributions import Rademacher, parse_distribution
+from selfnorm.distributions import DistributionModel, Rademacher, parse_distribution
 
 UNIFORM = "uniform:a=1.7320508075688772"  # unit variance: a = sqrt(3)
 
@@ -237,6 +237,25 @@ class TestCommands:
             ratios.append(float(rows[0]["value"]) / sigma)
         assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-9)
         assert all(1.0 <= r <= 1.0 + 1e-6 for r in ratios)
+
+    def test_natural_family_reads_its_norm(self, monkeypatch, capsys):
+        # the norm is 1 by construction, so only the tails call the
+        # log-MGF; a lambda scan of this law makes 51,750 calls
+        calls = []
+        log_mgf2 = DistributionModel.log_mgf2
+
+        def counted(self, l1, l2):
+            calls.append(l1)
+            return log_mgf2(self, l1, l2)
+
+        monkeypatch.setattr(DistributionModel, "log_mgf2", counted)
+        with pytest.raises(SystemExit) as exc:
+            main(["gls", "--family", "phi:natural",
+                  "--dist", "discrete:-1:0.6666666666666666,2:0.3333333333333334"])
+        assert exc.value.code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (rows[0]["family"], rows[0]["value"]) == ("BphiNorm", "1.000000001")
+        assert len(calls) <= 2000
 
     def test_verify_n_sup_unified_table(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -703,6 +722,10 @@ class TestMain:
             "output: cannot write '/dev/full': No space left on device",
             marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                      reason="needs /dev/full")),
+        (["bound-exp", "--dist", "discrete:-1e-300:0.5,1e-300:0.5"],
+         "dist: variance of discrete:-1e-300:0.5,1e-300:0.5 underflows to 0"),
+        (["bound-exp", "--dist", "uniform:a=1e-300"],
+         "dist: variance of uniform:a=1e-300 underflows to 0"),
     ])
     def test_input_check_one_stderr_line(self, argv, message, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("dist=rademacher\nbogus line\n")

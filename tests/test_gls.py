@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm as scipy_norm
 
-from selfnorm.distributions import (DivergentError, Rademacher, StandardGaussian,
-                                    UniformSymmetric)
-from selfnorm.gls import (PsiFunction, _gls_tail_opt, _tail_value, bphi_norm,
-                          bphi_tail_bound, degenerate_psi, gls_norm,
-                          gls_tail_bound, natural_phi, power_phi, power_psi)
+from selfnorm.distributions import (DiscreteLaw, DivergentError, Rademacher,
+                                    StandardGaussian, UniformSymmetric)
+from selfnorm.gls import (PsiFunction, _NORM_ROUND_UP, _gls_tail_opt,
+                          _tail_value, bphi_norm, bphi_tail_bound, degenerate_psi,
+                          gls_norm, gls_tail_bound, natural_phi, power_phi,
+                          power_psi)
 
 E = math.e
 
@@ -267,3 +268,27 @@ class TestBphiTailBound:
             lg = _gls_tail_opt(psi, 1.0, y)[2]
             assert lg > 0.0
             assert 1.0 / 3.0 <= lb / lg <= 3.0
+
+
+class TestNaturalMajorant:
+    """A law's own symmetrized log-MGF has norm 1, read with the round-up
+    every norm carries; its Chernoff tail meets the exact tail at the
+    atoms, so the round-up alone keeps it above."""
+
+    LAWS = {
+        "signs": Rademacher(),
+        "skewed2": DiscreteLaw([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)]),
+        "skewed3": DiscreteLaw.from_sample([-1.3, -1.3, 0.7, 0.7, 0.7, 2.9]),
+        "lazy3": DiscreteLaw([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]),
+        "exp300": DiscreteLaw.from_sample(
+            np.random.default_rng(7).exponential(size=300)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_tail_not_below_the_exact_tail(self, name):
+        law = self.LAWS[name]
+        xs, ps = law._values, law._probs
+        phi = natural_phi(law)
+        for u in {*np.abs(xs).tolist(), 0.25, 0.5, 1.0, 1.5}:
+            exact = max(ps[xs >= u].sum(), ps[xs <= -u].sum())
+            assert bphi_tail_bound(phi, _NORM_ROUND_UP, u) >= exact, u
