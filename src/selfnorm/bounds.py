@@ -196,7 +196,8 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
       that pointwise max dominates every PowerLevel cell past N at the
       Rosenthal constant ``kr``.  It is the cells' own generator, so it
       is valid exactly where they are, and a change to that generator's
-      p range applies to both.  It reads 1 where B*sigma^2 <= e.
+      p range applies to both.  It is skipped where B*sigma^2 <= e, where
+      the moment method carries no information.
     """
     exponent = 0.0
     if dist.symmetric:
@@ -206,6 +207,8 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
         exponent = max(exponent, -c * dist.log_mgf2(0.0, u) / u)
         if exponent >= enough:
             return exponent
+    if B * dist.sigma2 <= math.e:
+        return exponent
     psi_N = rosenthal_psi(dist, N, B, kr)
     psi_inf = rosenthal_psi(dist, N, 0.0, kr)
     psi = PsiFunction(lambda p: max(psi_N(p), psi_inf(p)))
@@ -237,8 +240,11 @@ def _power_tail_point(dist: DistributionModel, n: int, B: float,
 
     ``min_p (kr * p/ln(p) * |summand|_p / (B*sigma^2))^p`` with the
     normalized-sum norm pinned at 1 by Rosenthal's inequality; B*sigma^2
-    is the exact threshold of the linearized event.
+    is the exact threshold of the linearized event.  It reads 1 where
+    B*sigma^2 <= e, where the moment method carries no information.
     """
+    if B * dist.sigma2 <= math.e:
+        return BoundPoint(B, 1.0, 0.0)
     psi = rosenthal_psi(dist, n, B, kr)
     value, p, exponent = _gls_tail_opt(psi, 1.0, B * dist.sigma2)
     return BoundPoint(B, value, exponent, p)

@@ -19,12 +19,11 @@ an aligned-column pretty table.  A row's bound columns are the fields
 of its :class:`~selfnorm.bounds.BoundPoint`, blank on a row without one.
 One parser reads the command and every option, so each command takes
 the same flags; ``--family`` is for ``gls`` only, and on any other
-command it is a configuration error (exit 2), as is a ``family=`` line
-in a ``--config`` file.  Configuration may come from flags or a flat
-key=value file via ``--config``; flags win on conflict.  The
-``SELFNORM_THREADS`` environment variable caps simulation worker
-threads.  Only ``mc`` and ``verify`` import the referee,
-:mod:`selfnorm.mc`, so the other commands start without it.
+command it is a configuration error (exit 2).  Options come from flags
+only; an absent flag takes its default.  The ``SELFNORM_THREADS``
+environment variable caps simulation worker threads.  Only ``mc`` and
+``verify`` import the referee, :mod:`selfnorm.mc`, so the other commands
+start without it.
 """
 
 from __future__ import annotations
@@ -171,8 +170,8 @@ def _gls_family(text: str) -> tuple[str, Callable] | None:
 
 
 # key -> (default text, parser, help), in RunConfig field order; every
-# value goes through its parser, whether it is a flag, a file line or the
-# default.  The family key, as a flag or a file line, is for gls only.
+# value goes through its parser, whether it is a flag or the default.
+# The family flag is for gls only.
 _OPTIONS = {
     "dist": ("", parse_distribution,
              "rademacher | gaussian | uniform:a=<real> | discrete:v1:p1,... | "
@@ -196,43 +195,16 @@ _OPTIONS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    out = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError("config", f"line {lineno}: expected key=value, "
-                                                f"got {line!r}")
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path!r}: {exc}") from None
-    unknown = set(out) - set(_OPTIONS)
-    if unknown:
-        raise ConfigError("config", f"unknown keys {sorted(unknown)}")
-    return out
-
-
 def build_config(command: str, flags: dict) -> RunConfig:
-    """Merge flags over config-file values over built-in defaults."""
+    """Read flags over built-in defaults."""
     if command != "gls" and flags.get("family") is not None:
         raise ConfigError("family", f"--family is for the gls command only, "
                                     f"not {command}")
-    file_vals = _read_config_file(flags["config"]) if flags.get("config") else {}
-    if command != "gls" and "family" in file_vals:
-        raise ConfigError("family", f"family= in a config file is for the gls "
-                                    f"command only, not {command}")
     values = []
     for key, (default, parse, _) in _OPTIONS.items():
         raw = flags.get(key.replace("-", "_"))
-        if raw is None:
-            raw = file_vals.get(key, default)
         try:
-            values.append(parse(str(raw)))
+            values.append(parse(default if raw is None else str(raw)))
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
     config = RunConfig(command, *values)
@@ -252,7 +224,6 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     for key, (_, _, help_text) in _OPTIONS.items():
         parser.add_argument(f"--{key}", help=help_text)
-    parser.add_argument("--config", help="flat key=value config file")
     return parser
 
 

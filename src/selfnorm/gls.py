@@ -208,9 +208,7 @@ def _gls_tail_opt(psi: PsiFunction, norm: float,
                   y: float) -> tuple[float, float | None, float]:
     """Optimized Markov bound min_p (psi(p)*norm/y)^p.
 
-    Returns (value, attaining p or None, -ln(value)).  Clamps to 1
-    whenever y <= e*norm: below that the moment method carries no
-    information.
+    Returns (value, attaining p or None, -ln(value)).
 
     The exponent p*ln(psi(p)*norm/y) must be convex in p on the support
     (capped at p = 1000).  It is for the Rosenthal generator (ln E|X|^p
@@ -228,8 +226,6 @@ def _gls_tail_opt(psi: PsiFunction, norm: float,
         raise ValueError(f"norm must be positive, got {norm}")
     if y <= 0.0:
         raise ValueError(f"threshold must be positive, got {y}")
-    if y <= math.e * norm:
-        return 1.0, None, 0.0
 
     lo, hi = _support(psi)
     log_scale = math.log(norm) - math.log(y)

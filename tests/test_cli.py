@@ -103,19 +103,6 @@ class TestBuildConfig:
         with pytest.raises(ConfigError):
             build_config("verify", {"dist": "gaussian", "n_sup": "9:2"})
 
-    def test_config_file_merge_flags_win(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("dist=gaussian\nn=2,4\ntrials=777\n# comment\n")
-        cfg = build_config("mc", {"config": str(path), "trials": 55})
-        assert cfg.distribution.name == "gaussian"
-        assert cfg.n_grid == [2, 4]
-        assert cfg.trials == 55
-
-    def test_config_file_unknown_key(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("bogus=1\n")
-        with pytest.raises(ConfigError, match="unknown keys"):
-            build_config("mc", {"config": str(path), "dist": "gaussian"})
 
 
 class TestCommands:
@@ -207,7 +194,7 @@ class TestCommands:
 
     def test_gls_single_point_support_is_the_first_moment(self, capsys):
         # r = 1 leaves the norm's p grid one point: GlsNorm is E|xi|, and
-        # the tail is Markov's norm/B above e*norm, 1 at or below it
+        # the tail is Markov's norm/B at every B, e*norm included
         status = run(make_config("gls", distribution="gaussian",
                                  B_grid=[2.0, 3.0, 10.0],
                                  family="psi:degenerate:r=1"))
@@ -217,8 +204,8 @@ class TestCommands:
                                                         "0.797884560802865")
         norm = math.sqrt(2.0 / math.pi)
         tails = [float(r["value"]) for r in rows[1:]]
-        assert tails[0] == 1.0
-        assert tails[1:] == pytest.approx([norm / 3.0, norm / 10.0], rel=1e-14)
+        assert tails == pytest.approx([norm / 2.0, norm / 3.0, norm / 10.0],
+                                      rel=1e-14)
 
     def test_bphi_norm_scales_with_sigma(self, capsys):
         # the norm of xi/sigma against lam^2/2, times sigma: the same
@@ -631,18 +618,25 @@ class TestMain:
             (line,) = captured.err.splitlines()
             assert line.startswith(f"selfnorm: configuration error: {key}:")
 
-    def test_chunk_size_removed(self, tmp_path, capsys):
-        # simulation chunks are sized from n: neither the flag nor the
-        # config key exists
+    def test_chunk_size_removed(self, capsys):
+        # simulation chunks are sized from n: the flag does not exist
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--dist", "gaussian", "--chunk-size", "8192"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chunk-size" in captured.err
+
+    def test_config_removed(self, tmp_path, capsys):
+        # options come from flags only: no file is read
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("chunk-size=8192\n")
-        for extra in (["--chunk-size", "8192"], ["--config", str(cfg)]):
-            with pytest.raises(SystemExit) as exc:
-                main(["mc", "--dist", "gaussian", *extra])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "chunk-size" in captured.err
+        cfg.write_text("dist=gaussian\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bound-exp", "--dist", "gaussian", "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--config" in captured.err
 
     def test_sweep_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -698,10 +692,10 @@ class TestMain:
         (["gls", "--dist", "gaussian", "--family", "psi:power:r=2"],
          "family: expected 'm=<real>' in 'psi:power:r=2'"),
         (["bound-exp", "--dist", "gaussian", "--B", ","], "B: grid is empty"),
-        (["bound-exp", "--config", "{tmp}/bad.cfg"],
-         "config: line 2: expected key=value, got 'bogus line'"),
-        (["bound-exp", "--config", "{tmp}/missing.cfg"],
-         "config: cannot read '{tmp}/missing.cfg': "),
+        (["bound-exp", "--dist", "gaussian", "--n", "1,x"],
+         "n: cannot parse 'x' as int"),
+        (["bound-exp", "--dist", "gaussian", "--kr", "0"],
+         "kr: must be positive and finite, got '0'"),
         (["bound-exp", "--dist", "discrete:1:0.5:3"],
          "dist: bad atom '1:0.5:3' in 'discrete:1:0.5:3'"),
         (["bound-exp", "--dist", "uniform:a=-1"],
@@ -728,7 +722,6 @@ class TestMain:
          "dist: variance of uniform:a=1e-300 underflows to 0"),
     ])
     def test_input_check_one_stderr_line(self, argv, message, tmp_path, capsys):
-        (tmp_path / "bad.cfg").write_text("dist=rademacher\nbogus line\n")
         (tmp_path / "bad.txt").write_text("0.5\n\n-1.25\nabc\n2\n")
         (tmp_path / "nan.txt").write_text("1\n\nnan\n2\n")
         with pytest.raises(SystemExit) as exc:
@@ -754,47 +747,13 @@ class TestMain:
         base = {"dist": "rademacher", "B": "3", "family": "phi:power:m=2"}
         base.pop(key, None)
         argv = ["gls"] + [a for k, v in base.items() for a in (f"--{k}", v)]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key}={value}\n")
-        lines = []
-        for extra in ([f"--{key}", value], ["--config", str(cfg)]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + extra)
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            lines.append(captured.err.splitlines())
-        (line,) = lines[0]
-        assert lines[1] == [line]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--{key}", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
         assert line.startswith(f"selfnorm: configuration error: {key}:")
-
-    @pytest.mark.parametrize("family", ["phi:natural", "psi:bogus:r=1"])
-    def test_family_config_key_is_for_gls_only(self, family, tmp_path, capsys):
-        # a family= line in a --config file is rejected off gls the way the
-        # flag is, whether or not its value parses; gls reads it as the flag
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"dist=rademacher\nfamily={family}\n")
-        for command in COMMANDS:
-            if command == "gls":
-                continue
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--config", str(cfg)])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.splitlines() == [
-                "selfnorm: configuration error: family: family= in a config "
-                f"file is for the gls command only, not {command}"]
-        cfg.write_text("dist=gaussian\nB=3\nfamily=phi:power:m=2\n")
-        outputs = []
-        for extra in (["--config", str(cfg)],
-                      ["--dist", "gaussian", "--B", "3", "--family", "phi:power:m=2"]):
-            with pytest.raises(SystemExit) as exc:
-                main(["gls", *extra])
-            assert exc.value.code == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-        assert outputs[0].err == "" and "BphiTail" in outputs[0].out
 
     def test_flags_per_command(self, capsys):
         # one parser: the command is a positional choice, each option a flag
@@ -807,7 +766,7 @@ class TestMain:
         flags = {s for a in parser._actions for s in a.option_strings}
         assert flags == {"-h", "--help", "--dist", "--n", "--B", "--n-sup",
                          "--trials", "--seed", "--kr", "--confidence", "--output",
-                         "--format", "--family", "--config"}
+                         "--format", "--family"}
         for command in COMMANDS:
             if command == "gls":
                 continue

@@ -67,8 +67,17 @@ class TestGlsTailBound:
         assert got == pytest.approx((K / y) ** r, rel=1e-12)
 
     def test_clamps_below_scale(self):
-        assert gls_tail_bound(degenerate_psi(4.0), 1.0, E) == 1.0
-        assert gls_tail_bound(power_psi(2.0), 2.0, 5.0) == 1.0
+        # below y = e*norm the bound is still the optimized Markov bound:
+        # (norm/y)^r for the degenerate generator, and exp(-1/(0.32*e)) at
+        # p* = 1/(0.16*e) for sqrt(p) with norm/y = 0.4; it clamps only
+        # where every Markov bound exceeds 1
+        assert gls_tail_bound(degenerate_psi(4.0), 1.0, E) == pytest.approx(
+            0.01831563888873418, rel=1e-12)
+        assert gls_tail_bound(power_psi(2.0), 2.0, 5.0) == pytest.approx(
+            0.316756083597, rel=1e-9)
+        assert gls_tail_bound(power_psi(2.0), 2.0, 5.0) == pytest.approx(
+            math.exp(-1.0 / (0.32 * E)), rel=1e-9)
+        assert gls_tail_bound(degenerate_psi(4.0), 1.0, 0.5) == 1.0
 
     def test_single_point_support_is_plain_markov(self):
         # r = 1 degenerates to the first-moment bound K/y
