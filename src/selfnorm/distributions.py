@@ -3,7 +3,9 @@
 A :class:`DistributionModel` represents the common law of i.i.d. centered
 variables with finite positive variance, and the bounds read it only
 through the moment primitives of its hook table.  :class:`DiscreteLaw`,
-empirical samples included, supplies every hook as an exact sum, and
+empirical samples included, supplies every hook as an exact sum (in
+Python floats below 8 atoms, where NumPy's own sum runs left to right,
+and by :func:`_log_sum_exp` on arrays from 8 on, with the same bits), and
 density laws as integrals by one vectorized adaptive Gauss-Legendre rule
 (:func:`_integrate`) of ``s * exp(ln density + e)``, every integrand
 kept in log space, so that huge-but-finite integrands never overflow
@@ -64,6 +66,10 @@ _PEAK_STEPS = (-32.0, -8.0, -2.0, -1.0, 1.0, 2.0, 8.0, 32.0)
 # a largest exponent below this keeps the shifted exponents finite: their
 # exact values stay above -max_float - 2^969, which rounds to -max_float
 _SHIFT_SAFE = math.ldexp(1.0, 969)
+# NumPy's pairwise summation adds fewer than 8 float64 terms left to right
+# (it unrolls by 8 from there on), so a table of fewer atoms sums its
+# exponentials in Python floats with the bits of np.add.reduce
+_SCALAR_ATOMS = 8
 # the p at which the summand plan of a density law is refined
 _P_REF = 1.5
 
@@ -128,6 +134,11 @@ def _log_sum_exp(exps: np.ndarray, b: np.ndarray) -> float:
             return out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return float(np.log(np.sum(b * np.exp(exps))))
+
+
+def _log_abs(y: float) -> float:
+    """ln|y| of a Python float; -inf, with no warning, at 0."""
+    return float(np.log(abs(y))) if y != 0.0 else -math.inf
 
 
 @functools.lru_cache(maxsize=None)
@@ -425,6 +436,15 @@ class DiscreteLaw(DistributionModel):
     reader takes the table as built.  The exponents of the log-MGF and Lp
     norms are built from the squares ``_squares`` with the float operations
     of :class:`_QuadratureLaw`'s, and summed by :func:`_log_sum_exp`.
+
+    The sum has two routes, chosen by the atom count alone.  A table of
+    fewer than ``_SCALAR_ATOMS`` (8) atoms is also kept as Python
+    ``(value, prob, square)`` triples, ``_atoms``, and :meth:`_log_sum`
+    runs the finite branch of :func:`_log_sum_exp` over them in Python
+    floats: NumPy sums fewer than 8 terms left to right, so the bits are
+    the same, without NumPy's per-call overhead on tiny arrays.  A larger
+    table (an empirical sample), and every extreme case of a small one,
+    takes the array route, :func:`_log_sum_exp` itself.
     """
 
     def __init__(self, atoms: Iterable[tuple[float, float]] | np.ndarray,
@@ -457,6 +477,9 @@ class DiscreteLaw(DistributionModel):
         super().__init__(sigma2, name)
         # finite, now that the variance is
         self._squares = squares
+        self._atoms = (tuple(zip(self._values.tolist(), self._probs.tolist(),
+                                 squares.tolist()))
+                       if len(self._values) < _SCALAR_ATOMS else None)
         self._max_abs = max(-float(self._values[0]), float(self._values[-1]))
         self._max_square = self._max_abs * self._max_abs
         positive = self._values[self._values > 0.0]
@@ -490,10 +513,37 @@ class DiscreteLaw(DistributionModel):
         # the summand at c = 0 is the atom itself, bit for bit
         return math.exp(self._log_summand_moment(0.0, p) / p)
 
+    def _log_sum(self, exps):
+        """:func:`_log_sum_exp` of one exponent per atom of a small table,
+        in Python floats; see the class docstring.
+
+        A largest exponent from ``_SHIFT_SAFE`` on or NaN, and a result
+        that is not finite, go to :func:`_log_sum_exp` itself.  That takes
+        in every other NaN, which makes s NaN, and a largest exponent of
+        -inf, where every term is top and the result is -inf.
+        """
+        a_max = max(exps)
+        if a_max < _SHIFT_SAFE:
+            # the top atoms summed apart as m, the rest left to right
+            m = s = 0.0
+            for e, (_, q, _) in zip(exps, self._atoms):
+                if e == a_max:
+                    m += q
+                else:
+                    s += q * float(np.exp(e - a_max))
+            if s != 0.0:
+                s = s / m
+            out = float(np.log1p(s)) + float(np.log(m)) + a_max
+            if math.isfinite(out):
+                return out
+        return _log_sum_exp(np.array(exps), self._probs)
+
     def _log_mgf2(self, l1, l2):
         # the exponent l1*x - l2*(x*x) of the quadrature route, so the
         # bits are the same; errstate only where a product can overflow
         if abs(l1) * self._max_abs + abs(l2) * self._max_square < math.inf:
+            if self._atoms is not None:
+                return self._log_sum([l1 * x - l2 * sq for x, _, sq in self._atoms])
             exps = l1 * self._values - l2 * self._squares
         else:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -509,6 +559,10 @@ class DiscreteLaw(DistributionModel):
         return s2, _guard_finite(w, "moment w"), _guard_finite(z, "moment z")
 
     def _log_summand_moment(self, c, p):
+        if self._atoms is not None:
+            s2 = self.sigma2
+            return self._log_sum([p * _log_abs(x + c * (s2 - sq))
+                                  for x, _, sq in self._atoms])
         with np.errstate(divide="ignore", invalid="ignore"):
             exps = p * np.log(np.abs(self._values + c * (self.sigma2 - self._squares)))
         return _log_sum_exp(exps, self._probs)

@@ -803,6 +803,175 @@ class TestDiscreteLogSumExp:
         assert law.log_mgf2(-1.0, 1e300) == -math.inf
 
 
+def same_bits(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def left_to_right(terms):
+    # an explicit loop: sum() of floats is compensated from Python 3.12 on
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+class TestNumpyFactsOfTheScalarRoute:
+    """The two NumPy facts that let a table of fewer than 8 atoms sum in
+    Python floats with the bits of the array route."""
+
+    def test_add_reduce_sums_fewer_than_eight_terms_left_to_right(self):
+        rng = np.random.default_rng(3)
+        for k in range(1, distributions._SCALAR_ATOMS):
+            for _ in range(2000):
+                terms = rng.random(k) * 10.0 ** rng.uniform(-20.0, 20.0, k)
+                assert float(np.add.reduce(terms)) == left_to_right(terms.tolist())
+
+    def test_add_reduce_of_eight_terms_need_not_be_left_to_right(self):
+        # from 8 terms on NumPy sums pairwise: 1e16 + 1 rounds back to
+        # 1e16 term by term, while the pairs 1 + 1 survive
+        terms = [1e16] + [1.0] * 7
+        assert left_to_right(terms[:7]) == float(np.add.reduce(np.array(terms[:7])))
+        assert distributions._SCALAR_ATOMS == 8
+        assert float(np.add.reduce(np.array(terms))) != left_to_right(terms)
+
+    @pytest.mark.parametrize("ufunc", [np.exp, np.log, np.log1p])
+    def test_ufunc_of_a_python_float_equals_its_array_loop(self, ufunc):
+        rng = np.random.default_rng(4)
+        x = rng.random(7000) * 10.0 ** rng.uniform(-300.0, 300.0, 7000)
+        if ufunc is np.exp:
+            x = rng.uniform(-745.0, 709.0, 7000)
+        for row in x.reshape(-1, 7):
+            # 1- and 7-element arrays: the array route's exponentials are
+            # of up to 7 atoms
+            got = [float(ufunc(v)) for v in row.tolist()]
+            assert got == ufunc(row).tolist()
+            assert got == [float(ufunc(row[i:i + 1])[0]) for i in range(7)]
+
+
+def root_of(law, x):
+    """The c at which the atom x is a root of x + c*(sigma^2 - x^2)."""
+    c = x / (x * x - law.sigma2)
+    assert x + c * (law.sigma2 - x * x) == 0.0
+    return c
+
+
+@pytest.fixture
+def array_route(monkeypatch):
+    """The sizes of the exponent arrays that reach ``_log_sum_exp``; a
+    recording spy, which no except clause on the way can swallow."""
+    sizes = []
+    log_sum_exp = distributions._log_sum_exp
+
+    def spy(exps, b):
+        sizes.append(exps.size)
+        return log_sum_exp(exps, b)
+
+    monkeypatch.setattr(distributions, "_log_sum_exp", spy)
+    return sizes
+
+
+class TestScalarRoute:
+    """A table of fewer than 8 atoms sums in Python floats; the array
+    route, :func:`_log_sum_exp`, is its reference, toggled on the same
+    law by dropping the Python table."""
+
+    @staticmethod
+    def both_routes(law, fn):
+        scalar = fn()
+        atoms, law._atoms = law._atoms, None
+        try:
+            return scalar, fn()
+        finally:
+            law._atoms = atoms
+
+    @staticmethod
+    def random_table(rng):
+        # 2 to 7 atoms (one atom cannot be centered and nondegenerate),
+        # weights 1e-12..1 and values 1e-3..1e3 in size, centered by the
+        # last atom
+        while True:
+            k = int(rng.integers(2, distributions._SCALAR_ATOMS))
+            probs = 10.0 ** rng.uniform(-12.0, 0.0, k)
+            probs /= probs.sum()
+            values = rng.choice((-1.0, 1.0), k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+            values[-1] = -np.dot(probs[:-1], values[:-1]) / probs[-1]
+            try:
+                law = DiscreteLaw(np.column_stack((values, probs)))
+            except ValueError:  # rounding left the mean off 0
+                continue
+            assert law._atoms is not None
+            return law
+
+    def test_bit_identical_to_array_route(self):
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            law = self.random_table(rng)
+            for _ in range(8):
+                l1 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 6.0)
+                l2 = 10.0 ** rng.uniform(-8.0, 6.0)
+                scalar, array = self.both_routes(law, lambda: law._log_mgf2(l1, l2))
+                assert same_bits(scalar, array), (law.name, l1, l2)
+                c = 10.0 ** rng.uniform(-6.0, 4.0) if rng.random() < 0.9 else 0.0
+                p = rng.uniform(1.0, 30.0)
+                scalar, array = self.both_routes(
+                    law, lambda: law._log_summand_moment(c, p))
+                assert same_bits(scalar, array), (law.name, c, p)
+
+    # one case per edge: the atoms, the call, and whether the scalar route
+    # hands it to the array route
+    EDGES = {
+        # l1*x overflows: the guard sends the products to the array route
+        "overflowing products": ([(-1e10, 0.5), (1e10, 0.5)],
+                                 lambda law: law._log_mgf2(1e300, 0.0), True),
+        # one exponent is -inf, and the largest is finite
+        "an atom on a root": (
+            [(-2.0, 0.4), (1.0, 0.5), (3.0, 0.1)],
+            lambda law: law._log_summand_moment(root_of(law, 3.0), 2.0), False),
+        # sigma^2 = 2, so at c = 1 both atoms -1 and 2 are roots
+        "every atom on a root": ([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)],
+                                 lambda law: law._log_summand_moment(1.0, 2.0), True),
+        "a largest exponent past 2^969": ([(-1.0, 0.5), (1.0, 0.5)],
+                                          lambda law: law._log_mgf2(1e300, 0.0), True),
+        # s/m overflows: the result is not finite
+        "a top atom of weight 5e-324": ([(-1.0, 0.5), (1.0, 0.5), (3.0, 5e-324)],
+                                        lambda law: law._log_mgf2(1.0, 0.0), True),
+    }
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_edge_case(self, edge, array_route):
+        atoms, call, to_array = self.EDGES[edge]
+        law = DiscreteLaw(atoms)
+        scalar = call(law)
+        assert bool(array_route) == to_array
+        _, array = self.both_routes(law, lambda: call(law))
+        assert same_bits(scalar, array)
+
+    @pytest.mark.parametrize("spec", [
+        "rademacher", "discrete:-1:0.6666666666666666,2:0.3333333333333334",
+        "discrete:-1:0.25,0:0.5,1:0.25"])
+    def test_small_tables_never_reach_the_array_route(self, spec, array_route):
+        # the curves at one n and over a range, whose sup runs the tail
+        # certificate
+        law = parse_distribution(spec)
+        for make in (exp_curve, power_curve):
+            for n in (16, (1, 4096)):
+                make(law, n, DEFAULT_B_GRID)
+        assert array_route == []
+
+    @pytest.mark.parametrize("size", [8, 300])
+    def test_large_tables_take_the_array_route(self, size, array_route):
+        if size == 8:
+            law = DiscreteLaw([(v, 0.125) for v in (-7, -5, -3, -1, 1, 3, 5, 7)])
+        else:
+            draws = np.random.default_rng(7).exponential(size=size)
+            law = DiscreteLaw.from_sample(draws)
+        assert law._atoms is None and law._values.size >= 8
+        law.log_mgf2(0.5, 0.25)
+        law.summand_lp_norm(16, 2.0, 3.0)
+        law.lp_norm(2.5)
+        assert array_route == [law._values.size] * 3
+
+
 class TestConstruction:
     def test_uniform_sigma2(self):
         assert UniformSymmetric(SQRT3).sigma2 == pytest.approx(1.0)
