@@ -43,7 +43,7 @@ print(f"  {len(rows)} cells checked, all pass: "
       f"{all(row.status != 'FAIL' for row in rows)}")
 print("   family           n  B      bound        exact tail   margin")
 for row in rows:
-    if row.curve.family == "LowerCLT":
+    if row.curve.side == "report":
         continue
     print(f"  {row.curve.family:>9}  {row.curve.label:>10}  {row.point.B:<4g} "
           f"{row.point.value:<12.4e} {row.estimate.point:<12.4e} "

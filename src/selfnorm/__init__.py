@@ -14,10 +14,6 @@ from .bounds import (
     BoundPoint,
     DEFAULT_B_GRID,
     DEFAULT_KR,
-    EXP_LEVEL,
-    LOWER_CLT,
-    LOWER_Q1,
-    POWER_LEVEL,
     exp_curve,
     lower_clt_curve,
     lower_q1_curve,

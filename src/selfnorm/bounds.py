@@ -35,10 +35,6 @@ __all__ = [
     "BoundPoint",
     "DEFAULT_B_GRID",
     "DEFAULT_KR",
-    "EXP_LEVEL",
-    "LOWER_CLT",
-    "LOWER_Q1",
-    "POWER_LEVEL",
     "exp_curve",
     "lower_clt_curve",
     "lower_q1_curve",
@@ -49,6 +45,10 @@ EXP_LEVEL = "ExpLevel"
 POWER_LEVEL = "PowerLevel"
 LOWER_CLT = "LowerCLT"
 LOWER_Q1 = "LowerQ1"
+# each family's side of Q_n(B): an upper or a lower bound, or a report,
+# a reference value that asserts nothing
+_SIDES = {EXP_LEVEL: "upper", POWER_LEVEL: "upper", LOWER_Q1: "lower",
+          LOWER_CLT: "report"}
 
 DEFAULT_KR = 0.6379
 DEFAULT_B_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, math.e, 3.0, 5.0, 10.0, 20.0, 50.0)
@@ -95,6 +95,15 @@ class BoundCurve:
         if isinstance(self.n, tuple):
             return f"sup({self.n[0]}..{self.n[1]})"
         return str(self.n)
+
+    @property
+    def side(self) -> str:
+        """The family's side: "upper", "lower" or "report"; ValueError
+        for a family that is none of the four."""
+        try:
+            return _SIDES[self.family]
+        except KeyError:
+            raise ValueError(f"unknown bound family {self.family!r}") from None
 
 
 # -- exponential level -------------------------------------------------------

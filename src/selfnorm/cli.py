@@ -13,10 +13,10 @@ verify        all bound families + referee + PASS/FAIL per cell (exit 1
               n = lo and at every ``--n`` in the range
 gls           norm and tail of a chosen generator family against the law
 
-Output is CSV (columns fixed, floats at 15 significant digits, ``inf``
-for infinities, absent fields empty, a field holding a comma quoted) or
-an aligned-column pretty table.  A row's bound columns are the fields
-of its :class:`~selfnorm.bounds.BoundPoint`, blank on a row without one.
+Output is CSV: columns fixed, floats at 15 significant digits, ``inf``
+for infinities, absent fields empty, a field holding a comma quoted.  A
+row's bound columns are the fields of its
+:class:`~selfnorm.bounds.BoundPoint`, blank on a row without one.
 One parser reads the command and every option, so each command takes
 the same flags; ``--family`` is for ``gls`` only, and on any other
 command it is a configuration error (exit 2).  Options come from flags
@@ -78,7 +78,6 @@ class RunConfig:
     kr_constant: float
     confidence: float
     output_path: str | None
-    format: str
     family: tuple[str, Callable] | None = None
 
 
@@ -188,8 +187,6 @@ _OPTIONS = {
                                      "strictly between 0 and 1"),
                    "Clopper-Pearson confidence level"),
     "output": ("", _output_path, "output path (default: stdout)"),
-    "format": ("csv", _checked(str, ("csv", "pretty").__contains__, "csv or pretty"),
-               "csv | pretty"),
     "family": ("", _gls_family, "psi:degenerate:r=<r> | psi:power:m=<m> | "
                                 "phi:power:m=<m> | phi:natural"),
 }
@@ -244,13 +241,12 @@ def _fmt(v) -> str:
 
 def _row(dist_name: str, n_label: str, family: str,
          pt: bd.BoundPoint | None = None, est=None, status: str = "",
-         margin=None, tightness=None, B: float | None = None) -> dict:
+         B: float | None = None) -> dict:
     """One row of a curve or of the referee: B and the bound columns are
     the point's fields, the mc columns the estimate's, each blank when
     absent; a row without a point (SKIP or MC) is given its B."""
     row = {"dist": dist_name, "n": n_label, "family": family,
-           "B": B if pt is None else pt.B,
-           "status": status, "margin": margin, "tightness": tightness}
+           "B": B if pt is None else pt.B, "status": status}
     if pt is not None:
         row.update(value=pt.value, optimizer=pt.objective,
                    theta_or_p_star=pt.arg_star, n_star=pt.n_star)
@@ -266,17 +262,6 @@ def _write_csv(rows: list[dict]) -> str:
     writer.writerow(CSV_COLUMNS)
     writer.writerows([_fmt(row.get(col)) for col in CSV_COLUMNS] for row in rows)
     return buf.getvalue()
-
-
-def _write_pretty(rows: list[dict]) -> str:
-    cols = CSV_COLUMNS + ("margin", "tightness")
-    table = [[_fmt(row.get(c)) for c in cols] for row in rows]
-    widths = [max(len(c), *(len(r[i]) for r in table)) if table else len(c)
-              for i, c in enumerate(cols)]
-    out = ["  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip()]
-    for r in table:
-        out.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    return "\n".join(out) + "\n"
 
 
 # -- command bodies ------------------------------------------------------------
@@ -319,8 +304,7 @@ def _curve_rows(config: RunConfig, dist, curves: list[bd.BoundCurve],
                 rows.append(_row(*head, pt))
             else:
                 r = next(checked)
-                rows.append(_row(*head, pt, r.estimate, r.status, r.margin,
-                                 r.tightness))
+                rows.append(_row(*head, pt, r.estimate, r.status))
     return rows
 
 
@@ -373,10 +357,10 @@ def _gls_rows(config: RunConfig, dist) -> list[dict]:
     except DivergentError as exc:
         raise ConfigError("family", f"no finite norm of {dist.name} against "
                                     f"{family!r}: {exc}") from None
-    rows = [{"dist": dist.name, "family": names[0], "value": norm, "status": ""}]
+    rows = [{"dist": dist.name, "family": names[0], "value": norm}]
     for B in config.B_grid:
         rows.append({"dist": dist.name, "B": B, "family": names[1],
-                     "value": tail_fn(gen, norm, B), "status": ""})
+                     "value": tail_fn(gen, norm, B)})
     return rows
 
 
@@ -395,7 +379,7 @@ def run(config: RunConfig) -> int:
     else:
         raise ConfigError("command", f"unknown command {config.command!r}")
 
-    text = _write_csv(rows) if config.format == "csv" else _write_pretty(rows)
+    text = _write_csv(rows)
     if config.output_path:
         try:
             with open(config.output_path, "w") as fh:

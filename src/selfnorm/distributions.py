@@ -540,10 +540,12 @@ class DiscreteLaw(DistributionModel):
 
     def _log_mgf2(self, l1, l2):
         # the exponent l1*x - l2*(x*x) of the quadrature route, so the
-        # bits are the same; errstate only where a product can overflow
+        # bits are the same.  Python float products never warn, and
+        # _log_sum sends every non-finite case on, so only the array
+        # route checks for a product that can overflow
+        if self._atoms is not None:
+            return self._log_sum([l1 * x - l2 * sq for x, _, sq in self._atoms])
         if abs(l1) * self._max_abs + abs(l2) * self._max_square < math.inf:
-            if self._atoms is not None:
-                return self._log_sum([l1 * x - l2 * sq for x, _, sq in self._atoms])
             exps = l1 * self._values - l2 * self._squares
         else:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundCurve, BoundPoint, EXP_LEVEL, LOWER_CLT, LOWER_Q1, POWER_LEVEL
+from .bounds import BoundCurve, BoundPoint
 from .distributions import DiscreteLaw, DistributionModel
 
 __all__ = [
@@ -324,7 +324,6 @@ class VerificationRow:
     estimate: TailEstimate
     status: str
     margin: float | None = None
-    tightness: float | None = None
 
 
 def verify_bounds(dist: DistributionModel, curves: Sequence[BoundCurve],
@@ -337,11 +336,13 @@ def verify_bounds(dist: DistributionModel, curves: Sequence[BoundCurve],
     the first n of every curve's range (the n of a fixed-n curve, n = 1
     for the lower-bound curves, lo for a sup over lo..hi) and at the B
     of every point.  Each cell is checked against the refereed n in its
-    range: an upper bound must sit at or above the lower confidence
-    limit of the estimate, taking the n with the largest such limit in
-    a sup-over-n range; the single-observation lower bound must sit at
-    or below the upper limit at n = 1.  The limiting normal tail gets
-    REPORT rows and asserts nothing.  A simulation runs ``trials``
+    range, as the curve's :attr:`~selfnorm.bounds.BoundCurve.side` says
+    (ValueError for a family without one): an upper bound must sit at
+    or above the lower confidence limit of the estimate, taking the n
+    with the largest such limit in a sup-over-n range; the
+    single-observation lower bound must sit at or below the upper limit
+    at n = 1.  The limiting normal tail gets REPORT rows and asserts
+    nothing.  A simulation runs ``trials``
     trials from ``seed``, with intervals at ``confidence``.
     """
     ns = sorted({curve.n_range[0] for curve in curves})
@@ -350,19 +351,14 @@ def verify_bounds(dist: DistributionModel, curves: Sequence[BoundCurve],
     rows = []
     for curve in curves:
         lo, hi = curve.n_range
+        side = curve.side
         for pt in curve.points:
             est = max((ests[(n, pt.B)] for n in ns if lo <= n <= hi),
                       key=lambda e: e.ci_lo)
-            if curve.family == LOWER_CLT:
+            if side == "report":
                 rows.append(VerificationRow(curve, pt, est, "REPORT"))
                 continue
-            if curve.family in (EXP_LEVEL, POWER_LEVEL):
-                margin = pt.value - est.ci_lo
-            elif curve.family == LOWER_Q1:
-                margin = est.ci_hi - pt.value
-            else:
-                raise ValueError(f"unknown bound family {curve.family!r}")
+            margin = pt.value - est.ci_lo if side == "upper" else est.ci_hi - pt.value
             rows.append(VerificationRow(
-                curve, pt, est, "PASS" if margin >= 0.0 else "FAIL", margin=margin,
-                tightness=pt.value / est.point if est.point > 0 else math.inf))
+                curve, pt, est, "PASS" if margin >= 0.0 else "FAIL", margin=margin))
     return rows

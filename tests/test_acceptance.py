@@ -219,8 +219,7 @@ def test_criterion_09_deterministic_csv(tmp_path, monkeypatch):
         return RunConfig(
             command="verify", distribution=law, n_grid=[1, 4, 16],
             B_grid=[0.5, 1.0, 2.0], n_sup_range=None, trials=200000, seed=7,
-            kr_constant=0.6379, confidence=0.999, output_path=str(path),
-            format="csv")
+            kr_constant=0.6379, confidence=0.999, output_path=str(path))
 
     monkeypatch.setattr(mc, "empirical_tail", spy)
     monkeypatch.setenv("SELFNORM_THREADS", "1")
@@ -248,7 +247,7 @@ def test_criterion_10_negative_control(tmp_path, monkeypatch):
         command="verify", distribution=Rademacher(), n_grid=[1, 4],
         B_grid=[0.5, 1.0], n_sup_range=None, trials=100000, seed=3,
         kr_constant=0.6379, confidence=0.999,
-        output_path=str(tmp_path / "bad.csv"), format="csv")
+        output_path=str(tmp_path / "bad.csv"))
     status = run(cfg)
     text = (tmp_path / "bad.csv").read_text()
     report(10, status == 1 and "FAIL" in text,

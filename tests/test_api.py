@@ -19,9 +19,8 @@ import selfnorm
 
 PUBLIC_NAMES = [
     "BoundCurve", "BoundPoint", "DEFAULT_B_GRID", "DEFAULT_KR", "DensityLaw",
-    "DiscreteLaw", "DistributionModel", "DivergentError", "EXP_LEVEL",
-    "LOWER_CLT", "LOWER_Q1", "MCConfig",
-    "NotBracketedError", "POWER_LEVEL", "PsiFunction",
+    "DiscreteLaw", "DistributionModel", "DivergentError", "MCConfig",
+    "NotBracketedError", "PsiFunction",
     "Rademacher", "StandardGaussian", "UniformSymmetric",
     "bphi_norm", "bphi_tail_bound", "degenerate_psi",
     "empirical_tail", "exp_curve", "fenchel", "gls_norm", "gls_tail_bound",
@@ -72,7 +71,7 @@ def test_package_names():
     names = sorted(name for name in dir(selfnorm)
                    if not name.startswith("_")
                    and not isinstance(getattr(selfnorm, name), types.ModuleType))
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 32
     assert names == sorted(PUBLIC_NAMES)
     src = pathlib.Path(selfnorm.__file__).resolve().parents[1]
     code = "import sys, selfnorm; print('selfnorm.mc' in sys.modules)"

@@ -15,7 +15,8 @@ import selfnorm
 
 from selfnorm import mc
 from selfnorm.cli import (COMMANDS, CSV_COLUMNS, ConfigError, RunConfig,
-                          _gls_family, _make_parser, build_config, main, run)
+                          _curves, _gls_family, _make_parser, build_config,
+                          main, run)
 from selfnorm.distributions import DistributionModel, Rademacher, parse_distribution
 
 UNIFORM = "uniform:a=1.7320508075688772"  # unit variance: a = sqrt(3)
@@ -27,7 +28,7 @@ def make_config(command="bound-exp", distribution="rademacher", family="",
         command=command, distribution=parse_distribution(distribution),
         n_grid=[1, 4], B_grid=[0.5, 1.0, 2.0], n_sup_range=None, trials=2000,
         seed=1, kr_constant=0.6379, confidence=0.999, output_path=None,
-        format="csv", family=_gls_family(family))
+        family=_gls_family(family))
     base.update(over)
     return RunConfig(**base)
 
@@ -80,7 +81,6 @@ class TestBuildConfig:
         assert math.e in cfg.B_grid
         assert cfg.trials == 100000
         assert cfg.kr_constant == 0.6379
-        assert cfg.format == "csv"
 
     def test_missing_dist_rejected(self):
         with pytest.raises(ConfigError, match="dist"):
@@ -259,13 +259,6 @@ class TestCommands:
         with pytest.raises(ConfigError, match="dist"):
             build_config("bound-exp", {"dist": "uniform:a=bogus"})
 
-    def test_pretty_format(self, capsys):
-        cfg = make_config("bound-lower", format="pretty")
-        assert run(cfg) == 0
-        outp = capsys.readouterr().out
-        assert outp.splitlines()[0].startswith("dist")
-        assert "margin" in outp.splitlines()[0]
-
 
 class TestCsvContract:
     def test_round_trip_15_digits(self, tmp_path):
@@ -380,6 +373,18 @@ class TestSharedCurvePath:
                  if r["family"] == "PowerLevel" and r["status"] == "SKIP"]
         assert sorted(skips) == sorted(
             (label, B) for label in self.LABELS for B in ("0.5", "1", "2"))
+
+    def test_every_emitted_family_has_a_side(self):
+        # the referee reads each curve's side, so a family the commands
+        # print but no side names would stop verify
+        sides = {}
+        for command in ("bound-exp", "bound-power", "bound-lower", "verify"):
+            cfg = make_config(command, n_grid=[1], n_sup_range=(1, 4),
+                              B_grid=[0.5, 3.0])
+            sides.update((c.family, c.side)
+                         for c in _curves(cfg, cfg.distribution))
+        assert sides == {"ExpLevel": "upper", "PowerLevel": "upper",
+                         "LowerQ1": "lower", "LowerCLT": "report"}
 
 
 class TestMain:
@@ -638,6 +643,16 @@ class TestMain:
         assert captured.out == ""
         assert "--config" in captured.err
 
+    @pytest.mark.parametrize("value", ["csv", "pretty"])
+    def test_format_removed(self, value, capsys):
+        # output is CSV only: no flag selects another format
+        with pytest.raises(SystemExit) as exc:
+            main(["bound-lower", "--dist", "gaussian", "--format", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format" in captured.err
+
     def test_sweep_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dist", "rademacher"])
@@ -737,8 +752,7 @@ class TestMain:
     BAD_VALUES = {
         "dist": "uniform:a=bogus", "n": "0", "B": "-1", "n-sup": "9:2",
         "trials": "abc", "seed": "abc", "kr": "abc", "confidence": "abc",
-        "output": "{tmp}/missing/x.csv", "format": "xml",
-        "family": "psi:bogus:r=1",
+        "output": "{tmp}/missing/x.csv", "family": "psi:bogus:r=1",
     }
 
     @pytest.mark.parametrize("key", sorted(BAD_VALUES))
@@ -766,7 +780,7 @@ class TestMain:
         flags = {s for a in parser._actions for s in a.option_strings}
         assert flags == {"-h", "--help", "--dist", "--n", "--B", "--n-sup",
                          "--trials", "--seed", "--kr", "--confidence", "--output",
-                         "--format", "--family"}
+                         "--family"}
         for command in COMMANDS:
             if command == "gls":
                 continue
