@@ -206,7 +206,9 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
       Rosenthal constant ``kr``.  It is the cells' own generator, so it
       is valid exactly where they are, and a change to that generator's
       p range applies to both.  It is skipped where B*sigma^2 <= e, where
-      the moment method carries no information.
+      the moment method carries no information.  Its search steers by
+      the larger of the steer at N (see :func:`rosenthal_psi`) and the
+      generator at c = 0, so it reads the moments at N once.
     """
     exponent = 0.0
     if dist.symmetric:
@@ -220,7 +222,9 @@ def _tail_certificate(dist: DistributionModel, N: int, B: float,
         return exponent
     psi_N = rosenthal_psi(dist, N, B, kr)
     psi_inf = rosenthal_psi(dist, N, 0.0, kr)
-    psi = PsiFunction(lambda p: max(psi_N(p), psi_inf(p)))
+    steer = (None if psi_N.steer is None
+             else lambda p: max(psi_N.steer(p), psi_inf(p)))
+    psi = PsiFunction(lambda p: max(psi_N(p), psi_inf(p)), steer=steer)
     return max(exponent, _gls_tail_opt(psi, 1.0, B * dist.sigma2)[2])
 
 
@@ -235,12 +239,21 @@ def rosenthal_psi(dist: DistributionModel, n: int, B: float,
     linearized summands has moment-growth norm at most 1 against this
     generator.  p = 1, where p/ln p divides by 0, and a p where the
     summand moment diverges raise; the tail search treats both as barriers.
+    At B > 0 on a law with a summand steer at c = B/sqrt(n), the same
+    generator over the steer in place of the moments is its ``steer``.
     """
 
     def fn(p: float) -> float:
         return kr * (p / math.log(p)) * dist.summand_lp_norm(n, B, p)
 
-    return PsiFunction(fn)
+    log_moment = dist._summand_steer(B / math.sqrt(n)) if B > 0.0 else None
+    if log_moment is None:
+        return PsiFunction(fn)
+
+    def steer(p: float) -> float:
+        return kr * (p / math.log(p)) * math.exp(log_moment(p) / p)
+
+    return PsiFunction(fn, steer=steer)
 
 
 def _power_tail_point(dist: DistributionModel, n: int, B: float,

@@ -13,9 +13,11 @@ pointwise.  The standard gaussian and the symmetric uniform override
 the hooks they have closed forms for.  A density law's summand moments
 at one ``c = B/sqrt(n)`` are integrated over one plan, the probes and
 pieces that one :func:`_integrate` call returns with its value, so the
-p search of a PowerLevel cell refines its pieces once.  Every law draws
-only through ``sample``, and a density law reads its density only
-through ``_log_density``, except in ``DensityLaw.sample``: SciPy's PINV
+p search of a PowerLevel cell refines its pieces once; the search steers
+by the plan's first round and integrates once, at the p it finds (see
+``_QuadratureLaw._summand_steer``).  Every law draws only through
+``sample``, and a density law reads its density only through
+``_log_density``, except in ``DensityLaw.sample``: SciPy's PINV
 setup calls the pdf on thousands of scalars, and through the log it runs
 about ten times slower.  A moment whose tail past the probe ladder does
 not decay geometrically, and a quadratic moment or density integral
@@ -72,6 +74,10 @@ _SHIFT_SAFE = math.ldexp(1.0, 969)
 _SCALAR_ATOMS = 8
 # the p at which the summand plan of a density law is refined
 _P_REF = 1.5
+# the largest share of the total by which the one- and two-panel rules
+# may differ, summed over a plan's pieces, where the summand steer reads
+# the plan's first round in place of the moment
+_STEER_TOL = 1e-10
 
 
 class DivergentError(ArithmeticError):
@@ -344,6 +350,12 @@ class DistributionModel:
                                   a density law keeps the quadrature plan
                                   of the last c, and integrates each p
                                   over it
+        (a p search's stand-in)   _summand_steer(c): p -> the log-moment
+                                  from the plan's cached first round,
+                                  or the moment itself where the plan
+                                  cannot hold it; None (the search reads
+                                  the primitive) for an atomic law and a
+                                  c with no plan
     """
 
     sigma2: float
@@ -422,6 +434,11 @@ class DistributionModel:
         if B == 0.0 or p < 1.0:
             return self.lp_norm(p)
         return math.exp(self._log_summand_moment(B / math.sqrt(n), p) / p)
+
+    def _summand_steer(self, c: float):
+        """No stand-in for the summand moments at c: a p search reads
+        them exactly (see :meth:`_QuadratureLaw._summand_steer`)."""
+        return None
 
 
 # -- discrete laws ---------------------------------------------------------
@@ -713,6 +730,12 @@ class _QuadratureLaw(DistributionModel):
                      for x in (probes, nodes)]
         return plan, parts
 
+    def _memo_plan(self, c):
+        """The :meth:`_summand_plan` of c, kept in a one-slot memo."""
+        if self._summand_memo[0] != c:
+            self._summand_memo = (c, self._summand_plan(c))
+        return self._summand_memo[1]
+
     def _log_summand_moment(self, c: float, p: float) -> float:
         """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0.
 
@@ -720,9 +743,7 @@ class _QuadratureLaw(DistributionModel):
         whose window leaves the plan goes over fresh probes, and any other
         divergence over the plan raises.
         """
-        if self._summand_memo[0] != c:
-            self._summand_memo = (c, self._summand_plan(c))
-        memo = self._summand_memo[1]
+        memo = self._memo_plan(c)
 
         def t(x):
             return p * self._log_abs_summand(c, x)
@@ -736,6 +757,64 @@ class _QuadratureLaw(DistributionModel):
             except _PlanMiss:
                 pass
         return self._log_expect_exponent(t, _summand_breakpoints(self.sigma2, c, p))
+
+    def _summand_steer(self, c):
+        """A stand-in for ``p -> _log_summand_moment(c, p)`` that steers a
+        p search, built once from the :meth:`_summand_plan` of c; None
+        where c has no plan.
+
+        At each p it is the first round of :func:`_adapt` over the plan's
+        pieces, without refinement: the two-panel rule's ``ln sum
+        width/2 * w_j * exp(A + p*L)`` over the plan's cached parts
+        ``(A, L)``, in one NumPy pass.  Where that sum cannot stand for
+        the moment, it returns the moment itself: where the window of
+        :func:`_integrate` at the plan's probes leaves the plan's window
+        or reaches an open end of the probes, and where the one- and
+        two-panel rules differ by more than ``_STEER_TOL`` of the total,
+        summed over the pieces, as where :func:`_adapt` would refine.
+        Any p gives a valid Markov bound, so a search may steer by it and
+        read the moment once, at the p it finds.
+        """
+        memo = self._memo_plan(c)
+        if memo is None:
+            return None
+        (probes, (w_lo, w_hi), (a, b)), ((A_probes, L_probes), (A, L)) = memo
+        # the window at p must lie within the plan's, and short of an open
+        # end of the probes, whose tail _integrate extrapolates; so every
+        # probe within 800 of the top must lie one short of each end of it
+        last = len(probes) - 1
+        if probes[0] > self.support[0]:
+            w_lo = max(w_lo, 1)
+        if probes[-1] < self.support[1]:
+            w_hi = min(w_hi, last - 1)
+        r_lo = w_lo + 1 if w_lo > 0 else 0
+        r_hi = w_hi - 1 if w_hi < last else last
+        inner = slice(r_lo, r_hi + 1)
+        A_in, L_in = A_probes[inner], L_probes[inner]
+        A_out, L_out = (np.concatenate((v[:r_lo], v[r_hi + 1:]))
+                        for v in (A_probes, L_probes))
+        # the one-panel weights width*w_j and the halves' width/2*w_j, the
+        # widths taken into the exponent
+        _, w = _gauss_legendre()
+        rule = np.zeros((3 * _GL_NODES, 2))
+        rule[:_GL_NODES, 0] = w
+        rule[_GL_NODES:, 1] = 0.5 * np.concatenate((w, w))
+        A = A + np.log(b - a)[:, None]
+
+        def steer(p: float) -> float:
+            with np.errstate(invalid="ignore", over="ignore"):
+                top = (A_in + p * L_in).max(initial=-math.inf)
+                out = (A_out + p * L_out).max(initial=-math.inf)
+                e = A + p * L
+            shift = float(e.max())
+            if math.isfinite(top) and out < top - 800.0 and math.isfinite(shift):
+                one, both = (np.exp(e - shift) @ rule).T
+                total = float(both.sum())
+                if np.abs(both - one).sum() <= _STEER_TOL * total:
+                    return shift + math.log(total)
+            return self._log_summand_moment(c, p)
+
+        return steer
 
 
 def _summand_breakpoints(s2: float, c: float, p: float) -> tuple[float, ...]:

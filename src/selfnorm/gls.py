@@ -66,11 +66,15 @@ class PsiFunction:
 
     A p where ``fn`` raises ArithmeticError or is not positive and
     finite is a barrier of every search, as at p = 1 for the Rosenthal
-    generator, whose p/ln p divides by 0 there.
+    generator, whose p/ln p divides by 0 there.  ``steer``, where given,
+    is a cheap stand-in for ``fn`` with its signature: a tail search
+    (:func:`gls_tail_bound`) runs on it to find its p, and reads ``fn``
+    once, at that p, for the bound.
     """
 
     fn: Callable[[float], float]
     b: float = math.inf
+    steer: Callable[[float], float] | None = None
 
     def __call__(self, p: float) -> float:
         return self.fn(p)
@@ -221,6 +225,13 @@ def _gls_tail_opt(psi: PsiFunction, norm: float,
     the support is evaluated exactly as well, since a linear exponent has
     its minimum there, unless a finite probe above the search's best p
     already rules it out.
+
+    Every p gives a valid Markov bound, so the search only has to find
+    p.  Where ``psi.steer`` is given, the search runs on it, and
+    ``psi.fn`` is read once, at the p found (and at the top of the
+    support, under the rule above applied to the steer's probes); the
+    value is that read.  Where the read at the p found is not finite,
+    the search runs again on ``psi.fn``.
     """
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
@@ -231,15 +242,21 @@ def _gls_tail_opt(psi: PsiFunction, norm: float,
     log_scale = math.log(norm) - math.log(y)
     finite_ps = []
 
-    def neg_exponent(p: float) -> float:
-        den = _try_positive(psi.fn, p) if p <= hi else None
+    def neg_exponent(p: float, fn: Callable[[float], float] = psi.fn) -> float:
+        den = _try_positive(fn, p) if p <= hi else None
         if den is None:
             return -math.inf
         finite_ps.append(p)
         return -p * (math.log(den) + log_scale)
 
-    p_best, neg = maximize_concave(neg_exponent, lo, x0=min(_P_START, hi),
-                                   rtol=_P_RTOL)
+    if psi.steer is not None:
+        p_best, _ = maximize_concave(lambda p: neg_exponent(p, psi.steer), lo,
+                                     x0=min(_P_START, hi), rtol=_P_RTOL)
+        neg = neg_exponent(p_best)
+    if psi.steer is None or neg == -math.inf:
+        finite_ps.clear()
+        p_best, neg = maximize_concave(neg_exponent, lo, x0=min(_P_START, hi),
+                                       rtol=_P_RTOL)
     # every probe's exponent is at least p_best's, so by convexity a finite
     # probe in (p_best, hi] shows that the exponent at hi is no lower
     if not any(p > p_best for p in finite_ps):

@@ -38,7 +38,7 @@ PARAMETERS = {
     "DiscreteLaw": ("atoms", "name"),
     "DistributionModel": ("sigma2", "name"),
     "MCConfig": ("n", "trials", "seed", "confidence"),
-    "PsiFunction": ("fn", "b"),
+    "PsiFunction": ("fn", "b", "steer"),
     "Rademacher": (),
     "StandardGaussian": (),
     "UniformSymmetric": ("half_width",),

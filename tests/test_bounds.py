@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 from scipy.stats import norm as scipy_norm
 
-from selfnorm.bounds import (DEFAULT_B_GRID, DEFAULT_KR, exp_curve,
+from selfnorm.bounds import (DEFAULT_B_GRID, DEFAULT_KR, BoundPoint, exp_curve,
                              lower_clt_curve, lower_q1_curve, power_curve,
                              rosenthal_psi)
 from selfnorm.bounds import _exp_tail_point, _power_tail_point, _tail_certificate
 from selfnorm.distributions import (DensityLaw, DiscreteLaw, Rademacher,
                                     StandardGaussian, UniformSymmetric)
-from selfnorm.gls import _tail_value
+from selfnorm.gls import _gls_tail_opt, _tail_value
 
 E = math.e
 SQRT3 = math.sqrt(3.0)
@@ -694,20 +695,107 @@ class TestPowerTailOptimizer:
                                                    monkeypatch):
         # the search starts at p = 2, and the top of the support
         # (p_cap = 1000) is ruled out by a finite probe above p* (p* is
-        # far below it on this cell)
+        # far below it on this cell).  The atomic law's search reads the
+        # summand moments; the gaussian's runs on its summand steer and
+        # reads the moment once, at p*
         law = request.getfixturevalue(name)
-        ps = []
-        lp_norm = law.summand_lp_norm
+        ps, steered = [], []
+        lp_norm, summand_steer = law.summand_lp_norm, law._summand_steer
 
         def recorded(n, B, p, *args, **kwargs):
             ps.append(p)
             return lp_norm(n, B, p, *args, **kwargs)
 
+        def recorded_steer(c):
+            steer = summand_steer(c)
+            if steer is None:
+                return None
+
+            def log_moment(p):
+                steered.append(p)
+                return steer(p)
+
+            return log_moment
+
         monkeypatch.setattr(law, "summand_lp_norm", recorded)
+        monkeypatch.setattr(law, "_summand_steer", recorded_steer)
         pt = _power_tail_point(law, 16, 20.0)
         assert pt.arg_star < 500.0
-        assert len(ps) == len(set(ps))
-        assert 2.0 in ps and 1000.0 not in ps
+        search = ps if name == "rad" else steered
+        assert len(search) == len(set(search))
+        assert 2.0 in search and 1000.0 not in search
+        if name == "gauss":
+            assert ps == [pt.arg_star]
+
+    @pytest.mark.parametrize("name", ["gauss", "uni", "shifted exponential"])
+    def test_steered_search_agrees_with_the_exact_search(self, name, request,
+                                                         monkeypatch):
+        # a density law's search runs on its summand steer and reads the
+        # summand moment once, at p* (or at p = 1000 as well, were that
+        # not ruled out); the exponent is that read, and it agrees with
+        # the search on the moments themselves
+        law = (DensityLaw(lambda x: np.exp(-(x + 1.0)), support=(-1.0, math.inf))
+               if name == "shifted exponential" else request.getfixturevalue(name))
+        ps = []
+        lp_norm = law.summand_lp_norm
+
+        def recorded(n, B, p):
+            ps.append(p)
+            return lp_norm(n, B, p)
+
+        monkeypatch.setattr(law, "summand_lp_norm", recorded)
+        for n in (1, 4, 16, 64, 256):
+            for B in DEFAULT_B_GRID:
+                if B < E:
+                    continue
+                del ps[:]
+                pt = _power_tail_point(law, n, B)
+                if B * law.sigma2 <= E:
+                    assert (pt.value, ps) == (1.0, [])
+                    continue
+                assert pt.arg_star in ps and set(ps) <= {pt.arg_star, 1000.0}
+                assert len(ps) == len(set(ps))
+                psi = replace(rosenthal_psi(law, n, B), steer=None)
+                _, p_exact, exponent = _gls_tail_opt(psi, 1.0, B * law.sigma2)
+                assert pt.objective == pytest.approx(exponent, rel=1e-12), (n, B)
+                assert pt.arg_star == pytest.approx(p_exact, rel=1e-6), (n, B)
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 9, 17, 33, 65])
+    def test_steered_certificate_agrees_with_the_exact_search(self, N,
+                                                              monkeypatch):
+        # the certificate steers by max(steer at c = B/sqrt(N), generator
+        # at c = 0), and reads the summand moment at c once, at p*
+        law = DensityLaw(lambda x: np.exp(-(x + 1.0)), support=(-1.0, math.inf))
+        ps = []
+        lp_norm = law.summand_lp_norm
+
+        def recorded(n, B, p):
+            if B > 0.0:
+                ps.append(p)
+            return lp_norm(n, B, p)
+
+        for B in (3.0, 5.0, 20.0):
+            del ps[:]
+            with monkeypatch.context() as m:
+                m.setattr(law, "summand_lp_norm", recorded)
+                steered = _tail_certificate(law, N, B)
+            assert len(ps) == 1, B
+            with monkeypatch.context() as m:
+                m.setattr(law, "_summand_steer", lambda c: None)
+                exact = _tail_certificate(law, N, B)
+            assert steered == pytest.approx(exact, rel=1e-12, abs=0.0), B
+
+    def test_law_without_a_plan_keeps_the_exact_search(self):
+        # E|summand|^1.5 diverges for the density 2/(pi*(1 + x^2)^2), so
+        # it has no summand plan and no steer: its cells read the moments
+        # at every probe, as before, bit for bit
+        law = DensityLaw(lambda x: 2.0 / (math.pi * (1.0 + x * x) ** 2))
+        for n, B in ((4, 3.0), (16, 20.0)):
+            assert law._summand_steer(B / math.sqrt(n)) is None
+            value, p, exponent = _gls_tail_opt(rosenthal_psi(law, n, B), 1.0,
+                                               B * law.sigma2)
+            assert _power_tail_point(law, n, B) == BoundPoint(B, value,
+                                                              exponent, p)
 
     def test_no_moment_call_near_p_equal_one(self, monkeypatch):
         # p = 1 is a barrier of p/ln p itself: neither a cell nor the

@@ -655,17 +655,47 @@ class TestSummandTable:
             law._log_summand_moment(1.0, 1.5)
 
     def test_power_cell_probes_at_most_twice(self, monkeypatch):
-        # a PowerLevel cell asks for 11 summand moments at one c: one
-        # build, and at most one fresh ladder past it, where each p used to
-        # probe and integrate afresh
+        # a PowerLevel cell builds one plan at its c, steers its p search
+        # by the plan's first round, and reads one summand moment, at p*,
+        # over the plan: one build and one query, where each of its 11
+        # probes used to integrate
         log = self.integrations(monkeypatch)
         summand, moments = counted(DistributionModel.summand_lp_norm)
         monkeypatch.setattr(DistributionModel, "summand_lp_norm", summand)
         _power_tail_point(StandardGaussian(), 16, 3.0)
-        assert moments[0] == 11
-        kinds = [kind for kind, _ in log]
-        assert kinds.count("plan") == 1
-        assert kinds.count("fresh") <= 1
+        assert moments[0] == 1
+        assert [kind for kind, _ in log] == ["plan", "table"]
+
+    def test_steer_reads_the_moment_where_the_plan_cannot_hold_it(
+            self, monkeypatch):
+        # on the shifted exponential at c = 0.05 the plan's first round
+        # stands for the moment at p = 2, and at p = 1000 the steer reads
+        # the moment itself
+        law = SUMMAND_LAWS["shifted exponential"]()
+        c = 0.05
+        steer = law._summand_steer(c)
+        exact = {p: law._log_summand_moment(c, p) for p in (2.0, 1000.0)}
+        moment, reads = counted(_QuadratureLaw._log_summand_moment)
+        monkeypatch.setattr(_QuadratureLaw, "_log_summand_moment", moment)
+        assert steer(2.0) == pytest.approx(exact[2.0], rel=0.0, abs=1e-13)
+        assert reads[0] == 0
+        assert steer(1000.0) == exact[1000.0]
+        assert reads[0] == 1
+
+    def test_steer_reads_the_moment_where_the_window_leaves_the_plan(
+            self, monkeypatch):
+        # the window test alone, with the panel test switched off: at
+        # p = 1000 the gaussian's window leaves the plan of every c, where
+        # the plan's first round reads up to 1.3e-7 off
+        monkeypatch.setattr(distributions, "_STEER_TOL", math.inf)
+        law = StandardGaussian()
+        for c in self.CS:
+            steer = law._summand_steer(c)
+            assert steer(1000.0) == law._log_summand_moment(c, 1000.0), c
+
+    def test_no_steer_without_a_plan(self):
+        law = DiscreteLaw([(-1.0, 0.5), (1.0, 0.5)])
+        assert law._summand_steer(0.75) is None
 
 
 class TestDiscreteLogSumExp:

@@ -1,6 +1,7 @@
 """Norm calculus against closed forms and dense-grid oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,35 @@ class TestGlsTailBound:
         assert 2.99 < p < 3.0
         assert value == pytest.approx((math.sqrt(3.0) / 10.0) ** 3, rel=1e-4)
         assert value >= (math.sqrt(3.0) / 10.0) ** 3
+
+    def test_steer_finds_p_and_the_generator_gives_the_value(self):
+        # a steer equal to the generator finds the generator's own p,
+        # where the generator is read once, and the value is that read
+        ps = []
+
+        def fn(p):
+            ps.append(p)
+            return math.sqrt(p)
+
+        got = _gls_tail_opt(PsiFunction(fn, steer=math.sqrt), 1.0, 10.0)
+        assert got == _gls_tail_opt(PsiFunction(math.sqrt), 1.0, 10.0)
+        assert ps == [got[1]]
+
+    def test_steer_keeps_the_top_of_the_support(self):
+        # a linear exponent has its minimum at the top of the support,
+        # which the generator is read at too
+        psi = degenerate_psi(4.0)
+        got = _gls_tail_opt(replace(psi, steer=lambda p: 1.0), 1.7, 17.0)
+        assert got == _gls_tail_opt(psi, 1.7, 17.0)
+        assert got[1] == 4.0
+
+    def test_steer_past_a_barrier_of_the_generator_reruns_the_search(self):
+        # the steer's best p, 100/e, is a barrier of the generator, which
+        # is finite below p = 3 only: the search runs again on the
+        # generator
+        psi = PsiFunction(lambda p: math.sqrt(p) if p < 3.0 else math.inf)
+        assert _gls_tail_opt(replace(psi, steer=math.sqrt), 1.0, 10.0) \
+            == _gls_tail_opt(psi, 1.0, 10.0)
 
     def test_nowhere_finite_generator_gives_one(self):
         psi = PsiFunction(lambda p: math.inf)
