@@ -11,11 +11,11 @@ density laws as integrals by one vectorized adaptive Gauss-Legendre rule
 kept in log space, so that huge-but-finite integrands never overflow
 pointwise.  The standard gaussian and the symmetric uniform override
 the hooks they have closed forms for.  A density law's summand moments
-at one ``c = B/sqrt(n)`` are integrated over one plan, the probes and
-pieces that one :func:`_integrate` call returns with its value, so the
-p search of a PowerLevel cell refines its pieces once; the search steers
-by the plan's first round and integrates once, at the p it finds (see
-``_QuadratureLaw._summand_steer``).  Every law draws only through
+at one ``c = B/sqrt(n)`` are integrated, at each p the plan holds, over
+one plan, the probes and pieces that one :func:`_integrate` call returns
+with its value; the p search of a PowerLevel cell steers by the plan's
+first round and integrates once, at the p it finds (see
+``_QuadratureLaw._summand_plan``).  Every law draws only through
 ``sample``, and a density law reads its density only through
 ``_log_density``, except in ``DensityLaw.sample``: SciPy's PINV
 setup calls the pdf on thousands of scalars, and through the log it runs
@@ -84,15 +84,19 @@ class DivergentError(ArithmeticError):
     """An expectation failed to converge or exceeded the overflow guard."""
 
 
-class _PlanMiss(DivergentError):
-    """The integrand's window leaves the plan that :func:`_integrate` was
-    given: the plan cannot integrate it, but fresh probes may."""
-
-
 def _guard_finite(value: float, what: str) -> float:
     if not math.isfinite(value) or abs(value) > OVERFLOW_LIMIT:
         raise DivergentError(f"{what} exceeded the overflow guard or diverged")
     return value
+
+
+def _log_mass(shift: float, total: float) -> float:
+    """ln(exp(shift) * total), the integral of a positive integrand; a zero
+    total, where the quadrature missed the mass (at a jump of the density,
+    say), raises, and log_mgf2 then reads +inf, a barrier."""
+    if total <= 0.0:
+        raise DivergentError("quadrature lost the integrand's mass")
+    return shift + math.log(total)
 
 
 def _apply(fn, x: np.ndarray) -> np.ndarray:
@@ -195,7 +199,7 @@ def _first_round() -> np.ndarray:
 
 
 def _integrate(fn, lo: float, hi: float, scale: float,
-               breakpoints: Sequence[float] = (), table: tuple | None = None):
+               breakpoints: Sequence[float] = ()):
     """The integral of ``s * exp(e)`` over [lo, hi], where ``(e, s) =
     fn(x)`` for an array x.  Returns ``(shift, total, plan)``; the
     integral is ``exp(shift) * total``.
@@ -214,20 +218,11 @@ def _integrate(fn, lo: float, hi: float, scale: float,
     ``plan = (probes, window, pieces)`` holds the probes, the window as
     indices of them, and the ends ``(a, b)`` of the pieces that
     :func:`_adapt` accepted over it; where e is -inf at every probe the
-    result is ``(-inf, 0.0, None)``.  ``table = (probes, window, pieces,
-    e, first)`` integrates fn over the plan of another exponent: e is
-    fn's exponent at the probes, and ``first`` what fn returns at the
-    :func:`_first_round` nodes of each piece.  Its window is found on the
-    plan's probes and must lie within the plan's window, else the plan
-    cannot integrate fn and :class:`_PlanMiss` is raised; the plan's
-    pieces are then integrated in place of the window's.
+    result is ``(-inf, 0.0, None)``.
     """
-    if table is None:
-        pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
-        probes = pts[(pts >= lo) & (pts <= hi) & (np.abs(pts) <= scale * _LADDER[-1])]
-        e = np.asarray(fn(probes)[0], dtype=float)
-    else:
-        probes, window, pieces, e, first = table
+    pts = np.unique(np.concatenate((scale * _LADDER, breakpoints, (lo, hi))))
+    probes = pts[(pts >= lo) & (pts <= hi) & (np.abs(pts) <= scale * _LADDER[-1])]
+    e = np.asarray(fn(probes)[0], dtype=float)
     e = np.where(np.isnan(e), -math.inf, e)
     i0, last = int(np.argmax(e)), len(probes) - 1
     top = e[i0]
@@ -240,11 +235,8 @@ def _integrate(fn, lo: float, hi: float, scale: float,
     # every probe
     rel = np.nonzero(e >= top - 800.0)[0]
     i_lo, i_hi = max(rel[0] - 1, 0), min(rel[-1] + 1, last)
-    if table is None:
-        pieces, first = (probes[i_lo:i_hi], probes[i_lo + 1:i_hi + 1]), None
-    elif i_lo < window[0] or i_hi > window[1]:
-        raise _PlanMiss("integrand's window leaves the plan")
-    shift, acc, accepted = _adapt(fn, *pieces, first)
+    pieces = probes[i_lo:i_hi], probes[i_lo + 1:i_hi + 1]
+    shift, acc, accepted = _adapt(fn, *pieces)
     total = float(acc.sum())
     span = scale * _LADDER[-1]  # where an open side's window ends
     a, b = pieces
@@ -348,14 +340,14 @@ class DistributionModel:
         quadratic_moments()       _quadratic_moments(), once per law
         summand_lp_norm(n, B, p)  _log_summand_moment(B/sqrt(n), p), B > 0;
                                   a density law keeps the quadrature plan
-                                  of the last c, and integrates each p
-                                  over it
+                                  of the last c, and reads each p it
+                                  holds over it, if its window stops
+                                  short of open ends, else afresh
         (a p search's stand-in)   _summand_steer(c): p -> the log-moment
-                                  from the plan's cached first round,
-                                  or the moment itself where the plan
-                                  cannot hold it; None (the search reads
-                                  the primitive) for an atomic law and a
-                                  c with no plan
+                                  from the plan's cached first round at
+                                  each p it holds, else the moment; None
+                                  (the search reads the primitive) for an
+                                  atomic law and a c with no plan
     """
 
     sigma2: float
@@ -582,7 +574,7 @@ class DiscreteLaw(DistributionModel):
             s2 = self.sigma2
             return self._log_sum([p * _log_abs(x + c * (s2 - sq))
                                   for x, _, sq in self._atoms])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             exps = p * np.log(np.abs(self._values + c * (self.sigma2 - self._squares)))
         return _log_sum_exp(exps, self._probs)
 
@@ -605,8 +597,8 @@ class Rademacher(DiscreteLaw):
 
 
 class _QuadratureLaw(DistributionModel):
-    """Laws given by a density: every hook integrates, by :meth:`_integral`,
-    ``s * exp(_log_density(x) + e)`` with ``(e, s)`` from the caller, the
+    """Laws given by a density: every hook integrates ``s * exp(_log_density(x)
+    + e)``, the :meth:`_integrand` of ``(e, s)`` from the caller, over the
     probe ladder in units of sigma, and the summand moments over one
     :meth:`_summand_plan` per c.  :meth:`_log_expect_exponent` reads a
     log-moment, :meth:`_integrate_density` a signed expectation."""
@@ -619,16 +611,16 @@ class _QuadratureLaw(DistributionModel):
         """The log-density at every point of the array x."""
         raise NotImplementedError
 
-    def _integral(self, g, lo, hi, scale, breakpoints=(), table=None):
-        """:func:`_integrate` of ``s * exp(_log_density(x) + e)`` over
-        [lo, hi], where ``(e, s) = g(x)``."""
+    def _integrand(self, g):
+        """``x -> (_log_density(x) + e, s)``, where ``(e, s) = g(x)``: the
+        integrand of :func:`_integrate` and :func:`_adapt`."""
 
         def fn(x):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 e, s = g(x)
                 return self._log_density(x) + e, s
 
-        return _integrate(fn, lo, hi, scale, breakpoints, table)
+        return fn
 
     def _integrate_density(self, g, lo, hi, scale):
         """The integral of density * g over [lo, hi], g taking arrays."""
@@ -637,27 +629,22 @@ class _QuadratureLaw(DistributionModel):
             v = g(x)
             return np.log(np.abs(v)), np.sign(v)
 
-        shift, total, _ = self._integral(signed, lo, hi, scale)
+        shift, total, _ = _integrate(self._integrand(signed), lo, hi, scale)
         with np.errstate(over="ignore"):
             return _guard_finite(float(np.exp(shift) * total), "expectation")
 
-    def _log_expect_exponent(self, t, breakpoints, table=None):
-        """ln E exp(t(xi)), computed entirely at exponent level; ``table``
-        as for :func:`_integrate`.
+    def _log_expect_exponent(self, t, breakpoints):
+        """ln E exp(t(xi)), computed entirely at exponent level.
 
         The integrand exponent is shifted by its maximum before
         quadrature, so values like ``E |xi|^900`` or an MGF of size
         ``exp(5000)`` come out as ordinary floats on the log scale.
         Genuine divergence still raises :class:`DivergentError`.
         """
-        shift, total, _ = self._integral(lambda x: (t(x), 1.0), *self.support,
-                                         math.sqrt(self.sigma2), breakpoints, table)
-        if total <= 0.0:
-            # the expectation of a positive integrand is positive: a zero
-            # total means the quadrature missed the mass (at a jump of the
-            # density, say), and log_mgf2 then reads +inf, a barrier
-            raise DivergentError("quadrature lost the integrand's mass")
-        return shift + math.log(total)
+        shift, total, _ = _integrate(self._integrand(lambda x: (t(x), 1.0)),
+                                     *self.support, math.sqrt(self.sigma2),
+                                     breakpoints)
+        return _log_mass(shift, total)
 
     def _q1(self, hi):
         # a centered law's support straddles 0, and hi = 1/B > 0
@@ -709,26 +696,46 @@ class _QuadratureLaw(DistributionModel):
 
     def _summand_plan(self, c):
         """The quadrature of the summand moments at c, shared by every p:
-        the plan of the moment at ``_P_REF``, so that the pieces next to
-        the roots of the summand come out refined, and the parts ``(A,
-        L)`` of the exponent ``A + p*L``, the log-density and
-        ln|summand|, at its probes and at the :func:`_first_round` nodes
-        of each piece.  None where the moment at ``_P_REF`` diverges, its
-        tail included, or reads no mass."""
+        ``(holds, closed, pieces, parts)`` of the plan of the moment at
+        ``_P_REF``, whose pieces next to the roots of the summand come out
+        refined.  ``pieces`` are the ends ``(a, b)`` of the pieces it
+        accepted, ``parts`` the log-density and ln|summand| ``(A, L)`` of
+        the exponent ``A + p*L`` at their :func:`_first_round` nodes.  The
+        one hold rule, ``holds(p)``: every probe within 800 of the top at p
+        lies one short of each end of the plan's window, or at an end it
+        shares with the probes.  ``closed``: that window stops short of
+        each open end of the probes, past which :func:`_integrate`
+        extrapolates a tail.  None where the moment at ``_P_REF``
+        diverges, its tail included, or reads no mass."""
         try:
-            plan = self._integral(lambda x: (_P_REF * self._log_abs_summand(c, x), 1.0),
-                                  *self.support, math.sqrt(self.sigma2),
-                                  _summand_breakpoints(self.sigma2, c, _P_REF))[2]
+            plan = _integrate(self._integrand(
+                lambda x: (_P_REF * self._log_abs_summand(c, x), 1.0)),
+                *self.support, math.sqrt(self.sigma2),
+                _summand_breakpoints(self.sigma2, c, _P_REF))[2]
         except DivergentError:
             return None
         if plan is None:
             return None
-        probes, _, (a, b) = plan
+        probes, (w_lo, w_hi), (a, b) = plan
         nodes = a[:, None] + (b - a)[:, None] * _first_round()
         with np.errstate(invalid="ignore", over="ignore"):
-            parts = [(self._log_density(x), self._log_abs_summand(c, x))
-                     for x in (probes, nodes)]
-        return plan, parts
+            (A, L), parts = [(self._log_density(x), self._log_abs_summand(c, x))
+                             for x in (probes, nodes)]
+        last = len(probes) - 1
+
+        def holds(p: float) -> bool:
+            # _integrate's window at p on these probes, a NaN exponent
+            # counting as -inf there too, lies within the plan's
+            with np.errstate(invalid="ignore", over="ignore"):
+                e = np.fmax(A + p * L, -math.inf)
+            top = e.max()
+            rel = np.nonzero(e >= top - 800.0)[0]
+            return (math.isfinite(top) and w_lo <= max(rel[0] - 1, 0)
+                    and min(rel[-1] + 1, last) <= w_hi)
+
+        lo, hi = self.support
+        closed = not (w_lo == 0 and probes[0] > lo or w_hi == last and probes[-1] < hi)
+        return holds, closed, (a, b), parts
 
     def _memo_plan(self, c):
         """The :meth:`_summand_plan` of c, kept in a one-slot memo."""
@@ -737,25 +744,22 @@ class _QuadratureLaw(DistributionModel):
         return self._summand_memo[1]
 
     def _log_summand_moment(self, c: float, p: float) -> float:
-        """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0.
-
-        Over the :meth:`_summand_plan` of c, kept in a one-slot memo; a p
-        whose window leaves the plan goes over fresh probes, and any other
-        divergence over the plan raises.
-        """
-        memo = self._memo_plan(c)
+        """ln E|xi + c*(sigma^2 - xi^2)|^p for c > 0: :func:`_adapt` over the
+        pieces of a closed :meth:`_summand_plan` of c that holds p, from
+        their cached first round, and over fresh probes at any other p."""
 
         def t(x):
             return p * self._log_abs_summand(c, x)
 
+        memo = self._memo_plan(c)
         if memo is not None:
-            plan, parts = memo
-            with np.errstate(invalid="ignore", over="ignore"):
-                e, first = (A + p * L for A, L in parts)
-            try:
-                return self._log_expect_exponent(t, (), (*plan, e, (first, 1.0)))
-            except _PlanMiss:
-                pass
+            holds, closed, pieces, (A, L) = memo
+            if closed and holds(p):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    first = A + p * L
+                shift, acc, _ = _adapt(self._integrand(lambda x: (t(x), 1.0)),
+                                       *pieces, (first, 1.0))
+                return _log_mass(shift, float(acc.sum()))
         return self._log_expect_exponent(t, _summand_breakpoints(self.sigma2, c, p))
 
     def _summand_steer(self, c):
@@ -763,36 +767,22 @@ class _QuadratureLaw(DistributionModel):
         p search, built once from the :meth:`_summand_plan` of c; None
         where c has no plan.
 
-        At each p it is the first round of :func:`_adapt` over the plan's
-        pieces, without refinement: the two-panel rule's ``ln sum
-        width/2 * w_j * exp(A + p*L)`` over the plan's cached parts
-        ``(A, L)``, in one NumPy pass.  Where that sum cannot stand for
-        the moment, it returns the moment itself: where the window of
-        :func:`_integrate` at the plan's probes leaves the plan's window
-        or reaches an open end of the probes, and where the one- and
-        two-panel rules differ by more than ``_STEER_TOL`` of the total,
-        summed over the pieces, as where :func:`_adapt` would refine.
-        Any p gives a valid Markov bound, so a search may steer by it and
-        read the moment once, at the p it finds.
+        At each p the plan holds, it is the first round of :func:`_adapt`
+        over the plan's pieces, without refinement: the two-panel rule's
+        ``ln sum width/2 * w_j * exp(A + p*L)`` over the cached parts, in
+        one NumPy pass.  Over a plan that is not closed it leaves out the
+        extrapolated tail, at most ``_UNRESOLVED_TOL`` of the total where
+        the moment is finite.  It returns the moment itself at a p the
+        plan does not hold, and where the one- and two-panel rules differ
+        by more than ``_STEER_TOL`` of the total, summed over the pieces,
+        as where :func:`_adapt` would refine.  Any p gives a valid Markov
+        bound, so a search may steer by it and read the moment once, at
+        the p it finds.
         """
         memo = self._memo_plan(c)
         if memo is None:
             return None
-        (probes, (w_lo, w_hi), (a, b)), ((A_probes, L_probes), (A, L)) = memo
-        # the window at p must lie within the plan's, and short of an open
-        # end of the probes, whose tail _integrate extrapolates; so every
-        # probe within 800 of the top must lie one short of each end of it
-        last = len(probes) - 1
-        if probes[0] > self.support[0]:
-            w_lo = max(w_lo, 1)
-        if probes[-1] < self.support[1]:
-            w_hi = min(w_hi, last - 1)
-        r_lo = w_lo + 1 if w_lo > 0 else 0
-        r_hi = w_hi - 1 if w_hi < last else last
-        inner = slice(r_lo, r_hi + 1)
-        A_in, L_in = A_probes[inner], L_probes[inner]
-        A_out, L_out = (np.concatenate((v[:r_lo], v[r_hi + 1:]))
-                        for v in (A_probes, L_probes))
+        holds, _, (a, b), (A, L) = memo
         # the one-panel weights width*w_j and the halves' width/2*w_j, the
         # widths taken into the exponent
         _, w = _gauss_legendre()
@@ -802,16 +792,15 @@ class _QuadratureLaw(DistributionModel):
         A = A + np.log(b - a)[:, None]
 
         def steer(p: float) -> float:
-            with np.errstate(invalid="ignore", over="ignore"):
-                top = (A_in + p * L_in).max(initial=-math.inf)
-                out = (A_out + p * L_out).max(initial=-math.inf)
-                e = A + p * L
-            shift = float(e.max())
-            if math.isfinite(top) and out < top - 800.0 and math.isfinite(shift):
-                one, both = (np.exp(e - shift) @ rule).T
-                total = float(both.sum())
-                if np.abs(both - one).sum() <= _STEER_TOL * total:
-                    return shift + math.log(total)
+            if holds(p):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    e = A + p * L
+                shift = float(e.max())
+                if math.isfinite(shift):
+                    one, both = (np.exp(e - shift) @ rule).T
+                    total = float(both.sum())
+                    if np.abs(both - one).sum() <= _STEER_TOL * total:
+                        return shift + math.log(total)
             return self._log_summand_moment(c, p)
 
         return steer

@@ -11,6 +11,7 @@ The uniform's checks likewise run on ``UniformSymmetric`` and a box
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -534,39 +535,52 @@ SUMMAND_LAWS = {
 
 class TestSummandTable:
     """A density law's summand moments at one c are integrated over one
-    plan, built at p = 1.5 and reused at every p: one build per c, and a
-    fresh probe ladder only for a p whose window leaves the plan."""
+    plan, built at p = 1.5 and read at every p it holds: one build per c,
+    and a fresh probe ladder only for a p the plan does not hold, or for
+    every p of a plan whose window reaches an open end."""
 
     CS = (0.05, 0.25, 0.75, 5.0)
     PS = (1.01, 1.1, 1.5, 1.9, 2.0, 2.05, 3.0, 9.0, 30.0, 200.0, 1000.0)
 
     @staticmethod
     def integrations(monkeypatch):
-        """Record each _integrate call as (kind, error): kind 'plan' for a
-        build, the call made inside _summand_plan, 'table' for a query over
-        a plan, 'fresh' for a probe ladder of its own; error the
-        DivergentError's message, or None."""
-        log, building = [], []
-        integrate, summand_plan = distributions._integrate, _QuadratureLaw._summand_plan
+        """Record each quadrature as (kind, error): kind 'plan' for a
+        build, the _integrate call made inside _summand_plan, 'read' for
+        an _adapt call over a plan's pieces, 'fresh' for an _integrate call
+        on a probe ladder of its own; error the DivergentError's message,
+        or None."""
+        log, active = [], []
+        integrate, adapt = distributions._integrate, distributions._adapt
+        summand_plan = _QuadratureLaw._summand_plan
 
-        def recorded(fn, lo, hi, scale, breakpoints=(), table=None):
-            kind = "plan" if building else "fresh" if table is None else "table"
+        def record(kind, call, *args):
+            active.append(kind)
             try:
-                out = integrate(fn, lo, hi, scale, breakpoints, table)
+                out = call(*args)
             except DivergentError as exc:
                 log.append((kind, str(exc)))
                 raise
+            finally:
+                active.pop()
             log.append((kind, None))
             return out
 
+        def recorded_integrate(*args):
+            return record("plan" if "build" in active else "fresh", integrate, *args)
+
+        def recorded_adapt(*args):
+            # an _adapt call inside _integrate is part of that quadrature
+            return adapt(*args) if active else record("read", adapt, *args)
+
         def plan(self, c):
-            building.append(c)
+            active.append("build")
             try:
                 return summand_plan(self, c)
             finally:
-                building.pop()
+                active.pop()
 
-        monkeypatch.setattr(distributions, "_integrate", recorded)
+        monkeypatch.setattr(distributions, "_integrate", recorded_integrate)
+        monkeypatch.setattr(distributions, "_adapt", recorded_adapt)
         monkeypatch.setattr(_QuadratureLaw, "_summand_plan", plan)
         return log
 
@@ -583,9 +597,11 @@ class TestSummandTable:
             del log[:]
             tabled.update({(c, p): law._log_summand_moment(c, p) for p in self.PS})
             kinds = [kind for kind, _ in log]
-            # one build, and at most one p whose window leaves the plan
-            assert kinds.count("plan") == 1, c
+            # one build, a read at every p the plan holds, and at most one
+            # p it does not hold
+            assert kinds[0] == "plan" and kinds.count("plan") == 1, c
             assert kinds.count("fresh") <= 1, c
+            assert kinds.count("read") + kinds.count("fresh") == len(self.PS), c
         self.untabled(monkeypatch)
         law = SUMMAND_LAWS[name]()
         # log-moments within 1e-11: the moments agree to 1e-11 relative
@@ -604,22 +620,35 @@ class TestSummandTable:
         law.summand_lp_norm(4, B, p)
         assert law.summand_lp_norm(n, B, p) == fresh
 
-    def test_extrapolated_tail_is_tabled(self, monkeypatch):
-        # at p = 1.5 the t5 summand's window reaches the end of the ladder:
-        # the plan's pieces get _integrate's tail extrapolation too
+    def test_plan_reaching_an_open_end_reads_fresh(self, monkeypatch):
+        # at p = 1.5 the t5 summand's window reaches the end of the ladder,
+        # past which _integrate extrapolates a tail: every p is integrated
+        # over fresh probes, bit for bit as with no plan
         t5 = DensityLaw(t5_density)
         log = self.integrations(monkeypatch)
         cs, ps = (0.05, 0.25, 0.75, 1.25, 5.0), (1.01, 1.1, 1.5, 1.9, 2.0, 2.05)
         tabled = {(c, p): t5._log_summand_moment(c, p) for c in cs for p in ps}
-        assert log == ([("plan", None)] + [("table", None)] * len(ps)) * len(cs)
+        assert log == ([("plan", None)] + [("fresh", None)] * len(ps)) * len(cs)
         # E|summand|^p is infinite from p = 2.5 on
         with pytest.raises(DivergentError):
             t5.summand_lp_norm(16, 5.0, 2.6)
         self.untabled(monkeypatch)
         t5 = DensityLaw(t5_density)
         for (c, p), value in tabled.items():
-            assert value == pytest.approx(t5._log_summand_moment(c, p),
-                                          rel=0.0, abs=1e-11), (c, p)
+            assert value == t5._log_summand_moment(c, p), (c, p)
+
+    def test_steer_stands_in_over_an_open_end(self, monkeypatch):
+        # the t5 plan holds every p of the search: the steer leaves out the
+        # extrapolated tail and reads no moment
+        t5 = DensityLaw(t5_density)
+        c = 1.25
+        steer = t5._summand_steer(c)
+        exact = {p: t5._log_summand_moment(c, p) for p in (1.1, 1.5, 2.0)}
+        moment, reads = counted(_QuadratureLaw._log_summand_moment)
+        monkeypatch.setattr(_QuadratureLaw, "_log_summand_moment", moment)
+        for p, value in exact.items():
+            assert steer(p) == pytest.approx(value, rel=0.0, abs=1e-10), p
+        assert reads[0] == 0
 
     @pytest.mark.parametrize("density, support", [
         (lambda x: np.exp(-(x + 1.0)), (-1.0, math.inf)),
@@ -628,13 +657,14 @@ class TestSummandTable:
     ], ids=["shifted exponential", "laplace"])
     def test_divergent_query_raises_over_the_plan(self, density, support,
                                                  monkeypatch):
-        # E|summand|^500 at c = 1/4 exhausts the bisection budget over the
-        # plan, which raises with no fresh probes, as the untabled route does
+        # E|summand|^500 at c = 1/4 exhausts the bisection budget of the
+        # read over the plan, which raises with no fresh probes, as the
+        # untabled route does
         law = DensityLaw(density, support=support)
         log = self.integrations(monkeypatch)
         with pytest.raises(DivergentError, match="did not converge"):
             law.summand_lp_norm(16, 1.0, 500.0)
-        assert log == [("plan", None), ("table", "quadrature did not converge")]
+        assert log == [("plan", None), ("read", "quadrature did not converge")]
         self.untabled(monkeypatch)
         with pytest.raises(DivergentError, match="did not converge"):
             DensityLaw(density, support=support).summand_lp_norm(16, 1.0, 500.0)
@@ -657,14 +687,28 @@ class TestSummandTable:
     def test_power_cell_probes_at_most_twice(self, monkeypatch):
         # a PowerLevel cell builds one plan at its c, steers its p search
         # by the plan's first round, and reads one summand moment, at p*,
-        # over the plan: one build and one query, where each of its 11
+        # over the plan: one build and one read, where each of its 11
         # probes used to integrate
         log = self.integrations(monkeypatch)
         summand, moments = counted(DistributionModel.summand_lp_norm)
         monkeypatch.setattr(DistributionModel, "summand_lp_norm", summand)
         _power_tail_point(StandardGaussian(), 16, 3.0)
         assert moments[0] == 1
-        assert [kind for kind, _ in log] == ["plan", "table"]
+        assert [kind for kind, _ in log] == ["plan", "read"]
+
+    def test_heavy_tailed_power_cell_reads_the_moment_once(self, monkeypatch):
+        # the t5 plan reaches an open end, so its one read at p* is fresh;
+        # the search steers by the plan at every p
+        log = self.integrations(monkeypatch)
+        summand, moments = counted(DistributionModel.summand_lp_norm)
+        monkeypatch.setattr(DistributionModel, "summand_lp_norm", summand)
+        t5 = DensityLaw(t5_density)
+        for B in (3.0, 5.0, 20.0):
+            del log[:]
+            moments[0] = 0
+            _power_tail_point(t5, 16, B)
+            assert moments[0] == 1, B
+            assert [kind for kind, _ in log] == ["plan", "fresh"], B
 
     def test_steer_reads_the_moment_where_the_plan_cannot_hold_it(
             self, monkeypatch):
@@ -831,6 +875,17 @@ class TestDiscreteLogSumExp:
         assert law.log_mgf2(1e300, 1e300) == math.inf
         assert law.log_mgf2(1.0, 1e300) == -math.inf
         assert law.log_mgf2(-1.0, 1e300) == -math.inf
+
+    def test_overflowing_summand_reads_a_barrier(self):
+        # 20 gaussian draws at sigma ~ 5e153: c*(sigma^2 - x^2) overflows
+        # in the array route, and the moment reads +inf, a barrier of the
+        # p search, with no warning
+        draws = np.random.default_rng(7).standard_normal(20)
+        law = DiscreteLaw.from_sample(draws * (5e153 / draws.std()))
+        assert law._atoms is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert law.summand_lp_norm(16, 50.0, 2.0) == math.inf
 
 
 def same_bits(a, b):
